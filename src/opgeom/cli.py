@@ -203,6 +203,19 @@ def _need(args, flag: str):
     return value
 
 
+def _step_count(tau: float, step: float) -> int:
+    """Integrator steps round(tau / step), at least one, for positive finite
+    inputs whose ratio fits the platform's index range."""
+    if not (np.isfinite(tau) and np.isfinite(step)):
+        raise _InputError("--tau and --step must be finite")
+    if tau <= 0 or step <= 0:
+        raise _InputError("--tau and --step must be positive")
+    ratio = tau / step
+    if ratio > sys.maxsize:
+        raise _InputError(f"--tau/--step gives {ratio:.17g} steps, more than {sys.maxsize}")
+    return max(1, int(round(ratio)))
+
+
 def _chart_point(args):
     chart = _load_chart(_need(args, "chart"))
     u = _parse_csv_floats(_need(args, "point"), "point")
@@ -313,6 +326,7 @@ def _cmd_geodesic(args):
     v0 = _parse_csv_floats(_need(args, "v0"), "v0")
     tau = float(_need(args, "tau"))
     step = float(_need(args, "step"))
+    _step_count(tau, step)
     if u0.size != chart.p or v0.size != chart.p:
         raise _InputError(f"--u0/--v0 need {chart.p} components for chart '{chart.id}'")
     phi = _state_or_default(args, chart.default_state())
@@ -333,9 +347,7 @@ def _cmd_geodesic(args):
 def _cmd_holonomy(args):
     tau = float(args.tau) if args.tau is not None else 1.0
     step = float(args.step) if args.step is not None else 1e-3
-    if tau <= 0 or step <= 0:
-        raise _InputError("--tau and --step must be positive")
-    n_steps = max(1, int(round(tau / step)))
+    n_steps = _step_count(tau, step)
     if args.matrix:
         mats = _load_matrices(args.matrix)
         if len(mats) != 2:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.linalg import expm
 
 from .errors import (
     DimensionError,
@@ -79,14 +77,13 @@ class LoopSpec:
             raise ValueError("loop side length must be positive")
 
 
-def _sample(path: ConnectionPath):
-    s = path.grid()
-    vals = np.stack([np.asarray(path.A(si), dtype=complex) for si in s])
+def _sample(a, points):
+    vals = np.stack([np.asarray(a(si), dtype=complex) for si in points])
     if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
         raise DimensionError("connection samples must be square matrices")
     if not np.all(np.isfinite(vals)):
         raise ValueError("connection samples must be finite")
-    return s, vals
+    return vals
 
 
 def ordered_series(path: ConnectionPath, order: int) -> np.ndarray:
@@ -101,7 +98,10 @@ def ordered_series(path: ConnectionPath, order: int) -> np.ndarray:
             f"series order {order} exceeds the supported maximum {MAX_SERIES_ORDER}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    s, vals = _sample(path)
+    from scipy.integrate import cumulative_trapezoid
+
+    s = path.grid()
+    vals = _sample(path.A, s)
     d = vals.shape[1]
     eye = np.eye(d, dtype=complex)
     total = eye.copy()
@@ -113,21 +113,101 @@ def ordered_series(path: ConnectionPath, order: int) -> np.ndarray:
     return total
 
 
+# Scaling-and-squaring Pade exponential (N. J. Higham, SIAM J. Matrix Anal.
+# Appl. 26(4), 2005): degree m is used up to 1-norm theta_m, beyond theta_13
+# the matrix is scaled by 2^-s into range and the result squared s times.
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_DEGREES = tuple(_PADE)
+_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
+                   9.504178996162932e-1, 2.097847961257068e0])
+_THETA13 = 5.371920351148152
+
+# Factors exponentiated and multiplied per pass of product_integral; bounds
+# its working memory at O(_BLOCK d^2) for any number of steps.
+_BLOCK = 1024
+
+
+def _pade(a, m):
+    """Degree-m Pade approximant (V - U)^-1 (V + U) of exp on a stack."""
+    b = _PADE[m]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        powers = [eye, a2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    return np.linalg.solve(v - u, v + u)
+
+
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every matrix in a (k, d, d) stack."""
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("matrix exponential needs finite entries")
+    level = np.searchsorted(_THETA, norms)
+    out = np.empty_like(a)
+    for i in np.unique(level):
+        sel = level == i
+        if _DEGREES[i] < 13:
+            out[sel] = _pade(a[sel], _DEGREES[i])
+            continue
+        s = np.maximum(0, np.ceil(np.log2(norms[sel] / _THETA13))).astype(int)
+        r = _pade(a[sel] * np.exp2(-s)[:, None, None], 13)
+        for k in range(s.max()):
+            sq = s > k
+            r[sq] = r[sq] @ r[sq]
+        out[sel] = r
+    return out
+
+
+def _tree_product(e: np.ndarray) -> np.ndarray:
+    """e[k-1] @ ... @ e[1] @ e[0], multiplied in pairs level by level."""
+    while len(e) > 1:
+        pairs = e[1::2] @ e[0:len(e) - 1:2]
+        e = np.concatenate([pairs, e[-1:]]) if len(e) % 2 else pairs
+    return e[0]
+
+
 def product_integral(path: ConnectionPath) -> np.ndarray:
     """Ordered product of midpoint exponentials exp(A(s_mid) ds), later
-    factors multiplying from the left."""
+    factors multiplying from the left.
+
+    The factors are sampled, exponentiated and multiplied in blocks of
+    ``_BLOCK`` steps; each block's product multiplies the running one.
+    """
     s = path.grid()
-    d0 = np.asarray(path.A(s[0]), dtype=complex).shape[0]
-    f = np.eye(d0, dtype=complex)
-    for i in range(path.n_steps):
-        ds = s[i + 1] - s[i]
-        mid = 0.5 * (s[i] + s[i + 1])
-        f = expm(np.asarray(path.A(mid), dtype=complex) * ds) @ f
+    f = None
+    for lo in range(0, path.n_steps, _BLOCK):
+        edges = s[lo:lo + _BLOCK + 1]
+        vals = _sample(path.A, 0.5 * (edges[:-1] + edges[1:]))
+        block = _tree_product(_expm_stack(vals * np.diff(edges)[:, None, None]))
+        f = block if f is None else block @ f
     return f
 
 
 def transport_oracle(path: ConnectionPath, f0: np.ndarray | None = None) -> np.ndarray:
     """Adaptive Runge-Kutta solution of dF/ds = A(s) F to local tolerance 1e-12."""
+    from scipy.integrate import solve_ivp
+
     s0, s1 = float(path.s_range[0]), float(path.s_range[1])
     a0 = np.asarray(path.A(s0), dtype=complex)
     d = a0.shape[0]
@@ -201,7 +281,7 @@ def stokes_residual(a_field, loop: LoopSpec, n_steps: int = 256,
     a1 = a_dir(base, d1)
     a2 = a_dir(base, d2)
     f12 = da2 - da1 + a1 @ a2 - a2 @ a1
-    return float(np.linalg.norm(holo - expm(f12 * eps * eps)))
+    return float(np.linalg.norm(holo - _expm_stack((f12 * eps * eps)[None])[0]))
 
 
 def bianchi_residual(chart: Chart, phi, cfg, u) -> float:

@@ -308,6 +308,18 @@ def test_holonomy_two_matrix_form(tmp_path, capsys):
     run_err(capsys, ["holonomy", "--tau", "-1.0"], 1, "E_INPUT")
 
 
+@pytest.mark.parametrize("tau, step", [
+    ("inf", "0.01"), ("nan", "0.01"), ("-inf", "0.01"), ("1.0", "nan"),
+    ("1.0", "inf"), ("1e300", "1e-300"), ("1e300", "1"),
+])
+def test_step_count_must_be_finite_and_fit(flat_file, capsys, tau, step):
+    bounds = [f"--tau={tau}", f"--step={step}"]
+    for argv in (["holonomy"] + bounds,
+                 ["geodesic", "--chart", flat_file, "--u0", "0,0", "--v0", "1,0"] + bounds):
+        err = run_err(capsys, argv, 1, "E_INPUT")
+        assert err.count("\n") == 1
+
+
 def test_stokes_output(capsys):
     doc = run_json(capsys, ["stokes", "--step", "0.1"])
     assert doc["epsilon"] == 0.1
@@ -350,6 +362,7 @@ def test_console_script_matches_in_process(sphere_file, capsys):
          "--point", "0.9,0.5"],
         capture_output=True, text=True, check=True)
     assert proc.stdout == expected
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 differential curvature identity."""
 
 import math
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from opgeom.algebra import DotConfig, State
@@ -27,6 +32,8 @@ from opgeom.transport import (
     stored_su2_field,
     stored_test_path,
     transport_oracle,
+    _BLOCK,
+    _expm_stack,
 )
 
 SUM = State.unnormalized_sum()
@@ -147,6 +154,83 @@ def test_reverse_path_inverts_transport():
 def test_antihermitian_connection_gives_unitary_transport():
     f = product_integral(stored_test_path())
     assert np.abs(f.conj().T @ f - np.eye(2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("sample, error", [
+    (np.ones((2, 3)), DimensionError),
+    (np.full((2, 2), np.nan), ValueError),
+])
+def test_product_rejects_bad_samples(sample, error):
+    path = ConnectionPath(A=lambda s: sample, s_range=(0.0, 1.0), n_steps=4)
+    with pytest.raises(error):
+        product_integral(path)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                     2 * _BLOCK + 3])
+def test_blocked_product_matches_sequential_loop(n_steps):
+    path = stored_test_path(n_steps=n_steps)
+    s = path.grid()
+    ref = np.eye(2, dtype=complex)
+    for i in range(n_steps):
+        ref = expm(path.A(0.5 * (s[i] + s[i + 1])) * (s[i + 1] - s[i])) @ ref
+    # unitary factors: rounding grows at most linearly in the factor count
+    tol = 8 * n_steps * np.finfo(float).eps
+    assert np.abs(product_integral(path) - ref).max() < tol
+
+
+def test_product_memory_bounded_by_block():
+    def peak(n_steps):
+        path = ConnectionPath(A=lambda s: X_REF, s_range=(0.0, 1.0), n_steps=n_steps)
+        tracemalloc.start()
+        try:
+            product_integral(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # beyond one block only the float grid grows, 8 bytes per step
+    assert peak(100_000) < 3 * peak(_BLOCK)
+
+
+@st.composite
+def expm_stacks(draw):
+    """Stacks of general or antihermitian d x d matrices, d = 1..6, whose
+    1-norms range over 1e-8..50, so every Pade degree and the squaring
+    branch run, mixed within one stack."""
+    d = draw(st.integers(1, 6))
+    antihermitian = draw(st.booleans())
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        parts = draw(st.lists(entries, min_size=2 * d * d, max_size=2 * d * d))
+        m = np.array(parts[:d * d]).reshape(d, d) + 1j * np.array(parts[d * d:]).reshape(d, d)
+        if antihermitian:
+            m = 0.5 * (m - m.conj().T)
+        norm = np.abs(m).sum(axis=0).max()
+        assume(norm > 0.0)
+        mats.append(m / norm * 10.0 ** draw(st.floats(-8.0, math.log10(50.0))))
+    return np.stack(mats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=expm_stacks())
+def test_expm_stack_matches_scipy(a):
+    got = _expm_stack(a)
+    for g, m in zip(got, a):
+        ref = expm(m)
+        assert np.abs(g - ref).sum(axis=0).max() <= 1e-13 * np.abs(ref).sum(axis=0).max()
+
+
+def test_expm_stack_rejects_nonfinite():
+    with pytest.raises(ValueError):
+        _expm_stack(np.full((1, 2, 2), np.inf, dtype=complex))
+
+
+def test_import_loads_no_scipy():
+    code = ("import opgeom, sys; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 # ---------------------------------------------------------------------------
