@@ -18,6 +18,8 @@ the other modules consume in-memory values only.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +204,8 @@ class State:
         v = np.asarray(psi, dtype=complex).reshape(-1)
         if v.size == 0:
             raise DimensionError("state vector is empty")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("state vector has non-finite entries")
         nrm = np.linalg.norm(v)
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state vector must be normalized, |psi| = {nrm}")
@@ -229,9 +233,12 @@ class State:
             hmat = _as_square_complex(hamiltonian, "hamiltonian")
         _require_hermitian(hmat, "hamiltonian")
         beta = float(beta)
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta}")
         energies, vecs = np.linalg.eigh(hmat)
-        # shift the spectrum so exp never overflows at large beta
-        w = np.exp(-beta * (energies - energies.min()))
+        # shift the exponent so exp never overflows, for either sign of beta
+        be = beta * energies
+        w = np.exp(be.min() - be)
         w = w / w.sum()
         rho = (vecs * w) @ vecs.conj().T
         return cls("gibbs", dim=hmat.shape[0], rho=rho, hmat=np.array(hmat), beta=beta)
@@ -252,6 +259,29 @@ class State:
             return complex(np.vdot(self._psi, m @ self._psi))
         # density and gibbs share the cached density matrix
         return complex(np.vdot(self._rho, m))
+
+    def gram(self, xs, ys=None) -> np.ndarray:
+        """Complex matrix P[i, j] = phi(x_i' y_j) of stacked raw arrays.
+
+        ``xs`` has shape (p, n, n) and ``ys`` shape (q, n, n); one contraction
+        per state kind.  Without ``ys`` the pairs run over xs twice and P,
+        hermitian in exact arithmetic, is returned exactly hermitian.
+        """
+        n = xs.shape[-1]
+        self._check_dim(n)
+        same = ys is None
+        if same:
+            ys = xs
+        if self.kind == "vector":
+            xv = xs @ self._psi
+            pm = xv.conj() @ (xv if same else ys @ self._psi).T
+        else:
+            # phi(x' y) = sum_mk conj(x)_mk (y rho)_mk; rho = 1/n or 1 for traces
+            right = ys if self.kind in ("trace", "sum") else ys @ self._rho
+            pm = xs.conj().reshape(len(xs), -1) @ right.reshape(len(ys), -1).T
+            if self.kind == "trace":
+                pm = pm / n
+        return 0.5 * (pm + pm.conj().T) if same else pm
 
     def diagonal_weights(self, n: int) -> np.ndarray:
         """Weights w with phi(diag(v)) = sum(w * v); used by diagonal charts."""
@@ -324,6 +354,56 @@ def dot(phi: State, cfg: DotConfig, a: AlgebraElement, b: AlgebraElement) -> com
     lam = complex(cfg.lam)
     mat = lam * (a.m.conj().T @ b.m) + np.conj(lam) * (b.m.conj().T @ a.m)
     return cfg.scale * phi.eval_matrix(mat)
+
+
+def _stack(els) -> np.ndarray:
+    """Raw arrays of equal-dimension algebra elements as one (p, n, n) stack."""
+    els = list(els)
+    for e in els[1:]:
+        els[0]._check_dim(e)
+    return np.stack([e.m for e in els])
+
+
+def _dot_matrix(phi: State, cfg: DotConfig, xs, ys=None) -> np.ndarray:
+    """Real dot matrix D[i, j] = x_i . y_j of stacked raw arrays.
+
+    Because phi is hermitian, phi(y' x) = conj(phi(x' y)) and the dot
+    collapses to 2 scale Re(lam P) with P the kernel :meth:`State.gram`.
+    """
+    return 2.0 * cfg.scale * (complex(cfg.lam) * phi.gram(xs, ys)).real
+
+
+def _solve_gram(m: np.ndarray, tol: float, on_singular=None):
+    """Guarded inverse of a Gram or metric matrix: (inverse, det, cond, full).
+
+    Full rank means s_min > tol * max(s_max, tol) for the singular values.
+    Otherwise ``on_singular`` is warned (a Warning) or raised (an exception)
+    and the inverse is the pseudo-inverse cut at tol * s_max.  A 2x2 matrix
+    takes s_min, s_max from |det| and its Frobenius norm and its inverse in
+    closed form; larger ones use one SVD and an LU determinant.
+    """
+    if m.shape == (2, 2):
+        (a, b), (c, d) = m.tolist()
+        det = a * d - b * c
+        fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+        gap = 2.0 * abs(det)
+        s_max = math.sqrt(0.5 * (fro2 + math.sqrt(max((fro2 - gap) * (fro2 + gap), 0.0))))
+        s_min = abs(det) / s_max if s_max > 0 else 0.0
+    else:
+        u, s, vh = np.linalg.svd(m)
+        det = np.linalg.det(m)
+        s_max, s_min = s[0], s[-1]
+    full = bool(s_min > tol * max(s_max, tol))
+    cond = s_max / s_min if s_min > 0 else math.inf
+    if not full:
+        if isinstance(on_singular, Warning):
+            warnings.warn(on_singular, stacklevel=3)
+        elif on_singular is not None:
+            raise on_singular
+        return np.linalg.pinv(m, rcond=tol), det, cond, False
+    if m.shape == (2, 2):
+        return np.array([[d, -b], [-c, a]]) / det, det, cond, True
+    return (vh.conj().T / s) @ u.conj().T, det, cond, True
 
 
 def heisenberg_dot(consts: PhysConstants, h: AlgebraElement, b: AlgebraElement,

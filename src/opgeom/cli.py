@@ -315,8 +315,7 @@ def _cmd_curvature(args):
     cf = hypersurface.curvature(chart, phi, cfg, u)
     doc = {"riemann": _listify(cf.riemann)}
     if chart.p == 2:
-        r_low = mf.g[0, :] @ cf.riemann[:, 1, 0, 1]
-        doc["gauss_curvature"] = float(r_low / mf.det)
+        doc["gauss_curvature"] = cf.gauss_curvature(mf)
     return _emit_json(doc) + "\n"
 
 
@@ -453,7 +452,7 @@ def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
             chart, phi, cfg, u).gamma).max()))
         riems.append(float(np.abs(cf.riemann).max()))
         if chart.p == 2:
-            gausses.append(float(mf.g[0, :] @ cf.riemann[:, 1, 0, 1] / mf.det))
+            gausses.append(cf.gauss_curvature(mf))
         bianchis.append(transport.bianchi_residual(chart, phi, cfg, u))
 
     def stats(vals):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,22 +35,24 @@ from .algebra import (
     DotConfig,
     PhysConstants,
     State,
-    dot,
+    _dot_matrix,
+    _require_hermitian,
+    _solve_gram,
+    _stack,
     embed_diag,
     heisenberg_dot,
 )
 from .errors import (
     DimensionError,
     EvaluationError,
-    HermiticityError,
     JacobiViolationError,
-    LinearDependenceError,
     NonSymmetricMetricError,
     SingularGramError,
     SingularGramWarning,
     SingularMetricError,
     StencilOutOfDomainError,
 )
+from .projection import _orthogonalize
 
 __all__ = [
     "Chart",
@@ -127,7 +128,7 @@ class MetricField:
 
     @property
     def det(self) -> float:
-        return float(np.linalg.det(self.g))
+        return float(_solve_gram(self.g, METRIC_RANK_TOL)[1])
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,10 @@ class CurvatureField:
     """Riemann components riemann[a, b, m, n] at one parameter point."""
 
     riemann: np.ndarray
+
+    def gauss_curvature(self, mf: MetricField) -> float:
+        """K = g_{1r} R^r_{212} / det g, with mf the metric at the same point."""
+        return float(mf.g[0, :] @ self.riemann[:, 1, 0, 1] / mf.det)
 
 
 @dataclass(frozen=True)
@@ -364,7 +369,8 @@ class _Geo:
 
     Diagonal charts paired with any state reduce the dot product to a
     weighted pointwise sum, which all builtin charts use; matrix-valued
-    charts fall back to the generic state evaluation.
+    charts fall back to the state's Gram kernel.  Stacks of chart values
+    are arrays of shape (k, dim) or (k, dim, dim).
     """
 
     __slots__ = ("chart", "phi", "cfg", "weights")
@@ -387,41 +393,33 @@ class _Geo:
         if not self.chart.in_domain(u):
             raise EvaluationError(
                 f"point {np.asarray(u).tolist()} outside domain of chart '{self.chart.id}'")
-        if self.weights is not None:
-            return self.chart.map_vec(u)
-        return self.chart.map_mat(u)
+        return self.chart.map_vec(u) if self.weights is not None else self.chart.map_mat(u)
+
+    def gram(self, xs, ys=None) -> np.ndarray:
+        """Real dot matrix D[i, j] = x_i . y_j of two stacks (ys defaults to xs)."""
+        if self.weights is None:
+            return _dot_matrix(self.phi, self.cfg, xs, ys)
+        ys = xs if ys is None else ys
+        # w . (x_i * y_j) per pair rounds exactly like one scalar weighted dot
+        return (xs[:, None, :] * ys[None, :, :]).dot(self.weights)
 
     def dotv(self, x, y) -> float:
-        if self.weights is not None:
-            return float(self.weights @ (x * y))
-        lam = complex(self.cfg.lam)
-        mat = lam * (x.conj().T @ y) + lam.conjugate() * (y.conj().T @ x)
-        return (self.cfg.scale * self.phi.eval_matrix(mat)).real
+        return self.gram(x[None], y[None])[0, 0]
 
     def wrap(self, x) -> AlgebraElement:
-        if self.weights is not None:
-            return embed_diag(x)
-        return AlgebraElement(x)
+        return embed_diag(x) if self.weights is not None else AlgebraElement(x)
 
     def tangents(self, u, h: float | None = None):
-        h = h if h is not None else self.chart.fd_step
-        out = []
-        for a in range(self.p):
-            e = np.zeros(self.p)
-            e[a] = h
-            out.append((self.val(u + e) - self.val(u - e)) / (2.0 * h))
-        return out
+        return _central(self.val, u, h if h is not None else self.chart.fd_step)
 
     def second(self, u, i, j, h2: float | None = None):
         h2 = h2 if h2 is not None else self.chart.fd_step2
-        if i == j:
-            e = np.zeros(self.p)
-            e[i] = h2
-            return (self.val(u + e) - 2.0 * self.val(u) + self.val(u - e)) / (h2 * h2)
         ei = np.zeros(self.p)
         ej = np.zeros(self.p)
         ei[i] = h2
         ej[j] = h2
+        if i == j:
+            return (self.val(u + ei) - 2.0 * self.val(u) + self.val(u - ei)) / (h2 * h2)
         return (self.val(u + ei + ej) - self.val(u + ei - ej)
                 - self.val(u - ei + ej) + self.val(u - ei - ej)) / (4.0 * h2 * h2)
 
@@ -432,30 +430,41 @@ class _Geo:
                 + 16.0 * self.val(u - q * v) - self.val(u - 2.0 * q * v)) / (12.0 * q * q)
 
     def metric_at(self, u, h: float | None = None) -> np.ndarray:
-        ts = self.tangents(u, h)
-        p = self.p
-        g = np.empty((p, p))
-        symmetric = self.weights is not None or complex(self.cfg.lam).imag == 0.0
-        for i in range(p):
-            for j in range(i, p) if symmetric else range(p):
-                g[i, j] = self.dotv(ts[i], ts[j])
-                if symmetric:
-                    g[j, i] = g[i, j]
-        return g
+        return self.gram(self.tangents(u, h))
 
 
-def _invert_metric(g: np.ndarray) -> np.ndarray:
-    if g.shape == (2, 2):
-        a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-        det = a * d - b * c
-        scale = max(abs(a) + abs(b), abs(c) + abs(d), METRIC_RANK_TOL)
-        if abs(det) <= METRIC_RANK_TOL * scale * scale:
-            raise SingularMetricError("induced metric is numerically singular")
-        return np.array([[d, -b], [-c, a]]) / det
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= METRIC_RANK_TOL * max(sv[0], METRIC_RANK_TOL):
-        raise SingularMetricError("induced metric is numerically singular")
-    return np.linalg.inv(g)
+def _central(f, u, h: float) -> np.ndarray:
+    """Stack over c of the central difference (f(u + h e_c) - f(u - h e_c)) / 2h."""
+    out = []
+    for c in range(len(u)):
+        e = np.zeros(len(u))
+        e[c] = h
+        out.append((f(u + e) - f(u - e)) / (2.0 * h))
+    return np.array(out)
+
+
+def _metric_inverse(geo: _Geo, x) -> np.ndarray:
+    g = geo.metric_at(x)
+    _require_symmetric_metric(g)
+    return _solve_metric(g)[0]
+
+
+def _solve_metric(g: np.ndarray):
+    """(g_inv, det, cond, full) of a metric; raises SingularMetricError if singular."""
+    return _solve_gram(g, METRIC_RANK_TOL,
+                       SingularMetricError("induced metric is numerically singular"))
+
+
+def _second_field(geo: _Geo, x) -> np.ndarray:
+    """N[r, n, b] = b_r . d_n d_b b at x, exactly symmetric in (n, b)."""
+    p = geo.p
+    pairs = [(n, b) for n in range(p) for b in range(n, p)]
+    secs = np.array([geo.second(x, n, b) for n, b in pairs])
+    d = geo.gram(geo.tangents(x), secs)
+    out = np.empty((p, p, p))
+    for k, (n, b) in enumerate(pairs):
+        out[:, n, b] = out[:, b, n] = d[:, k]
+    return out
 
 
 def _require_symmetric_metric(g: np.ndarray):
@@ -475,70 +484,41 @@ def tangent_basis(chart: Chart, phi: State, cfg: DotConfig, u) -> list:
     deficient at u.
     """
     geo = _Geo(chart, phi, cfg)
-    u = np.asarray(u, dtype=float)
-    ts = geo.tangents(u)
-    p = geo.p
-    g = np.empty((p, p))
-    for i in range(p):
-        for j in range(p):
-            g[i, j] = geo.dotv(ts[i], ts[j])
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= METRIC_RANK_TOL * max(sv[0], METRIC_RANK_TOL):
-        warnings.warn("tangent Gram matrix is rank deficient", SingularGramWarning)
+    ts = geo.tangents(np.asarray(u, dtype=float))
+    _solve_gram(geo.gram(ts), METRIC_RANK_TOL,
+                SingularGramWarning("tangent Gram matrix is rank deficient"))
     return [geo.wrap(t) for t in ts]
 
 
 def metric(chart: Chart, phi: State, cfg: DotConfig, u) -> MetricField:
     """Induced metric g[i, j] = b_i . b_j with its inverse."""
-    geo = _Geo(chart, phi, cfg)
-    u = np.asarray(u, dtype=float)
-    g = geo.metric_at(u)
-    return MetricField(g=g, g_inv=_invert_metric(g))
+    g = _Geo(chart, phi, cfg).metric_at(np.asarray(u, dtype=float))
+    return MetricField(g=g, g_inv=_solve_metric(g)[0])
 
 
 def projector_apply(chart: Chart, phi: State, cfg: DotConfig, u, a: AlgebraElement) -> AlgebraElement:
     """Apply the tangent-plane projector b_a g^{ab} (b_b . x) to x."""
     u = np.asarray(u, dtype=float)
-    ts = tangent_basis(chart, phi, cfg, u)
-    p = len(ts)
-    g = np.empty((p, p))
-    for i in range(p):
-        for j in range(p):
-            g[i, j] = dot(phi, cfg, ts[i], ts[j]).real
-    ginv = _invert_metric(g)
-    n = np.array([dot(phi, cfg, t, a).real for t in ts])
-    coef = ginv @ n
-    return AlgebraElement(sum(c * t.m for c, t in zip(coef, ts)))
+    return _tangent_projection(phi, cfg, tangent_basis(chart, phi, cfg, u), a)
+
+
+def _tangent_projection(phi: State, cfg: DotConfig, ts: list, a: AlgebraElement) -> AlgebraElement:
+    """b_a g^{ab} (b_b . a) for wrapped tangents ts; SingularMetricError if g is singular."""
+    stack = _stack(ts + [a])
+    d = _dot_matrix(phi, cfg, stack[:-1], stack)  # metric columns, then the b . a column
+    coef = _solve_metric(d[:, :-1])[0] @ d[:, -1]
+    return AlgebraElement(sum(c * t for c, t in zip(coef, stack)))
 
 
 def _christoffel_raw(geo: _Geo, u, method: str) -> np.ndarray:
-    p = geo.p
-    g = geo.metric_at(u)
-    _require_symmetric_metric(g)
-    ginv = _invert_metric(g)
-    gamma = np.empty((p, p, p))
+    ginv = _metric_inverse(geo, u)
     if method == "direct":
-        ts = geo.tangents(u)
-        for r in range(p):
-            for s in range(r, p):
-                sec = geo.second(u, r, s)
-                col = np.array([geo.dotv(t, sec) for t in ts])
-                gamma[:, r, s] = ginv @ col
-                gamma[:, s, r] = gamma[:, r, s]
-        return gamma
+        # ginv @ N[:, n, b] for every (n, b), batched so each rounds as a lone product
+        return (ginv @ _second_field(geo, u).T[..., None])[..., 0].T
     if method == "metric":
-        h2 = geo.chart.fd_step2
-        dg = np.empty((p, p, p))
-        for c in range(p):
-            e = np.zeros(p)
-            e[c] = h2
-            dg[c] = (geo.metric_at(u + e) - geo.metric_at(u - e)) / (2.0 * h2)
+        dg = _central(geo.metric_at, u, geo.chart.fd_step2)
         # gamma^a_{rs} = 1/2 g^{ab} (d_r g_{bs} - d_b g_{rs} + d_s g_{rb})
-        term = np.empty((p, p, p))
-        for b in range(p):
-            for r in range(p):
-                for s in range(p):
-                    term[b, r, s] = dg[r, b, s] - dg[b, r, s] + dg[s, r, b]
+        term = dg.transpose(1, 0, 2) - dg + dg.transpose(2, 1, 0)
         return 0.5 * np.einsum("ab,brs->ars", ginv, term)
     raise ValueError(f"unknown christoffel method {method!r}")
 
@@ -558,19 +538,12 @@ def metric_compat_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float
     """Max-norm violation of d_c g_{ij} = gamma^r_{ci} g_{rj} + gamma^r_{cj} g_{ir}."""
     geo = _Geo(chart, phi, cfg)
     u = np.asarray(u, dtype=float)
-    p = geo.p
     try:
         g = geo.metric_at(u)
         gamma = _christoffel_raw(geo, u, "direct")
-        h2 = chart.fd_step2
-        worst = 0.0
-        for c in range(p):
-            e = np.zeros(p)
-            e[c] = h2
-            dg = (geo.metric_at(u + e) - geo.metric_at(u - e)) / (2.0 * h2)
-            resid = dg - np.einsum("ri,rj->ij", gamma[:, c, :], g) - np.einsum("rj,ir->ij", gamma[:, c, :], g)
-            worst = max(worst, float(np.abs(resid).max()))
-        return worst
+        dg = _central(geo.metric_at, u, chart.fd_step2)
+        resid = dg - np.einsum("rci,rj->cij", gamma, g) - np.einsum("rcj,ir->cij", gamma, g)
+        return float(np.abs(resid).max())
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
 
@@ -587,35 +560,12 @@ def _riemann_raw(geo: _Geo, u, s3: float) -> np.ndarray:
     opposite order.
     """
     p = geo.p
-
-    def g_inv_at(x):
-        g = geo.metric_at(x)
-        _require_symmetric_metric(g)
-        return _invert_metric(g)
-
-    def n_at(x):
-        ts = geo.tangents(x)
-        out = np.empty((p, p, p))
-        for n in range(p):
-            for b in range(n, p):
-                sec = geo.second(x, n, b)
-                for r in range(p):
-                    out[r, n, b] = geo.dotv(ts[r], sec)
-                if b != n:
-                    out[:, b, n] = out[:, n, b]
-        return out
-
-    g0 = g_inv_at(u)
-    n0 = n_at(u)
+    g0 = _metric_inverse(geo, u)
+    n0 = _second_field(geo, u)
     gamma0 = np.einsum("ar,rnb->anb", g0, n0)
-    dgam = np.empty((p, p, p, p))
-    for m in range(p):
-        e = np.zeros(p)
-        e[m] = s3
-        dg = (g_inv_at(u + e) - g_inv_at(u - e)) / (2.0 * s3)
-        dn = (n_at(u + e) - n_at(u - e)) / (2.0 * s3)
-        dgam[m] = (np.einsum("ar,rnb->anb", dg, n0)
-                   + np.einsum("ar,rnb->anb", g0, dn))
+    dg = _central(lambda x: _metric_inverse(geo, x), u, s3)
+    dn = _central(lambda x: _second_field(geo, x), u, s3)
+    dgam = np.einsum("mar,rnb->manb", dg, n0) + np.einsum("ar,mrnb->manb", g0, dn)
     riem = np.empty((p, p, p, p))
     for m in range(p):
         for n in range(p):
@@ -644,50 +594,33 @@ def riemann_gauss_curvature(chart: Chart, phi: State, cfg: DotConfig, u,
     if chart.p != 2:
         raise DimensionError("Gaussian curvature requires a 2-parameter chart")
     u = np.asarray(u, dtype=float)
-    mf = metric(chart, phi, cfg, u)
-    cf = curvature(chart, phi, cfg, u, step=step)
-    r_low = mf.g[0, :] @ cf.riemann[:, 1, 0, 1]
-    return float(r_low / mf.det)
+    return curvature(chart, phi, cfg, u, step=step).gauss_curvature(metric(chart, phi, cfg, u))
 
 
 def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -> np.ndarray:
     """D[a, b] = d_a V^b + gamma^b_{a d} V^d for a vector field V(u)."""
     geo = _Geo(chart, phi, cfg)
     u = np.asarray(u, dtype=float)
-    p = geo.p
     try:
         gamma = _christoffel_raw(geo, u, "direct")
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
-    h2 = chart.fd_step2
     vv = np.asarray(v_field(u), dtype=float)
-    if vv.shape != (p,):
-        raise DimensionError(f"vector field must return shape ({p},)")
-    out = np.empty((p, p))
-    for a in range(p):
-        e = np.zeros(p)
-        e[a] = h2
-        dv = (np.asarray(v_field(u + e), dtype=float) - np.asarray(v_field(u - e), dtype=float)) / (2.0 * h2)
-        out[a] = dv + gamma[:, a, :] @ vv
-    return out
+    if vv.shape != (geo.p,):
+        raise DimensionError(f"vector field must return shape ({geo.p},)")
+    dv = _central(lambda x: np.asarray(v_field(x), dtype=float), u, chart.fd_step2)
+    return dv + np.einsum("bad,d->ab", gamma, vv)
 
 
 def _geodesic_accel(geo: _Geo, u, v, q):
     ts = geo.tangents(u)
-    p = geo.p
-    g = np.empty((p, p))
-    for i in range(p):
-        for j in range(i, p):
-            g[i, j] = geo.dotv(ts[i], ts[j])
-            g[j, i] = g[i, j]
-    ginv = _invert_metric(g)
+    ginv = _solve_metric(geo.gram(ts))[0]
     speed = float(np.linalg.norm(v))
     if speed == 0.0:
-        return np.zeros(p)
+        return np.zeros(geo.p)
     vn = v / speed
     sec = geo.second_dir4(u, vn, q) * (speed * speed)
-    n = np.array([geo.dotv(t, sec) for t in ts])
-    return -(ginv @ n)
+    return -(ginv @ geo.gram(ts, sec[None])[:, 0])
 
 
 def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
@@ -737,20 +670,10 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
 
 
 def _frame_raw(geo: _Geo, u):
-    """Orthonormalized tangent set at u (modified Gram-Schmidt on raw values)."""
-    ts = geo.tangents(u)
-    out = []
-    norms = []
-    for k, t in enumerate(ts):
-        o = t
-        for q, qq in zip(out, norms):
-            o = o - (geo.dotv(q, o) / qq) * q
-        oo = geo.dotv(o, o)
-        if oo <= METRIC_RANK_TOL:
-            raise LinearDependenceError(f"tangent {k} is numerically dependent")
-        out.append(o)
-        norms.append(oo)
-    return [o / math.sqrt(nn) for o, nn in zip(out, norms)]
+    """Orthonormalized tangent stack at u (modified Gram-Schmidt on raw values)."""
+    ortho, norms = _orthogonalize(geo.tangents(u), geo.dotv, METRIC_RANK_TOL,
+                                  "tangent {} is numerically dependent")
+    return np.array([o / math.sqrt(nn) for o, nn in zip(ortho, norms)])
 
 
 def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u,
@@ -764,22 +687,13 @@ def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u,
     """
     geo = _Geo(chart, phi, cfg)
     u = np.asarray(u, dtype=float)
-    p = geo.p
     s = step if step is not None else chart.fd_step
     try:
         frame = _frame_raw(geo, u)
-        conn = np.empty((p, p, p))
-        for c in range(p):
-            e = np.zeros(p)
-            e[c] = s
-            fp = _frame_raw(geo, u + e)
-            fm = _frame_raw(geo, u - e)
-            for b in range(p):
-                db = (fp[b] - fm[b]) / (2.0 * s)
-                for a in range(p):
-                    conn[a, b, c] = geo.dotv(frame[a], db)
+        dframe = _central(lambda x: _frame_raw(geo, x), u, s)
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
+    conn = np.stack([geo.gram(frame, d) for d in dframe], axis=-1)
     return [geo.wrap(f) for f in frame], conn
 
 
@@ -793,18 +707,12 @@ def gauss_curvature_2d(chart: Chart, phi: State, cfg: DotConfig, u,
     u = np.asarray(u, dtype=float)
     s = step if step is not None else chart.fd_step
     try:
-        df = []
-        for c in range(2):
-            e = np.zeros(2)
-            e[c] = s
-            fp = _frame_raw(geo, u + e)
-            fm = _frame_raw(geo, u - e)
-            df.append([(fp[b] - fm[b]) / (2.0 * s) for b in range(2)])
+        df = _central(lambda x: _frame_raw(geo, x), u, s)
         g = geo.metric_at(u)
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
     r12 = geo.dotv(df[0][0], df[1][1]) - geo.dotv(df[1][0], df[0][1])
-    det = float(np.linalg.det(g))
+    det = float(_solve_gram(g, METRIC_RANK_TOL)[1])
     if det <= 0:
         raise SingularMetricError("metric determinant is not positive")
     return float(r12 / math.sqrt(det))
@@ -820,27 +728,14 @@ def gibbs_force(consts: PhysConstants, chart_ops, h: AlgebraElement, beta: float
     ops = list(chart_ops)
     if not ops:
         raise DimensionError("chart_ops is empty")
-    scale_h = max(1.0, np.abs(h.m).max())
-    if np.abs(h.m - h.m.conj().T).max() > 1e-10 * scale_h:
-        raise HermiticityError("gibbs_force requires a hermitian hamiltonian")
+    _require_hermitian(h.m, "gibbs_force hamiltonian")
     omega = State.gibbs(h, beta)
     cfg = DotConfig()
-    p = len(ops)
-    g = np.empty((p, p))
-    for i in range(p):
-        for j in range(i, p):
-            g[i, j] = dot(omega, cfg, ops[i], ops[j]).real
-            g[j, i] = g[i, j]
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= METRIC_RANK_TOL * max(sv[0], METRIC_RANK_TOL):
-        raise SingularGramError("tangent Gram matrix is singular in the Gibbs state")
-    ginv = np.linalg.inv(g)
-    vel = [heisenberg_dot(consts, h, b) for b in ops]
-    d = np.empty((p, p))
-    for r in range(p):
-        for b in range(p):
-            d[r, b] = dot(omega, cfg, ops[r], vel[b]).real
-    return -(ginv @ d)
+    stack = _stack(ops)
+    ginv = _solve_gram(_dot_matrix(omega, cfg, stack), METRIC_RANK_TOL, SingularGramError(
+        "tangent Gram matrix is singular in the Gibbs state"))[0]
+    vel = _stack([heisenberg_dot(consts, h, b) for b in ops])
+    return -(ginv @ _dot_matrix(omega, cfg, stack, vel))
 
 
 def killing_metric(structure_constants, d: int) -> np.ndarray:
@@ -857,33 +752,13 @@ def killing_metric(structure_constants, d: int) -> np.ndarray:
     if np.abs(f + np.swapaxes(f, 1, 2)).max() > 1e-10 * scale:
         raise ValueError("structure constants must be antisymmetric in the lower pair")
     ad = np.transpose(f, (1, 0, 2))  # ad[a][r, b] = f[r, a, b]
-    for a in range(d):
-        for b in range(d):
-            comm = ad[a] @ ad[b] - ad[b] @ ad[a]
-            expected = np.einsum("c,crs->rs", f[:, a, b], ad)
-            if np.abs(comm - expected).max() > 1e-10 * max(1.0, scale * scale):
-                raise JacobiViolationError(
-                    f"Jacobi identity fails for generator pair ({a}, {b})")
-    g = np.empty((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            g[a, b] = (np.trace(ad[a].T @ ad[b]) + np.trace(ad[b].T @ ad[a])) / (2.0 * d)
-            g[b, a] = g[a, b]
-    return g
-
-
-def _projection_defect(phi: State, cfg: DotConfig, basis, x: AlgebraElement) -> float:
-    p = len(basis)
-    g = np.empty((p, p))
-    for i in range(p):
-        for j in range(p):
-            g[i, j] = dot(phi, cfg, basis[i], basis[j]).real
-    ginv = _invert_metric(g)
-    n = np.array([dot(phi, cfg, b, x).real for b in basis])
-    coef = ginv @ n
-    proj = AlgebraElement(sum(c * b.m for c, b in zip(coef, basis)))
-    r = proj - x
-    return math.sqrt(max(dot(phi, cfg, r, r).real, 0.0))
+    comm = ad[:, None] @ ad[None] - ad[None] @ ad[:, None]  # comm[a, b] = [ad_a, ad_b]
+    gap = np.abs(comm - np.einsum("cab,crs->abrs", f, ad)).max(axis=(2, 3))
+    bad = np.argwhere(gap > 1e-10 * max(1.0, scale * scale))
+    if bad.size:
+        raise JacobiViolationError(f"Jacobi identity fails for generator pair ({bad[0, 0]}, {bad[0, 1]})")
+    # the sum-state Gram kernel of the ad_a, returned hermitian: Tr(ad_a' ad_b + ad_b' ad_a) / 2
+    return State.unnormalized_sum().gram(ad).real / d
 
 
 def leibniz_violation_witness(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
@@ -895,6 +770,7 @@ def leibniz_violation_witness(chart: Chart, phi: State, cfg: DotConfig, u) -> fl
     """
     if chart.p < 2:
         raise DimensionError("witness needs at least two parameters")
-    u = np.asarray(u, dtype=float)
-    ts = tangent_basis(chart, phi, cfg, u)
-    return _projection_defect(phi, cfg, ts, ts[0] @ ts[1])
+    ts = tangent_basis(chart, phi, cfg, np.asarray(u, dtype=float))
+    x = ts[0] @ ts[1]
+    r = (_tangent_projection(phi, cfg, ts, x) - x).m
+    return math.sqrt(max(_dot_matrix(phi, cfg, r[None])[0, 0], 0.0))

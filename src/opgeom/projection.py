@@ -9,9 +9,10 @@ product) determine the closest point of span_R{b_i} to a:
     residual        f      = a.a - N M^-1 N  >= 0
 
 The residual is the determinant ratio det(M with a prepended)/det(M), which
-is the multi-element form of the Cauchy-Schwarz inequality.  Rank-deficient
-Gram matrices fall back to an eigenvalue-thresholded pseudo-inverse and emit
-``SingularGramWarning``.
+is the multi-element form of the Cauchy-Schwarz inequality.  ``gram`` flags
+a rank-deficient Gram matrix; ``project`` then uses the singular-value
+thresholded pseudo-inverse and emits ``SingularGramWarning``, while
+``cauchy_schwarz_check`` raises ``SingularGramError``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,20 @@ from itertools import permutations
 
 import numpy as np
 
-from .algebra import AlgebraElement, DotConfig, State, dot, embed_diag, state_eval
+from .algebra import (
+    AlgebraElement,
+    DotConfig,
+    State,
+    _dot_matrix,
+    _require_hermitian,
+    _solve_gram,
+    _stack,
+    dot,
+    embed_diag,
+)
 from .errors import (
     DimensionError,
     DomainError,
-    HermiticityError,
     LinearDependenceError,
     SingularGramError,
     SingularGramWarning,
@@ -76,26 +86,6 @@ class GramMatrix:
         return self.inverse_or_pseudo @ v
 
 
-def _gram_from_array(m: np.ndarray, rank_tol: float) -> GramMatrix:
-    sv = np.linalg.svd(m, compute_uv=False)
-    full = bool(sv[-1] > rank_tol * max(sv[0], rank_tol))
-    if full:
-        inv = np.linalg.inv(m)
-    else:
-        inv = np.linalg.pinv(m, rcond=rank_tol)
-    return GramMatrix(
-        m=m,
-        det=float(np.linalg.det(m)),
-        rank_tol=rank_tol,
-        inverse_or_pseudo=inv,
-        is_full_rank=full,
-    )
-
-
-def _dot_real(phi, cfg, a, b) -> float:
-    return dot(phi, cfg, a, b).real
-
-
 def gram(phi: State, cfg: DotConfig, bs, rank_tol: float = RANK_TOL) -> GramMatrix:
     """Gram matrix M_ij = b_i . b_j of the reference set.
 
@@ -105,15 +95,10 @@ def gram(phi: State, cfg: DotConfig, bs, rank_tol: float = RANK_TOL) -> GramMatr
     bs = list(bs)
     if not bs:
         raise DimensionError("reference set is empty")
-    p = len(bs)
-    m = np.empty((p, p))
-    for i in range(p):
-        for j in range(p):
-            if j < i and cfg.lam.imag == 0:
-                m[i, j] = m[j, i]
-            else:
-                m[i, j] = _dot_real(phi, cfg, bs[i], bs[j])
-    return _gram_from_array(m, rank_tol)
+    m = _dot_matrix(phi, cfg, _stack(bs))
+    inv, det, _, full = _solve_gram(m, rank_tol)
+    return GramMatrix(m=m, det=float(det), rank_tol=rank_tol, inverse_or_pseudo=inv,
+                      is_full_rank=full)
 
 
 @dataclass(frozen=True)
@@ -132,10 +117,6 @@ class ProjectionResult:
     residual: float
 
 
-def _cross_vector(phi, cfg, a, bs) -> np.ndarray:
-    return np.array([_dot_real(phi, cfg, a, b) for b in bs])
-
-
 def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
             rank_tol: float = RANK_TOL) -> ProjectionResult:
     """Project a onto the real span of the reference set."""
@@ -143,7 +124,8 @@ def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
     g = gram(phi, cfg, bs, rank_tol)
     if not g.is_full_rank:
         warnings.warn("rank-deficient Gram matrix; using pseudo-inverse", SingularGramWarning)
-    n = _cross_vector(phi, cfg, a, bs)
+    stack = _stack([a] + bs)
+    n = _dot_matrix(phi, cfg, stack[:1], stack[1:])[0]
     w = g.solve(n)
     par = AlgebraElement(sum(bi.m * wi for bi, wi in zip(bs, w)))
     perp = a - par
@@ -152,7 +134,7 @@ def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
         parallel=par,
         perpendicular=perp,
         norm_sq_parallel=float(n @ w),
-        residual=_dot_real(phi, cfg, perp, perp),
+        residual=_dot_matrix(phi, cfg, perp.m[None])[0, 0],
     )
 
 
@@ -169,11 +151,10 @@ def cauchy_schwarz_check(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
     g = gram(phi, cfg, bs, rank_tol)
     if not g.is_full_rank:
         raise SingularGramError("reference Gram matrix is singular; residual is undefined")
-    n = _cross_vector(phi, cfg, a, bs)
-    residual = _dot_real(phi, cfg, a, a) - float(n @ g.solve(n))
     big = gram(phi, cfg, [a] + bs, rank_tol)
-    det_ratio = big.det / g.det
-    return residual, det_ratio
+    n = big.m[0, 1:]
+    residual = big.m[0, 0] - float(n @ g.solve(n))
+    return residual, big.det / g.det
 
 
 def reflect(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
@@ -193,19 +174,30 @@ def gram_schmidt(phi: State, cfg: DotConfig, bs,
     Raises ``LinearDependenceError`` when an intermediate squared norm falls
     to ``rank_tol`` or below.
     """
-    ortho: list[AlgebraElement] = []
-    norms: list[float] = []
-    for k, b in enumerate(bs):
+    ortho, norms = _orthogonalize(bs, lambda x, y: dot(phi, cfg, x, y).real, rank_tol,
+                                  "element {} is linearly dependent on its predecessors")
+    return ortho, [o / math.sqrt(nn) for o, nn in zip(ortho, norms)]
+
+
+def _orthogonalize(vectors, dotf, tol: float, dependent: str) -> tuple[list, list]:
+    """Modified Gram-Schmidt under the dot callable ``dotf``.
+
+    Returns the orthogonal vectors and their squared norms; raises
+    ``LinearDependenceError`` with ``dependent.format(k)`` when the squared
+    norm of element k falls to ``tol`` or below.
+    """
+    ortho: list = []
+    norms: list = []
+    for k, b in enumerate(vectors):
         o = b
         for u, uu in zip(ortho, norms):
-            o = o - (_dot_real(phi, cfg, u, o) / uu) * u
-        oo = _dot_real(phi, cfg, o, o)
-        if oo <= rank_tol:
-            raise LinearDependenceError(f"element {k} is linearly dependent on its predecessors")
+            o = o - (dotf(u, o) / uu) * u
+        oo = dotf(o, o)
+        if oo <= tol:
+            raise LinearDependenceError(dependent.format(k))
         ortho.append(o)
         norms.append(oo)
-    onorm = [o / math.sqrt(nn) for o, nn in zip(ortho, norms)]
-    return ortho, onorm
+    return ortho, norms
 
 
 def kernel_basis(phi: State, cfg: DotConfig, bs, algebra_basis,
@@ -221,13 +213,11 @@ def kernel_basis(phi: State, cfg: DotConfig, bs, algebra_basis,
     out = []
     for cand in algebra_basis:
         try:
-            ortho, _ = gram_schmidt(phi, cfg, kept + [cand], rank_tol)
+            _, onb = gram_schmidt(phi, cfg, kept + [cand], rank_tol)
         except LinearDependenceError:
             continue
-        tail = ortho[-1]
-        nn = _dot_real(phi, cfg, tail, tail)
         kept.append(cand)
-        out.append(tail / math.sqrt(nn))
+        out.append(onb[-1])
     return out
 
 
@@ -341,9 +331,7 @@ def power_dependence(a: AlgebraElement, m: int,
 def _require_power_input(a: AlgebraElement, m: int):
     if m < 1:
         raise DomainError(f"power order must be >= 1, got {m}")
-    scale = max(1.0, np.abs(a.m).max())
-    if np.abs(a.m - a.m.conj().T).max() > 1e-10 * scale:
-        raise HermiticityError("power dependence requires a hermitian element")
+    _require_hermitian(a.m, "power dependence element")
 
 
 def tuple_inner(phi: State, cfg: DotConfig, a_tuple, b_tuple) -> float:
@@ -359,5 +347,6 @@ def tuple_inner(phi: State, cfg: DotConfig, a_tuple, b_tuple) -> float:
         raise DimensionError("tuples must have equal length")
     if not a_tuple:
         raise DimensionError("tuples are empty")
-    c = np.array([[_dot_real(phi, cfg, ai, bj) for bj in b_tuple] for ai in a_tuple])
-    return float(np.linalg.det(c))
+    stack = _stack(a_tuple + b_tuple)
+    k = len(a_tuple)
+    return float(_solve_gram(_dot_matrix(phi, cfg, stack[:k], stack[k:]), RANK_TOL)[1])

@@ -19,7 +19,7 @@ from .errors import (
     PatchDomainError,
     StiffnessError,
 )
-from .hypersurface import Chart, _christoffel_raw, _Geo, _riemann_raw
+from .hypersurface import Chart, _central, _christoffel_raw, _Geo, _riemann_raw
 
 __all__ = [
     "ConnectionPath",
@@ -315,24 +315,18 @@ def bianchi_residual(chart: Chart, phi, cfg, u) -> float:
 
     gam0 = _christoffel_raw(geo, u, "direct")
     r0 = riem_at(u)
+    dr = _central(riem_at, u, s4)
     cov = np.empty((p, p, p, p, p))
     for l in range(p):
-        e = np.zeros(p)
-        e[l] = s4
-        dr = (riem_at(u + e) - riem_at(u - e)) / (2.0 * s4)
         gl = gam0[:, l, :]
-        cov[l] = (dr
+        cov[l] = (dr[l]
                   + np.einsum("ar,rbmn->abmn", gl, r0)
                   - np.einsum("rb,armn->abmn", gl, r0)
                   - np.einsum("rm,abrn->abmn", gl, r0)
                   - np.einsum("rn,abmr->abmn", gl, r0))
-    worst = 0.0
-    for l in range(p):
-        for m in range(p):
-            for n in range(p):
-                cyc = cov[l][:, :, m, n] + cov[m][:, :, n, l] + cov[n][:, :, l, m]
-                worst = max(worst, float(np.abs(cyc).max()))
-    return worst
+    # cyc[l, m, n] = cov[l][..., m, n] + cov[m][..., n, l] + cov[n][..., l, m]
+    cyc = cov.transpose(0, 3, 4, 1, 2) + cov.transpose(4, 0, 3, 1, 2) + cov.transpose(3, 4, 0, 1, 2)
+    return float(np.abs(cyc).max())
 
 
 # ---------------------------------------------------------------------------

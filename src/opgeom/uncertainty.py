@@ -14,7 +14,6 @@ set.  Specializing the element and the set yields
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,9 @@ from .algebra import (
     DotConfig,
     PhysConstants,
     State,
+    _require_hermitian,
+    _solve_gram,
+    _stack,
     commutator,
     heisenberg_dot,
     state_eval,
@@ -109,9 +111,7 @@ def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
     with the observed magnitude.
     """
     for name, el in (("a", a), ("b", b)):
-        scale = max(1.0, np.abs(el.m).max())
-        if np.abs(el.m - el.m.conj().T).max() > 1e-10 * scale:
-            raise HermiticityError(f"pair product bound requires hermitian {name}")
+        _require_hermitian(el.m, f"pair product bound argument {name}")
     a._check_dim(b)
     lhs = state_eval(phi, a @ a).real * state_eval(phi, b @ b).real
     comm = state_eval(phi, commutator(a, b))
@@ -149,9 +149,7 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
     bs = list(bs)
     if not bs:
         raise DimensionError("reference set is empty")
-    scale_h = max(1.0, np.abs(h.m).max())
-    if np.abs(h.m - h.m.conj().T).max() > 1e-10 * scale_h:
-        raise HermiticityError("energy bound requires a hermitian hamiltonian")
+    _require_hermitian(h.m, "energy bound hamiltonian")
     for k, b in enumerate(bs):
         _hermitian_or_anti(b, f"reference element {k}")
         h._check_dim(b)
@@ -163,31 +161,14 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
     dbs = [heisenberg_dot(consts, h, b, dt) for b, dt in zip(bs, explicit_dts)]
     vel = np.array([state_eval(phi, db) for db in dbs])
 
-    def quad_form(mat: np.ndarray) -> float:
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= rank_tol * max(sv[0], rank_tol):
-            warnings.warn("rank-deficient anticommutator Gram matrix; using pseudo-inverse",
-                          SingularGramWarning)
-            inv = np.linalg.pinv(mat, rcond=rank_tol)
-        else:
-            inv = np.linalg.inv(mat)
+    def quad_form(els) -> float:
+        # M = (P + P^T) / 2 with P[i, j] = phi(B_i B_j), from the kernel on the B_i'
+        stack = _stack(els)
+        pm = phi.gram(stack.conj().transpose(0, 2, 1), stack)
+        inv = _solve_gram(0.5 * (pm + pm.T), rank_tol, SingularGramWarning(
+            "rank-deficient anticommutator Gram matrix; using pseudo-inverse"))[0]
         return ((consts.hbar**2 / 4.0) * (vel @ inv @ vel)).real
 
-    p = len(bs)
-    m_raw = np.empty((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(i, p):
-            val = 0.5 * state_eval(phi, bs[i] @ bs[j] + bs[j] @ bs[i])
-            m_raw[i, j] = val
-            m_raw[j, i] = val
-    raw = _report(state_eval(phi, h @ h).real, quad_form(m_raw))
-
-    dbs_c = [fluctuation(phi, b) for b in bs]
-    m_fl = np.empty((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(i, p):
-            val = 0.5 * state_eval(phi, dbs_c[i] @ dbs_c[j] + dbs_c[j] @ dbs_c[i])
-            m_fl[i, j] = val
-            m_fl[j, i] = val
-    fluct = _report(variance(phi, h), quad_form(m_fl))
+    raw = _report(state_eval(phi, h @ h).real, quad_form(bs))
+    fluct = _report(variance(phi, h), quad_form(fluctuation(phi, b) for b in bs))
     return raw, fluct

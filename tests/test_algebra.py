@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,27 @@ def test_gibbs_large_beta_stable():
 def test_gibbs_rejects_nonhermitian():
     with pytest.raises(HermiticityError):
         State.gibbs(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+def test_gibbs_large_negative_beta_is_top_projector():
+    # the exponent shift follows the sign of beta, so exp never overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        phi = State.gibbs(np.diag([0.0, 1.0]), -1e6)
+    assert state_eval(phi, embed_diag([0.0, 1.0])) == 1.0
+    assert state_eval(phi, embed_diag([1.0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_gibbs_rejects_nonfinite_beta(beta):
+    with pytest.raises(ValueError):
+        State.gibbs(np.diag([0.0, 1.0]), beta)
+
+
+@pytest.mark.parametrize("psi", [[math.nan, 0.0], [1.0, math.inf], [complex(0.0, math.nan), 1.0]])
+def test_vector_state_rejects_nonfinite(psi):
+    with pytest.raises(ValueError):
+        State.vector(psi)
 
 
 # ---------------------------------------------------------------------------

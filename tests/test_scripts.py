@@ -1,0 +1,24 @@
+"""Smoke tests: each runnable script finishes on small arguments."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("oscillator_bounds", ["--dim", "16"]),
+    ("surface_geometry_sweep", ["--chart", "torus", "--count", "3"]),
+])
+def test_script_main_returns_zero(name, argv, capsys):
+    assert load_script(name).main(argv) == 0
+    assert capsys.readouterr().out
