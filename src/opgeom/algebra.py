@@ -261,11 +261,12 @@ class State:
         return complex(np.vdot(self._rho, m))
 
     def gram(self, xs, ys=None) -> np.ndarray:
-        """Complex matrix P[i, j] = phi(x_i' y_j) of stacked raw arrays.
+        """Complex matrix P[..., i, j] = phi(x_i' y_j) of stacked raw arrays.
 
-        ``xs`` has shape (p, n, n) and ``ys`` shape (q, n, n); one contraction
-        per state kind.  Without ``ys`` the pairs run over xs twice and P,
-        hermitian in exact arithmetic, is returned exactly hermitian.
+        ``xs`` has shape (..., p, n, n) and ``ys`` shape (..., q, n, n), with
+        the same leading batch axes; one contraction per state kind.  Without
+        ``ys`` the pairs run over xs twice and P, hermitian in exact
+        arithmetic, is returned exactly hermitian.
         """
         n = xs.shape[-1]
         self._check_dim(n)
@@ -274,14 +275,15 @@ class State:
             ys = xs
         if self.kind == "vector":
             xv = xs @ self._psi
-            pm = xv.conj() @ (xv if same else ys @ self._psi).T
+            pm = xv.conj() @ (xv if same else ys @ self._psi).swapaxes(-1, -2)
         else:
             # phi(x' y) = sum_mk conj(x)_mk (y rho)_mk; rho = 1/n or 1 for traces
             right = ys if self.kind in ("trace", "sum") else ys @ self._rho
-            pm = xs.conj().reshape(len(xs), -1) @ right.reshape(len(ys), -1).T
+            pm = (xs.conj().reshape(xs.shape[:-2] + (-1,))
+                  @ right.reshape(ys.shape[:-2] + (-1,)).swapaxes(-1, -2))
             if self.kind == "trace":
                 pm = pm / n
-        return 0.5 * (pm + pm.conj().T) if same else pm
+        return 0.5 * (pm + pm.conj().swapaxes(-1, -2)) if same else pm
 
     def diagonal_weights(self, n: int) -> np.ndarray:
         """Weights w with phi(diag(v)) = sum(w * v); used by diagonal charts."""
@@ -380,30 +382,50 @@ def _solve_gram(m: np.ndarray, tol: float, on_singular=None):
     Otherwise ``on_singular`` is warned (a Warning) or raised (an exception)
     and the inverse is the pseudo-inverse cut at tol * s_max.  A 2x2 matrix
     takes s_min, s_max from |det| and its Frobenius norm and its inverse in
-    closed form; larger ones use one SVD and an LU determinant.
+    closed form; larger ones use one SVD and an LU determinant.  A stack of
+    shape (K, n, n) is factorized in one call and solved member by member;
+    it warns or raises once if any member is singular and returns the four
+    results stacked.
     """
-    if m.shape == (2, 2):
-        (a, b), (c, d) = m.tolist()
-        det = a * d - b * c
-        fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-        gap = 2.0 * abs(det)
-        s_max = math.sqrt(0.5 * (fro2 + math.sqrt(max((fro2 - gap) * (fro2 + gap), 0.0))))
-        s_min = abs(det) / s_max if s_max > 0 else 0.0
+    st = m if m.ndim == 3 else m[None]
+    two = st.shape[1:] == (2, 2)
+    if two:
+        rows = st.tolist()
     else:
-        u, s, vh = np.linalg.svd(m)
-        det = np.linalg.det(m)
-        s_max, s_min = s[0], s[-1]
-    full = bool(s_min > tol * max(s_max, tol))
-    cond = s_max / s_min if s_min > 0 else math.inf
-    if not full:
+        u, s, vh = np.linalg.svd(st)
+        dets = np.linalg.det(st)
+    inv, det, cond, full = [], [], [], []
+    for k in range(len(st)):
+        if two:
+            (a, b), (c, d) = rows[k]
+            dt = a * d - b * c
+            fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+            gap = 2.0 * abs(dt)
+            s_max = math.sqrt(0.5 * (fro2 + math.sqrt(max((fro2 - gap) * (fro2 + gap), 0.0))))
+            s_min = abs(dt) / s_max if s_max > 0 else 0.0
+        else:
+            dt, s_max, s_min = dets[k], s[k, 0], s[k, -1]
+        ok = bool(s_min > tol * max(s_max, tol))
+        if not ok:
+            inv.append(None)  # the pseudo-inverse, once the singular policy has run
+        elif two:
+            inv.append(np.array([[d, -b], [-c, a]]) / dt)
+        else:
+            inv.append((vh[k].conj().T / s[k]) @ u[k].conj().T)
+        det.append(dt)
+        cond.append(s_max / s_min if s_min > 0 else math.inf)
+        full.append(ok)
+    if not all(full):
         if isinstance(on_singular, Warning):
             warnings.warn(on_singular, stacklevel=3)
         elif on_singular is not None:
             raise on_singular
-        return np.linalg.pinv(m, rcond=tol), det, cond, False
-    if m.shape == (2, 2):
-        return np.array([[d, -b], [-c, a]]) / det, det, cond, True
-    return (vh.conj().T / s) @ u.conj().T, det, cond, True
+        for k, ok in enumerate(full):
+            if not ok:
+                inv[k] = np.linalg.pinv(st[k], rcond=tol)
+    if m.ndim == 2:
+        return inv[0], det[0], cond[0], full[0]
+    return np.array(inv), np.array(det), np.array(cond), np.array(full)
 
 
 def heisenberg_dot(consts: PhysConstants, h: AlgebraElement, b: AlgebraElement,

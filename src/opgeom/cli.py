@@ -82,7 +82,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt_float(x: float) -> str:
     if not np.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} in output")
+        raise ValueError(f"non-finite value {float(x)!r} in output")
     return format(float(x), ".17g")
 
 
@@ -445,15 +445,15 @@ def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
                                 for k in range(chart.p)]))
     dets, gammas, riems, gausses, bianchis = [], [], [], [], []
     for u in points:
-        mf = hypersurface.metric(chart, phi, cfg, u)
-        cf = hypersurface.curvature(chart, phi, cfg, u)
+        # one memo per point: the Bianchi stencils reuse the curvature stencils' chart values
+        geo = hypersurface._Geo(chart, phi, cfg, {})
+        mf, conn, cf = hypersurface._geometry_at(geo, u)
         dets.append(mf.det)
-        gammas.append(float(np.abs(hypersurface.christoffel(
-            chart, phi, cfg, u).gamma).max()))
+        gammas.append(float(np.abs(conn.gamma).max()))
         riems.append(float(np.abs(cf.riemann).max()))
         if chart.p == 2:
             gausses.append(cf.gauss_curvature(mf))
-        bianchis.append(transport.bianchi_residual(chart, phi, cfg, u))
+        bianchis.append(transport._bianchi_raw(geo, u))
 
     def stats(vals):
         arr = np.asarray(vals, dtype=float)

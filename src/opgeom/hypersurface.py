@@ -18,15 +18,32 @@ Finite-difference steps: ``fd_step`` (default 1e-4) for first derivatives of
 the chart map, ``fd_step2`` (default 1e-3) for second derivatives and for
 first derivatives of derived fields; the connection is differenced at
 1e-2 sqrt(fd_step) inside ``curvature``.  Linear charts carry no truncation
-error, so coarser steps there only reduce rounding noise.
+error, so coarser steps there only reduce rounding noise.  Both steps must
+be positive and finite.
+
+All chart values come from one stencil evaluator, ``_fields``.  Given a
+stack of centres it builds every stencil point first: the central tangent
+points x +- fd_step e_c, the second-partial points x, x +- fd_step2 e_i and
+(x +- fd_step2 e_i) +- fd_step2 e_j, and for geodesics x +- q v, x +- 2q v
+with q = fd_step2.  It evaluates each distinct point once, keyed on the
+point's bytes, then differences whole stencil layers as stacks with the
+per-point formulas in their operand order, so every entry keeps the bits of
+a point-by-point evaluation.  The memo lives for one public call (one sample
+point in ``cli.report``, whose Bianchi step shares it); ``metric``,
+``tangent_basis`` and ``geodesic`` keep none, since their points never
+repeat.  This assumes a chart map is a pure function of the point.  Because
+all points are evaluated before any difference, a domain error may name a
+different stencil point than a point-by-point evaluation would meet first.
+A non-finite centre raises ``EvaluationError``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,6 +130,12 @@ class Chart:
     fd_step2: float = 1e-3
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("fd_step", "fd_step2"):
+            step = getattr(self, name)
+            if not (math.isfinite(step) and step > 0):
+                raise ValueError(f"{name} must be positive and finite, got {step}")
+
     def default_state(self) -> State:
         if self.state_kind == "trace":
             return State.normalized_trace()
@@ -193,8 +216,8 @@ def flat_plane(state: str = "sum", fd_step: float = 1e-4, fd_step2: float = 1e-3
 def sphere(r: float = 1.0, state: str = "sum", fd_step: float = 1e-4,
            fd_step2: float = 1e-3) -> Chart:
     """Round sphere of radius r in polar angles (theta, phi), poles excluded."""
-    if not (r > 0):
-        raise ValueError("sphere radius must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("sphere radius must be positive and finite")
 
     def fvec(u):
         st, ct = math.sin(u[0]), math.cos(u[0])
@@ -212,8 +235,8 @@ def sphere(r: float = 1.0, state: str = "sum", fd_step: float = 1e-4,
 def torus(big_r: float = 2.0, r: float = 0.5, state: str = "sum",
           fd_step: float = 1e-4, fd_step2: float = 1e-3) -> Chart:
     """Torus with center-circle radius big_r and tube radius r, angles (theta, phi)."""
-    if not (big_r > r > 0):
-        raise ValueError("torus radii must satisfy big_r > r > 0")
+    if not (math.isfinite(big_r) and big_r > r > 0):
+        raise ValueError("torus radii must be finite with big_r > r > 0")
 
     def fvec(u):
         w = big_r + r * math.cos(u[0])
@@ -370,15 +393,20 @@ class _Geo:
     Diagonal charts paired with any state reduce the dot product to a
     weighted pointwise sum, which all builtin charts use; matrix-valued
     charts fall back to the state's Gram kernel.  Stacks of chart values
-    are arrays of shape (k, dim) or (k, dim, dim).
+    are arrays of shape (..., k, dim) or (..., k, dim, dim).  A ``memo``
+    dict maps the bytes of each evaluated point to its chart value, so a
+    point is evaluated once however many stencils use it; evaluators given
+    the same memo share their chart evaluations.  Without one, every point
+    is evaluated as it comes, which is cheaper where points never repeat.
     """
 
-    __slots__ = ("chart", "phi", "cfg", "weights")
+    __slots__ = ("chart", "phi", "cfg", "weights", "memo")
 
-    def __init__(self, chart: Chart, phi: State, cfg: DotConfig):
+    def __init__(self, chart: Chart, phi: State, cfg: DotConfig, memo: dict | None = None):
         self.chart = chart
         self.phi = phi
         self.cfg = cfg
+        self.memo = memo
         self.weights = None
         if chart.map_vec is not None:
             w = phi.diagonal_weights(chart.dim)
@@ -389,19 +417,32 @@ class _Geo:
     def p(self) -> int:
         return self.chart.p
 
-    def val(self, u):
-        if not self.chart.in_domain(u):
-            raise EvaluationError(
-                f"point {np.asarray(u).tolist()} outside domain of chart '{self.chart.id}'")
-        return self.chart.map_vec(u) if self.weights is not None else self.chart.map_mat(u)
+    def vals(self, pts) -> np.ndarray:
+        """Stacked chart values at the rows of pts; each point not in the
+        memo is checked against the domain, evaluated and stored."""
+        chart, memo = self.chart, self.memo
+        fn = chart.map_vec if self.weights is not None else chart.map_mat
+        out = []
+        for x in pts:
+            key = None if memo is None else x.tobytes()
+            v = None if key is None else memo.get(key)
+            if v is None:
+                if not chart.in_domain(x):
+                    raise EvaluationError(
+                        f"point {x.tolist()} outside domain of chart '{chart.id}'")
+                v = fn(x)
+                if key is not None:
+                    memo[key] = v
+            out.append(v)
+        return np.array(out)
 
     def gram(self, xs, ys=None) -> np.ndarray:
-        """Real dot matrix D[i, j] = x_i . y_j of two stacks (ys defaults to xs)."""
+        """Real dot matrices D[..., i, j] = x_i . y_j of two stacks (ys defaults to xs)."""
         if self.weights is None:
             return _dot_matrix(self.phi, self.cfg, xs, ys)
         ys = xs if ys is None else ys
         # w . (x_i * y_j) per pair rounds exactly like one scalar weighted dot
-        return (xs[:, None, :] * ys[None, :, :]).dot(self.weights)
+        return (xs[..., :, None, :] * ys[..., None, :, :]).dot(self.weights)
 
     def dotv(self, x, y) -> float:
         return self.gram(x[None], y[None])[0, 0]
@@ -409,67 +450,152 @@ class _Geo:
     def wrap(self, x) -> AlgebraElement:
         return embed_diag(x) if self.weights is not None else AlgebraElement(x)
 
-    def tangents(self, u, h: float | None = None):
-        return _central(self.val, u, h if h is not None else self.chart.fd_step)
 
-    def second(self, u, i, j, h2: float | None = None):
-        h2 = h2 if h2 is not None else self.chart.fd_step2
-        ei = np.zeros(self.p)
-        ej = np.zeros(self.p)
-        ei[i] = h2
-        ej[j] = h2
-        if i == j:
-            return (self.val(u + ei) - 2.0 * self.val(u) + self.val(u - ei)) / (h2 * h2)
-        return (self.val(u + ei + ej) - self.val(u + ei - ej)
-                - self.val(u - ei + ej) + self.val(u - ei - ej)) / (4.0 * h2 * h2)
+class _Fields(NamedTuple):
+    """Chart geometry stacked over K centres (see :func:`_fields`)."""
 
-    def second_dir4(self, u, v, q):
-        """Fourth-order second difference along direction v with step q."""
-        return (-self.val(u + 2.0 * q * v) + 16.0 * self.val(u + q * v)
-                - 30.0 * self.val(u)
-                + 16.0 * self.val(u - q * v) - self.val(u - 2.0 * q * v)) / (12.0 * q * q)
-
-    def metric_at(self, u, h: float | None = None) -> np.ndarray:
-        return self.gram(self.tangents(u, h))
+    t: np.ndarray            # (K, p, *v) tangents b_c
+    g: np.ndarray            # (K, p, p) metric
+    sec: np.ndarray | None   # (K, p, p, *v) second partials d_n d_b b
+    n: np.ndarray | None     # (K, p, p, p) second field N[r, n, b] = b_r . d_n d_b b
+    dd: np.ndarray | None    # (K, *v) second derivative along dirs
 
 
-def _central(f, u, h: float) -> np.ndarray:
-    """Stack over c of the central difference (f(u + h e_c) - f(u - h e_c)) / 2h."""
-    out = []
-    for c in range(len(u)):
-        e = np.zeros(len(u))
-        e[c] = h
-        out.append((f(u + e) - f(u - e)) / (2.0 * h))
-    return np.array(out)
+def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
+            dirs: np.ndarray | None = None) -> _Fields:
+    """Tangents and metric at the float centres xs (K, p) from one evaluation pass.
+
+    Every stencil point is built first and evaluated through ``geo.vals``,
+    then each stencil is differenced as a stack with the per-point formula:
+    tangents (b(x + h e_c) - b(x - h e_c)) / 2h at h = fd_step; with
+    ``second``, the partials d_i d_i b = (b(x + h2 e_i) - 2 b(x) +
+    b(x - h2 e_i)) / h2^2 and d_i d_j b = (b(x + h2 e_i + h2 e_j) -
+    b(x + h2 e_i - h2 e_j) - b(x - h2 e_i + h2 e_j) + b(x - h2 e_i - h2 e_j))
+    / 4 h2^2 at h2 = fd_step2, and the field N; with unit directions
+    ``dirs`` (K, p), the fourth-order second difference along each at step
+    fd_step2.  Points and differences are formed in the same order as for a
+    single point, so every entry has the bits of the per-point formula.
+    """
+    if not all(map(math.isfinite, xs.flat)):
+        bad = xs[~np.isfinite(xs).all(axis=1)][0]
+        raise EvaluationError(f"point {bad.tolist()} is not finite")
+    k, p = xs.shape
+    h, h2 = geo.chart.fd_step, geo.chart.fd_step2
+    st = _stencil(p, h, h2, second, dirs is not None)
+    c = xs[:, None]
+    first = c + st.offsets
+    pts = [first]
+    if second:
+        pts.append(first[:, st.base] + st.offsets2)
+    if dirs is not None:
+        pts.append(c + st.dir_steps * dirs[:, None])
+    flat = geo.vals(np.concatenate(pts, axis=1).reshape(-1, p))
+    v = flat.reshape((k, -1) + flat.shape[1:])
+    t = (v[:, :p] - v[:, p:2 * p]) / (2.0 * h)
+    g = geo.gram(t)
+    sec = n = dd = None
+    if second:
+        iu, ju, ni, bi, pair = _pair_index(p)
+        v0, vp, vm = v[:, 2 * p:2 * p + 1], v[:, 2 * p + 1:3 * p + 1], v[:, 3 * p + 1:4 * p + 1]
+        at, m = 4 * p + 1, len(iu)
+        vpp, vpm, vmp, vmm = (v[:, at + i * m:at + (i + 1) * m] for i in range(4))
+        sec = np.empty((k, p) + vp.shape[1:], dtype=vp.dtype)
+        sec[:, range(p), range(p)] = (vp - 2.0 * v0 + vm) / (h2 * h2)
+        sec[:, iu, ju] = sec[:, ju, iu] = (vpp - vpm - vmp + vmm) / (4.0 * h2 * h2)
+        # one dot per unordered pair keeps N exactly symmetric in (n, b)
+        n = np.ascontiguousarray(geo.gram(t, sec[:, ni, bi])[:, :, pair])
+    if dirs is not None:
+        v0 = v[:, 2 * p]
+        a2, a1, m1, m2 = (v[:, i] for i in range(-4, 0))
+        dd = (-a2 + 16.0 * a1 - 30.0 * v0 + 16.0 * m1 - m2) / (12.0 * h2 * h2)
+    return _Fields(t, g, sec, n, dd)
 
 
-def _metric_inverse(geo: _Geo, x) -> np.ndarray:
-    g = geo.metric_at(x)
+class _Stencil(NamedTuple):
+    offsets: np.ndarray     # (S1, p) first-level points are centre + offsets
+    base: np.ndarray        # rows of the first level that take a second step
+    offsets2: np.ndarray    # (S2, p) second-level points are first[base] + offsets2
+    dir_steps: np.ndarray   # (4, 1) steps 2 h2, h2, -h2, -2 h2 along a direction
+
+
+@functools.lru_cache(maxsize=256)
+def _stencil(p: int, h: float, h2: float, second: bool, centre: bool) -> _Stencil:
+    """Point offsets of the stencils around one centre, in evaluation order.
+
+    First level: x + h e_c, x - h e_c (c < p), then with ``second`` or
+    ``centre`` the centre x, then with ``second`` x + h2 e_i, x - h2 e_i.
+    Second level, for each pair i < j: (x + h2 e_i) + h2 e_j,
+    (x + h2 e_i) - h2 e_j, (x - h2 e_i) + h2 e_j, (x - h2 e_i) - h2 e_j.
+    IEEE 754 defines x - y as x + (-y), and x + (-0.0) is x, so adding these
+    offset rows gives each point the bits of the per-point expression.
+    """
+    e, e2 = np.diag(np.full(p, float(h))), np.diag(np.full(p, float(h2)))
+    rows = [e, -e]
+    if second or centre:
+        rows.append(np.full((1, p), -0.0))
+    iu, ju = _pair_index(p)[:2]
+    up = 2 * p + 1 + iu  # first-level rows x + h2 e_i of each pair
+    base = np.concatenate([up, up, up + p, up + p])
+    offsets2 = np.concatenate([e2[ju], -e2[ju], e2[ju], -e2[ju]])
+    if second:
+        rows += [e2, -e2]
+    q = float(h2)
+    dir_steps = np.array([[2.0 * q], [q], [-q], [-(2.0 * q)]])
+    out = _Stencil(np.concatenate(rows), base, offsets2, dir_steps)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_index(p: int):
+    """(iu, ju) of the pairs i < j, (ni, bi) of the pairs n <= b, and the
+    (p, p) table of each (n, b)'s position among the latter."""
+    iu, ju = np.triu_indices(p, 1)
+    ni, bi = np.triu_indices(p)
+    pair = np.empty((p, p), dtype=int)
+    pair[ni, bi] = pair[bi, ni] = np.arange(len(ni))
+    out = iu, ju, ni, bi, pair
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _star(u, h: float) -> np.ndarray:
+    """Centres u, u + h e_c, u - h e_c (c < p) stacked as (1 + 2p, p)."""
+    e = np.diag(np.full(len(u), float(h)))
+    return np.concatenate([u[None], u + e, u - e])
+
+
+def _diff(fs, h: float) -> np.ndarray:
+    """Central differences (f(u + h e_c) - f(u - h e_c)) / 2h, stacked over c,
+    of a field stacked over the centres of ``_star(u, h)``."""
+    p = (len(fs) - 1) // 2
+    return (fs[1:1 + p] - fs[1 + p:]) / (2.0 * h)
+
+
+def _metric_inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric metric or stack of metrics."""
     _require_symmetric_metric(g)
     return _solve_metric(g)[0]
 
 
 def _solve_metric(g: np.ndarray):
-    """(g_inv, det, cond, full) of a metric; raises SingularMetricError if singular."""
+    """(g_inv, det, cond, full) of a metric or stack of metrics; raises
+    SingularMetricError if any is singular."""
     return _solve_gram(g, METRIC_RANK_TOL,
                        SingularMetricError("induced metric is numerically singular"))
 
 
-def _second_field(geo: _Geo, x) -> np.ndarray:
-    """N[r, n, b] = b_r . d_n d_b b at x, exactly symmetric in (n, b)."""
-    p = geo.p
-    pairs = [(n, b) for n in range(p) for b in range(n, p)]
-    secs = np.array([geo.second(x, n, b) for n, b in pairs])
-    d = geo.gram(geo.tangents(x), secs)
-    out = np.empty((p, p, p))
-    for k, (n, b) in enumerate(pairs):
-        out[:, n, b] = out[:, b, n] = d[:, k]
-    return out
+def _gamma(ginv: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Direct Christoffel components gamma[a, n, b] = ginv[a, :] @ N[:, n, b]."""
+    # batched over (n, b) so that each column rounds as a lone matrix-vector product
+    return (ginv @ n.T[..., None])[..., 0].T
 
 
 def _require_symmetric_metric(g: np.ndarray):
-    scale = max(1.0, np.abs(g).max())
-    if np.abs(g - g.T).max() > SYMMETRY_TOL * scale:
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+    if np.any(np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise NonSymmetricMetricError(
             "connection formulas require a symmetric metric; use a real lam dot product")
 
@@ -484,15 +610,15 @@ def tangent_basis(chart: Chart, phi: State, cfg: DotConfig, u) -> list:
     deficient at u.
     """
     geo = _Geo(chart, phi, cfg)
-    ts = geo.tangents(np.asarray(u, dtype=float))
-    _solve_gram(geo.gram(ts), METRIC_RANK_TOL,
+    f = _fields(geo, np.asarray(u, dtype=float)[None])
+    _solve_gram(f.g[0], METRIC_RANK_TOL,
                 SingularGramWarning("tangent Gram matrix is rank deficient"))
-    return [geo.wrap(t) for t in ts]
+    return [geo.wrap(t) for t in f.t[0]]
 
 
 def metric(chart: Chart, phi: State, cfg: DotConfig, u) -> MetricField:
     """Induced metric g[i, j] = b_i . b_j with its inverse."""
-    g = _Geo(chart, phi, cfg).metric_at(np.asarray(u, dtype=float))
+    g = _fields(_Geo(chart, phi, cfg), np.asarray(u, dtype=float)[None]).g[0]
     return MetricField(g=g, g_inv=_solve_metric(g)[0])
 
 
@@ -511,12 +637,13 @@ def _tangent_projection(phi: State, cfg: DotConfig, ts: list, a: AlgebraElement)
 
 
 def _christoffel_raw(geo: _Geo, u, method: str) -> np.ndarray:
-    ginv = _metric_inverse(geo, u)
     if method == "direct":
-        # ginv @ N[:, n, b] for every (n, b), batched so each rounds as a lone product
-        return (ginv @ _second_field(geo, u).T[..., None])[..., 0].T
+        f = _fields(geo, u[None], second=True)
+        return _gamma(_metric_inverse(f.g[0]), f.n[0])
     if method == "metric":
-        dg = _central(geo.metric_at, u, geo.chart.fd_step2)
+        g = _fields(geo, _star(u, geo.chart.fd_step2)).g
+        ginv = _metric_inverse(g[0])
+        dg = _diff(g, geo.chart.fd_step2)
         # gamma^a_{rs} = 1/2 g^{ab} (d_r g_{bs} - d_b g_{rs} + d_s g_{rb})
         term = dg.transpose(1, 0, 2) - dg + dg.transpose(2, 1, 0)
         return 0.5 * np.einsum("ab,brs->ars", ginv, term)
@@ -526,7 +653,7 @@ def _christoffel_raw(geo: _Geo, u, method: str) -> np.ndarray:
 def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "direct") -> ConnectionField:
     """Connection coefficients from second chart derivatives ("direct") or
     from first derivatives of the metric ("metric")."""
-    geo = _Geo(chart, phi, cfg)
+    geo = _Geo(chart, phi, cfg, {})
     u = np.asarray(u, dtype=float)
     try:
         return ConnectionField(gamma=_christoffel_raw(geo, u, method))
@@ -536,35 +663,35 @@ def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "dire
 
 def metric_compat_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Max-norm violation of d_c g_{ij} = gamma^r_{ci} g_{rj} + gamma^r_{cj} g_{ir}."""
-    geo = _Geo(chart, phi, cfg)
+    geo = _Geo(chart, phi, cfg, {})
     u = np.asarray(u, dtype=float)
     try:
-        g = geo.metric_at(u)
-        gamma = _christoffel_raw(geo, u, "direct")
-        dg = _central(geo.metric_at, u, chart.fd_step2)
+        f = _fields(geo, u[None], second=True)
+        g = f.g[0]
+        gamma = _gamma(_metric_inverse(g), f.n[0])
+        dg = _diff(_fields(geo, _star(u, chart.fd_step2)).g, chart.fd_step2)
         resid = dg - np.einsum("rci,rj->cij", gamma, g) - np.einsum("rcj,ir->cij", gamma, g)
         return float(np.abs(resid).max())
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
 
 
-def _riemann_raw(geo: _Geo, u, s3: float) -> np.ndarray:
+def _riemann(ginv: np.ndarray, n: np.ndarray, s3: float) -> np.ndarray:
     """Riemann components with the connection derivative taken by product
     rule on the factors of the direct Christoffel formula.
 
     Gamma^a_{nb} = G^{ar} N_{r,nb} with G the inverse metric field and
-    N_{r,nb} = b_r . d2b/(du_n du_b); the two factor fields are central
+    N_{r,nb} = b_r . d2b/(du_n du_b); ginv and n are the two factor fields
+    stacked over the centres of ``_star(u, s3)`` and are central
     differenced at step s3.  The assembled components are exactly
     antisymmetric in the last index pair whatever the per-entry error,
     because entries [m, n] and [n, m] subtract the same two floats in
     opposite order.
     """
-    p = geo.p
-    g0 = _metric_inverse(geo, u)
-    n0 = _second_field(geo, u)
+    p = ginv.shape[-1]
+    g0, n0 = ginv[0], n[0]
     gamma0 = np.einsum("ar,rnb->anb", g0, n0)
-    dg = _central(lambda x: _metric_inverse(geo, x), u, s3)
-    dn = _central(lambda x: _second_field(geo, x), u, s3)
+    dg, dn = _diff(ginv, s3), _diff(n, s3)
     dgam = np.einsum("mar,rnb->manb", dg, n0) + np.einsum("ar,mrnb->manb", g0, dn)
     riem = np.empty((p, p, p, p))
     for m in range(p):
@@ -576,14 +703,23 @@ def _riemann_raw(geo: _Geo, u, s3: float) -> np.ndarray:
     return riem
 
 
+def _geometry_at(geo: _Geo, u, step: float | None = None):
+    """(metric, direct Christoffel, Riemann) at u, each as its public function
+    returns it, from one fields batch over the centres of the Riemann
+    stencil; ``step`` defaults to ``curvature``'s 1e-2 sqrt(fd_step)."""
+    s = step if step is not None else 1e-2 * math.sqrt(geo.chart.fd_step)
+    f = _fields(geo, _star(u, s), second=True)
+    ginv = _metric_inverse(f.g)
+    return (MetricField(g=f.g[0], g_inv=ginv[0]), ConnectionField(gamma=_gamma(ginv[0], f.n[0])),
+            CurvatureField(riemann=_riemann(ginv, f.n, s)))
+
+
 def curvature(chart: Chart, phi: State, cfg: DotConfig, u,
               step: float | None = None) -> CurvatureField:
     """Riemann components from central differences of the connection factors."""
-    geo = _Geo(chart, phi, cfg)
-    u = np.asarray(u, dtype=float)
-    s = step if step is not None else 1e-2 * math.sqrt(chart.fd_step)
+    geo = _Geo(chart, phi, cfg, {})
     try:
-        return CurvatureField(riemann=_riemann_raw(geo, u, s))
+        return _geometry_at(geo, np.asarray(u, dtype=float), step)[2]
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
 
@@ -599,7 +735,7 @@ def riemann_gauss_curvature(chart: Chart, phi: State, cfg: DotConfig, u,
 
 def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -> np.ndarray:
     """D[a, b] = d_a V^b + gamma^b_{a d} V^d for a vector field V(u)."""
-    geo = _Geo(chart, phi, cfg)
+    geo = _Geo(chart, phi, cfg, {})
     u = np.asarray(u, dtype=float)
     try:
         gamma = _christoffel_raw(geo, u, "direct")
@@ -608,19 +744,20 @@ def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -
     vv = np.asarray(v_field(u), dtype=float)
     if vv.shape != (geo.p,):
         raise DimensionError(f"vector field must return shape ({geo.p},)")
-    dv = _central(lambda x: np.asarray(v_field(x), dtype=float), u, chart.fd_step2)
+    star = _star(u, chart.fd_step2)
+    dv = _diff(np.array([vv] + [np.asarray(v_field(x), dtype=float) for x in star[1:]]),
+               chart.fd_step2)
     return dv + np.einsum("bad,d->ab", gamma, vv)
 
 
-def _geodesic_accel(geo: _Geo, u, v, q):
-    ts = geo.tangents(u)
-    ginv = _solve_metric(geo.gram(ts))[0]
-    speed = float(np.linalg.norm(v))
+def _geodesic_accel(geo: _Geo, u, v):
+    speed = math.sqrt(v.dot(v))  # np.linalg.norm's own formula
+    f = _fields(geo, u[None], dirs=None if speed == 0.0 else (v / speed)[None])
+    ginv = _solve_metric(f.g[0])[0]
     if speed == 0.0:
         return np.zeros(geo.p)
-    vn = v / speed
-    sec = geo.second_dir4(u, vn, q) * (speed * speed)
-    return -(ginv @ geo.gram(ts, sec[None])[:, 0])
+    sec = f.dd[0] * (speed * speed)
+    return -(ginv @ geo.gram(f.t[0], sec[None])[:, 0])
 
 
 def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
@@ -637,26 +774,27 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     v = np.asarray(v0, dtype=float).copy()
     if u.shape != (chart.p,) or v.shape != (chart.p,):
         raise DimensionError(f"u0 and v0 must have shape ({chart.p},)")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError(f"u0 and v0 must be finite, got {u.tolist()} and {v.tolist()}")
     if not np.any(v != 0.0):
         raise ValueError("initial velocity must be nonzero")
     if not (step > 0 and tau_max > 0):
         raise ValueError("step and tau_max must be positive")
-    geo = _Geo(chart, phi, cfg)
+    geo = _Geo(chart, phi, cfg)  # no memo: RK4 stages never share a point
     if not chart.in_domain(u):
         raise EvaluationError(f"initial point {u.tolist()} outside chart domain")
-    q = chart.fd_step2
     n_steps = max(1, int(round(tau_max / step)))
     states = [GeodesicState(tau=0.0, u=u.copy(), udot=v.copy())]
     left = False
     for k in range(n_steps):
         try:
-            k1u, k1v = v, _geodesic_accel(geo, u, v, q)
+            k1u, k1v = v, _geodesic_accel(geo, u, v)
             k2u = v + 0.5 * step * k1v
-            k2v = _geodesic_accel(geo, u + 0.5 * step * k1u, k2u, q)
+            k2v = _geodesic_accel(geo, u + 0.5 * step * k1u, k2u)
             k3u = v + 0.5 * step * k2v
-            k3v = _geodesic_accel(geo, u + 0.5 * step * k2u, k3u, q)
+            k3v = _geodesic_accel(geo, u + 0.5 * step * k2u, k3u)
             k4u = v + step * k3v
-            k4v = _geodesic_accel(geo, u + step * k3u, k4u, q)
+            k4v = _geodesic_accel(geo, u + step * k3u, k4u)
         except (EvaluationError, SingularMetricError):
             left = True
             break
@@ -669,11 +807,17 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     return GeodesicResult(states, left_domain=left)
 
 
-def _frame_raw(geo: _Geo, u):
-    """Orthonormalized tangent stack at u (modified Gram-Schmidt on raw values)."""
-    ortho, norms = _orthogonalize(geo.tangents(u), geo.dotv, METRIC_RANK_TOL,
+def _frame_raw(geo: _Geo, ts):
+    """Orthonormalized tangent stack (modified Gram-Schmidt on raw values)."""
+    ortho, norms = _orthogonalize(ts, geo.dotv, METRIC_RANK_TOL,
                                   "tangent {} is numerically dependent")
     return np.array([o / math.sqrt(nn) for o, nn in zip(ortho, norms)])
+
+
+def _frames(geo: _Geo, u, s: float):
+    """Fields at the centres of ``_star(u, s)`` and the frames there."""
+    f = _fields(geo, _star(u, s))
+    return f, np.array([_frame_raw(geo, ts) for ts in f.t])
 
 
 def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u,
@@ -685,12 +829,12 @@ def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u,
     contains one derivative layer, and this step keeps the antisymmetry
     defect at the square of the step).
     """
-    geo = _Geo(chart, phi, cfg)
+    geo = _Geo(chart, phi, cfg, {})
     u = np.asarray(u, dtype=float)
     s = step if step is not None else chart.fd_step
     try:
-        frame = _frame_raw(geo, u)
-        dframe = _central(lambda x: _frame_raw(geo, x), u, s)
+        frames = _frames(geo, u, s)[1]
+        frame, dframe = frames[0], _diff(frames, s)
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
     conn = np.stack([geo.gram(frame, d) for d in dframe], axis=-1)
@@ -703,12 +847,12 @@ def gauss_curvature_2d(chart: Chart, phi: State, cfg: DotConfig, u,
     K = (d_1 bhat_1 . d_2 bhat_2 - d_2 bhat_1 . d_1 bhat_2) / sqrt(det g)."""
     if chart.p != 2:
         raise DimensionError("gauss_curvature_2d requires a 2-parameter chart")
-    geo = _Geo(chart, phi, cfg)
+    geo = _Geo(chart, phi, cfg, {})
     u = np.asarray(u, dtype=float)
     s = step if step is not None else chart.fd_step
     try:
-        df = _central(lambda x: _frame_raw(geo, x), u, s)
-        g = geo.metric_at(u)
+        f, frames = _frames(geo, u, s)
+        df, g = _diff(frames, s), f.g[0]
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
     r12 = geo.dotv(df[0][0], df[1][1]) - geo.dotv(df[1][0], df[0][1])

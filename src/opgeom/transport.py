@@ -19,7 +19,7 @@ from .errors import (
     PatchDomainError,
     StiffnessError,
 )
-from .hypersurface import Chart, _central, _christoffel_raw, _Geo, _riemann_raw
+from .hypersurface import Chart, _diff, _fields, _gamma, _Geo, _metric_inverse, _riemann, _star
 
 __all__ = [
     "ConnectionPath",
@@ -300,22 +300,27 @@ def bianchi_residual(chart: Chart, phi, cfg, u) -> float:
     which certifies the identity at machine precision but carries no
     step-size dependence.
     """
-    if chart.p < 2:
-        raise DimensionError("Bianchi residual needs at least two parameters")
-    u = np.asarray(u, dtype=float)
+    return _bianchi_raw(_Geo(chart, phi, cfg, {}), np.asarray(u, dtype=float))
+
+
+def _bianchi_raw(geo: _Geo, u) -> float:
+    """Bianchi residual at u; chart values come from and go to ``geo.memo``."""
+    chart = geo.chart
     p = chart.p
+    if p < 2:
+        raise DimensionError("Bianchi residual needs at least two parameters")
     base = float(chart.fd_step2)
-    chart_b = replace(chart, fd_step2=10.0 * base)
-    geo = _Geo(chart_b, phi, cfg)
+    geo_b = _Geo(replace(chart, fd_step2=10.0 * base), geo.phi, geo.cfg, geo.memo)
     s3 = 3.0 * base
     s4 = min(70.0 * base, 0.1)
-
-    def riem_at(x):
-        return _riemann_raw(geo, x, s3)
-
-    gam0 = _christoffel_raw(geo, u, "direct")
-    r0 = riem_at(u)
-    dr = _central(riem_at, u, s4)
+    # the curvature stars around the outer star's centres, as one batch
+    m = 1 + 2 * p
+    f = _fields(geo_b, np.concatenate([_star(x, s3) for x in _star(u, s4)]), second=True)
+    ginv = _metric_inverse(f.g)
+    riem = np.array([_riemann(ginv[i:i + m], f.n[i:i + m], s3) for i in range(0, m * m, m)])
+    gam0 = _gamma(ginv[0], f.n[0])
+    r0 = riem[0]
+    dr = _diff(riem, s4)
     cov = np.empty((p, p, p, p, p))
     for l in range(p):
         gl = gam0[:, l, :]

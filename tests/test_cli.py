@@ -17,7 +17,7 @@ from opgeom.algebra import (
     matrix_to_json,
     state_to_json,
 )
-from opgeom.cli import REPORT_SAMPLE_COUNT, XorShift64Star, run
+from opgeom.cli import REPORT_SAMPLE_COUNT, XorShift64Star, _fmt_float, run
 from opgeom.hypersurface import chart_to_json, sphere
 from opgeom.projection import parallelepiped_volume
 from opgeom.transport import product_integral, stored_test_path
@@ -318,6 +318,28 @@ def test_step_count_must_be_finite_and_fit(flat_file, capsys, tau, step):
                  ["geodesic", "--chart", flat_file, "--u0", "0,0", "--v0", "1,0"] + bounds):
         err = run_err(capsys, argv, 1, "E_INPUT")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("chart_obj", [
+    {"id": "sphere", "fd_step": 0}, {"id": "sphere", "fd_step": -1e-4},
+    {"id": "sphere", "fd_step2": 0}, {"id": "torus", "params": {"R": "inf"}},
+], ids=["fd_step-zero", "fd_step-negative", "fd_step2-zero", "torus-R-inf"])
+def test_bad_chart_steps_and_radii_are_input_errors(tmp_path, capsys, chart_obj):
+    path = write_json(tmp_path / "chart.json", chart_obj)
+    err = run_err(capsys, ["metric", "--chart", path, "--point", "0.5,0.4"], 1, "E_INPUT")
+    assert err.count("\n") == 1
+
+
+def test_nonfinite_points_are_input_errors(tmp_path, capsys):
+    path = write_json(tmp_path / "torus.json", {"id": "torus"})
+    err = run_err(capsys, ["metric", "--chart", path, "--point", "nan,0.4"], 1, "E_INPUT")
+    assert "not finite" in err
+    for start in (["--u0=nan,0", "--v0=1,0"], ["--u0=0,0", "--v0=nan,1"]):
+        err = run_err(capsys, ["geodesic", "--chart", path, *start, "--tau", "1", "--step", "0.1"],
+                      1, "E_INPUT")
+        assert "must be finite" in err and err.count("\n") == 1
+    with pytest.raises(ValueError, match=r"^non-finite value nan in output$"):
+        _fmt_float(np.float64("nan"))
 
 
 def test_stokes_output(capsys):

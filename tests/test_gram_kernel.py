@@ -19,6 +19,7 @@ from opgeom.algebra import (
 )
 from opgeom.errors import LinearDependenceError, SingularGramWarning, SingularMetricError
 from opgeom.hypersurface import (
+    _fields,
     _Geo,
     custom_grid,
     make_chart,
@@ -86,9 +87,10 @@ def test_geo_gram_diagonal_path_matches_generic(chart_id, kind, lam, seed):
     assert fast.weights is not None and slow.weights is None
     lo, hi = chart.sample_box
     u = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=chart.p)
-    ts_fast, ts_slow = fast.tangents(u), slow.tangents(u)
-    sec_fast = np.stack([fast.second(u, 0, 1), fast.second(u, 1, 1)])
-    sec_slow = np.stack([slow.second(u, 0, 1), slow.second(u, 1, 1)])
+    f_fast, f_slow = _fields(fast, u[None], second=True), _fields(slow, u[None], second=True)
+    ts_fast, ts_slow = f_fast.t[0], f_slow.t[0]
+    sec_fast = np.stack([f_fast.sec[0, 0, 1], f_fast.sec[0, 1, 1]])
+    sec_slow = np.stack([f_slow.sec[0, 0, 1], f_slow.sec[0, 1, 1]])
     assert rel_gap(fast.gram(ts_fast), slow.gram(ts_slow)) <= 1e-12
     assert rel_gap(fast.gram(ts_fast, sec_fast), slow.gram(ts_slow, sec_slow)) <= 1e-12
 

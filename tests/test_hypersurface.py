@@ -1,6 +1,8 @@
 """Induced geometry on parametrized charts: metric, connection, curvature,
-geodesics, frames, Gibbs forces, invariant Lie metrics."""
+geodesics, frames, Gibbs forces, invariant Lie metrics, and the stencil
+evaluator behind them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,12 +16,14 @@ from opgeom.algebra import (
     DotConfig,
     PhysConstants,
     State,
+    _solve_gram,
     dot,
     fock_momentum,
     fock_position,
     harmonic_hamiltonian,
     heisenberg_dot,
 )
+from opgeom.cli import report
 from opgeom.errors import (
     DimensionError,
     EvaluationError,
@@ -31,6 +35,8 @@ from opgeom.errors import (
     StencilOutOfDomainError,
 )
 from opgeom.hypersurface import (
+    _fields,
+    _Geo,
     chart_from_json,
     chart_to_json,
     christoffel,
@@ -56,6 +62,8 @@ from opgeom.hypersurface import (
     tangent_basis,
     torus,
 )
+
+from .test_transport import graph3_chart
 
 SUM = State.unnormalized_sum()
 TRACE = State.normalized_trace()
@@ -514,6 +522,10 @@ def test_geodesic_validation():
     with pytest.raises(EvaluationError):
         geodesic(sphere(), SUM, CFG, np.array([-0.1, 0.0]),
                  np.array([1.0, 0.0]), 1.0, 0.01)
+    for u0, v0 in ((np.array([math.nan, 0.5]), np.ones(2)), (SPHERE_PT, np.array([math.nan, 1.0])),
+                   (SPHERE_PT, np.array([math.inf, 1.0]))):
+        with pytest.raises(ValueError):
+            geodesic(sphere(), SUM, CFG, u0, v0, 1.0, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -700,3 +712,128 @@ def test_leibniz_witness_needs_two_parameters():
         vals[i] = np.diag([axes[0][i], 1.0])
     with pytest.raises(DimensionError):
         leibniz_violation_witness(custom_grid(axes, vals), SUM, CFG, np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# stencil evaluator
+
+def test_chart_rejects_bad_steps_and_radii():
+    for kw in ({"fd_step": 0.0}, {"fd_step": -1e-4}, {"fd_step2": 0.0},
+               {"fd_step": math.inf}, {"fd_step2": math.nan}):
+        with pytest.raises(ValueError):
+            sphere(**kw)
+    for make in (lambda: sphere(r=math.inf), lambda: torus(big_r=math.inf),
+                 lambda: torus(big_r=math.nan, r=0.5)):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_nonfinite_point_is_evaluation_error():
+    for u in ([math.nan, 0.4], [0.4, math.inf]):
+        with pytest.raises(EvaluationError, match="not finite"):
+            metric(torus(), SUM, CFG, u)
+
+
+def counting(chart):
+    """The chart with a map_vec that records the bytes of every point it is given."""
+    seen = []
+
+    def fvec(u, f=chart.map_vec):
+        seen.append(np.asarray(u).tobytes())
+        return f(u)
+
+    return dataclasses.replace(chart, map_vec=fvec), seen
+
+
+@pytest.mark.parametrize("chart, per_point", [(sphere(), 373), (graph3_chart(), 1369)],
+                         ids=["sphere", "graph3"])
+def test_report_evaluates_each_distinct_point_once(chart, per_point):
+    counted, seen = counting(chart)
+    report(counted, SUM, CFG, 3, seed=11)
+    assert len(seen) <= 3 * per_point
+    assert len(set(seen)) == len(seen)
+
+
+def test_single_centre_calls_evaluate_only_their_stencils():
+    counted, seen = counting(sphere())
+    metric(counted, SUM, CFG, SPHERE_PT)
+    assert len(seen) == 4
+    seen.clear()
+    geodesic(counted, SUM, CFG, SPHERE_PT, np.array([0.3, 0.8]), tau_max=0.1, step=0.01)
+    assert len(seen) == 10 * 4 * 9  # ten RK4 steps, four stages, 4 tangent + 5 directional points
+
+
+def tangents_per_point(f, u, h):
+    out = []
+    for c in range(len(u)):
+        e = np.zeros(len(u))
+        e[c] = h
+        out.append((f(u + e) - f(u - e)) / (2.0 * h))
+    return np.array(out)
+
+
+def second_per_point(f, u, i, j, h2):
+    ei, ej = np.zeros(len(u)), np.zeros(len(u))
+    ei[i] = h2
+    ej[j] = h2
+    if i == j:
+        return (f(u + ei) - 2.0 * f(u) + f(u - ei)) / (h2 * h2)
+    return (f(u + ei + ej) - f(u + ei - ej) - f(u - ei + ej) + f(u - ei - ej)) / (4.0 * h2 * h2)
+
+
+def dir4_per_point(f, u, v, q):
+    return (-f(u + 2.0 * q * v) + 16.0 * f(u + q * v) - 30.0 * f(u)
+            + 16.0 * f(u - q * v) - f(u - 2.0 * q * v)) / (12.0 * q * q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chart_id=st.sampled_from(["flat_plane", "sphere", "torus", "paraboloid"]),
+       generic=st.booleans(), data=st.data())
+def test_fields_match_per_point_formulas_bit_for_bit(chart_id, generic, data):
+    chart = make_chart(chart_id)
+    if generic:
+        chart = dataclasses.replace(chart, map_vec=None)
+    f = chart.map_mat if generic else chart.map_vec
+    lo, hi = chart.sample_box
+    k = data.draw(st.integers(1, 4))
+    xs = np.array([[data.draw(st.floats(float(lo[c]), float(hi[c]))) for c in range(chart.p)]
+                   for _ in range(k)])
+    angles = data.draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=k, max_size=k))
+    dirs = np.array([[math.cos(a), math.sin(a)] for a in angles])
+    geo = _Geo(chart, SUM, CFG, {})
+    fs = _fields(geo, xs, second=True)
+    fd = _fields(geo, xs, dirs=dirs)
+    h, h2 = chart.fd_step, chart.fd_step2
+    for x, v, t, t_d, sec, dd in zip(xs, dirs, fs.t, fd.t, fs.sec, fd.dd):
+        want = tangents_per_point(f, x, h)
+        assert t.tobytes() == want.tobytes() and t_d.tobytes() == want.tobytes()
+        for i in range(chart.p):
+            for j in range(i, chart.p):
+                want = second_per_point(f, x, i, j, h2)
+                assert sec[i, j].tobytes() == want.tobytes()
+                assert sec[j, i].tobytes() == want.tobytes()
+        assert dd.tobytes() == dir4_per_point(f, x, v, h2).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3]), k=st.integers(1, 6), spd=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_solve_matches_per_matrix_calls(n, k, spd, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(k, n, n))
+    if spd:
+        m = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(n)
+    inv, det, cond, full = _solve_gram(m, 1e-10)
+    for i in range(k):
+        one = _solve_gram(m[i], 1e-10)
+        assert inv[i].tobytes() == one[0].tobytes()
+        assert (det[i], cond[i], full[i]) == one[1:]
+    # one rank-1 member: the stack raises, or warns and takes its pseudo-inverse
+    bad = rng.integers(k)
+    m[bad] = np.outer(m[bad, 0], m[bad, 0])
+    with pytest.raises(SingularMetricError):
+        _solve_gram(m, 1e-10, SingularMetricError("singular member"))
+    with pytest.warns(UserWarning):
+        inv, _, _, full = _solve_gram(m, 1e-10, UserWarning("singular member"))
+    assert not full[bad] and full.sum() == k - 1
+    assert inv[bad].tobytes() == np.linalg.pinv(m[bad], rcond=1e-10).tobytes()

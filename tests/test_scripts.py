@@ -22,3 +22,13 @@ def load_script(name):
 def test_script_main_returns_zero(name, argv, capsys):
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_cli_snapshot_writes_every_run(tmp_path):
+    module = load_script("cli_snapshot")
+    assert module.main([str(tmp_path)]) == 0
+    index = (tmp_path / "index.txt").read_text(encoding="utf-8").splitlines()
+    names = [name for name, _ in module.snapshot_runs(tmp_path)]
+    assert [line.split()[0] for line in index] == names
+    assert all("exit=0" in line for line in index)
+    assert all((tmp_path / f"{name}.out").read_text(encoding="utf-8") for name in names)
