@@ -2,8 +2,11 @@
 """Write the stdout of a fixed list of CLI runs to a directory.
 
 Each run ``<name>`` leaves ``OUTDIR/<name>.out`` (stdout, byte for byte) and
-one line in ``OUTDIR/index.txt`` with its exit code and stderr.  Two source
-trees print the same bytes exactly when their snapshots compare equal:
+one line in ``OUTDIR/index.txt`` with its exit code and stderr.  Each run of
+a second list, inputs the CLI must reject with one ``E_INPUT`` line, leaves
+one line in ``OUTDIR/errors.txt`` with its exit code, stdout size and stderr.
+Two source trees print the same bytes exactly when their snapshots compare
+equal:
 
     PYTHONPATH=src python3 scripts/cli_snapshot.py /tmp/snap_new
     PYTHONPATH=../other/src python3 scripts/cli_snapshot.py /tmp/snap_old
@@ -11,14 +14,18 @@ trees print the same bytes exactly when their snapshots compare equal:
 
 The runs are ``metric``, ``christoffel`` (both routes), ``curvature``,
 ``geodesic``, ``bianchi`` and ``report --seed 7`` on each builtin
-two-parameter chart, plus ``holonomy`` and ``stokes``.  They run in one
-process through ``opgeom.cli.run``.
+two-parameter chart, plus ``holonomy`` and ``stokes``.  The error runs are
+a chart file with a 400-digit radius, one with a state object, and
+``christoffel`` at a NaN point.  All run in one process through
+``opgeom.cli.run``; stderr names chart files without their directory, and an
+exception escaping ``run`` is recorded as ``exit=raised <type>``.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +38,13 @@ CHARTS = {
     "torus": ({"id": "torus", "params": {"R": 2.0, "r": 0.5}}, "0.4,1.3", "0.6,-0.2"),
     "paraboloid": ({"id": "paraboloid", "params": {"a": 0.7}}, "0.3,-0.2", "-0.4,0.5"),
     "flat_plane": ({"id": "flat_plane"}, "0.2,0.5", "0.7,0.1"),
+}
+
+# error run name -> (subcommand, chart JSON, point)
+ERRORS = {
+    "sphere-bigint": ("metric", {"id": "sphere", "params": {"r": 10 ** 400}}, "1.1,0.7"),
+    "sphere-state-object": ("metric", {"id": "sphere", "state": {"kind": "trace"}}, "1.1,0.7"),
+    "torus-christoffel-nan": ("christoffel", CHARTS["torus"][0], "nan,0.4"),
 }
 
 
@@ -59,22 +73,45 @@ def snapshot_runs(chart_dir: Path) -> list:
     return runs
 
 
+def error_runs(chart_dir: Path) -> list:
+    """(name, argv) of every error run; chart files are written into chart_dir."""
+    runs = []
+    for name, (cmd, obj, point) in ERRORS.items():
+        path = chart_dir / f"{name}.json"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        runs.append((name, [cmd, "--chart", str(path), "--point", point]))
+    return runs
+
+
+def _run(cmd, tmp: str):
+    """(exit code, stdout, stderr) of one CLI run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = run(cmd)
+        except Exception as exc:  # a tree whose CLI lets an exception escape
+            code = f"raised {type(exc).__name__}"
+    return code, stdout.getvalue(), stderr.getvalue().strip().replace(tmp + os.sep, "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", help="directory for the .out files and index.txt")
+    parser.add_argument("outdir", help="directory for the .out files, index.txt and errors.txt")
     args = parser.parse_args(argv)
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    index = []
+    index, errors = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name, cmd in snapshot_runs(Path(tmp)):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = run(cmd)
-            (out / f"{name}.out").write_text(stdout.getvalue(), encoding="utf-8")
-            index.append(f"{name} exit={code} stderr={stderr.getvalue().strip()!r}")
+            code, text, err = _run(cmd, tmp)
+            (out / f"{name}.out").write_text(text, encoding="utf-8")
+            index.append(f"{name} exit={code} stderr={err!r}")
+        for name, cmd in error_runs(Path(tmp)):
+            code, text, err = _run(cmd, tmp)
+            errors.append(f"{name} exit={code} stdout_bytes={len(text)} stderr={err!r}")
     (out / "index.txt").write_text("\n".join(index) + "\n", encoding="utf-8")
-    print(f"{len(index)} runs written to {out}")
+    (out / "errors.txt").write_text("\n".join(errors) + "\n", encoding="utf-8")
+    print(f"{len(index)} runs and {len(errors)} error runs written to {out}")
     return 0
 
 

@@ -22,13 +22,13 @@ import numpy as np
 
 from opgeom import (
     DotConfig,
+    bianchi_residual,
     gauss_curvature_2d,
     make_chart,
     metric,
     metric_compat_residual,
     riemann_gauss_curvature,
 )
-from opgeom.transport import bianchi_residual
 
 
 @dataclass(frozen=True)

@@ -65,10 +65,11 @@ def _as_square_complex(m, what="matrix"):
     return arr
 
 
-def _require_hermitian(arr, what="matrix", tol=HERMITICITY_TOL):
+def _require_hermitian(arr, what="matrix"):
     scale = max(1.0, np.abs(arr).max())
-    if np.abs(arr - arr.conj().T).max() > tol * scale:
-        raise HermiticityError(f"{what} is not hermitian within {tol} relative tolerance")
+    if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL * scale:
+        raise HermiticityError(
+            f"{what} is not hermitian within {HERMITICITY_TOL} relative tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +95,6 @@ class AlgebraElement:
     @classmethod
     def identity(cls, dim: int) -> "AlgebraElement":
         return cls(np.eye(dim, dtype=complex))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "AlgebraElement":
-        return cls(np.zeros((dim, dim), dtype=complex))
 
     def star(self) -> "AlgebraElement":
         return AlgebraElement(self.m.conj().T)
@@ -296,10 +293,6 @@ class State:
             return np.abs(self._psi) ** 2
         return np.diagonal(self._rho).real.copy()
 
-    def normalization(self, n: int) -> float:
-        """Value of phi on the identity of the n-dimensional algebra."""
-        return float(n) if self.kind == "sum" else 1.0
-
     def __repr__(self):
         extra = "" if self.dim is None else f", dim={self.dim}"
         if self.kind == "gibbs":
@@ -375,14 +368,18 @@ def _dot_matrix(phi: State, cfg: DotConfig, xs, ys=None) -> np.ndarray:
     return 2.0 * cfg.scale * (complex(cfg.lam) * phi.gram(xs, ys)).real
 
 
-def _solve_gram(m: np.ndarray, tol: float, on_singular=None):
+# rank tolerance of every Gram and metric solve and of Gram-Schmidt's squared norms
+RANK_TOL = 1e-10
+
+
+def _solve_gram(m: np.ndarray, on_singular=None):
     """Guarded inverse of a Gram or metric matrix: (inverse, det, cond, full).
 
-    Full rank means s_min > tol * max(s_max, tol) for the singular values.
-    Otherwise ``on_singular`` is warned (a Warning) or raised (an exception)
-    and the inverse is the pseudo-inverse cut at tol * s_max.  A 2x2 matrix
-    takes s_min, s_max from |det| and its Frobenius norm and its inverse in
-    closed form; larger ones use one SVD and an LU determinant.  A stack of
+    Full rank means s_min > RANK_TOL * max(s_max, RANK_TOL) for the singular
+    values.  Otherwise ``on_singular`` is warned (a Warning) or raised (an
+    exception) and the inverse is the pseudo-inverse cut at RANK_TOL * s_max.
+    A 2x2 matrix takes s_min, s_max from |det| and its Frobenius norm and its
+    inverse in closed form; larger ones use one SVD and an LU determinant.  A stack of
     shape (K, n, n) is factorized in one call and solved member by member;
     it warns or raises once if any member is singular and returns the four
     results stacked.
@@ -405,7 +402,7 @@ def _solve_gram(m: np.ndarray, tol: float, on_singular=None):
             s_min = abs(dt) / s_max if s_max > 0 else 0.0
         else:
             dt, s_max, s_min = dets[k], s[k, 0], s[k, -1]
-        ok = bool(s_min > tol * max(s_max, tol))
+        ok = bool(s_min > RANK_TOL * max(s_max, RANK_TOL))
         if not ok:
             inv.append(None)  # the pseudo-inverse, once the singular policy has run
         elif two:
@@ -422,7 +419,7 @@ def _solve_gram(m: np.ndarray, tol: float, on_singular=None):
             raise on_singular
         for k, ok in enumerate(full):
             if not ok:
-                inv[k] = np.linalg.pinv(st[k], rcond=tol)
+                inv[k] = np.linalg.pinv(st[k], rcond=RANK_TOL)
     if m.ndim == 2:
         return inv[0], det[0], cond[0], full[0]
     return np.array(inv), np.array(det), np.array(cond), np.array(full)

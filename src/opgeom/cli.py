@@ -72,6 +72,10 @@ class _InputError(Exception):
     """Bad command line, unreadable file, or malformed JSON."""
 
 
+# errors of decoding a JSON file's content; OverflowError: an int too large for a float
+_BAD_CONTENT = (ValueError, KeyError, TypeError, OverflowError)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _InputError(message)
@@ -167,7 +171,7 @@ def _load_chart(path) -> hypersurface.Chart:
             raise _InputError(f"OPGEOM_FD_STEP is not a real number: {exc}") from exc
     try:
         return hypersurface.chart_from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+    except _BAD_CONTENT as exc:
         raise _InputError(f"bad chart file {path}: {exc}") from exc
 
 
@@ -175,7 +179,7 @@ def _load_state_arg(path) -> State:
     obj = _load_json(path)
     try:
         return algebra.state_from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+    except _BAD_CONTENT as exc:
         raise _InputError(f"bad state file {path}: {exc}") from exc
 
 
@@ -187,7 +191,7 @@ def _load_matrices(paths) -> list:
         obj = _load_json(path)
         try:
             out.append(algebra.matrix_from_json(obj))
-        except (ValueError, KeyError, TypeError) as exc:
+        except _BAD_CONTENT as exc:
             raise _InputError(f"bad matrix file {path}: {exc}") from exc
     return out
 
@@ -393,7 +397,7 @@ def _cmd_stokes(args):
 
 def _cmd_bianchi(args):
     chart, u, phi, cfg = _chart_point(args)
-    res = transport.bianchi_residual(chart, phi, cfg, u)
+    res = hypersurface.bianchi_residual(chart, phi, cfg, u)
     doc = {"residual": float(res)}
     return _emit_json(doc) + "\n"
 
@@ -426,7 +430,7 @@ def _cmd_killing(args):
     try:
         d = int(obj["d"])
         f = np.asarray(obj["f"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_CONTENT as exc:
         raise _InputError(f"bad structure constants file: {exc}") from exc
     if f.size == d ** 3:
         f = f.reshape(d, d, d)
@@ -453,7 +457,7 @@ def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
         riems.append(float(np.abs(cf.riemann).max()))
         if chart.p == 2:
             gausses.append(cf.gauss_curvature(mf))
-        bianchis.append(transport._bianchi_raw(geo, u))
+        bianchis.append(hypersurface._bianchi_raw(geo, u))
 
     def stats(vals):
         arr = np.asarray(vals, dtype=float)

@@ -12,7 +12,6 @@ __all__ = [
     "NonSymmetricMetricError",
     "StencilOutOfDomainError",
     "EvaluationError",
-    "LeftChartDomainError",
     "JacobiViolationError",
     "OrderTooLargeError",
     "PatchDomainError",
@@ -62,10 +61,6 @@ class StencilOutOfDomainError(OpgeomError):
 
 class EvaluationError(OpgeomError):
     """A chart map could not be evaluated at the requested point."""
-
-
-class LeftChartDomainError(OpgeomError):
-    """A trajectory left the chart domain during integration."""
 
 
 class JacobiViolationError(OpgeomError):

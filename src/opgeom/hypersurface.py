@@ -2,8 +2,9 @@
 
 A chart is a map u in R^p -> b(u) into the algebra (built-ins diagonally
 embed R^3 coordinate functions).  Together with a state and a dot-product
-configuration it induces a metric, a connection, curvature, geodesics, and
-orthonormal frames, all evaluated with central finite differences.
+configuration it induces a metric, a connection, curvature and its Bianchi
+residual, geodesics, and orthonormal frames, all evaluated with central
+finite differences.
 
 Index conventions of the component arrays:
 
@@ -20,6 +21,9 @@ first derivatives of derived fields; the connection is differenced at
 1e-2 sqrt(fd_step) inside ``curvature``.  Linear charts carry no truncation
 error, so coarser steps there only reduce rounding noise.  Both steps must
 be positive and finite.
+
+Every public function taking a point u checks it first: a shape other than
+(p,) raises ``DimensionError`` and a non-finite entry ``EvaluationError``.
 
 All chart values come from one stencil evaluator, ``_fields``.  Given a
 stack of centres it builds every stencil point first: the central tangent
@@ -42,7 +46,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -102,9 +106,9 @@ __all__ = [
     "gibbs_force",
     "killing_metric",
     "leibniz_violation_witness",
+    "bianchi_residual",
 ]
 
-METRIC_RANK_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 
 
@@ -131,6 +135,8 @@ class Chart:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.state_kind not in ("sum", "trace"):
+            raise ValueError(f"chart state must be 'sum' or 'trace', got {self.state_kind!r}")
         for name in ("fd_step", "fd_step2"):
             step = getattr(self, name)
             if not (math.isfinite(step) and step > 0):
@@ -151,7 +157,7 @@ class MetricField:
 
     @property
     def det(self) -> float:
-        return float(_solve_gram(self.g, METRIC_RANK_TOL)[1])
+        return float(_solve_gram(self.g)[1])
 
 
 @dataclass(frozen=True)
@@ -451,6 +457,17 @@ class _Geo:
         return embed_diag(x) if self.weights is not None else AlgebraElement(x)
 
 
+def _point(chart: Chart, u) -> np.ndarray:
+    """The point u of a public call as a float array of shape (p,)."""
+    x = np.asarray(u, dtype=float)
+    if x.shape != (chart.p,):
+        raise DimensionError(f"point must have shape ({chart.p},) on chart '{chart.id}', "
+                             f"got {x.shape}")
+    if not np.isfinite(x).all():
+        raise EvaluationError(f"point {x.tolist()} is not finite")
+    return x
+
+
 class _Fields(NamedTuple):
     """Chart geometry stacked over K centres (see :func:`_fields`)."""
 
@@ -583,8 +600,7 @@ def _metric_inverse(g: np.ndarray) -> np.ndarray:
 def _solve_metric(g: np.ndarray):
     """(g_inv, det, cond, full) of a metric or stack of metrics; raises
     SingularMetricError if any is singular."""
-    return _solve_gram(g, METRIC_RANK_TOL,
-                       SingularMetricError("induced metric is numerically singular"))
+    return _solve_gram(g, SingularMetricError("induced metric is numerically singular"))
 
 
 def _gamma(ginv: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -610,21 +626,19 @@ def tangent_basis(chart: Chart, phi: State, cfg: DotConfig, u) -> list:
     deficient at u.
     """
     geo = _Geo(chart, phi, cfg)
-    f = _fields(geo, np.asarray(u, dtype=float)[None])
-    _solve_gram(f.g[0], METRIC_RANK_TOL,
-                SingularGramWarning("tangent Gram matrix is rank deficient"))
+    f = _fields(geo, _point(chart, u)[None])
+    _solve_gram(f.g[0], SingularGramWarning("tangent Gram matrix is rank deficient"))
     return [geo.wrap(t) for t in f.t[0]]
 
 
 def metric(chart: Chart, phi: State, cfg: DotConfig, u) -> MetricField:
     """Induced metric g[i, j] = b_i . b_j with its inverse."""
-    g = _fields(_Geo(chart, phi, cfg), np.asarray(u, dtype=float)[None]).g[0]
+    g = _fields(_Geo(chart, phi, cfg), _point(chart, u)[None]).g[0]
     return MetricField(g=g, g_inv=_solve_metric(g)[0])
 
 
 def projector_apply(chart: Chart, phi: State, cfg: DotConfig, u, a: AlgebraElement) -> AlgebraElement:
     """Apply the tangent-plane projector b_a g^{ab} (b_b . x) to x."""
-    u = np.asarray(u, dtype=float)
     return _tangent_projection(phi, cfg, tangent_basis(chart, phi, cfg, u), a)
 
 
@@ -654,7 +668,7 @@ def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "dire
     """Connection coefficients from second chart derivatives ("direct") or
     from first derivatives of the metric ("metric")."""
     geo = _Geo(chart, phi, cfg, {})
-    u = np.asarray(u, dtype=float)
+    u = _point(chart, u)
     try:
         return ConnectionField(gamma=_christoffel_raw(geo, u, method))
     except EvaluationError as exc:
@@ -664,7 +678,7 @@ def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "dire
 def metric_compat_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Max-norm violation of d_c g_{ij} = gamma^r_{ci} g_{rj} + gamma^r_{cj} g_{ir}."""
     geo = _Geo(chart, phi, cfg, {})
-    u = np.asarray(u, dtype=float)
+    u = _point(chart, u)
     try:
         f = _fields(geo, u[None], second=True)
         g = f.g[0]
@@ -703,40 +717,88 @@ def _riemann(ginv: np.ndarray, n: np.ndarray, s3: float) -> np.ndarray:
     return riem
 
 
-def _geometry_at(geo: _Geo, u, step: float | None = None):
+def _geometry_at(geo: _Geo, u):
     """(metric, direct Christoffel, Riemann) at u, each as its public function
     returns it, from one fields batch over the centres of the Riemann
-    stencil; ``step`` defaults to ``curvature``'s 1e-2 sqrt(fd_step)."""
-    s = step if step is not None else 1e-2 * math.sqrt(geo.chart.fd_step)
+    stencil, whose step is 1e-2 sqrt(fd_step)."""
+    s = 1e-2 * math.sqrt(geo.chart.fd_step)
     f = _fields(geo, _star(u, s), second=True)
     ginv = _metric_inverse(f.g)
     return (MetricField(g=f.g[0], g_inv=ginv[0]), ConnectionField(gamma=_gamma(ginv[0], f.n[0])),
             CurvatureField(riemann=_riemann(ginv, f.n, s)))
 
 
-def curvature(chart: Chart, phi: State, cfg: DotConfig, u,
-              step: float | None = None) -> CurvatureField:
+def curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> CurvatureField:
     """Riemann components from central differences of the connection factors."""
     geo = _Geo(chart, phi, cfg, {})
+    u = _point(chart, u)
     try:
-        return _geometry_at(geo, np.asarray(u, dtype=float), step)[2]
+        return _geometry_at(geo, u)[2]
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
 
 
-def riemann_gauss_curvature(chart: Chart, phi: State, cfg: DotConfig, u,
-                            step: float | None = None) -> float:
+def riemann_gauss_curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Gaussian curvature K = g_{1r} R^r_{212} / det g for 2-parameter charts."""
     if chart.p != 2:
         raise DimensionError("Gaussian curvature requires a 2-parameter chart")
-    u = np.asarray(u, dtype=float)
-    return curvature(chart, phi, cfg, u, step=step).gauss_curvature(metric(chart, phi, cfg, u))
+    return curvature(chart, phi, cfg, u).gauss_curvature(metric(chart, phi, cfg, u))
+
+
+def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
+    """Max-norm cyclic sum D_l R^a_{bmn} + D_m R^a_{bnl} + D_n R^a_{blm}.
+
+    Three stacked difference layers; the steps scale with chart.fd_step2
+    (connection factors at 10x, curvature at 3x, outer derivative at 70x
+    capped at 0.1) so that on charts with three or more parameters the
+    residual is truncation dominated and halving the chart steps shrinks
+    it by about 4x.
+
+    On 2-parameter charts the identity is vacuous: every index triple
+    repeats an index, and the cyclic sum of any field antisymmetric in the
+    last index pair cancels exactly, in floating point as well as in
+    exact arithmetic.  The returned value is then pure rounding noise,
+    which certifies the identity at machine precision but carries no
+    step-size dependence.
+    """
+    return _bianchi_raw(_Geo(chart, phi, cfg, {}), _point(chart, u))
+
+
+def _bianchi_raw(geo: _Geo, u) -> float:
+    """Bianchi residual at u; chart values come from and go to ``geo.memo``."""
+    chart = geo.chart
+    p = chart.p
+    if p < 2:
+        raise DimensionError("Bianchi residual needs at least two parameters")
+    base = float(chart.fd_step2)
+    geo_b = _Geo(replace(chart, fd_step2=10.0 * base), geo.phi, geo.cfg, geo.memo)
+    s3 = 3.0 * base
+    s4 = min(70.0 * base, 0.1)
+    # the curvature stars around the outer star's centres, as one batch
+    m = 1 + 2 * p
+    f = _fields(geo_b, np.concatenate([_star(x, s3) for x in _star(u, s4)]), second=True)
+    ginv = _metric_inverse(f.g)
+    riem = np.array([_riemann(ginv[i:i + m], f.n[i:i + m], s3) for i in range(0, m * m, m)])
+    gam0 = _gamma(ginv[0], f.n[0])
+    r0 = riem[0]
+    dr = _diff(riem, s4)
+    cov = np.empty((p, p, p, p, p))
+    for l in range(p):
+        gl = gam0[:, l, :]
+        cov[l] = (dr[l]
+                  + np.einsum("ar,rbmn->abmn", gl, r0)
+                  - np.einsum("rb,armn->abmn", gl, r0)
+                  - np.einsum("rm,abrn->abmn", gl, r0)
+                  - np.einsum("rn,abmr->abmn", gl, r0))
+    # cyc[l, m, n] = cov[l][..., m, n] + cov[m][..., n, l] + cov[n][..., l, m]
+    cyc = cov.transpose(0, 3, 4, 1, 2) + cov.transpose(4, 0, 3, 1, 2) + cov.transpose(3, 4, 0, 1, 2)
+    return float(np.abs(cyc).max())
 
 
 def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -> np.ndarray:
     """D[a, b] = d_a V^b + gamma^b_{a d} V^d for a vector field V(u)."""
     geo = _Geo(chart, phi, cfg, {})
-    u = np.asarray(u, dtype=float)
+    u = _point(chart, u)
     try:
         gamma = _christoffel_raw(geo, u, "direct")
     except EvaluationError as exc:
@@ -809,8 +871,7 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
 
 def _frame_raw(geo: _Geo, ts):
     """Orthonormalized tangent stack (modified Gram-Schmidt on raw values)."""
-    ortho, norms = _orthogonalize(ts, geo.dotv, METRIC_RANK_TOL,
-                                  "tangent {} is numerically dependent")
+    ortho, norms = _orthogonalize(ts, geo.dotv, "tangent {} is numerically dependent")
     return np.array([o / math.sqrt(nn) for o, nn in zip(ortho, norms)])
 
 
@@ -820,18 +881,17 @@ def _frames(geo: _Geo, u, s: float):
     return f, np.array([_frame_raw(geo, ts) for ts in f.t])
 
 
-def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u,
-                      step: float | None = None):
+def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u):
     """Orthonormal frame and its connection components.
 
     Returns (frame, frame_conn) with frame_conn[a, b, c] = bhat_a . d_c bhat_b
-    differenced at ``step`` (default ``fd_step``; the frame field already
-    contains one derivative layer, and this step keeps the antisymmetry
-    defect at the square of the step).
+    differenced at ``fd_step`` (the frame field already contains one
+    derivative layer, and this step keeps the antisymmetry defect at the
+    square of the step).
     """
     geo = _Geo(chart, phi, cfg, {})
-    u = np.asarray(u, dtype=float)
-    s = step if step is not None else chart.fd_step
+    u = _point(chart, u)
+    s = chart.fd_step
     try:
         frames = _frames(geo, u, s)[1]
         frame, dframe = frames[0], _diff(frames, s)
@@ -841,22 +901,21 @@ def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u,
     return [geo.wrap(f) for f in frame], conn
 
 
-def gauss_curvature_2d(chart: Chart, phi: State, cfg: DotConfig, u,
-                       step: float | None = None) -> float:
+def gauss_curvature_2d(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Gaussian curvature from the orthonormal frame:
     K = (d_1 bhat_1 . d_2 bhat_2 - d_2 bhat_1 . d_1 bhat_2) / sqrt(det g)."""
     if chart.p != 2:
         raise DimensionError("gauss_curvature_2d requires a 2-parameter chart")
     geo = _Geo(chart, phi, cfg, {})
-    u = np.asarray(u, dtype=float)
-    s = step if step is not None else chart.fd_step
+    u = _point(chart, u)
+    s = chart.fd_step
     try:
         f, frames = _frames(geo, u, s)
         df, g = _diff(frames, s), f.g[0]
     except EvaluationError as exc:
         raise StencilOutOfDomainError(str(exc)) from exc
     r12 = geo.dotv(df[0][0], df[1][1]) - geo.dotv(df[1][0], df[0][1])
-    det = float(_solve_gram(g, METRIC_RANK_TOL)[1])
+    det = float(_solve_gram(g)[1])
     if det <= 0:
         raise SingularMetricError("metric determinant is not positive")
     return float(r12 / math.sqrt(det))
@@ -876,7 +935,7 @@ def gibbs_force(consts: PhysConstants, chart_ops, h: AlgebraElement, beta: float
     omega = State.gibbs(h, beta)
     cfg = DotConfig()
     stack = _stack(ops)
-    ginv = _solve_gram(_dot_matrix(omega, cfg, stack), METRIC_RANK_TOL, SingularGramError(
+    ginv = _solve_gram(_dot_matrix(omega, cfg, stack), SingularGramError(
         "tangent Gram matrix is singular in the Gibbs state"))[0]
     vel = _stack([heisenberg_dot(consts, h, b) for b in ops])
     return -(ginv @ _dot_matrix(omega, cfg, stack, vel))
@@ -914,7 +973,7 @@ def leibniz_violation_witness(chart: Chart, phi: State, cfg: DotConfig, u) -> fl
     """
     if chart.p < 2:
         raise DimensionError("witness needs at least two parameters")
-    ts = tangent_basis(chart, phi, cfg, np.asarray(u, dtype=float))
+    ts = tangent_basis(chart, phi, cfg, u)
     x = ts[0] @ ts[1]
     r = (_tangent_projection(phi, cfg, ts, x) - x).m
     return math.sqrt(max(_dot_matrix(phi, cfg, r[None])[0, 0], 0.0))

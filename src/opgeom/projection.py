@@ -25,6 +25,7 @@ from itertools import permutations
 import numpy as np
 
 from .algebra import (
+    RANK_TOL,
     AlgebraElement,
     DotConfig,
     State,
@@ -59,7 +60,6 @@ __all__ = [
     "tuple_inner",
 ]
 
-RANK_TOL = 1e-10
 TETRA_SLACK = 1e-12
 
 
@@ -68,8 +68,9 @@ class GramMatrix:
     """Gram matrix of a reference set with rank and inverse metadata.
 
     ``inverse_or_pseudo`` is the exact inverse when ``is_full_rank`` (smallest
-    singular value above ``rank_tol`` times the largest), otherwise the
-    pseudo-inverse with singular values below that threshold dropped.
+    singular value above ``rank_tol``, the package's ``RANK_TOL``, times the
+    largest), otherwise the pseudo-inverse with singular values below that
+    threshold dropped.
     """
 
     m: np.ndarray
@@ -86,7 +87,7 @@ class GramMatrix:
         return self.inverse_or_pseudo @ v
 
 
-def gram(phi: State, cfg: DotConfig, bs, rank_tol: float = RANK_TOL) -> GramMatrix:
+def gram(phi: State, cfg: DotConfig, bs) -> GramMatrix:
     """Gram matrix M_ij = b_i . b_j of the reference set.
 
     The dot product is real for every lam; entries are stored as floats.
@@ -96,8 +97,8 @@ def gram(phi: State, cfg: DotConfig, bs, rank_tol: float = RANK_TOL) -> GramMatr
     if not bs:
         raise DimensionError("reference set is empty")
     m = _dot_matrix(phi, cfg, _stack(bs))
-    inv, det, _, full = _solve_gram(m, rank_tol)
-    return GramMatrix(m=m, det=float(det), rank_tol=rank_tol, inverse_or_pseudo=inv,
+    inv, det, _, full = _solve_gram(m)
+    return GramMatrix(m=m, det=float(det), rank_tol=RANK_TOL, inverse_or_pseudo=inv,
                       is_full_rank=full)
 
 
@@ -117,11 +118,10 @@ class ProjectionResult:
     residual: float
 
 
-def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
-            rank_tol: float = RANK_TOL) -> ProjectionResult:
+def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> ProjectionResult:
     """Project a onto the real span of the reference set."""
     bs = list(bs)
-    g = gram(phi, cfg, bs, rank_tol)
+    g = gram(phi, cfg, bs)
     if not g.is_full_rank:
         warnings.warn("rank-deficient Gram matrix; using pseudo-inverse", SingularGramWarning)
     stack = _stack([a] + bs)
@@ -138,8 +138,7 @@ def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
     )
 
 
-def cauchy_schwarz_check(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
-                         rank_tol: float = RANK_TOL) -> tuple[float, float]:
+def cauchy_schwarz_check(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> tuple[float, float]:
     """Residual a.a - N M^-1 N and the Gram determinant ratio.
 
     The ratio is det of the Gram matrix of (a, b_1..b_p) divided by det of
@@ -148,43 +147,41 @@ def cauchy_schwarz_check(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
     matrix is rank deficient.
     """
     bs = list(bs)
-    g = gram(phi, cfg, bs, rank_tol)
+    g = gram(phi, cfg, bs)
     if not g.is_full_rank:
         raise SingularGramError("reference Gram matrix is singular; residual is undefined")
-    big = gram(phi, cfg, [a] + bs, rank_tol)
+    big = gram(phi, cfg, [a] + bs)
     n = big.m[0, 1:]
     residual = big.m[0, 0] - float(n @ g.solve(n))
     return residual, big.det / g.det
 
 
-def reflect(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
-            rank_tol: float = RANK_TOL) -> AlgebraElement:
+def reflect(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> AlgebraElement:
     """Reflection of a through the span of the reference set: 2 a_par - a."""
-    res = project(phi, cfg, a, bs, rank_tol)
+    res = project(phi, cfg, a, bs)
     return 2.0 * res.parallel - a
 
 
-def gram_schmidt(phi: State, cfg: DotConfig, bs,
-                 rank_tol: float = RANK_TOL) -> tuple[list, list]:
+def gram_schmidt(phi: State, cfg: DotConfig, bs) -> tuple[list, list]:
     """Sequential orthogonalization of the reference set.
 
     Returns (orthogonal, orthonormal) lists.  Each element is reduced
     against the span of its predecessors (using the already orthogonalized
     set, which spans the same subspace and behaves better in floats).
     Raises ``LinearDependenceError`` when an intermediate squared norm falls
-    to ``rank_tol`` or below.
+    to ``RANK_TOL`` or below.
     """
-    ortho, norms = _orthogonalize(bs, lambda x, y: dot(phi, cfg, x, y).real, rank_tol,
+    ortho, norms = _orthogonalize(bs, lambda x, y: dot(phi, cfg, x, y).real,
                                   "element {} is linearly dependent on its predecessors")
     return ortho, [o / math.sqrt(nn) for o, nn in zip(ortho, norms)]
 
 
-def _orthogonalize(vectors, dotf, tol: float, dependent: str) -> tuple[list, list]:
+def _orthogonalize(vectors, dotf, dependent: str) -> tuple[list, list]:
     """Modified Gram-Schmidt under the dot callable ``dotf``.
 
     Returns the orthogonal vectors and their squared norms; raises
     ``LinearDependenceError`` with ``dependent.format(k)`` when the squared
-    norm of element k falls to ``tol`` or below.
+    norm of element k falls to ``RANK_TOL`` or below.
     """
     ortho: list = []
     norms: list = []
@@ -193,15 +190,14 @@ def _orthogonalize(vectors, dotf, tol: float, dependent: str) -> tuple[list, lis
         for u, uu in zip(ortho, norms):
             o = o - (dotf(u, o) / uu) * u
         oo = dotf(o, o)
-        if oo <= tol:
+        if oo <= RANK_TOL:
             raise LinearDependenceError(dependent.format(k))
         ortho.append(o)
         norms.append(oo)
     return ortho, norms
 
 
-def kernel_basis(phi: State, cfg: DotConfig, bs, algebra_basis,
-                 rank_tol: float = RANK_TOL) -> list:
+def kernel_basis(phi: State, cfg: DotConfig, bs, algebra_basis) -> list:
     """Orthonormal basis of the orthogonal complement of span{bs}.
 
     Requires a spanning set of the full algebra (over the reals of the dot
@@ -213,7 +209,7 @@ def kernel_basis(phi: State, cfg: DotConfig, bs, algebra_basis,
     out = []
     for cand in algebra_basis:
         try:
-            _, onb = gram_schmidt(phi, cfg, kept + [cand], rank_tol)
+            _, onb = gram_schmidt(phi, cfg, kept + [cand])
         except LinearDependenceError:
             continue
         kept.append(cand)
@@ -221,7 +217,7 @@ def kernel_basis(phi: State, cfg: DotConfig, bs, algebra_basis,
     return out
 
 
-def _embedded_gram(vectors, normalized: bool, cfg: DotConfig | None = None):
+def _embedded_gram(vectors, normalized: bool):
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
     if not vecs:
         raise DimensionError("need at least one vector")
@@ -231,8 +227,7 @@ def _embedded_gram(vectors, normalized: bool, cfg: DotConfig | None = None):
     if len(vecs) > n:
         raise DimensionError(f"{len(vecs)} vectors cannot be independent in R^{n}")
     phi = State.normalized_trace() if normalized else State.unnormalized_sum()
-    cfg = cfg or DotConfig()
-    return [embed_diag(v) for v in vecs], vecs, phi, cfg, n
+    return [embed_diag(v) for v in vecs], vecs, phi, DotConfig(), n
 
 
 def parallelepiped_volume(vectors, normalized: bool = True) -> float:
@@ -306,8 +301,7 @@ def tetra_membership(x: float, y: float, z: float) -> bool:
     return x * x + y * y + z * z <= 1.0 + 2.0 * x * y * z + TETRA_SLACK
 
 
-def power_dependence(a: AlgebraElement, m: int,
-                     rank_tol: float = RANK_TOL) -> tuple[np.ndarray, float]:
+def power_dependence(a: AlgebraElement, m: int) -> tuple[np.ndarray, float]:
     """Least-squares coefficients alpha with 1 + alpha_i a^i closest to zero.
 
     Uses the normalized-trace dot product over the powers a^1..a^m.  For a
@@ -324,7 +318,7 @@ def power_dependence(a: AlgebraElement, m: int,
     for _ in range(m):
         powers.append(cur)
         cur = cur @ a
-    res = project(phi, cfg, AlgebraElement.identity(a.dim), powers, rank_tol)
+    res = project(phi, cfg, AlgebraElement.identity(a.dim), powers)
     return res.coefficients, res.residual
 
 
@@ -349,4 +343,4 @@ def tuple_inner(phi: State, cfg: DotConfig, a_tuple, b_tuple) -> float:
         raise DimensionError("tuples are empty")
     stack = _stack(a_tuple + b_tuple)
     k = len(a_tuple)
-    return float(_solve_gram(_dot_matrix(phi, cfg, stack[:k], stack[k:]), RANK_TOL)[1])
+    return float(_solve_gram(_dot_matrix(phi, cfg, stack[:k], stack[k:]))[1])

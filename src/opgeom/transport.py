@@ -1,4 +1,4 @@
-"""Path-ordered transport, product integrals, Stokes and Bianchi residuals.
+"""Path-ordered transport, product integrals, and the Stokes residual.
 
 A connection along a curve enters as the sampled 1-form s -> A(gamma(s)) gamma'(s).
 The path-ordered exponential solving dF/ds = A(s) F is computed three ways:
@@ -8,8 +8,7 @@ exponentials, and an adaptive ODE oracle used only for verification.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import (
     PatchDomainError,
     StiffnessError,
 )
-from .hypersurface import Chart, _diff, _fields, _gamma, _Geo, _metric_inverse, _riemann, _star
+from .hypersurface import bianchi_residual  # re-exported: its home is hypersurface
 
 __all__ = [
     "ConnectionPath",
@@ -244,8 +243,7 @@ def _segment_path(a_field, start, end, n_steps):
     return ConnectionPath(A=a_seg, s_range=(0.0, 1.0), n_steps=n_steps)
 
 
-def stokes_residual(a_field, loop: LoopSpec, n_steps: int = 256,
-                    fd_step: float = 1e-4, in_patch=None) -> float:
+def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
     """Defect of the small-loop Stokes relation, Frobenius norm.
 
     ``a_field`` maps a 2-parameter point u to the two matrix components
@@ -253,15 +251,17 @@ def stokes_residual(a_field, loop: LoopSpec, n_steps: int = 256,
     the counterclockwise square spanned by loop.dirs -- segment transports
     multiplied in traversal order -- is compared to exp(F12 eps^2) with
     F12 = d1 A2 - d2 A1 + [A1, A2] at the base point (central differences
-    along the spanning directions).  The defect is third order in eps.
+    at step 1e-4 along the spanning directions).  Each side is transported
+    in 256 product-integral steps.  The defect is third order in eps.
     """
+    n_steps, h = 256, 1e-4
     base = np.asarray(loop.base, dtype=float)
     d1 = np.asarray(loop.dirs[0], dtype=float)
     d2 = np.asarray(loop.dirs[1], dtype=float)
     eps = float(loop.epsilon)
     corners = [base, base + eps * d1, base + eps * d1 + eps * d2, base + eps * d2]
     if in_patch is not None:
-        margin = fd_step * (np.abs(d1) + np.abs(d2))
+        margin = h * (np.abs(d1) + np.abs(d2))
         for c in corners + [base + margin, base - margin]:
             if not in_patch(c):
                 raise PatchDomainError(f"loop point {c.tolist()} leaves the patch")
@@ -275,63 +275,12 @@ def stokes_residual(a_field, loop: LoopSpec, n_steps: int = 256,
         comps = np.asarray(a_field(u), dtype=complex)
         return np.einsum("i,ijk->jk", direction, comps)
 
-    h = fd_step
     da2 = (a_dir(base + h * d1, d2) - a_dir(base - h * d1, d2)) / (2.0 * h)
     da1 = (a_dir(base + h * d2, d1) - a_dir(base - h * d2, d1)) / (2.0 * h)
     a1 = a_dir(base, d1)
     a2 = a_dir(base, d2)
     f12 = da2 - da1 + a1 @ a2 - a2 @ a1
     return float(np.linalg.norm(holo - _expm_stack((f12 * eps * eps)[None])[0]))
-
-
-def bianchi_residual(chart: Chart, phi, cfg, u) -> float:
-    """Max-norm cyclic sum D_l R^a_{bmn} + D_m R^a_{bnl} + D_n R^a_{blm}.
-
-    Three stacked difference layers; the steps scale with chart.fd_step2
-    (connection factors at 10x, curvature at 3x, outer derivative at 70x
-    capped at 0.1) so that on charts with three or more parameters the
-    residual is truncation dominated and halving the chart steps shrinks
-    it by about 4x.
-
-    On 2-parameter charts the identity is vacuous: every index triple
-    repeats an index, and the cyclic sum of any field antisymmetric in the
-    last index pair cancels exactly, in floating point as well as in
-    exact arithmetic.  The returned value is then pure rounding noise,
-    which certifies the identity at machine precision but carries no
-    step-size dependence.
-    """
-    return _bianchi_raw(_Geo(chart, phi, cfg, {}), np.asarray(u, dtype=float))
-
-
-def _bianchi_raw(geo: _Geo, u) -> float:
-    """Bianchi residual at u; chart values come from and go to ``geo.memo``."""
-    chart = geo.chart
-    p = chart.p
-    if p < 2:
-        raise DimensionError("Bianchi residual needs at least two parameters")
-    base = float(chart.fd_step2)
-    geo_b = _Geo(replace(chart, fd_step2=10.0 * base), geo.phi, geo.cfg, geo.memo)
-    s3 = 3.0 * base
-    s4 = min(70.0 * base, 0.1)
-    # the curvature stars around the outer star's centres, as one batch
-    m = 1 + 2 * p
-    f = _fields(geo_b, np.concatenate([_star(x, s3) for x in _star(u, s4)]), second=True)
-    ginv = _metric_inverse(f.g)
-    riem = np.array([_riemann(ginv[i:i + m], f.n[i:i + m], s3) for i in range(0, m * m, m)])
-    gam0 = _gamma(ginv[0], f.n[0])
-    r0 = riem[0]
-    dr = _diff(riem, s4)
-    cov = np.empty((p, p, p, p, p))
-    for l in range(p):
-        gl = gam0[:, l, :]
-        cov[l] = (dr[l]
-                  + np.einsum("ar,rbmn->abmn", gl, r0)
-                  - np.einsum("rb,armn->abmn", gl, r0)
-                  - np.einsum("rm,abrn->abmn", gl, r0)
-                  - np.einsum("rn,abmr->abmn", gl, r0))
-    # cyc[l, m, n] = cov[l][..., m, n] + cov[m][..., n, l] + cov[n][..., l, m]
-    cyc = cov.transpose(0, 3, 4, 1, 2) + cov.transpose(4, 0, 3, 1, 2) + cov.transpose(3, 4, 0, 1, 2)
-    return float(np.abs(cyc).max())
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .algebra import (
     state_eval,
 )
 from .errors import DimensionError, HermiticityError, SingularGramWarning
-from .projection import RANK_TOL, project
+from .projection import project
 
 __all__ = [
     "BoundReport",
@@ -84,8 +84,7 @@ def variance(phi: State, a: AlgebraElement) -> float:
     return phi.eval_matrix(da.m.conj().T @ da.m).real
 
 
-def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
-                      rank_tol: float = RANK_TOL) -> BoundReport:
+def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> BoundReport:
     """Variance of a against its fluctuation projection onto {b_i}.
 
     lhs is the variance of a; rhs is the squared norm of the projection of
@@ -98,7 +97,7 @@ def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs,
         raise DimensionError("reference set is empty")
     da = fluctuation(phi, a)
     dbs = [fluctuation(phi, b) for b in bs]
-    res = project(phi, cfg, da, dbs, rank_tol)
+    res = project(phi, cfg, da, dbs)
     return _report(variance(phi, a), res.norm_sq_parallel)
 
 
@@ -131,7 +130,7 @@ def _hermitian_or_anti(el: AlgebraElement, name: str):
 
 
 def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
-                 explicit_dts=None, rank_tol: float = RANK_TOL) -> tuple[BoundReport, BoundReport]:
+                 explicit_dts=None) -> tuple[BoundReport, BoundReport]:
     """Hamiltonian second-moment bounds from reference velocities.
 
     For reference elements B_i with total time derivatives dB_i (Heisenberg
@@ -165,7 +164,7 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
         # M = (P + P^T) / 2 with P[i, j] = phi(B_i B_j), from the kernel on the B_i'
         stack = _stack(els)
         pm = phi.gram(stack.conj().transpose(0, 2, 1), stack)
-        inv = _solve_gram(0.5 * (pm + pm.T), rank_tol, SingularGramWarning(
+        inv = _solve_gram(0.5 * (pm + pm.T), SingularGramWarning(
             "rank-deficient anticommutator Gram matrix; using pseudo-inverse"))[0]
         return ((consts.hbar**2 / 4.0) * (vel @ inv @ vel)).real
 

@@ -342,6 +342,35 @@ def test_nonfinite_points_are_input_errors(tmp_path, capsys):
         _fmt_float(np.float64("nan"))
 
 
+@pytest.mark.parametrize("cmd", ["metric", "christoffel", "curvature", "bianchi"])
+def test_nonfinite_point_is_one_input_error_for_each_chart_command(tmp_path, capsys, cmd):
+    path = write_json(tmp_path / "torus.json", {"id": "torus"})
+    err = run_err(capsys, [cmd, "--chart", path, "--point", "nan,0.4"], 1, "E_INPUT")
+    assert err.count("\n") == 1
+
+
+HUGE = 10 ** 400  # an integer no float can hold
+
+
+@pytest.mark.parametrize("kind, obj", [
+    ("chart", {"id": "sphere", "params": {"r": HUGE}}),
+    ("chart", {"id": "sphere", "fd_step": HUGE}),
+    ("matrix", {"dim": 1, "re": [HUGE], "im": [0.0]}),
+    ("state", {"kind": "gibbs", "h": {"dim": 1, "re": [1.0], "im": [0.0]}, "beta": HUGE}),
+    ("chart", {"id": "sphere", "state": {"kind": "trace"}}),
+    ("chart", {"id": "sphere", "state": "bogus"}),
+], ids=["chart-r-huge", "chart-fd_step-huge", "matrix-re-huge", "gibbs-beta-huge",
+        "chart-state-object", "chart-state-bogus"])
+def test_bad_file_content_is_one_input_error(tmp_path, capsys, kind, obj):
+    path = write_json(tmp_path / "input.json", obj)
+    one = write_matrix(tmp_path / "one.json", [[1.0]])
+    argv = {"chart": ["metric", "--chart", path, "--point", "0.5,0.4"],
+            "matrix": ["gram", "--matrix", path],
+            "state": ["gram", "--state", path, "--matrix", one]}[kind]
+    err = run_err(capsys, argv, 1, "E_INPUT")
+    assert err.count("\n") == 1
+
+
 def test_stokes_output(capsys):
     doc = run_json(capsys, ["stokes", "--step", "0.1"])
     assert doc["epsilon"] == 0.1

@@ -37,6 +37,7 @@ from opgeom.errors import (
 from opgeom.hypersurface import (
     _fields,
     _Geo,
+    bianchi_residual,
     chart_from_json,
     chart_to_json,
     christoffel,
@@ -734,6 +735,50 @@ def test_nonfinite_point_is_evaluation_error():
             metric(torus(), SUM, CFG, u)
 
 
+POINT_FUNCTIONS = {
+    "tangent_basis": tangent_basis,
+    "metric": metric,
+    "projector_apply": lambda *a: projector_apply(*a, AlgebraElement.identity(3)),
+    "christoffel-direct": christoffel,
+    "christoffel-metric": lambda *a: christoffel(*a, method="metric"),
+    "metric_compat_residual": metric_compat_residual,
+    "curvature": curvature,
+    "riemann_gauss_curvature": riemann_gauss_curvature,
+    "covariant_derivative": lambda *a: covariant_derivative(*a, lambda x: x),
+    "orthonormal_frame": orthonormal_frame,
+    "gauss_curvature_2d": gauss_curvature_2d,
+    "leibniz_violation_witness": leibniz_violation_witness,
+    "bianchi_residual": bianchi_residual,
+}
+
+
+@pytest.mark.parametrize("point, error, match", [
+    ([0.9], DimensionError, "shape"), ([0.9, 0.4, 0.1], DimensionError, "shape"),
+    ([math.nan, 0.4], EvaluationError, "not finite"),
+], ids=["short", "long", "nan"])
+@pytest.mark.parametrize("name", list(POINT_FUNCTIONS))
+def test_public_chart_functions_check_the_point_first(name, point, error, match):
+    with pytest.raises(error, match=match):
+        POINT_FUNCTIONS[name](sphere(), SUM, CFG, point)
+
+
+def test_chart_state_must_be_sum_or_trace():
+    assert sphere(state="trace").default_state().kind == "trace"
+    for bad in ("bogus", {"kind": "trace"}, None):
+        with pytest.raises(ValueError, match="chart state"):
+            sphere(state=bad)
+
+
+@pytest.mark.parametrize("chart", [sphere(), graph3_chart()], ids=["sphere", "graph3"])
+def test_report_bianchi_matches_public_route_bit_for_bit(chart):
+    # report shares one memo between the curvature and Bianchi stencils
+    doc = report(chart, SUM, CFG, 3, seed=5)
+    vals = np.array([bianchi_residual(chart, SUM, CFG, u) for u in doc["points"]])
+    want = {"min": vals.min(), "max": vals.max(), "mean": vals.mean()}
+    got = doc["stats"]["bianchi_residual"]
+    assert {k: float(v).hex() for k, v in got.items()} == {k: float(v).hex() for k, v in want.items()}
+
+
 def counting(chart):
     """The chart with a map_vec that records the bytes of every point it is given."""
     seen = []
@@ -823,17 +868,17 @@ def test_stacked_solve_matches_per_matrix_calls(n, k, spd, seed):
     m = rng.normal(size=(k, n, n))
     if spd:
         m = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(n)
-    inv, det, cond, full = _solve_gram(m, 1e-10)
+    inv, det, cond, full = _solve_gram(m)
     for i in range(k):
-        one = _solve_gram(m[i], 1e-10)
+        one = _solve_gram(m[i])
         assert inv[i].tobytes() == one[0].tobytes()
         assert (det[i], cond[i], full[i]) == one[1:]
     # one rank-1 member: the stack raises, or warns and takes its pseudo-inverse
     bad = rng.integers(k)
     m[bad] = np.outer(m[bad, 0], m[bad, 0])
     with pytest.raises(SingularMetricError):
-        _solve_gram(m, 1e-10, SingularMetricError("singular member"))
+        _solve_gram(m, SingularMetricError("singular member"))
     with pytest.warns(UserWarning):
-        inv, _, _, full = _solve_gram(m, 1e-10, UserWarning("singular member"))
+        inv, _, _, full = _solve_gram(m, UserWarning("singular member"))
     assert not full[bad] and full.sum() == k - 1
     assert inv[bad].tobytes() == np.linalg.pinv(m[bad], rcond=1e-10).tobytes()
