@@ -15,8 +15,10 @@ equal:
 The runs are ``metric``, ``christoffel`` (both routes), ``curvature``,
 ``geodesic``, ``bianchi`` and ``report --seed 7`` on each builtin
 two-parameter chart, plus ``holonomy`` and ``stokes``.  The error runs are
-a chart file with a 400-digit radius, one with a state object, and
-``christoffel`` at a NaN point.  All run in one process through
+a chart file with a 400-digit radius, one with a state object,
+``christoffel`` at a NaN point, ``metric`` on a paraboloid at a point where
+the chart value overflows, and ``christoffel`` on the sphere where the
+stencil crosses the pole.  All run in one process through
 ``opgeom.cli.run``; stderr names chart files without their directory, and an
 exception escaping ``run`` is recorded as ``exit=raised <type>``.
 """
@@ -45,6 +47,9 @@ ERRORS = {
     "sphere-bigint": ("metric", {"id": "sphere", "params": {"r": 10 ** 400}}, "1.1,0.7"),
     "sphere-state-object": ("metric", {"id": "sphere", "state": {"kind": "trace"}}, "1.1,0.7"),
     "torus-christoffel-nan": ("christoffel", CHARTS["torus"][0], "nan,0.4"),
+    # an overflowing chart value, and a stencil stepping over the pole
+    "paraboloid-metric-huge": ("metric", {"id": "paraboloid"}, "1e200,0"),
+    "sphere-christoffel-pole": ("christoffel", CHARTS["sphere"][0], "0.00005,0.4"),
 }
 
 

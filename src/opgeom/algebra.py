@@ -379,13 +379,35 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     values.  Otherwise ``on_singular`` is warned (a Warning) or raised (an
     exception) and the inverse is the pseudo-inverse cut at RANK_TOL * s_max.
     A 2x2 matrix takes s_min, s_max from |det| and its Frobenius norm and its
-    inverse in closed form; larger ones use one SVD and an LU determinant.  A stack of
-    shape (K, n, n) is factorized in one call and solved member by member;
-    it warns or raises once if any member is singular and returns the four
-    results stacked.
+    inverse in closed form; larger ones use one SVD and an LU determinant.  A
+    stack of shape (K, n, n) is solved in one pass: a stack of 2x2 matrices
+    by array arithmetic (``_solve_2x2_stack``), larger ones by one
+    factorization call and a solve per member.  It warns or raises once if
+    any member is singular and returns the four results stacked; every
+    member has the bits of a call on that member alone.
     """
     st = m if m.ndim == 3 else m[None]
     two = st.shape[1:] == (2, 2)
+    if two and len(st) > 1:
+        inv, det, cond, full = _solve_2x2_stack(st)
+    else:
+        inv, det, cond, full = _solve_each(st, two)
+    if not all(full):
+        if isinstance(on_singular, Warning):
+            warnings.warn(on_singular, stacklevel=3)
+        elif on_singular is not None:
+            raise on_singular
+        for k, ok in enumerate(full):
+            if not ok:
+                inv[k] = np.linalg.pinv(st[k], rcond=RANK_TOL)
+    if m.ndim == 2:
+        return inv[0], det[0], cond[0], full[0]
+    return np.asarray(inv), np.asarray(det), np.asarray(cond), np.asarray(full)
+
+
+def _solve_each(st: np.ndarray, two: bool):
+    """The four results of ``_solve_gram`` as lists, member by member, with
+    None for the inverse of a member that is not of full rank."""
     if two:
         rows = st.tolist()
     else:
@@ -412,17 +434,41 @@ def _solve_gram(m: np.ndarray, on_singular=None):
         det.append(dt)
         cond.append(s_max / s_min if s_min > 0 else math.inf)
         full.append(ok)
-    if not all(full):
-        if isinstance(on_singular, Warning):
-            warnings.warn(on_singular, stacklevel=3)
-        elif on_singular is not None:
-            raise on_singular
-        for k, ok in enumerate(full):
-            if not ok:
-                inv[k] = np.linalg.pinv(st[k], rcond=RANK_TOL)
-    if m.ndim == 2:
-        return inv[0], det[0], cond[0], full[0]
-    return np.array(inv), np.array(det), np.array(cond), np.array(full)
+    return inv, det, cond, full
+
+
+def _solve_2x2_stack(st: np.ndarray):
+    """The four results of ``_solve_gram`` on a stack of K > 1 2x2 matrices,
+    as arrays from array arithmetic, with zeros for the inverse of a member
+    that is not of full rank.
+
+    The formulas and their operand order are those of the lone-matrix
+    closed form, which runs on Python floats because a lone matrix would
+    spend several times as long in per-call array overhead.  Python's
+    ``x ** 2`` rounds through pow(), which can differ from x * x in the last
+    bit, so the squares here go through ``np.float_power``, which also calls
+    pow().  Real stacks get the lone-matrix bits exactly (complex products
+    may round differently; no caller passes a complex Gram matrix).
+    """
+    a, b, c, d = st.reshape(-1, 4).T
+    det = a * d - b * c
+    sq = np.float_power(np.abs(st.reshape(-1, 4)), 2.0)
+    fro2 = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]
+    adet = np.abs(det)
+    gap = 2.0 * adet
+    s_max = np.sqrt(0.5 * (fro2 + np.sqrt(np.maximum((fro2 - gap) * (fro2 + gap), 0.0))))
+    s_min = np.divide(adet, s_max, out=np.zeros_like(s_max), where=s_max > 0)
+    full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
+    cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
+    # the adjugate [[d, -b], [-c, a]] over det, for the full-rank members; C order
+    # like a stack of lone-matrix inverses, since products with it round by layout
+    inv = np.zeros(st.shape, dtype=np.result_type(st, 1.0))
+    adj = st.reshape(-1, 4)[:, [3, 1, 2, 0]] * _ADJUGATE_SIGN
+    np.divide(adj, det[:, None], out=inv.reshape(-1, 4), where=full[:, None])
+    return inv, det, cond, full
+
+
+_ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def heisenberg_dot(consts: PhysConstants, h: AlgebraElement, b: AlgebraElement,

@@ -315,11 +315,10 @@ def _cmd_christoffel(args):
 
 def _cmd_curvature(args):
     chart, u, phi, cfg = _chart_point(args)
-    mf = hypersurface.metric(chart, phi, cfg, u)
     cf = hypersurface.curvature(chart, phi, cfg, u)
     doc = {"riemann": _listify(cf.riemann)}
     if chart.p == 2:
-        doc["gauss_curvature"] = cf.gauss_curvature(mf)
+        doc["gauss_curvature"] = cf.gauss_curvature(cf.metric)
     return _emit_json(doc) + "\n"
 
 
@@ -440,29 +439,25 @@ def _cmd_killing(args):
 
 def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
            sample_count: int, seed: int = 0) -> dict:
-    """Batch min/max/mean statistics over seeded sample points of a chart."""
+    """Batch min/max/mean statistics over seeded sample points of a chart,
+    from one ``geometry_at`` call over all of them."""
     rng = XorShift64Star(seed)
     lo, hi = chart.sample_box
     points = []
     for _ in range(sample_count):
         points.append(np.array([rng.uniform(float(lo[k]), float(hi[k]))
                                 for k in range(chart.p)]))
-    dets, gammas, riems, gausses, bianchis = [], [], [], [], []
-    for u in points:
-        # one memo per point: the Bianchi stencils reuse the curvature stencils' chart values
-        geo = hypersurface._Geo(chart, phi, cfg, {})
-        mf, conn, cf = hypersurface._geometry_at(geo, u)
-        dets.append(mf.det)
-        gammas.append(float(np.abs(conn.gamma).max()))
-        riems.append(float(np.abs(cf.riemann).max()))
-        if chart.p == 2:
-            gausses.append(cf.gauss_curvature(mf))
-        bianchis.append(hypersurface._bianchi_raw(geo, u))
+    if chart.p < 2:
+        raise DimensionError("Bianchi residual needs at least two parameters")
+    geom = hypersurface.geometry_at(chart, phi, cfg, points)
 
     def stats(vals):
         arr = np.asarray(vals, dtype=float)
         return {"min": float(arr.min()), "max": float(arr.max()),
                 "mean": float(arr.mean())}
+
+    def max_abs(field):
+        return np.abs(field).reshape(sample_count, -1).max(axis=1)
 
     doc = {
         "chart": hypersurface.chart_to_json(chart),
@@ -471,14 +466,14 @@ def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
         "count": int(sample_count),
         "points": [_listify(u) for u in points],
         "stats": {
-            "metric_det": stats(dets),
-            "christoffel_max_abs": stats(gammas),
-            "riemann_max_abs": stats(riems),
-            "bianchi_residual": stats(bianchis),
+            "metric_det": stats(geom.det),
+            "christoffel_max_abs": stats(max_abs(geom.gamma)),
+            "riemann_max_abs": stats(max_abs(geom.riemann)),
+            "bianchi_residual": stats(geom.bianchi),
         },
     }
-    if gausses:
-        doc["stats"]["gauss_curvature"] = stats(gausses)
+    if chart.p == 2:
+        doc["stats"]["gauss_curvature"] = stats(geom.gauss_curvature())
     return doc
 
 

@@ -55,12 +55,12 @@ class NonSymmetricMetricError(OpgeomError):
     """An operation requiring a symmetric metric received a non-symmetric one."""
 
 
-class StencilOutOfDomainError(OpgeomError):
-    """A finite-difference stencil left the chart domain."""
-
-
 class EvaluationError(OpgeomError):
     """A chart map could not be evaluated at the requested point."""
+
+
+class StencilOutOfDomainError(EvaluationError):
+    """A finite-difference stencil left the chart domain."""
 
 
 class JacobiViolationError(OpgeomError):

@@ -29,16 +29,37 @@ All chart values come from one stencil evaluator, ``_fields``.  Given a
 stack of centres it builds every stencil point first: the central tangent
 points x +- fd_step e_c, the second-partial points x, x +- fd_step2 e_i and
 (x +- fd_step2 e_i) +- fd_step2 e_j, and for geodesics x +- q v, x +- 2q v
-with q = fd_step2.  It evaluates each distinct point once, keyed on the
-point's bytes, then differences whole stencil layers as stacks with the
-per-point formulas in their operand order, so every entry keeps the bits of
-a point-by-point evaluation.  The memo lives for one public call (one sample
-point in ``cli.report``, whose Bianchi step shares it); ``metric``,
-``tangent_basis`` and ``geodesic`` keep none, since their points never
-repeat.  This assumes a chart map is a pure function of the point.  Because
-all points are evaluated before any difference, a domain error may name a
-different stencil point than a point-by-point evaluation would meet first.
-A non-finite centre raises ``EvaluationError``.
+with q = fd_step2.  It evaluates them in one pass, then differences whole
+stencil layers as stacks with the per-point formulas in their operand order,
+so every entry keeps the bits of a point-by-point evaluation.
+
+The built-in ``sphere``, ``torus``, ``paraboloid`` and ``flat_plane`` define
+their map once over a (k, p) stack of points, with a vectorised domain test;
+their per-point ``map_vec``, ``map_mat`` and ``in_domain`` are views of it,
+so the per-point and stacked values have the same bits.  A pass over such a
+chart is one call on the whole stack, repeated points included.  Any other
+chart (``custom_grid``, a user chart, or a built-in one given a different
+per-point map, as a counting wrapper does) is evaluated point by point, and
+there each distinct point is evaluated once per memo, keyed on its bytes.
+The memo lives for one public call, or for one block of ``geometry_at``,
+whose curvature and Bianchi batches share it; ``metric``, ``tangent_basis``
+and ``geodesic`` keep none, since their points never repeat.  This assumes a
+chart map is a pure function of the point.  Because all points are
+evaluated before any difference, a domain error may name a different stencil
+point than a point-by-point evaluation would meet first.
+
+A stencil point outside the chart domain raises ``StencilOutOfDomainError``,
+a subclass of ``EvaluationError``, from every function that evaluates the
+chart, and a non-finite chart value (an overflow, say) raises
+``EvaluationError``; the CLI reports both as E_INPUT.  A non-finite centre
+raises ``EvaluationError``.
+
+``geometry_at`` gives the metric, Christoffel, Riemann and Bianchi fields of
+a stack of points in blocks of at most ``_BLOCK`` stencil rows on a chart with
+a stacked map, and of one point on a chart evaluated point by point, whose
+memo holds every chart value of its block.  ``curvature``,
+``riemann_gauss_curvature`` and ``bianchi_residual`` run the same stacked code
+on one point.
 """
 
 from __future__ import annotations
@@ -107,6 +128,8 @@ __all__ = [
     "killing_metric",
     "leibniz_violation_witness",
     "bianchi_residual",
+    "Geometry",
+    "geometry_at",
 ]
 
 SYMMETRY_TOL = 1e-10
@@ -118,8 +141,11 @@ class Chart:
 
     ``map_mat`` returns the raw complex matrix b(u).  Charts embedding a
     real vector diagonally also provide ``map_vec`` (the diagonal), which
-    the geometry routines use as a fast path.  ``state_kind`` names the
-    dimension-free default state ("sum" or "trace") used by the CLI.
+    the geometry routines use as a fast path.  The built-in charts' three
+    maps are views of one map over a stack of points, which the geometry
+    routines call once per stack while all three are left in place.
+    ``state_kind`` names the dimension-free default state ("sum" or
+    "trace") used by the CLI.
     """
 
     id: str
@@ -169,13 +195,15 @@ class ConnectionField:
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Riemann components riemann[a, b, m, n] at one parameter point."""
+    """Riemann components riemann[a, b, m, n] at one parameter point, and
+    from ``curvature`` the metric there, built from the same stencils."""
 
     riemann: np.ndarray
+    metric: MetricField | None = None
 
     def gauss_curvature(self, mf: MetricField) -> float:
         """K = g_{1r} R^r_{212} / det g, with mf the metric at the same point."""
-        return float(mf.g[0, :] @ self.riemann[:, 1, 0, 1] / mf.det)
+        return _gauss(mf.g, self.riemann, mf.det)
 
 
 @dataclass(frozen=True)
@@ -196,14 +224,52 @@ class GeodesicResult(list):
 # ---------------------------------------------------------------------------
 # built-in charts
 
-def _diag_chart(id, p, dim, fvec, in_domain, box, params, state="sum",
-                fd_step=1e-4, fd_step2=1e-3):
-    def map_mat(u):
-        return np.diag(fvec(u)).astype(complex)
+class _StackedMap:
+    """A diagonal chart map defined once over a (k, p) stack of points.
 
+    ``values`` maps the stack to its (k, dim) diagonals and ``inside`` to a
+    (k,) domain mask (None: defined everywhere).  ``values`` runs under
+    ``np.errstate``, so an overflow shows only as a non-finite value, which
+    ``_Geo.vals`` reports.  The per-point ``map_vec``, ``map_mat`` and
+    ``in_domain`` of a built-in chart are the views ``self``, ``matrix`` and
+    ``contains`` of one such map.
+    """
+
+    __slots__ = ("values", "inside")
+
+    def __init__(self, values: Callable, inside: Callable | None = None):
+        self.values = values
+        self.inside = inside
+
+    def stack(self, xs: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return self.values(xs)
+
+    def __call__(self, u) -> np.ndarray:
+        return self.stack(np.asarray(u, dtype=float)[None])[0]
+
+    def matrix(self, u) -> np.ndarray:
+        return np.diag(self(u)).astype(complex)
+
+    def contains(self, u) -> bool:
+        return self.inside is None or bool(self.inside(np.asarray(u, dtype=float)[None])[0])
+
+
+def _columns(*cols) -> np.ndarray:
+    """The array whose columns are cols (length-k arrays or scalars), written
+    into one preallocated (k, n) array, which is faster than np.stack."""
+    out = np.empty((len(cols[0]), len(cols)))
+    for i, col in enumerate(cols):
+        out[:, i] = col
+    return out
+
+
+def _diag_chart(id, p, dim, values, inside, box, params, state="sum",
+                fd_step=1e-4, fd_step2=1e-3):
+    smap = _StackedMap(values, inside)
     return Chart(
-        id=id, p=p, dim=dim, map_mat=map_mat, map_vec=fvec,
-        in_domain=in_domain, sample_box=box, state_kind=state,
+        id=id, p=p, dim=dim, map_mat=smap.matrix, map_vec=smap,
+        in_domain=smap.contains, sample_box=box, state_kind=state,
         fd_step=fd_step, fd_step2=fd_step2, params=dict(params),
     )
 
@@ -211,11 +277,11 @@ def _diag_chart(id, p, dim, fvec, in_domain, box, params, state="sum",
 def flat_plane(state: str = "sum", fd_step: float = 1e-4, fd_step2: float = 1e-3) -> Chart:
     """Plane (u1, u2, 0) in R^3; identity metric under the sum state."""
 
-    def fvec(u):
-        return np.array([u[0], u[1], 0.0])
+    def values(xs):
+        return _columns(xs[:, 0], xs[:, 1], 0.0)
 
     box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    return _diag_chart("flat_plane", 2, 3, fvec, lambda u: True, box, {},
+    return _diag_chart("flat_plane", 2, 3, values, None, box, {},
                        state, fd_step, fd_step2)
 
 
@@ -225,16 +291,16 @@ def sphere(r: float = 1.0, state: str = "sum", fd_step: float = 1e-4,
     if not (math.isfinite(r) and r > 0):
         raise ValueError("sphere radius must be positive and finite")
 
-    def fvec(u):
-        st, ct = math.sin(u[0]), math.cos(u[0])
-        sp, cp = math.sin(u[1]), math.cos(u[1])
-        return np.array([r * st * cp, r * st * sp, r * ct])
+    def values(xs):
+        sin, cos = np.sin(xs), np.cos(xs)
+        rst = r * sin[:, 0]
+        return _columns(rst * cos[:, 1], rst * sin[:, 1], r * cos[:, 0])
 
-    def in_domain(u):
-        return 0.0 < u[0] < math.pi
+    def inside(xs):
+        return (0.0 < xs[:, 0]) & (xs[:, 0] < math.pi)
 
     box = (np.array([0.3, 0.0]), np.array([math.pi - 0.3, 2.0 * math.pi]))
-    return _diag_chart("sphere", 2, 3, fvec, in_domain, box, {"r": r},
+    return _diag_chart("sphere", 2, 3, values, inside, box, {"r": r},
                        state, fd_step, fd_step2)
 
 
@@ -244,12 +310,13 @@ def torus(big_r: float = 2.0, r: float = 0.5, state: str = "sum",
     if not (math.isfinite(big_r) and big_r > r > 0):
         raise ValueError("torus radii must be finite with big_r > r > 0")
 
-    def fvec(u):
-        w = big_r + r * math.cos(u[0])
-        return np.array([w * math.cos(u[1]), w * math.sin(u[1]), r * math.sin(u[0])])
+    def values(xs):
+        sin, cos = np.sin(xs), np.cos(xs)
+        w = big_r + r * cos[:, 0]
+        return _columns(w * cos[:, 1], w * sin[:, 1], r * sin[:, 0])
 
     box = (np.array([0.0, 0.0]), np.array([2.0 * math.pi, 2.0 * math.pi]))
-    return _diag_chart("torus", 2, 3, fvec, lambda u: True, box,
+    return _diag_chart("torus", 2, 3, values, None, box,
                        {"R": big_r, "r": r}, state, fd_step, fd_step2)
 
 
@@ -259,11 +326,13 @@ def paraboloid(a: float = 1.0, state: str = "sum", fd_step: float = 1e-4,
     if not np.isfinite(a):
         raise ValueError("paraboloid coefficient must be finite")
 
-    def fvec(u):
-        return np.array([u[0], u[1], a * (u[0] ** 2 + u[1] ** 2)])
+    def values(xs):
+        # float_power squares through pow(), as x ** 2 does on a float; x * x can differ
+        sq = np.float_power(xs, 2.0)
+        return _columns(xs[:, 0], xs[:, 1], a * (sq[:, 0] + sq[:, 1]))
 
     box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    return _diag_chart("paraboloid", 2, 3, fvec, lambda u: True, box, {"a": a},
+    return _diag_chart("paraboloid", 2, 3, values, None, box, {"a": a},
                        state, fd_step, fd_step2)
 
 
@@ -399,14 +468,20 @@ class _Geo:
     Diagonal charts paired with any state reduce the dot product to a
     weighted pointwise sum, which all builtin charts use; matrix-valued
     charts fall back to the state's Gram kernel.  Stacks of chart values
-    are arrays of shape (..., k, dim) or (..., k, dim, dim).  A ``memo``
-    dict maps the bytes of each evaluated point to its chart value, so a
-    point is evaluated once however many stencils use it; evaluators given
-    the same memo share their chart evaluations.  Without one, every point
-    is evaluated as it comes, which is cheaper where points never repeat.
+    are arrays of shape (..., k, dim) or (..., k, dim, dim).
+
+    A built-in chart whose ``map_vec``, ``map_mat`` and ``in_domain`` are
+    still the views of its ``_StackedMap`` is evaluated by one call on the
+    whole stack, with no memo.  Any other chart, a built-in one given a
+    different per-point map included, is evaluated point by point: a
+    ``memo`` dict then maps the bytes of each evaluated point to its chart
+    value, so a point is evaluated once however many stencils use it, and
+    evaluators given the same memo share their chart evaluations.  Without
+    one, every point is evaluated as it comes, which is cheaper where points
+    never repeat.
     """
 
-    __slots__ = ("chart", "phi", "cfg", "weights", "memo")
+    __slots__ = ("chart", "phi", "cfg", "weights", "memo", "stacked")
 
     def __init__(self, chart: Chart, phi: State, cfg: DotConfig, memo: dict | None = None):
         self.chart = chart
@@ -414,6 +489,7 @@ class _Geo:
         self.cfg = cfg
         self.memo = memo
         self.weights = None
+        self.stacked = _stacked_map(chart)
         if chart.map_vec is not None:
             w = phi.diagonal_weights(chart.dim)
             # real diagonals commute: the lam-dot collapses to 2 Re(lam) phi(xy)
@@ -424,23 +500,44 @@ class _Geo:
         return self.chart.p
 
     def vals(self, pts) -> np.ndarray:
-        """Stacked chart values at the rows of pts; each point not in the
-        memo is checked against the domain, evaluated and stored."""
-        chart, memo = self.chart, self.memo
-        fn = chart.map_vec if self.weights is not None else chart.map_mat
-        out = []
-        for x in pts:
-            key = None if memo is None else x.tobytes()
-            v = None if key is None else memo.get(key)
-            if v is None:
-                if not chart.in_domain(x):
-                    raise EvaluationError(
-                        f"point {x.tolist()} outside domain of chart '{chart.id}'")
-                v = fn(x)
-                if key is not None:
-                    memo[key] = v
-            out.append(v)
-        return np.array(out)
+        """Stacked chart values at the rows of pts.
+
+        Every point evaluated here is a stencil point: the first row outside
+        the chart domain raises ``StencilOutOfDomainError``, checked before
+        any evaluation, and the first row with a non-finite value
+        ``EvaluationError``, checked once over the whole result.
+        """
+        chart, smap = self.chart, self.stacked
+        if smap is not None:
+            if smap.inside is not None:
+                inside = smap.inside(pts)
+                if np.count_nonzero(inside) != len(inside):
+                    raise _outside(chart, pts[~inside][0])
+            out = smap.stack(pts)
+        else:
+            memo = self.memo
+            fn = chart.map_vec if self.weights is not None else chart.map_mat
+            rows = []
+            if memo is None:
+                for x in pts:
+                    if not chart.in_domain(x):
+                        raise _outside(chart, x)
+                    rows.append(fn(x))
+            else:
+                for x in pts:
+                    key = x.tobytes()
+                    v = memo.get(key)
+                    if v is None:
+                        if not chart.in_domain(x):
+                            raise _outside(chart, x)
+                        v = memo[key] = fn(x)
+                    rows.append(v)
+            out = np.array(rows)
+        finite = np.isfinite(out)
+        if np.count_nonzero(finite) != finite.size:  # half the cost of .all() on short stacks
+            bad = pts[~finite.reshape(len(out), -1).all(axis=1)][0]
+            raise EvaluationError(f"chart '{chart.id}' has a non-finite value at point {bad.tolist()}")
+        return out
 
     def gram(self, xs, ys=None) -> np.ndarray:
         """Real dot matrices D[..., i, j] = x_i . y_j of two stacks (ys defaults to xs)."""
@@ -455,6 +552,18 @@ class _Geo:
 
     def wrap(self, x) -> AlgebraElement:
         return embed_diag(x) if self.weights is not None else AlgebraElement(x)
+
+
+def _stacked_map(chart: Chart) -> _StackedMap | None:
+    """The chart's stacked map, if its three per-point maps are still its views."""
+    fn = chart.map_vec
+    if isinstance(fn, _StackedMap) and chart.map_mat == fn.matrix and chart.in_domain == fn.contains:
+        return fn
+    return None
+
+
+def _outside(chart: Chart, x) -> StencilOutOfDomainError:
+    return StencilOutOfDomainError(f"point {x.tolist()} outside domain of chart '{chart.id}'")
 
 
 def _point(chart: Chart, u) -> np.ndarray:
@@ -579,14 +688,19 @@ def _pair_index(p: int):
 
 
 def _star(u, h: float) -> np.ndarray:
-    """Centres u, u + h e_c, u - h e_c (c < p) stacked as (1 + 2p, p)."""
-    e = np.diag(np.full(len(u), float(h)))
-    return np.concatenate([u[None], u + e, u - e])
+    """Centres u, u + h e_c, u - h e_c (c < p) of the points u (..., p),
+    stacked on a new first axis as (1 + 2p, ..., p).  As in ``_stencil``,
+    the offsets are rows -0.0, h e_c and -h e_c: x + (-0.0) is x and
+    x + (-y) is x - y, so each centre has the bits of its expression."""
+    p = u.shape[-1]
+    e = np.diag(np.full(p, float(h)))
+    off = np.concatenate([np.full((1, p), -0.0), e, -e])
+    return u + off.reshape((1 + 2 * p,) + (1,) * (u.ndim - 1) + (p,))
 
 
 def _diff(fs, h: float) -> np.ndarray:
     """Central differences (f(u + h e_c) - f(u - h e_c)) / 2h, stacked over c,
-    of a field stacked over the centres of ``_star(u, h)``."""
+    of a field stacked on its first axis over the centres of ``_star(u, h)``."""
     p = (len(fs) - 1) // 2
     return (fs[1:1 + p] - fs[1 + p:]) / (2.0 * h)
 
@@ -604,9 +718,10 @@ def _solve_metric(g: np.ndarray):
 
 
 def _gamma(ginv: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Direct Christoffel components gamma[a, n, b] = ginv[a, :] @ N[:, n, b]."""
+    """Direct Christoffel components gamma[..., a, n, b] = ginv[..., a, :] @ N[..., :, n, b]."""
     # batched over (n, b) so that each column rounds as a lone matrix-vector product
-    return (ginv @ n.T[..., None])[..., 0].T
+    cols = ginv[..., None, None, :, :] @ np.moveaxis(n, -3, -1)[..., None]
+    return np.moveaxis(cols[..., 0], -1, -3)
 
 
 def _require_symmetric_metric(g: np.ndarray):
@@ -650,44 +765,32 @@ def _tangent_projection(phi: State, cfg: DotConfig, ts: list, a: AlgebraElement)
     return AlgebraElement(sum(c * t for c, t in zip(coef, stack)))
 
 
-def _christoffel_raw(geo: _Geo, u, method: str) -> np.ndarray:
-    if method == "direct":
-        f = _fields(geo, u[None], second=True)
-        return _gamma(_metric_inverse(f.g[0]), f.n[0])
-    if method == "metric":
-        g = _fields(geo, _star(u, geo.chart.fd_step2)).g
-        ginv = _metric_inverse(g[0])
-        dg = _diff(g, geo.chart.fd_step2)
-        # gamma^a_{rs} = 1/2 g^{ab} (d_r g_{bs} - d_b g_{rs} + d_s g_{rb})
-        term = dg.transpose(1, 0, 2) - dg + dg.transpose(2, 1, 0)
-        return 0.5 * np.einsum("ab,brs->ars", ginv, term)
-    raise ValueError(f"unknown christoffel method {method!r}")
-
-
 def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "direct") -> ConnectionField:
     """Connection coefficients from second chart derivatives ("direct") or
     from first derivatives of the metric ("metric")."""
-    geo = _Geo(chart, phi, cfg, {})
-    u = _point(chart, u)
-    try:
-        return ConnectionField(gamma=_christoffel_raw(geo, u, method))
-    except EvaluationError as exc:
-        raise StencilOutOfDomainError(str(exc)) from exc
+    geo, u = _Geo(chart, phi, cfg, {}), _point(chart, u)
+    if method == "direct":
+        f = _fields(geo, u[None], second=True)
+        return ConnectionField(gamma=_gamma(_metric_inverse(f.g[0]), f.n[0]))
+    if method == "metric":
+        g = _fields(geo, _star(u, chart.fd_step2)).g
+        dg = _diff(g, chart.fd_step2)
+        # gamma^a_{rs} = 1/2 g^{ab} (d_r g_{bs} - d_b g_{rs} + d_s g_{rb})
+        term = dg.transpose(1, 0, 2) - dg + dg.transpose(2, 1, 0)
+        return ConnectionField(gamma=0.5 * np.einsum("ab,brs->ars", _metric_inverse(g[0]), term))
+    raise ValueError(f"unknown christoffel method {method!r}")
 
 
 def metric_compat_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Max-norm violation of d_c g_{ij} = gamma^r_{ci} g_{rj} + gamma^r_{cj} g_{ir}."""
     geo = _Geo(chart, phi, cfg, {})
     u = _point(chart, u)
-    try:
-        f = _fields(geo, u[None], second=True)
-        g = f.g[0]
-        gamma = _gamma(_metric_inverse(g), f.n[0])
-        dg = _diff(_fields(geo, _star(u, chart.fd_step2)).g, chart.fd_step2)
-        resid = dg - np.einsum("rci,rj->cij", gamma, g) - np.einsum("rcj,ir->cij", gamma, g)
-        return float(np.abs(resid).max())
-    except EvaluationError as exc:
-        raise StencilOutOfDomainError(str(exc)) from exc
+    f = _fields(geo, u[None], second=True)
+    g = f.g[0]
+    gamma = _gamma(_metric_inverse(g), f.n[0])
+    dg = _diff(_fields(geo, _star(u, chart.fd_step2)).g, chart.fd_step2)
+    resid = dg - np.einsum("rci,rj->cij", gamma, g) - np.einsum("rcj,ir->cij", gamma, g)
+    return float(np.abs(resid).max())
 
 
 def _riemann(ginv: np.ndarray, n: np.ndarray, s3: float) -> np.ndarray:
@@ -695,54 +798,116 @@ def _riemann(ginv: np.ndarray, n: np.ndarray, s3: float) -> np.ndarray:
     rule on the factors of the direct Christoffel formula.
 
     Gamma^a_{nb} = G^{ar} N_{r,nb} with G the inverse metric field and
-    N_{r,nb} = b_r . d2b/(du_n du_b); ginv and n are the two factor fields
-    stacked over the centres of ``_star(u, s3)`` and are central
-    differenced at step s3.  The assembled components are exactly
-    antisymmetric in the last index pair whatever the per-entry error,
-    because entries [m, n] and [n, m] subtract the same two floats in
-    opposite order.
+    N_{r,nb} = b_r . d2b/(du_n du_b); ginv (m, ..., p, p) and n
+    (m, ..., p, p, p) are the two factor fields stacked on their first axis
+    over the centres of ``_star(u, s3)`` and are central differenced at step
+    s3; the axes between are batch axes, and the result has shape
+    (..., p, p, p, p).  The assembled components are exactly antisymmetric
+    in the last index pair whatever the per-entry error, because entries
+    [m, n] and [n, m] subtract the same two floats in opposite order.
     """
-    p = ginv.shape[-1]
     g0, n0 = ginv[0], n[0]
-    gamma0 = np.einsum("ar,rnb->anb", g0, n0)
+    gamma0 = np.einsum("...ar,...rnb->...anb", g0, n0)
     dg, dn = _diff(ginv, s3), _diff(n, s3)
-    dgam = np.einsum("mar,rnb->manb", dg, n0) + np.einsum("ar,mrnb->manb", g0, dn)
-    riem = np.empty((p, p, p, p))
-    for m in range(p):
-        for n in range(p):
-            prod_mn = gamma0[:, m, :] @ gamma0[:, n, :]
-            prod_nm = gamma0[:, n, :] @ gamma0[:, m, :]
-            # grouped so the [m, n] and [n, m] entries are exact negations
-            riem[:, :, m, n] = (dgam[m][:, n, :] - dgam[n][:, m, :]) + (prod_mn - prod_nm)
-    return riem
+    dgam = np.einsum("m...ar,...rnb->m...anb", dg, n0) + np.einsum("...ar,m...rnb->m...anb", g0, dn)
+    # d[..., a, b, m, n] = d_m gamma[a, n, b]
+    d = np.moveaxis(dgam, (0, -2), (-2, -1))
+    # prod[..., m, n, a, b] = (gamma[:, m, :] @ gamma[:, n, :])[a, b], one matrix product each
+    gm = np.moveaxis(gamma0, -2, -3)
+    prod = gm[..., :, None, :, :] @ gm[..., None, :, :, :]
+    # grouped so the [m, n] and [n, m] entries are exact negations
+    riem = (d - d.swapaxes(-1, -2)) + np.moveaxis(prod - prod.swapaxes(-3, -4), (-4, -3), (-2, -1))
+    # C order, as a per-point array has it: products with it round by layout
+    return np.ascontiguousarray(riem)
 
 
-def _geometry_at(geo: _Geo, u):
-    """(metric, direct Christoffel, Riemann) at u, each as its public function
-    returns it, from one fields batch over the centres of the Riemann
-    stencil, whose step is 1e-2 sqrt(fd_step)."""
+class Geometry(NamedTuple):
+    """Chart geometry stacked over K points, as returned by :func:`geometry_at`."""
+
+    g: np.ndarray               # (K, p, p) metric
+    g_inv: np.ndarray           # (K, p, p) its inverse
+    det: np.ndarray             # (K,) its determinant
+    gamma: np.ndarray           # (K, p, p, p) direct Christoffel components
+    riemann: np.ndarray         # (K, p, p, p, p) Riemann components
+    bianchi: np.ndarray | None  # (K,) Bianchi residuals; None for p < 2
+
+    def gauss_curvature(self) -> np.ndarray:
+        """(K,) Gaussian curvatures K = g_{1r} R^r_{212} / det g (2-parameter charts)."""
+        return np.array([_gauss(g, r, d) for g, r, d in zip(self.g, self.riemann, self.det)])
+
+
+def _gauss(g: np.ndarray, riemann: np.ndarray, det) -> float:
+    return float(g[0, :] @ riemann[:, 1, 0, 1] / det)
+
+
+# Stencil rows (chart points, repeats included) evaluated per block of
+# geometry_at on a chart with a stacked map; bounds its working memory for
+# any number of points.
+_BLOCK = 2048
+
+
+def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
+    """Metric, direct Christoffel, Riemann and (p >= 2) Bianchi fields at
+    each row of points (K, p), stacked.
+
+    Every entry has the bits that ``metric``, ``christoffel``, ``curvature``
+    and ``bianchi_residual`` give at that point alone.  The points go in
+    blocks, each making one fields batch for its curvature stencils and one
+    for its Bianchi stencils: as many points as fit ``_BLOCK`` stencil rows
+    on a chart with a stacked map, and one point on a chart evaluated point
+    by point, whose memo, shared by the two batches, holds every chart value
+    of its block.
+    """
+    xs = np.asarray(points, dtype=float)
+    p = chart.p
+    if xs.ndim != 2 or xs.shape[1] != p or len(xs) == 0:
+        raise DimensionError(f"points must have shape (K, {p}) with K >= 1 on chart "
+                             f"'{chart.id}', got {xs.shape}")
+    per = 1 if _stacked_map(chart) is None else max(1, _BLOCK // _stencil_rows(p))
+    parts = []
+    for lo in range(0, len(xs), per):
+        geo = _Geo(chart, phi, cfg, {})
+        block = xs[lo:lo + per]
+        parts.append(_curvature_at(geo, block) + (_bianchi_at(geo, block) if p >= 2 else None,))
+    return Geometry(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
+
+
+def _stencil_rows(p: int) -> int:
+    """Chart points geometry_at evaluates per point, repeats included."""
+    second = 1 + 4 * p + 2 * p * (p - 1)  # rows of one second-derivative stencil
+    stars = (1 + 2 * p) * ((2 + 2 * p) if p >= 2 else 1)  # curvature and Bianchi centres
+    return stars * second
+
+
+def _curvature_at(geo: _Geo, xs: np.ndarray) -> tuple:
+    """(g, g_inv, det, gamma, riemann) at the points xs (K, p), each stacked
+    over K, from one fields batch over the centres of their Riemann
+    stencils, whose step is 1e-2 sqrt(fd_step)."""
+    p = xs.shape[1]
     s = 1e-2 * math.sqrt(geo.chart.fd_step)
-    f = _fields(geo, _star(u, s), second=True)
-    ginv = _metric_inverse(f.g)
-    return (MetricField(g=f.g[0], g_inv=ginv[0]), ConnectionField(gamma=_gamma(ginv[0], f.n[0])),
-            CurvatureField(riemann=_riemann(ginv, f.n, s)))
+    centres = _star(xs, s)
+    f = _fields(geo, centres.reshape(-1, p), second=True)
+    _require_symmetric_metric(f.g)
+    ginv, det = _solve_metric(f.g)[:2]
+    star = centres.shape[:2]
+    g, ginv, det = f.g.reshape(star + (p, p)), ginv.reshape(star + (p, p)), det.reshape(star)
+    n = f.n.reshape(star + (p, p, p))
+    return g[0], ginv[0], det[0], _gamma(ginv[0], n[0]), _riemann(ginv, n, s)
 
 
 def curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> CurvatureField:
-    """Riemann components from central differences of the connection factors."""
-    geo = _Geo(chart, phi, cfg, {})
-    u = _point(chart, u)
-    try:
-        return _geometry_at(geo, u)[2]
-    except EvaluationError as exc:
-        raise StencilOutOfDomainError(str(exc)) from exc
+    """Riemann components from central differences of the connection factors,
+    with the metric at u from the same stencils."""
+    g, ginv, _, _, riem = _curvature_at(_Geo(chart, phi, cfg, {}), _point(chart, u)[None])
+    return CurvatureField(riemann=riem[0], metric=MetricField(g=g[0], g_inv=ginv[0]))
 
 
 def riemann_gauss_curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Gaussian curvature K = g_{1r} R^r_{212} / det g for 2-parameter charts."""
     if chart.p != 2:
         raise DimensionError("Gaussian curvature requires a 2-parameter chart")
-    return curvature(chart, phi, cfg, u).gauss_curvature(metric(chart, phi, cfg, u))
+    cf = curvature(chart, phi, cfg, u)
+    return cf.gauss_curvature(cf.metric)
 
 
 def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
@@ -761,51 +926,47 @@ def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     which certifies the identity at machine precision but carries no
     step-size dependence.
     """
-    return _bianchi_raw(_Geo(chart, phi, cfg, {}), _point(chart, u))
-
-
-def _bianchi_raw(geo: _Geo, u) -> float:
-    """Bianchi residual at u; chart values come from and go to ``geo.memo``."""
-    chart = geo.chart
-    p = chart.p
-    if p < 2:
+    x = _point(chart, u)
+    if chart.p < 2:
         raise DimensionError("Bianchi residual needs at least two parameters")
+    return float(_bianchi_at(_Geo(chart, phi, cfg, {}), x[None])[0])
+
+
+def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
+    """Bianchi residuals (K,) at the points xs (K, p) of a chart with p >= 2,
+    from one fields batch; chart values come from and go to ``geo.memo``."""
+    chart = geo.chart
+    k, p = xs.shape
     base = float(chart.fd_step2)
     geo_b = _Geo(replace(chart, fd_step2=10.0 * base), geo.phi, geo.cfg, geo.memo)
     s3 = 3.0 * base
     s4 = min(70.0 * base, 0.1)
-    # the curvature stars around the outer star's centres, as one batch
-    m = 1 + 2 * p
-    f = _fields(geo_b, np.concatenate([_star(x, s3) for x in _star(u, s4)]), second=True)
-    ginv = _metric_inverse(f.g)
-    riem = np.array([_riemann(ginv[i:i + m], f.n[i:i + m], s3) for i in range(0, m * m, m)])
-    gam0 = _gamma(ginv[0], f.n[0])
-    r0 = riem[0]
-    dr = _diff(riem, s4)
-    cov = np.empty((p, p, p, p, p))
-    for l in range(p):
-        gl = gam0[:, l, :]
-        cov[l] = (dr[l]
-                  + np.einsum("ar,rbmn->abmn", gl, r0)
-                  - np.einsum("rb,armn->abmn", gl, r0)
-                  - np.einsum("rm,abrn->abmn", gl, r0)
-                  - np.einsum("rn,abmr->abmn", gl, r0))
-    # cyc[l, m, n] = cov[l][..., m, n] + cov[m][..., n, l] + cov[n][..., l, m]
-    cyc = cov.transpose(0, 3, 4, 1, 2) + cov.transpose(4, 0, 3, 1, 2) + cov.transpose(3, 4, 0, 1, 2)
-    return float(np.abs(cyc).max())
+    # the curvature stars around the outer star's centres, outer centre major
+    centres = _star(_star(xs, s4), s3).swapaxes(0, 1)
+    f = _fields(geo_b, centres.reshape(-1, p), second=True)
+    ginv = _metric_inverse(f.g).reshape(centres.shape[:3] + (p, p))
+    n = f.n.reshape(centres.shape[:3] + (p, p, p))
+    riem = _riemann(ginv.swapaxes(0, 1), n.swapaxes(0, 1), s3)  # (1 + 2p, K, p, p, p, p)
+    gam0, r0 = _gamma(ginv[0, 0], n[0, 0]), riem[0]
+    # cov[l, k] = D_l R at point k, with gl[a, r] = gam0[k, a, l, r]
+    cov = (_diff(riem, s4)
+           + np.einsum("...alr,...rbmn->l...abmn", gam0, r0)
+           - np.einsum("...rlb,...armn->l...abmn", gam0, r0)
+           - np.einsum("...rlm,...abrn->l...abmn", gam0, r0)
+           - np.einsum("...rln,...abmr->l...abmn", gam0, r0))
+    # cyc[k, l, m, n] = cov[l, k][..., m, n] + cov[m, k][..., n, l] + cov[n, k][..., l, m]
+    c = cov.swapaxes(0, 1)
+    cyc = c.transpose(0, 1, 4, 5, 2, 3) + c.transpose(0, 5, 1, 4, 2, 3) + c.transpose(0, 4, 5, 1, 2, 3)
+    return np.abs(cyc).reshape(k, -1).max(axis=1)
 
 
 def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -> np.ndarray:
     """D[a, b] = d_a V^b + gamma^b_{a d} V^d for a vector field V(u)."""
-    geo = _Geo(chart, phi, cfg, {})
+    gamma = christoffel(chart, phi, cfg, u).gamma
     u = _point(chart, u)
-    try:
-        gamma = _christoffel_raw(geo, u, "direct")
-    except EvaluationError as exc:
-        raise StencilOutOfDomainError(str(exc)) from exc
     vv = np.asarray(v_field(u), dtype=float)
-    if vv.shape != (geo.p,):
-        raise DimensionError(f"vector field must return shape ({geo.p},)")
+    if vv.shape != (chart.p,):
+        raise DimensionError(f"vector field must return shape ({chart.p},)")
     star = _star(u, chart.fd_step2)
     dv = _diff(np.array([vv] + [np.asarray(v_field(x), dtype=float) for x in star[1:]]),
                chart.fd_step2)
@@ -892,11 +1053,8 @@ def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u):
     geo = _Geo(chart, phi, cfg, {})
     u = _point(chart, u)
     s = chart.fd_step
-    try:
-        frames = _frames(geo, u, s)[1]
-        frame, dframe = frames[0], _diff(frames, s)
-    except EvaluationError as exc:
-        raise StencilOutOfDomainError(str(exc)) from exc
+    frames = _frames(geo, u, s)[1]
+    frame, dframe = frames[0], _diff(frames, s)
     conn = np.stack([geo.gram(frame, d) for d in dframe], axis=-1)
     return [geo.wrap(f) for f in frame], conn
 
@@ -909,11 +1067,8 @@ def gauss_curvature_2d(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     geo = _Geo(chart, phi, cfg, {})
     u = _point(chart, u)
     s = chart.fd_step
-    try:
-        f, frames = _frames(geo, u, s)
-        df, g = _diff(frames, s), f.g[0]
-    except EvaluationError as exc:
-        raise StencilOutOfDomainError(str(exc)) from exc
+    f, frames = _frames(geo, u, s)
+    df, g = _diff(frames, s), f.g[0]
     r12 = geo.dotv(df[0][0], df[1][1]) - geo.dotv(df[1][0], df[0][1])
     det = float(_solve_gram(g)[1])
     if det <= 0:

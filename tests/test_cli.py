@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,21 @@ def test_nonfinite_point_is_one_input_error_for_each_chart_command(tmp_path, cap
     path = write_json(tmp_path / "torus.json", {"id": "torus"})
     err = run_err(capsys, [cmd, "--chart", path, "--point", "nan,0.4"], 1, "E_INPUT")
     assert err.count("\n") == 1
+
+
+def test_nonfinite_chart_value_is_one_input_error(tmp_path, capsys):
+    path = write_json(tmp_path / "para.json", {"id": "paraboloid"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would escape run()
+        err = run_err(capsys, ["metric", "--chart", path, "--point", "1e200,0"], 1, "E_INPUT")
+    assert "non-finite value" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["metric", "christoffel", "curvature", "bianchi"])
+def test_stencil_leaving_the_chart_is_one_input_error_for_each_chart_command(sphere_file, capsys,
+                                                                            cmd):
+    err = run_err(capsys, [cmd, "--chart", sphere_file, "--point", "0.00005,0.4"], 1, "E_INPUT")
+    assert "outside domain" in err and err.count("\n") == 1
 
 
 HUGE = 10 ** 400  # an integer no float can hold

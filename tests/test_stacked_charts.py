@@ -1,0 +1,193 @@
+"""The built-in charts' stacked maps and the stacked geometry entry point:
+bit identity with the per-point formulas and the single-point routes."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opgeom.algebra import DotConfig, State
+from opgeom.cli import report
+from opgeom.errors import DimensionError, EvaluationError, StencilOutOfDomainError
+from opgeom.hypersurface import (
+    _BLOCK,
+    _Geo,
+    _stencil_rows,
+    bianchi_residual,
+    christoffel,
+    curvature,
+    flat_plane,
+    geodesic,
+    geometry_at,
+    metric,
+    paraboloid,
+    riemann_gauss_curvature,
+    sphere,
+    torus,
+)
+
+from .test_hypersurface import counting
+from .test_transport import graph3_chart
+
+SUM = State.unnormalized_sum()
+CFG = DotConfig()
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+# the per-point formulas of the built-in maps in Python floats and libm
+def sphere_point(r, u):
+    st, ct, sp, cp = math.sin(u[0]), math.cos(u[0]), math.sin(u[1]), math.cos(u[1])
+    return [r * st * cp, r * st * sp, r * ct]
+
+
+def torus_point(big_r, r, u):
+    w = big_r + r * math.cos(u[0])
+    return [w * math.cos(u[1]), w * math.sin(u[1]), r * math.sin(u[0])]
+
+
+def paraboloid_point(a, u):
+    return [u[0], u[1], a * (u[0] ** 2 + u[1] ** 2)]
+
+
+BUILTINS = {
+    "sphere": (lambda c: sphere(r=c), lambda c, u: sphere_point(c, u),
+               lambda u: 0.0 < u[0] < math.pi),
+    "torus": (lambda c: torus(big_r=2.0 + c, r=c), lambda c, u: torus_point(2.0 + c, c, u),
+              lambda u: True),
+    "paraboloid": (lambda c: paraboloid(a=c), lambda c, u: paraboloid_point(c, u),
+                   lambda u: True),
+    "flat_plane": (lambda c: flat_plane(), lambda c, u: [u[0], u[1], 0.0], lambda u: True),
+}
+
+
+# numpy's vectorised sin and cos must round as libm's do on the host, and the
+# stacked squares as pow() does, or the stacked charts would drift from the
+# per-point formulas in the last bit; a few thousand random rows per draw
+# reach the one-in-a-thousand arguments where x * x and pow(x, 2) differ
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(BUILTINS)), c=st.floats(0.1, 1.9),
+       scale=st.sampled_from([1.0, 4.0, 50.0, 1e4]), seed=st.integers(0, 2**32 - 1),
+       extra=st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)), max_size=8))
+def test_stacked_maps_match_the_per_point_formulas_bit_for_bit(name, c, scale, seed, extra):
+    build, formula, domain = BUILTINS[name]
+    chart = build(c)
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([np.array(extra).reshape(-1, 2), rng.uniform(-scale, scale, (3000, 2))])
+    geo = _Geo(chart, SUM, CFG)
+    assert geo.stacked is chart.map_vec
+    stacked = geo.stacked.stack(pts)
+    mask = None if geo.stacked.inside is None else geo.stacked.inside(pts)
+    for k, u in enumerate(pts.tolist()):
+        want = hexes(formula(c, u))
+        assert hexes(stacked[k]) == want
+        assert (True if mask is None else bool(mask[k])) == domain(u)
+        if k < 40:  # the per-point views are the same map on one row
+            assert hexes(chart.map_vec(u)) == want
+            assert hexes(np.diagonal(chart.map_mat(u)).real) == want
+            assert chart.in_domain(u) == domain(u)
+
+
+def per_point(chart):
+    """The chart with a plain per-point map_vec, which takes the memoised loop."""
+    return dataclasses.replace(chart, map_vec=lambda u, f=chart.map_vec: f(u))
+
+
+def test_only_untouched_builtins_take_the_stacked_path():
+    chart = sphere()
+    assert _Geo(chart, SUM, CFG).stacked is chart.map_vec
+    for changed in (per_point(chart), dataclasses.replace(chart, map_mat=lambda u: u),
+                    dataclasses.replace(chart, in_domain=lambda u: True), counting(chart)[0]):
+        assert _Geo(changed, SUM, CFG).stacked is None
+    assert _Geo(graph3_chart(), SUM, CFG).stacked is None
+
+
+@pytest.mark.parametrize("chart", [sphere(1.3), torus(2.1, 0.45), paraboloid(0.8), flat_plane(),
+                                   sphere(state="trace")],
+                         ids=["sphere", "torus", "paraboloid", "flat_plane", "sphere-trace"])
+def test_report_on_stacked_and_per_point_maps_agree_bit_for_bit(chart):
+    phi = chart.default_state()
+    got = report(chart, phi, CFG, 7, seed=3)["stats"]
+    want = report(per_point(chart), phi, CFG, 7, seed=3)["stats"]
+    assert {k: hexes(list(v.values())) for k, v in got.items()} == \
+        {k: hexes(list(v.values())) for k, v in want.items()}
+
+
+def single_point_stats(chart, points):
+    """Report statistics from the public single-point functions."""
+    cols = {"metric_det": [], "christoffel_max_abs": [], "riemann_max_abs": [],
+            "bianchi_residual": [], "gauss_curvature": []}
+    for u in points:
+        cols["metric_det"].append(metric(chart, SUM, CFG, u).det)
+        cols["christoffel_max_abs"].append(np.abs(christoffel(chart, SUM, CFG, u).gamma).max())
+        cols["riemann_max_abs"].append(np.abs(curvature(chart, SUM, CFG, u).riemann).max())
+        cols["bianchi_residual"].append(bianchi_residual(chart, SUM, CFG, u))
+        if chart.p == 2:
+            cols["gauss_curvature"].append(riemann_gauss_curvature(chart, SUM, CFG, u))
+    return {k: {"min": min(v), "max": max(v), "mean": np.asarray(v, dtype=float).mean()}
+            for k, v in cols.items() if v}
+
+
+@pytest.mark.parametrize("chart", [sphere(), counting(sphere())[0], graph3_chart()],
+                         ids=["sphere-stacked", "sphere-per-point", "graph3"])
+def test_report_blocks_match_the_single_point_routes(chart):
+    block = _BLOCK // _stencil_rows(chart.p)
+    for count in (block - 1, block, block + 1):
+        if count < 1:
+            continue
+        doc = report(chart, SUM, CFG, count, seed=9)
+        want = single_point_stats(chart, doc["points"])
+        assert {k: hexes(list(doc["stats"][k].values())) for k in want} == \
+            {k: hexes(list(v.values())) for k, v in want.items()}
+
+
+def test_geometry_at_stacks_the_single_point_fields():
+    chart = torus()
+    pts = np.array([[0.3, 1.2], [2.0, -0.4], [4.1, 3.3]])
+    geom = geometry_at(chart, SUM, CFG, pts)
+    for k, u in enumerate(pts):
+        mf, cf = metric(chart, SUM, CFG, u), curvature(chart, SUM, CFG, u)
+        assert geom.g[k].tobytes() == mf.g.tobytes()
+        assert geom.g_inv[k].tobytes() == mf.g_inv.tobytes()
+        assert geom.det[k] == mf.det
+        assert geom.gamma[k].tobytes() == christoffel(chart, SUM, CFG, u).gamma.tobytes()
+        assert geom.riemann[k].tobytes() == cf.riemann.tobytes()
+        assert geom.bianchi[k] == bianchi_residual(chart, SUM, CFG, u)
+        assert geom.gauss_curvature()[k] == riemann_gauss_curvature(chart, SUM, CFG, u)
+    for bad in (pts[0], pts[:0], np.ones((2, 3))):
+        with pytest.raises(DimensionError):
+            geometry_at(chart, SUM, CFG, bad)
+
+
+def test_curvature_builds_the_metric_once():
+    counted, seen = counting(sphere())
+    u = np.array([0.9, 0.5])
+    gauss = riemann_gauss_curvature(counted, SUM, CFG, u)
+    assert len(seen) == 53 and len(set(seen)) == 53
+    cf = curvature(sphere(), SUM, CFG, u)
+    mf = metric(sphere(), SUM, CFG, u)
+    assert cf.metric.g.tobytes() == mf.g.tobytes()
+    assert cf.metric.g_inv.tobytes() == mf.g_inv.tobytes()
+    assert gauss == cf.gauss_curvature(mf)
+
+
+@pytest.mark.parametrize("chart", [paraboloid(), counting(paraboloid())[0]],
+                         ids=["stacked", "per-point"])
+def test_nonfinite_chart_values_are_evaluation_errors(chart):
+    with np.errstate(all="raise"):  # an overflow warning would surface as an error
+        with pytest.raises(EvaluationError, match="non-finite value at point"):
+            metric(chart, SUM, CFG, [1e200, 0.0])
+    res = geodesic(chart, SUM, CFG, [1e200, 0.0], [1.0, 0.0], 0.1, 0.05)
+    assert res.left_domain and len(res) == 1
+
+
+def test_stencil_out_of_domain_is_an_evaluation_error():
+    assert issubclass(StencilOutOfDomainError, EvaluationError)
+    for fn in (metric, christoffel, curvature, bianchi_residual):
+        with pytest.raises(StencilOutOfDomainError, match="outside domain"):
+            fn(sphere(), SUM, CFG, [5e-5, 0.4])
