@@ -14,7 +14,9 @@ equal:
 
 The runs are ``metric``, ``christoffel`` (both routes), ``curvature``,
 ``geodesic``, ``bianchi`` and ``report --seed 7`` on each builtin
-two-parameter chart, plus ``holonomy`` and ``stokes``.  The error runs are
+two-parameter chart, plus ``holonomy`` (the stored path, a long one spanning
+several product-integral blocks, and A(s) = s X + Y from two matrix files)
+and ``stokes`` (default and a given loop).  The error runs are
 a chart file with a 400-digit radius, one with a state object,
 ``christoffel`` at a NaN point, ``metric`` on a paraboloid at a point where
 the chart value overflows, and ``christoffel`` on the sphere where the
@@ -42,6 +44,14 @@ CHARTS = {
     "flat_plane": ({"id": "flat_plane"}, "0.2,0.5", "0.7,0.1"),
 }
 
+# matrix file name -> matrix JSON: antihermitian X and Y of the holonomy run
+MATRICES = {
+    "X": {"dim": 3, "re": [0.0, 0.5, -0.2, -0.5, 0.0, 0.3, 0.2, -0.3, 0.0],
+          "im": [0.1, 0.0, 0.4, 0.0, -0.2, 0.1, 0.4, 0.1, 0.3]},
+    "Y": {"dim": 3, "re": [0.0, -0.25, 0.4, 0.25, 0.0, 0.15, -0.4, -0.15, 0.0],
+          "im": [-0.3, 0.2, 0.0, 0.2, 0.35, -0.1, 0.0, -0.1, 0.05]},
+}
+
 # error run name -> (subcommand, chart JSON, point)
 ERRORS = {
     "sphere-bigint": ("metric", {"id": "sphere", "params": {"r": 10 ** 400}}, "1.1,0.7"),
@@ -54,7 +64,7 @@ ERRORS = {
 
 
 def snapshot_runs(chart_dir: Path) -> list:
-    """(name, argv) of every run; chart files are written into chart_dir."""
+    """(name, argv) of every run; chart and matrix files are written into chart_dir."""
     runs = []
     for cid, (obj, point, v0) in CHARTS.items():
         path = chart_dir / f"{cid}.json"
@@ -74,7 +84,18 @@ def snapshot_runs(chart_dir: Path) -> list:
     runs.append(("sphere-geodesic-pole", ["geodesic", "--chart", str(chart_dir / "sphere.json"),
                                           "--u0=0.5,0.3", "--v0=-1,0", "--tau", "1",
                                           "--step", "0.05"]))
-    runs += [("holonomy", ["holonomy", "--step", "0.001"]), ("stokes", ["stokes"])]
+    matrix_args = []
+    for name, obj in MATRICES.items():
+        path = chart_dir / f"{name}.json"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        matrix_args += ["--matrix", str(path)]
+    runs += [
+        ("holonomy", ["holonomy", "--step", "0.001"]),
+        ("holonomy-long", ["holonomy", "--tau", "2.5", "--step", "0.0004"]),
+        ("holonomy-matrix", ["holonomy", *matrix_args]),
+        ("stokes", ["stokes"]),
+        ("stokes-loop", ["stokes", "--point", "0.1,-0.2", "--step", "0.1"]),
+    ]
     return runs
 
 

@@ -357,11 +357,10 @@ def _cmd_holonomy(args):
         x_m, y_m = mats[0].m, mats[1].m
         if x_m.shape != y_m.shape:
             raise DimensionError("X and Y must have equal dimension")
-        path = transport.ConnectionPath(
-            A=lambda s: s * x_m + y_m, s_range=(0.0, tau), n_steps=n_steps)
+        a = transport._affine_connection(x_m, y_m)
     else:
-        path = transport.ConnectionPath(
-            A=transport.stored_test_path().A, s_range=(0.0, tau), n_steps=n_steps)
+        a = transport.stored_test_path().A
+    path = transport.ConnectionPath(A=a, s_range=(0.0, tau), n_steps=n_steps)
     f = transport.product_integral(path)
     doc = {
         "s_range": [0.0, tau],

@@ -24,6 +24,9 @@ be positive and finite.
 
 Every public function taking a point u checks it first: a shape other than
 (p,) raises ``DimensionError`` and a non-finite entry ``EvaluationError``.
+Chart geometry needs Re(lam) > 0: below it the metric of commuting chart
+values is negative definite, at it zero.  Every public chart-geometry
+function raises ``DomainError`` for a ``DotConfig`` with Re(lam) <= 0.
 
 All chart values come from one stencil evaluator, ``_fields``.  Given a
 stack of centres it builds every stencil point first: the central tangent
@@ -86,6 +89,7 @@ from .algebra import (
 )
 from .errors import (
     DimensionError,
+    DomainError,
     EvaluationError,
     JacobiViolationError,
     NonSymmetricMetricError,
@@ -554,6 +558,14 @@ class _Geo:
         return embed_diag(x) if self.weights is not None else AlgebraElement(x)
 
 
+def _geo(chart: Chart, phi: State, cfg: DotConfig, memo: dict | None = None) -> _Geo:
+    """The evaluator of a public geometry call; DomainError unless Re(lam) > 0."""
+    lam = complex(cfg.lam)
+    if not lam.real > 0:
+        raise DomainError(f"chart geometry needs Re(lam) > 0, got lam={lam}")
+    return _Geo(chart, phi, cfg, memo)
+
+
 def _stacked_map(chart: Chart) -> _StackedMap | None:
     """The chart's stacked map, if its three per-point maps are still its views."""
     fn = chart.map_vec
@@ -740,7 +752,7 @@ def tangent_basis(chart: Chart, phi: State, cfg: DotConfig, u) -> list:
     Warns with SingularGramWarning when the tangent Gram matrix is rank
     deficient at u.
     """
-    geo = _Geo(chart, phi, cfg)
+    geo = _geo(chart, phi, cfg)
     f = _fields(geo, _point(chart, u)[None])
     _solve_gram(f.g[0], SingularGramWarning("tangent Gram matrix is rank deficient"))
     return [geo.wrap(t) for t in f.t[0]]
@@ -748,7 +760,7 @@ def tangent_basis(chart: Chart, phi: State, cfg: DotConfig, u) -> list:
 
 def metric(chart: Chart, phi: State, cfg: DotConfig, u) -> MetricField:
     """Induced metric g[i, j] = b_i . b_j with its inverse."""
-    g = _fields(_Geo(chart, phi, cfg), _point(chart, u)[None]).g[0]
+    g = _fields(_geo(chart, phi, cfg), _point(chart, u)[None]).g[0]
     return MetricField(g=g, g_inv=_solve_metric(g)[0])
 
 
@@ -768,7 +780,7 @@ def _tangent_projection(phi: State, cfg: DotConfig, ts: list, a: AlgebraElement)
 def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "direct") -> ConnectionField:
     """Connection coefficients from second chart derivatives ("direct") or
     from first derivatives of the metric ("metric")."""
-    geo, u = _Geo(chart, phi, cfg, {}), _point(chart, u)
+    geo, u = _geo(chart, phi, cfg, {}), _point(chart, u)
     if method == "direct":
         f = _fields(geo, u[None], second=True)
         return ConnectionField(gamma=_gamma(_metric_inverse(f.g[0]), f.n[0]))
@@ -783,7 +795,7 @@ def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "dire
 
 def metric_compat_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Max-norm violation of d_c g_{ij} = gamma^r_{ci} g_{rj} + gamma^r_{cj} g_{ir}."""
-    geo = _Geo(chart, phi, cfg, {})
+    geo = _geo(chart, phi, cfg, {})
     u = _point(chart, u)
     f = _fields(geo, u[None], second=True)
     g = f.g[0]
@@ -866,7 +878,7 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
     per = 1 if _stacked_map(chart) is None else max(1, _BLOCK // _stencil_rows(p))
     parts = []
     for lo in range(0, len(xs), per):
-        geo = _Geo(chart, phi, cfg, {})
+        geo = _geo(chart, phi, cfg, {})
         block = xs[lo:lo + per]
         parts.append(_curvature_at(geo, block) + (_bianchi_at(geo, block) if p >= 2 else None,))
     return Geometry(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
@@ -898,7 +910,7 @@ def _curvature_at(geo: _Geo, xs: np.ndarray) -> tuple:
 def curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> CurvatureField:
     """Riemann components from central differences of the connection factors,
     with the metric at u from the same stencils."""
-    g, ginv, _, _, riem = _curvature_at(_Geo(chart, phi, cfg, {}), _point(chart, u)[None])
+    g, ginv, _, _, riem = _curvature_at(_geo(chart, phi, cfg, {}), _point(chart, u)[None])
     return CurvatureField(riemann=riem[0], metric=MetricField(g=g[0], g_inv=ginv[0]))
 
 
@@ -929,7 +941,7 @@ def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     x = _point(chart, u)
     if chart.p < 2:
         raise DimensionError("Bianchi residual needs at least two parameters")
-    return float(_bianchi_at(_Geo(chart, phi, cfg, {}), x[None])[0])
+    return float(_bianchi_at(_geo(chart, phi, cfg, {}), x[None])[0])
 
 
 def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
@@ -1003,7 +1015,7 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
         raise ValueError("initial velocity must be nonzero")
     if not (step > 0 and tau_max > 0):
         raise ValueError("step and tau_max must be positive")
-    geo = _Geo(chart, phi, cfg)  # no memo: RK4 stages never share a point
+    geo = _geo(chart, phi, cfg)  # no memo: RK4 stages never share a point
     if not chart.in_domain(u):
         raise EvaluationError(f"initial point {u.tolist()} outside chart domain")
     n_steps = max(1, int(round(tau_max / step)))
@@ -1050,7 +1062,7 @@ def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u):
     derivative layer, and this step keeps the antisymmetry defect at the
     square of the step).
     """
-    geo = _Geo(chart, phi, cfg, {})
+    geo = _geo(chart, phi, cfg, {})
     u = _point(chart, u)
     s = chart.fd_step
     frames = _frames(geo, u, s)[1]
@@ -1064,7 +1076,7 @@ def gauss_curvature_2d(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     K = (d_1 bhat_1 . d_2 bhat_2 - d_2 bhat_1 . d_1 bhat_2) / sqrt(det g)."""
     if chart.p != 2:
         raise DimensionError("gauss_curvature_2d requires a 2-parameter chart")
-    geo = _Geo(chart, phi, cfg, {})
+    geo = _geo(chart, phi, cfg, {})
     u = _point(chart, u)
     s = chart.fd_step
     f, frames = _frames(geo, u, s)

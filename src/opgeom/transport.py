@@ -4,6 +4,12 @@ A connection along a curve enters as the sampled 1-form s -> A(gamma(s)) gamma'(
 The path-ordered exponential solving dF/ds = A(s) F is computed three ways:
 a truncated iterated-integral series, an ordered product of midpoint
 exponentials, and an adaptive ODE oracle used only for verification.
+
+The connections this module builds are defined once over a stack of
+arguments (``_Stacked``): a block of samples is one call, and a call on one
+argument is a view of the same formula, with the same bits.  Any other
+callable, a wrapped library connection included, is called once per sample
+with a float64 argument.  Only ``transport_oracle`` imports scipy.
 """
 
 from __future__ import annotations
@@ -76,8 +82,33 @@ class LoopSpec:
             raise ValueError("loop side length must be positive")
 
 
+class _Stacked:
+    """A connection callable defined once over a stack of arguments.
+
+    ``stack`` maps a (k, ...) float stack of arguments to the (k, ...)
+    complex stack of their values.  A call on one argument is a view of it:
+    ``stack`` of a stack of one, indexed, so both give the same bits.
+    """
+
+    __slots__ = ("stack",)
+
+    def __init__(self, stack):
+        self.stack = stack
+
+    def __call__(self, x) -> np.ndarray:
+        return self.stack(np.asarray(x, dtype=float)[None])[0]
+
+
+def _values(a, points) -> np.ndarray:
+    """The values of a at each of points, as one complex array: one call on
+    the whole stack when a is stacked, one call per point otherwise."""
+    if isinstance(a, _Stacked):
+        return np.asarray(a.stack(points), dtype=complex)
+    return np.array([a(x) for x in points], dtype=complex)
+
+
 def _sample(a, points):
-    vals = np.stack([np.asarray(a(si), dtype=complex) for si in points])
+    vals = _values(a, points)
     if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
         raise DimensionError("connection samples must be square matrices")
     if not np.all(np.isfinite(vals)):
@@ -97,17 +128,18 @@ def ordered_series(path: ConnectionPath, order: int) -> np.ndarray:
             f"series order {order} exceeds the supported maximum {MAX_SERIES_ORDER}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    from scipy.integrate import cumulative_trapezoid
-
     s = path.grid()
     vals = _sample(path.A, s)
+    ds = np.diff(s)[:, None, None]
     d = vals.shape[1]
     eye = np.eye(d, dtype=complex)
     total = eye.copy()
     u_level = np.broadcast_to(eye, vals.shape).copy()
     for _ in range(order):
         integrand = vals @ u_level
-        u_level = cumulative_trapezoid(integrand, s, axis=0, initial=0.0)
+        # composite trapezoid rule, cumulative from a zero first row
+        steps = np.cumsum(ds * (integrand[1:] + integrand[:-1]) / 2.0, axis=0)
+        u_level = np.concatenate([np.zeros_like(integrand[:1]), steps])
         total = total + u_level[-1]
     return total
 
@@ -225,11 +257,8 @@ def transport_oracle(path: ConnectionPath, f0: np.ndarray | None = None) -> np.n
 def reverse_path(path: ConnectionPath) -> ConnectionPath:
     """Path traversed backward; its transport is the inverse of the original."""
     s0, s1 = path.s_range
-
-    def a_rev(s):
-        return -np.asarray(path.A(s0 + s1 - s), dtype=complex)
-
-    return ConnectionPath(A=a_rev, s_range=(s0, s1), n_steps=path.n_steps)
+    return ConnectionPath(A=_Stacked(lambda s: -_values(path.A, s0 + s1 - s)),
+                          s_range=(s0, s1), n_steps=path.n_steps)
 
 
 def _segment_path(a_field, start, end, n_steps):
@@ -237,10 +266,10 @@ def _segment_path(a_field, start, end, n_steps):
     delta = np.asarray(end, dtype=float) - start
 
     def a_seg(t):
-        comps = np.asarray(a_field(start + t * delta), dtype=complex)
-        return np.einsum("i,ijk->jk", delta, comps)
+        comps = _values(a_field, start + t[:, None] * delta)
+        return np.einsum("i,kijl->kjl", delta, comps)
 
-    return ConnectionPath(A=a_seg, s_range=(0.0, 1.0), n_steps=n_steps)
+    return ConnectionPath(A=_Stacked(a_seg), s_range=(0.0, 1.0), n_steps=n_steps)
 
 
 def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
@@ -294,18 +323,25 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _affine_connection(x: np.ndarray, y: np.ndarray) -> _Stacked:
+    """A(s) = s X + Y."""
+    return _Stacked(lambda s: s[:, None, None] * x + y)
+
+
 def stored_test_path(n_steps: int = 2000) -> ConnectionPath:
     """Non-commuting antihermitian reference path A(s) = s X + Y on [0, 1]."""
-
-    def a(s):
-        return s * _STORED_X + _STORED_Y
-
-    return ConnectionPath(A=a, s_range=(0.0, 1.0), n_steps=n_steps)
+    return ConnectionPath(A=_affine_connection(_STORED_X, _STORED_Y),
+                          s_range=(0.0, 1.0), n_steps=n_steps)
 
 
-def stored_su2_field(u) -> np.ndarray:
-    """su(2)-valued reference 1-form on the plane with nonzero [A1, A2]."""
-    u = np.asarray(u, dtype=float)
-    a1 = 1.0j * (0.4 * _SIGMA_Z + 0.7 * u[1] * _SIGMA_X)
-    a2 = 1.0j * (0.5 * _SIGMA_X + 0.6 * u[0] * _SIGMA_Y + 0.2 * u[1] * u[1] * _SIGMA_Z)
-    return np.stack([a1, a2])
+def _su2_field(us: np.ndarray) -> np.ndarray:
+    """su(2)-valued reference 1-form on the plane with nonzero [A1, A2]: its
+    two components (k, 2, 2, 2) at a stack of points (k, 2)."""
+    u0, u1 = us[:, 0, None, None], us[:, 1, None, None]
+    a1 = 1.0j * (0.4 * _SIGMA_Z + 0.7 * u1 * _SIGMA_X)
+    a2 = 1.0j * (0.5 * _SIGMA_X + 0.6 * u0 * _SIGMA_Y + 0.2 * u1 * u1 * _SIGMA_Z)
+    return np.stack([a1, a2], axis=1)
+
+
+# called on one point u (2,), the components (2, 2, 2) there
+stored_su2_field = _Stacked(_su2_field)

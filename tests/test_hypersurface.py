@@ -26,6 +26,7 @@ from opgeom.algebra import (
 from opgeom.cli import report
 from opgeom.errors import (
     DimensionError,
+    DomainError,
     EvaluationError,
     HermiticityError,
     JacobiViolationError,
@@ -48,6 +49,7 @@ from opgeom.hypersurface import (
     flat_plane,
     gauss_curvature_2d,
     geodesic,
+    geometry_at,
     gibbs_force,
     killing_metric,
     leibniz_violation_witness,
@@ -760,6 +762,21 @@ POINT_FUNCTIONS = {
 def test_public_chart_functions_check_the_point_first(name, point, error, match):
     with pytest.raises(error, match=match):
         POINT_FUNCTIONS[name](sphere(), SUM, CFG, point)
+
+
+GEOMETRY_FUNCTIONS = dict(
+    POINT_FUNCTIONS,
+    geometry_at=lambda chart, phi, cfg, u: geometry_at(chart, phi, cfg, [u]),
+    geodesic=lambda chart, phi, cfg, u: geodesic(chart, phi, cfg, u, [0.1, 0.2], 0.1, 0.05),
+)
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.0, 0.5j])
+@pytest.mark.parametrize("name", list(GEOMETRY_FUNCTIONS))
+def test_chart_geometry_needs_positive_real_lam(name, lam):
+    # Re(lam) <= 0 makes the metric of commuting chart values negative or zero
+    with pytest.raises(DomainError, match=r"Re\(lam\) > 0"):
+        GEOMETRY_FUNCTIONS[name](sphere(), SUM, DotConfig(lam=lam), SPHERE_PT)
 
 
 def test_chart_state_must_be_sum_or_trace():

@@ -33,7 +33,10 @@ from opgeom.transport import (
     stored_test_path,
     transport_oracle,
     _BLOCK,
+    _Stacked,
     _expm_stack,
+    _sample,
+    _segment_path,
 )
 
 SUM = State.unnormalized_sum()
@@ -231,6 +234,120 @@ def test_import_loads_no_scipy():
     code = ("import opgeom, sys; "
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_ordered_series_loads_no_scipy():
+    code = ("import sys; from opgeom.transport import ordered_series, stored_test_path; "
+            "ordered_series(stored_test_path(n_steps=10), 3); "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# ---------------------------------------------------------------------------
+# stacked connections
+
+def hexes(m):
+    m = np.asarray(m, dtype=complex)
+    return [float(x).hex() for x in np.concatenate([m.real.ravel(), m.imag.ravel()])]
+
+
+def per_point(a):
+    """The connection a behind a plain callable, sampled point by point."""
+    return lambda x: a(x)
+
+
+finite = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.lists(finite, min_size=1, max_size=8), s0=finite, s1=finite)
+def test_stacked_paths_match_their_per_point_calls(s, s0, s1):
+    s = np.array(s)
+    path = ConnectionPath(A=stored_test_path().A, s_range=(s0, s1), n_steps=3)
+    for a in (path.A, reverse_path(path).A, reverse_path(reverse_path(path)).A):
+        assert isinstance(a, _Stacked)
+        assert hexes(_sample(a, s)) == hexes([a(x) for x in s])
+
+
+@settings(max_examples=40, deadline=None)
+@given(us=st.lists(st.tuples(finite, finite), min_size=1, max_size=8))
+def test_stacked_su2_field_matches_its_per_point_calls(us):
+    us = np.array(us)
+    assert stored_su2_field.stack(us).shape == (len(us), 2, 2, 2)
+    assert hexes(stored_su2_field.stack(us)) == hexes([stored_su2_field(u) for u in us])
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       start=st.tuples(finite, finite), end=st.tuples(finite, finite))
+def test_stacked_segment_matches_per_point_field(t, start, end):
+    # non-axis directions: the segment contracts both field components
+    t = np.array(t)
+    seg = _segment_path(stored_su2_field, start, end, 4).A
+    plain = _segment_path(per_point(stored_su2_field), start, end, 4).A
+    want = hexes([plain(x) for x in t])
+    assert hexes(_sample(seg, t)) == want
+    assert hexes(_sample(plain, t)) == want
+    assert hexes([seg(x) for x in t]) == want
+
+
+@pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_stacked_product_integral_matches_per_point(n_steps):
+    path = stored_test_path(n_steps=n_steps)
+    plain = replace(path, A=per_point(path.A))
+    assert hexes(product_integral(path)) == hexes(product_integral(plain))
+    assert hexes(product_integral(reverse_path(path))) == hexes(
+        product_integral(reverse_path(plain)))
+
+
+def test_stacked_stokes_matches_per_point():
+    for eps in (0.1, 0.05):
+        loop = LoopSpec(base=LOOP_BASE, dirs=((0.8, 0.6), (-0.3, 1.1)), epsilon=eps)
+        got = stokes_residual(stored_su2_field, loop)
+        assert float(got).hex() == float(stokes_residual(per_point(stored_su2_field),
+                                                          loop)).hex()
+
+
+@pytest.mark.parametrize("stack, error", [
+    (lambda s: np.ones((len(s), 2, 3)), DimensionError),
+    (lambda s: np.ones((len(s), 2)), DimensionError),
+    (lambda s: np.full((len(s), 2, 2), np.nan), ValueError),
+])
+def test_stacked_connection_bad_samples_rejected(stack, error):
+    path = ConnectionPath(A=_Stacked(stack), s_range=(0.0, 1.0), n_steps=4)
+    with pytest.raises(error):
+        product_integral(path)
+    with pytest.raises(error):
+        ordered_series(path, 2)
+
+
+def counting(fn):
+    """fn behind a plain callable that records the arguments of every call."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    return counted, calls
+
+
+def test_stacked_connection_is_sampled_once_per_block():
+    stack, calls = counting(stored_test_path().A.stack)
+    product_integral(ConnectionPath(A=_Stacked(stack), s_range=(0.0, 1.0),
+                                    n_steps=2 * _BLOCK + 1))
+    assert [len(s) for s in calls] == [_BLOCK, _BLOCK, 1]
+
+
+def test_wrapped_connection_is_sampled_once_per_point():
+    a, calls = counting(stored_test_path().A)
+    product_integral(ConnectionPath(A=a, s_range=(0.0, 1.0), n_steps=_BLOCK + 5))
+    assert len(calls) == _BLOCK + 5
+    assert all(type(s) is np.float64 for s in calls)
+    field, calls = counting(stored_su2_field)
+    stokes_residual(field, LoopSpec(base=LOOP_BASE, dirs=LOOP_DIRS, epsilon=0.1))
+    # 256 midpoints on each of the 4 sides, then 6 field-strength samples
+    assert len(calls) == 4 * 256 + 6
 
 
 # ---------------------------------------------------------------------------
