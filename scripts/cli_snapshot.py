@@ -19,8 +19,9 @@ several product-integral blocks, and A(s) = s X + Y from two matrix files)
 and ``stokes`` (default and a given loop).  The error runs are
 a chart file with a 400-digit radius, one with a state object,
 ``christoffel`` at a NaN point, ``metric`` on a paraboloid at a point where
-the chart value overflows, and ``christoffel`` on the sphere where the
-stencil crosses the pole.  All run in one process through
+the chart value overflows, ``christoffel`` on the sphere where the
+stencil crosses the pole, and ``holonomy`` along A(s) = s X + Y where the
+samples overflow.  All run in one process through
 ``opgeom.cli.run``; stderr names chart files without their directory, and an
 exception escaping ``run`` is recorded as ``exit=raised <type>``.
 """
@@ -60,6 +61,13 @@ ERRORS = {
     # an overflowing chart value, and a stencil stepping over the pole
     "paraboloid-metric-huge": ("metric", {"id": "paraboloid"}, "1e200,0"),
     "sphere-christoffel-pole": ("christoffel", CHARTS["sphere"][0], "0.00005,0.4"),
+}
+
+# matrix file name -> matrix JSON: X of an affine connection whose samples
+# s X overflow for s > 1.8, and a zero Y
+OVERFLOW_MATRICES = {
+    "X-huge": {"dim": 2, "re": [0.0, 1e308, -1e308, 0.0], "im": [0.0] * 4},
+    "Y-zero": {"dim": 2, "re": [0.0] * 4, "im": [0.0] * 4},
 }
 
 
@@ -106,6 +114,13 @@ def error_runs(chart_dir: Path) -> list:
         path = chart_dir / f"{name}.json"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         runs.append((name, [cmd, "--chart", str(path), "--point", point]))
+    matrix_args = []
+    for name, obj in OVERFLOW_MATRICES.items():
+        path = chart_dir / f"{name}.json"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        matrix_args += ["--matrix", str(path)]
+    runs.append(("holonomy-matrix-overflow",
+                 ["holonomy", *matrix_args, "--tau", "10", "--step", "0.5"]))
     return runs
 
 

@@ -12,7 +12,10 @@ with lam = 1/2 giving the symmetric product used throughout the geometry
 modules.
 
 All matrix and state file I/O (a small JSON schema) lives in this module;
-the other modules consume in-memory values only.
+the other modules consume in-memory values only.  So do two helpers the
+geometry and transport modules share: ``_Stacked``, the one type of callable
+defined over a stack of points, with ``_each``, the rule that calls it, and
+``_asymmetric``, the one relative symmetry test.
 """
 
 from __future__ import annotations
@@ -65,11 +68,60 @@ def _as_square_complex(m, what="matrix"):
     return arr
 
 
+def _asymmetric(a: np.ndarray, t: np.ndarray, axes=None):
+    """Whether max|a - t| > HERMITICITY_TOL max(1, max|a|), for t a transpose
+    of a, conjugated or negated as the symmetry asks: the one relative
+    symmetry test.  Given axes, it tests each member of a stack over them."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=axes))
+    return np.abs(a - t).max(axis=axes) > HERMITICITY_TOL * scale
+
+
 def _require_hermitian(arr, what="matrix"):
-    scale = max(1.0, np.abs(arr).max())
-    if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL * scale:
+    if _asymmetric(arr, arr.conj().T):
         raise HermiticityError(
             f"{what} is not hermitian within {HERMITICITY_TOL} relative tolerance")
+
+
+class _Stacked:
+    """A callable defined once over a stack of arguments.
+
+    ``fn`` maps a (k, ...) float stack of arguments to the (k, ...) stack of
+    their values.  ``stack`` runs it with NumPy's floating-point warnings
+    off, so an overflow shows only as a non-finite value, which the caller
+    checks.  A call on one argument is a view of it: ``stack`` of a stack of
+    one, indexed, so both give the same bits.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def stack(self, xs: np.ndarray):
+        with np.errstate(all="ignore"):
+            return self.fn(xs)
+
+    def __call__(self, x):
+        return self.stack(np.asarray(x, dtype=float)[None])[0]
+
+
+def _each(fn, xs: np.ndarray, memo: dict | None = None):
+    """The values of fn at the rows of xs: one call on the whole stack when
+    fn is a ``_Stacked``, otherwise a list of one call per row.  Given a
+    memo, a dict keyed on the bytes of each row, a per-row fn is called once
+    per distinct row."""
+    if isinstance(fn, _Stacked):
+        return fn.stack(xs)
+    if memo is None:
+        return [fn(x) for x in xs]
+    out = []
+    for x in xs:
+        key = x.tobytes()
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = fn(x)
+        out.append(v)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,12 +37,6 @@ _MASK = (1 << 64) - 1
 _DEFAULT_SEED_STATE = 0x9E3779B97F4A7C15
 REPORT_SAMPLE_COUNT = 20
 
-SUBCOMMANDS = (
-    "gram", "project", "orthonormalize", "uncertainty", "energy-bound",
-    "metric", "christoffel", "curvature", "geodesic", "holonomy", "stokes",
-    "bianchi", "volume", "killing", "report",
-)
-
 
 class XorShift64Star:
     """Deterministic 64-bit xorshift* generator (see module docstring)."""
@@ -501,6 +495,8 @@ _HANDLERS = {
     "killing": _cmd_killing,
     "report": _cmd_report,
 }
+
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def _build_parser() -> _Parser:

@@ -36,14 +36,16 @@ with q = fd_step2.  It evaluates them in one pass, then differences whole
 stencil layers as stacks with the per-point formulas in their operand order,
 so every entry keeps the bits of a point-by-point evaluation.
 
-The built-in ``sphere``, ``torus``, ``paraboloid`` and ``flat_plane`` define
-their map once over a (k, p) stack of points, with a vectorised domain test;
-their per-point ``map_vec``, ``map_mat`` and ``in_domain`` are views of it,
-so the per-point and stacked values have the same bits.  A pass over such a
-chart is one call on the whole stack, repeated points included.  Any other
-chart (``custom_grid``, a user chart, or a built-in one given a different
-per-point map, as a counting wrapper does) is evaluated point by point, and
-there each distinct point is evaluated once per memo, keyed on its bytes.
+Chart maps and domain tests follow one rule.  A ``_Stacked`` one is defined
+once over a (k, p) stack of points and takes one call per stack, repeated
+points included; its per-point call is a view of the same formula, with the
+same bits.  Any other callable takes one call per point.  Every built-in
+chart's ``map_vec``, ``map_mat`` and ``in_domain`` are ``_Stacked``
+(``custom_grid`` included); a user chart's, or one substituted into a
+built-in chart, as a counting wrapper is, are not.  A chart defined
+everywhere (``torus``, ``paraboloid``, ``flat_plane``) runs no domain test.
+A per-point map is called once per distinct point per memo, keyed on the
+point's bytes.
 The memo lives for one public call, or for one block of ``geometry_at``,
 whose curvature and Bianchi batches share it; ``metric``, ``tangent_basis``
 and ``geodesic`` keep none, since their points never repeat.  This assumes a
@@ -58,9 +60,9 @@ chart, and a non-finite chart value (an overflow, say) raises
 raises ``EvaluationError``.
 
 ``geometry_at`` gives the metric, Christoffel, Riemann and Bianchi fields of
-a stack of points in blocks of at most ``_BLOCK`` stencil rows on a chart with
-a stacked map, and of one point on a chart evaluated point by point, whose
-memo holds every chart value of its block.  ``curvature``,
+a stack of points in blocks of at most ``_BLOCK`` stencil rows on a chart whose
+map is ``_Stacked``, and of one point on any other chart, whose memo holds
+every chart value of its block.  ``curvature``,
 ``riemann_gauss_curvature`` and ``bianchi_residual`` run the same stacked code
 on one point.
 """
@@ -70,7 +72,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,10 +82,13 @@ from .algebra import (
     DotConfig,
     PhysConstants,
     State,
+    _asymmetric,
     _dot_matrix,
+    _each,
     _require_hermitian,
     _solve_gram,
     _stack,
+    _Stacked,
     embed_diag,
     heisenberg_dot,
 )
@@ -136,18 +141,15 @@ __all__ = [
     "geometry_at",
 ]
 
-SYMMETRY_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class Chart:
     """Parametrized map from a p-dimensional parameter box into the algebra.
 
     ``map_mat`` returns the raw complex matrix b(u).  Charts embedding a
     real vector diagonally also provide ``map_vec`` (the diagonal), which
-    the geometry routines use as a fast path.  The built-in charts' three
-    maps are views of one map over a stack of points, which the geometry
-    routines call once per stack while all three are left in place.
+    the geometry routines use as a fast path.  The geometry routines call
+    a map or ``in_domain`` that is a ``_Stacked`` once per stack of points,
+    and any other callable once per point.
     ``state_kind`` names the dimension-free default state ("sum" or
     "trace") used by the CLI.
     """
@@ -228,37 +230,6 @@ class GeodesicResult(list):
 # ---------------------------------------------------------------------------
 # built-in charts
 
-class _StackedMap:
-    """A diagonal chart map defined once over a (k, p) stack of points.
-
-    ``values`` maps the stack to its (k, dim) diagonals and ``inside`` to a
-    (k,) domain mask (None: defined everywhere).  ``values`` runs under
-    ``np.errstate``, so an overflow shows only as a non-finite value, which
-    ``_Geo.vals`` reports.  The per-point ``map_vec``, ``map_mat`` and
-    ``in_domain`` of a built-in chart are the views ``self``, ``matrix`` and
-    ``contains`` of one such map.
-    """
-
-    __slots__ = ("values", "inside")
-
-    def __init__(self, values: Callable, inside: Callable | None = None):
-        self.values = values
-        self.inside = inside
-
-    def stack(self, xs: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return self.values(xs)
-
-    def __call__(self, u) -> np.ndarray:
-        return self.stack(np.asarray(u, dtype=float)[None])[0]
-
-    def matrix(self, u) -> np.ndarray:
-        return np.diag(self(u)).astype(complex)
-
-    def contains(self, u) -> bool:
-        return self.inside is None or bool(self.inside(np.asarray(u, dtype=float)[None])[0])
-
-
 def _columns(*cols) -> np.ndarray:
     """The array whose columns are cols (length-k arrays or scalars), written
     into one preallocated (k, n) array, which is faster than np.stack."""
@@ -268,13 +239,25 @@ def _columns(*cols) -> np.ndarray:
     return out
 
 
+# the domain test of a chart defined everywhere, which no stack is run through
+_EVERYWHERE = _Stacked(lambda xs: np.ones(len(xs), dtype=bool))
+
+
 def _diag_chart(id, p, dim, values, inside, box, params, state="sum",
                 fd_step=1e-4, fd_step2=1e-3):
-    smap = _StackedMap(values, inside)
+    """A chart whose stacked map values (k, p) -> (k, dim) is embedded
+    diagonally, with the (k,) domain mask inside (None: defined everywhere)."""
+
+    def matrices(xs):
+        v = values(xs)
+        out = np.zeros(v.shape + (dim,), dtype=complex)
+        out[:, range(dim), range(dim)] = v
+        return out
+
     return Chart(
-        id=id, p=p, dim=dim, map_mat=smap.matrix, map_vec=smap,
-        in_domain=smap.contains, sample_box=box, state_kind=state,
-        fd_step=fd_step, fd_step2=fd_step2, params=dict(params),
+        id=id, p=p, dim=dim, map_mat=_Stacked(matrices), map_vec=_Stacked(values),
+        in_domain=_EVERYWHERE if inside is None else _Stacked(inside), sample_box=box,
+        state_kind=state, fd_step=fd_step, fd_step2=fd_step2, params=dict(params),
     )
 
 
@@ -365,37 +348,37 @@ def custom_grid(axes, values, state: str = "sum", fd_step: float | None = None,
     dim = vals.shape[p]
     spacing = min(float(np.diff(ax).min()) for ax in axes)
 
-    def map_mat(u):
-        idx = []
-        wts = []
+    def map_mat(xs):
+        # each point's cell and weights, then the corners in the same order and
+        # with the same products as one point alone, zero weights skipped
+        idx, wts = [], []
         for k, ax in enumerate(axes):
-            i = int(np.searchsorted(ax, u[k], side="right")) - 1
-            i = min(max(i, 0), ax.size - 2)
-            t = (u[k] - ax[i]) / (ax[i + 1] - ax[i])
+            i = np.clip(np.searchsorted(ax, xs[:, k], side="right") - 1, 0, ax.size - 2)
             idx.append(i)
-            wts.append(t)
-        out = np.zeros((dim, dim), dtype=complex)
+            wts.append((xs[:, k] - ax[i]) / (ax[i + 1] - ax[i]))
+        out = np.zeros((len(xs), dim, dim), dtype=complex)
         for corner in range(1 << p):
-            w = 1.0
+            w = np.ones(len(xs))
             pos = []
             for k in range(p):
                 if corner >> k & 1:
-                    w *= wts[k]
+                    w = w * wts[k]
                     pos.append(idx[k] + 1)
                 else:
-                    w *= 1.0 - wts[k]
+                    w = w * (1.0 - wts[k])
                     pos.append(idx[k])
-            if w != 0.0:
-                out += w * vals[tuple(pos)]
+            live = w != 0.0
+            out[live] += w[live, None, None] * vals[tuple(i[live] for i in pos)]
         return out
 
-    def in_domain(u):
-        return all(ax[0] <= u[k] <= ax[-1] for k, ax in enumerate(axes))
-
     box = (np.array([ax[0] for ax in axes]), np.array([ax[-1] for ax in axes]))
+
+    def in_domain(xs):
+        return ((box[0] <= xs) & (xs <= box[1])).all(axis=1)
+
     return Chart(
-        id="custom_grid", p=p, dim=dim, map_mat=map_mat, map_vec=None,
-        in_domain=in_domain, sample_box=box, state_kind=state,
+        id="custom_grid", p=p, dim=dim, map_mat=_Stacked(map_mat), map_vec=None,
+        in_domain=_Stacked(in_domain), sample_box=box, state_kind=state,
         fd_step=fd_step if fd_step is not None else spacing / 4.0,
         fd_step2=fd_step2 if fd_step2 is not None else spacing,
         params={"axes": [ax.tolist() for ax in axes],
@@ -474,18 +457,17 @@ class _Geo:
     charts fall back to the state's Gram kernel.  Stacks of chart values
     are arrays of shape (..., k, dim) or (..., k, dim, dim).
 
-    A built-in chart whose ``map_vec``, ``map_mat`` and ``in_domain`` are
-    still the views of its ``_StackedMap`` is evaluated by one call on the
-    whole stack, with no memo.  Any other chart, a built-in one given a
-    different per-point map included, is evaluated point by point: a
-    ``memo`` dict then maps the bytes of each evaluated point to its chart
-    value, so a point is evaluated once however many stencils use it, and
-    evaluators given the same memo share their chart evaluations.  Without
-    one, every point is evaluated as it comes, which is cheaper where points
-    never repeat.
+    ``map`` is the chart's ``map_vec`` if it has one, else its ``map_mat``.
+    It and ``in_domain`` are each called once on a whole stack if
+    ``_Stacked``, with no memo, and otherwise once per point.  A per-point
+    map is memoised in ``memo``, a dict from the bytes of each evaluated
+    point to its chart value, so a point is evaluated once however many
+    stencils use it, and evaluators given the same memo share their chart
+    evaluations.  Without one, every point is evaluated as it comes, which
+    is cheaper where points never repeat.
     """
 
-    __slots__ = ("chart", "phi", "cfg", "weights", "memo", "stacked")
+    __slots__ = ("chart", "phi", "cfg", "weights", "memo", "map")
 
     def __init__(self, chart: Chart, phi: State, cfg: DotConfig, memo: dict | None = None):
         self.chart = chart
@@ -493,8 +475,9 @@ class _Geo:
         self.cfg = cfg
         self.memo = memo
         self.weights = None
-        self.stacked = _stacked_map(chart)
+        self.map = chart.map_mat
         if chart.map_vec is not None:
+            self.map = chart.map_vec
             w = phi.diagonal_weights(chart.dim)
             # real diagonals commute: the lam-dot collapses to 2 Re(lam) phi(xy)
             self.weights = w * (cfg.scale * 2.0 * complex(cfg.lam).real)
@@ -511,37 +494,30 @@ class _Geo:
         any evaluation, and the first row with a non-finite value
         ``EvaluationError``, checked once over the whole result.
         """
-        chart, smap = self.chart, self.stacked
-        if smap is not None:
-            if smap.inside is not None:
-                inside = smap.inside(pts)
-                if np.count_nonzero(inside) != len(inside):
-                    raise _outside(chart, pts[~inside][0])
-            out = smap.stack(pts)
-        else:
-            memo = self.memo
-            fn = chart.map_vec if self.weights is not None else chart.map_mat
-            rows = []
-            if memo is None:
-                for x in pts:
-                    if not chart.in_domain(x):
-                        raise _outside(chart, x)
-                    rows.append(fn(x))
-            else:
-                for x in pts:
-                    key = x.tobytes()
-                    v = memo.get(key)
-                    if v is None:
-                        if not chart.in_domain(x):
-                            raise _outside(chart, x)
-                        v = memo[key] = fn(x)
-                    rows.append(v)
-            out = np.array(rows)
+        chart = self.chart
+        bad = self.outside(pts)
+        if bad is not None:
+            raise _outside(chart, bad)
+        out = np.asarray(_each(self.map, pts, self.memo))
         finite = np.isfinite(out)
         if np.count_nonzero(finite) != finite.size:  # half the cost of .all() on short stacks
             bad = pts[~finite.reshape(len(out), -1).all(axis=1)][0]
             raise EvaluationError(f"chart '{chart.id}' has a non-finite value at point {bad.tolist()}")
         return out
+
+    def outside(self, pts):
+        """The first row of pts outside the chart domain, or None; a chart
+        defined everywhere runs no test."""
+        inside = self.chart.in_domain
+        if not isinstance(inside, _Stacked):
+            for x in pts:
+                if not inside(x):
+                    return x
+        elif inside is not _EVERYWHERE:
+            ok = inside.stack(pts)
+            if np.count_nonzero(ok) != len(ok):
+                return pts[~ok][0]
+        return None
 
     def gram(self, xs, ys=None) -> np.ndarray:
         """Real dot matrices D[..., i, j] = x_i . y_j of two stacks (ys defaults to xs)."""
@@ -564,14 +540,6 @@ def _geo(chart: Chart, phi: State, cfg: DotConfig, memo: dict | None = None) -> 
     if not lam.real > 0:
         raise DomainError(f"chart geometry needs Re(lam) > 0, got lam={lam}")
     return _Geo(chart, phi, cfg, memo)
-
-
-def _stacked_map(chart: Chart) -> _StackedMap | None:
-    """The chart's stacked map, if its three per-point maps are still its views."""
-    fn = chart.map_vec
-    if isinstance(fn, _StackedMap) and chart.map_mat == fn.matrix and chart.in_domain == fn.contains:
-        return fn
-    return None
 
 
 def _outside(chart: Chart, x) -> StencilOutOfDomainError:
@@ -600,7 +568,7 @@ class _Fields(NamedTuple):
 
 
 def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
-            dirs: np.ndarray | None = None) -> _Fields:
+            dirs: np.ndarray | None = None, h2: float | None = None) -> _Fields:
     """Tangents and metric at the float centres xs (K, p) from one evaluation pass.
 
     Every stencil point is built first and evaluated through ``geo.vals``,
@@ -609,16 +577,16 @@ def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
     ``second``, the partials d_i d_i b = (b(x + h2 e_i) - 2 b(x) +
     b(x - h2 e_i)) / h2^2 and d_i d_j b = (b(x + h2 e_i + h2 e_j) -
     b(x + h2 e_i - h2 e_j) - b(x - h2 e_i + h2 e_j) + b(x - h2 e_i - h2 e_j))
-    / 4 h2^2 at h2 = fd_step2, and the field N; with unit directions
+    / 4 h2^2 at h2 (default fd_step2), and the field N; with unit directions
     ``dirs`` (K, p), the fourth-order second difference along each at step
-    fd_step2.  Points and differences are formed in the same order as for a
+    h2.  Points and differences are formed in the same order as for a
     single point, so every entry has the bits of the per-point formula.
     """
     if not all(map(math.isfinite, xs.flat)):
         bad = xs[~np.isfinite(xs).all(axis=1)][0]
         raise EvaluationError(f"point {bad.tolist()} is not finite")
     k, p = xs.shape
-    h, h2 = geo.chart.fd_step, geo.chart.fd_step2
+    h, h2 = geo.chart.fd_step, geo.chart.fd_step2 if h2 is None else h2
     st = _stencil(p, h, h2, second, dirs is not None)
     c = xs[:, None]
     first = c + st.offsets
@@ -737,8 +705,7 @@ def _gamma(ginv: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _require_symmetric_metric(g: np.ndarray):
-    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
-    if np.any(np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
+    if np.any(_asymmetric(g, g.swapaxes(-1, -2), axes=(-2, -1))):
         raise NonSymmetricMetricError(
             "connection formulas require a symmetric metric; use a real lam dot product")
 
@@ -853,7 +820,7 @@ def _gauss(g: np.ndarray, riemann: np.ndarray, det) -> float:
 
 
 # Stencil rows (chart points, repeats included) evaluated per block of
-# geometry_at on a chart with a stacked map; bounds its working memory for
+# geometry_at on a chart whose map is _Stacked; bounds its working memory for
 # any number of points.
 _BLOCK = 2048
 
@@ -866,19 +833,20 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
     and ``bianchi_residual`` give at that point alone.  The points go in
     blocks, each making one fields batch for its curvature stencils and one
     for its Bianchi stencils: as many points as fit ``_BLOCK`` stencil rows
-    on a chart with a stacked map, and one point on a chart evaluated point
-    by point, whose memo, shared by the two batches, holds every chart value
-    of its block.
+    on a chart whose map is ``_Stacked``, and one point on any other chart,
+    whose memo, shared by the two batches, holds every chart value of its
+    block.
     """
     xs = np.asarray(points, dtype=float)
     p = chart.p
     if xs.ndim != 2 or xs.shape[1] != p or len(xs) == 0:
         raise DimensionError(f"points must have shape (K, {p}) with K >= 1 on chart "
                              f"'{chart.id}', got {xs.shape}")
-    per = 1 if _stacked_map(chart) is None else max(1, _BLOCK // _stencil_rows(p))
+    geo = _geo(chart, phi, cfg)
+    per = max(1, _BLOCK // _stencil_rows(p)) if isinstance(geo.map, _Stacked) else 1
     parts = []
     for lo in range(0, len(xs), per):
-        geo = _geo(chart, phi, cfg, {})
+        geo.memo = {}
         block = xs[lo:lo + per]
         parts.append(_curvature_at(geo, block) + (_bianchi_at(geo, block) if p >= 2 else None,))
     return Geometry(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
@@ -891,19 +859,23 @@ def _stencil_rows(p: int) -> int:
     return stars * second
 
 
-def _curvature_at(geo: _Geo, xs: np.ndarray) -> tuple:
-    """(g, g_inv, det, gamma, riemann) at the points xs (K, p), each stacked
-    over K, from one fields batch over the centres of their Riemann
-    stencils, whose step is 1e-2 sqrt(fd_step)."""
-    p = xs.shape[1]
-    s = 1e-2 * math.sqrt(geo.chart.fd_step)
-    centres = _star(xs, s)
-    f = _fields(geo, centres.reshape(-1, p), second=True)
+def _curvature_at(geo: _Geo, xs: np.ndarray, s: float | None = None,
+                  h2: float | None = None) -> tuple:
+    """(g, g_inv, det, gamma, riemann) at the points xs, (K, p) or (M, K, p),
+    each stacked over K or (M, K), from one fields batch over the centres of
+    their Riemann stencils at step s (default 1e-2 sqrt(fd_step)), with
+    second differences at step h2 (default fd_step2).  The centres go to the
+    batch as (1 + 2p, K, p) or (M, 1 + 2p, K, p)."""
+    p, lead = xs.shape[-1], xs.ndim - 2
+    s = 1e-2 * math.sqrt(geo.chart.fd_step) if s is None else s
+    centres = _star(xs, s).swapaxes(0, lead)
+    f = _fields(geo, centres.reshape(-1, p), second=True, h2=h2)
     _require_symmetric_metric(f.g)
     ginv, det = _solve_metric(f.g)[:2]
-    star = centres.shape[:2]
-    g, ginv, det = f.g.reshape(star + (p, p)), ginv.reshape(star + (p, p)), det.reshape(star)
-    n = f.n.reshape(star + (p, p, p))
+    shape = centres.shape[:-1]
+    # each field with its star axis first, as _riemann takes it
+    g, ginv, det, n = (a.reshape(shape + a.shape[1:]).swapaxes(0, lead)
+                       for a in (f.g, ginv, det, f.n))
     return g[0], ginv[0], det[0], _gamma(ginv[0], n[0]), _riemann(ginv, n, s)
 
 
@@ -947,19 +919,13 @@ def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
 def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
     """Bianchi residuals (K,) at the points xs (K, p) of a chart with p >= 2,
     from one fields batch; chart values come from and go to ``geo.memo``."""
-    chart = geo.chart
-    k, p = xs.shape
-    base = float(chart.fd_step2)
-    geo_b = _Geo(replace(chart, fd_step2=10.0 * base), geo.phi, geo.cfg, geo.memo)
+    k = len(xs)
+    base = float(geo.chart.fd_step2)
     s3 = 3.0 * base
     s4 = min(70.0 * base, 0.1)
     # the curvature stars around the outer star's centres, outer centre major
-    centres = _star(_star(xs, s4), s3).swapaxes(0, 1)
-    f = _fields(geo_b, centres.reshape(-1, p), second=True)
-    ginv = _metric_inverse(f.g).reshape(centres.shape[:3] + (p, p))
-    n = f.n.reshape(centres.shape[:3] + (p, p, p))
-    riem = _riemann(ginv.swapaxes(0, 1), n.swapaxes(0, 1), s3)  # (1 + 2p, K, p, p, p, p)
-    gam0, r0 = _gamma(ginv[0, 0], n[0, 0]), riem[0]
+    gamma, riem = _curvature_at(geo, _star(xs, s4), s3, 10.0 * base)[3:]  # (1 + 2p, K, ...)
+    gam0, r0 = gamma[0], riem[0]
     # cov[l, k] = D_l R at point k, with gl[a, r] = gam0[k, a, l, r]
     cov = (_diff(riem, s4)
            + np.einsum("...alr,...rbmn->l...abmn", gam0, r0)
@@ -1016,7 +982,7 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     if not (step > 0 and tau_max > 0):
         raise ValueError("step and tau_max must be positive")
     geo = _geo(chart, phi, cfg)  # no memo: RK4 stages never share a point
-    if not chart.in_domain(u):
+    if geo.outside(u[None]) is not None:
         raise EvaluationError(f"initial point {u.tolist()} outside chart domain")
     n_steps = max(1, int(round(tau_max / step)))
     states = [GeodesicState(tau=0.0, u=u.copy(), udot=v.copy())]
@@ -1035,7 +1001,7 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
             break
         u = u + (step / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not chart.in_domain(u):
+        if geo.outside(u[None]) is not None:
             left = True
             break
         states.append(GeodesicState(tau=(k + 1) * step, u=u.copy(), udot=v.copy()))
@@ -1119,7 +1085,7 @@ def killing_metric(structure_constants, d: int) -> np.ndarray:
     if f.shape != (d, d, d):
         raise DimensionError(f"structure constants must have shape ({d},{d},{d})")
     scale = max(1.0, np.abs(f).max())
-    if np.abs(f + np.swapaxes(f, 1, 2)).max() > 1e-10 * scale:
+    if _asymmetric(f, -np.swapaxes(f, 1, 2)):
         raise ValueError("structure constants must be antisymmetric in the lower pair")
     ad = np.transpose(f, (1, 0, 2))  # ad[a][r, b] = f[r, a, b]
     comm = ad[:, None] @ ad[None] - ad[None] @ ad[:, None]  # comm[a, b] = [ad_a, ad_b]

@@ -5,11 +5,11 @@ The path-ordered exponential solving dF/ds = A(s) F is computed three ways:
 a truncated iterated-integral series, an ordered product of midpoint
 exponentials, and an adaptive ODE oracle used only for verification.
 
-The connections this module builds are defined once over a stack of
-arguments (``_Stacked``): a block of samples is one call, and a call on one
-argument is a view of the same formula, with the same bits.  Any other
-callable, a wrapped library connection included, is called once per sample
-with a float64 argument.  Only ``transport_oracle`` imports scipy.
+Connections are sampled by one rule.  A ``_Stacked`` connection, as every
+connection this module builds is, takes one call per block of samples, and a
+call on one argument is a view of the same formula, with the same bits.  Any
+other callable, a wrapped library connection included, takes one call per
+sample, with a float64 argument.  Only ``transport_oracle`` imports scipy.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _each, _Stacked
 from .errors import (
     DimensionError,
     OrderTooLargeError,
@@ -82,29 +83,9 @@ class LoopSpec:
             raise ValueError("loop side length must be positive")
 
 
-class _Stacked:
-    """A connection callable defined once over a stack of arguments.
-
-    ``stack`` maps a (k, ...) float stack of arguments to the (k, ...)
-    complex stack of their values.  A call on one argument is a view of it:
-    ``stack`` of a stack of one, indexed, so both give the same bits.
-    """
-
-    __slots__ = ("stack",)
-
-    def __init__(self, stack):
-        self.stack = stack
-
-    def __call__(self, x) -> np.ndarray:
-        return self.stack(np.asarray(x, dtype=float)[None])[0]
-
-
 def _values(a, points) -> np.ndarray:
-    """The values of a at each of points, as one complex array: one call on
-    the whole stack when a is stacked, one call per point otherwise."""
-    if isinstance(a, _Stacked):
-        return np.asarray(a.stack(points), dtype=complex)
-    return np.array([a(x) for x in points], dtype=complex)
+    """The values of a at each of points, as one complex array (see ``_each``)."""
+    return np.asarray(_each(a, points), dtype=complex)
 
 
 def _sample(a, points):

@@ -23,6 +23,7 @@ from .algebra import (
     DotConfig,
     PhysConstants,
     State,
+    _asymmetric,
     _require_hermitian,
     _solve_gram,
     _stack,
@@ -122,10 +123,8 @@ def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
 
 
 def _hermitian_or_anti(el: AlgebraElement, name: str):
-    scale = max(1.0, np.abs(el.m).max())
-    dh = np.abs(el.m - el.m.conj().T).max()
-    da = np.abs(el.m + el.m.conj().T).max()
-    if min(dh, da) > 1e-10 * scale:
+    adj = el.m.conj().T
+    if _asymmetric(el.m, adj) and _asymmetric(el.m, -adj):
         raise HermiticityError(f"{name} must be hermitian or antihermitian")
 
 

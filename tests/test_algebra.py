@@ -348,3 +348,40 @@ def test_state_json_round_trip(rng):
         back = state_from_json(json.loads(json.dumps(state_to_json(phi))))
         assert back.kind == phi.kind
         assert abs(state_eval(back, probe) - state_eval(phi, probe)) < 1e-12
+
+
+@pytest.mark.parametrize("big", [1.0, 1e6])
+def test_the_symmetry_checks_share_one_relative_tolerance(big):
+    from opgeom.algebra import _require_hermitian
+    from opgeom.errors import NonSymmetricMetricError
+    from opgeom.hypersurface import _require_symmetric_metric, killing_metric
+    from opgeom.uncertainty import _hermitian_or_anti
+
+    def skewed(eps):  # symmetric and hermitian but for eps in one entry
+        return big * np.array([[1.0, 0.5], [0.5 + eps, 1.0]])
+
+    # a defect of 0.5e-10 max(1, max|a|) passes every check, 2e-10 fails it
+    for eps, fails in ((0.5e-10, False), (2e-10, True)):
+        for check, error in ((lambda m: _require_hermitian(m), HermiticityError),
+                             (lambda m: _hermitian_or_anti(AlgebraElement(m), "b"), HermiticityError),
+                             (lambda m: _hermitian_or_anti(AlgebraElement(1j * m), "b"), HermiticityError),
+                             (lambda m: _require_symmetric_metric(m), NonSymmetricMetricError)):
+            if fails:
+                with pytest.raises(error):
+                    check(skewed(eps))
+            else:
+                check(skewed(eps))
+        # stacked metrics scale each member by its own entries
+        stack = np.stack([skewed(0.0), skewed(eps) / big])
+        if fails:
+            with pytest.raises(NonSymmetricMetricError):
+                _require_symmetric_metric(stack)
+        else:
+            _require_symmetric_metric(stack)
+        f = np.zeros((2, 2, 2))
+        f[0, 0, 1], f[0, 1, 0] = big, -big * (1.0 + eps)
+        if fails:
+            with pytest.raises(ValueError, match="antisymmetric"):
+                killing_metric(f, 2)
+        else:
+            killing_metric(f, 2)

@@ -309,6 +309,19 @@ def test_holonomy_two_matrix_form(tmp_path, capsys):
     run_err(capsys, ["holonomy", "--tau", "-1.0"], 1, "E_INPUT")
 
 
+def test_overflowing_connection_is_one_input_error_without_warning(tmp_path):
+    # s X overflows for s > 1.8; NumPy's overflow warning must not reach stderr
+    fx = write_matrix(tmp_path / "x.json", [[0.0, 1e308], [-1e308, 0.0]])
+    fy = write_matrix(tmp_path / "y.json", np.zeros((2, 2)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opgeom.cli", "holonomy", "--matrix", fx, "--matrix", fy,
+         "--tau", "10", "--step", "0.5"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "E_INPUT connection samples must be finite\n"
+    assert "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("tau, step", [
     ("inf", "0.01"), ("nan", "0.01"), ("-inf", "0.01"), ("1.0", "nan"),
     ("1.0", "inf"), ("1e300", "1e-300"), ("1e300", "1"),

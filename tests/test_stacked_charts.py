@@ -1,5 +1,7 @@
 """The built-in charts' stacked maps and the stacked geometry entry point:
-bit identity with the per-point formulas and the single-point routes."""
+bit identity with the per-point formulas and the single-point routes, and
+the one dispatch rule: a ``_Stacked`` map or domain test takes one call per
+stack, any other callable one call per point."""
 
 import dataclasses
 import math
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgeom.algebra import DotConfig, State
+from opgeom.algebra import DotConfig, State, _Stacked
 from opgeom.cli import report
 from opgeom.errors import DimensionError, EvaluationError, StencilOutOfDomainError
 from opgeom.hypersurface import (
@@ -19,6 +21,7 @@ from opgeom.hypersurface import (
     bianchi_residual,
     christoffel,
     curvature,
+    custom_grid,
     flat_plane,
     geodesic,
     geometry_at,
@@ -79,14 +82,19 @@ def test_stacked_maps_match_the_per_point_formulas_bit_for_bit(name, c, scale, s
     chart = build(c)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([np.array(extra).reshape(-1, 2), rng.uniform(-scale, scale, (3000, 2))])
+    assert all(isinstance(fn, _Stacked) for fn in (chart.map_vec, chart.map_mat, chart.in_domain))
     geo = _Geo(chart, SUM, CFG)
-    assert geo.stacked is chart.map_vec
-    stacked = geo.stacked.stack(pts)
-    mask = None if geo.stacked.inside is None else geo.stacked.inside(pts)
+    assert geo.map is chart.map_vec
+    stacked, mask = chart.map_vec.stack(pts), chart.in_domain.stack(pts)
+    mats = chart.map_mat.stack(pts[:200])
+    # the evaluator's one call on the stack gives the stacked map's bits
+    assert geo.vals(pts[mask]).tobytes() == stacked[mask].tobytes()
     for k, u in enumerate(pts.tolist()):
         want = hexes(formula(c, u))
         assert hexes(stacked[k]) == want
-        assert (True if mask is None else bool(mask[k])) == domain(u)
+        assert bool(mask[k]) == domain(u)
+        if k < 200:  # the per-point matrix formula, the diagonal embedded
+            assert mats[k].tobytes() == np.diag(stacked[k]).astype(complex).tobytes()
         if k < 40:  # the per-point views are the same map on one row
             assert hexes(chart.map_vec(u)) == want
             assert hexes(np.diagonal(chart.map_mat(u)).real) == want
@@ -99,12 +107,104 @@ def per_point(chart):
 
 
 def test_only_untouched_builtins_take_the_stacked_path():
-    chart = sphere()
-    assert _Geo(chart, SUM, CFG).stacked is chart.map_vec
+    chart, u = sphere(), np.array([1.1, 0.7])
+    want = metric(chart, SUM, CFG, u).g.tobytes()
+    assert isinstance(_Geo(chart, SUM, CFG).map, _Stacked)
+    counted, seen = counting(chart)
+    asked = []
+
+    def inside(x):
+        asked.append(x.tobytes())
+        return True
+
+    # every change gives the same bits; a substituted map or domain test is
+    # called once per stencil point, the untouched stacked map is kept
     for changed in (per_point(chart), dataclasses.replace(chart, map_mat=lambda u: u),
-                    dataclasses.replace(chart, in_domain=lambda u: True), counting(chart)[0]):
-        assert _Geo(changed, SUM, CFG).stacked is None
-    assert _Geo(graph3_chart(), SUM, CFG).stacked is None
+                    dataclasses.replace(chart, in_domain=inside), counted):
+        assert metric(changed, SUM, CFG, u).g.tobytes() == want
+    assert len(seen) == len(asked) == 4
+    assert not isinstance(_Geo(per_point(chart), SUM, CFG).map, _Stacked)
+    assert not isinstance(_Geo(counted, SUM, CFG).map, _Stacked)
+    for changed in (dataclasses.replace(chart, map_mat=lambda u: u),
+                    dataclasses.replace(chart, in_domain=inside)):
+        assert _Geo(changed, SUM, CFG).map is chart.map_vec
+    assert not isinstance(_Geo(graph3_chart(), SUM, CFG).map, _Stacked)
+
+
+def test_substituted_domain_test_is_called_per_point_beside_the_stacked_map():
+    chart = sphere()
+    calls, asked = [], []
+
+    def values(xs):
+        calls.append(len(xs))
+        return chart.map_vec.stack(xs)
+
+    def inside(x):
+        asked.append(x.tobytes())
+        return chart.in_domain(x)
+
+    changed = dataclasses.replace(chart, map_vec=_Stacked(values), in_domain=inside)
+    pts = np.array([[0.9, 0.5], [1.7, 2.2], [2.3, -0.6]])
+    got, want = geometry_at(changed, SUM, CFG, pts), geometry_at(chart, SUM, CFG, pts)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # one block: one map call per fields batch, one domain call per stencil row
+    assert len(calls) == 2 and sum(calls) == len(asked) == len(pts) * _stencil_rows(2)
+    with pytest.raises(StencilOutOfDomainError, match="outside domain"):
+        metric(changed, SUM, CFG, [5e-5, 0.4])
+
+
+def grid_point(axes, vals, u):
+    """custom_grid's per-point formula: multilinear weights of the cell
+    corners, corners in binary order, zero weights skipped."""
+    p, dim = len(axes), vals.shape[-1]
+    idx, wts = [], []
+    for k, ax in enumerate(axes):
+        i = int(np.searchsorted(ax, u[k], side="right")) - 1
+        i = min(max(i, 0), ax.size - 2)
+        idx.append(i)
+        wts.append((u[k] - ax[i]) / (ax[i + 1] - ax[i]))
+    out = np.zeros((dim, dim), dtype=complex)
+    for corner in range(1 << p):
+        w = 1.0
+        pos = []
+        for k in range(p):
+            if corner >> k & 1:
+                w *= wts[k]
+                pos.append(idx[k] + 1)
+            else:
+                w *= 1.0 - wts[k]
+                pos.append(idx[k])
+        if w != 0.0:
+            out += w * vals[tuple(pos)]
+    return out
+
+
+def complex_hexes(values):
+    return hexes(np.real(values)) + hexes(np.imag(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(2, 5), min_size=1, max_size=3), dim=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_custom_grid_stacked_map_matches_the_per_corner_formula(sizes, dim, seed):
+    rng = np.random.default_rng(seed)
+    axes = [np.cumsum(rng.uniform(0.1, 1.0, n)) - 1.0 for n in sizes]
+    vals = rng.normal(size=tuple(sizes) + (dim, dim)) + 1j * rng.normal(size=tuple(sizes) + (dim, dim))
+    chart = custom_grid(axes, vals)
+    lo, hi = chart.sample_box
+    nodes = np.stack([ax[rng.integers(0, ax.size, 20)] for ax in axes], axis=1)
+    mixed = np.where(rng.random(nodes.shape) < 0.5, nodes, rng.uniform(lo, hi, nodes.shape))
+    # random points, some beyond the box, grid nodes (every weight 0 or 1),
+    # the last node, and points on a node along some axes only
+    pts = np.concatenate([rng.uniform(lo - 0.5, hi + 0.5, (40, len(axes))), nodes,
+                          hi[None], mixed])
+    got, mask = chart.map_mat.stack(pts), chart.in_domain.stack(pts)
+    for k, u in enumerate(pts):
+        want = complex_hexes(grid_point(axes, vals, u))
+        assert complex_hexes(got[k]) == want
+        assert bool(mask[k]) == all(ax[0] <= u[j] <= ax[-1] for j, ax in enumerate(axes))
+        if k < 10:
+            assert complex_hexes(chart.map_mat(u)) == want
 
 
 @pytest.mark.parametrize("chart", [sphere(1.3), torus(2.1, 0.45), paraboloid(0.8), flat_plane(),
