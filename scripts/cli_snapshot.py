@@ -20,10 +20,14 @@ and ``stokes`` (default and a given loop).  The error runs are
 a chart file with a 400-digit radius, one with a state object,
 ``christoffel`` at a NaN point, ``metric`` on a paraboloid at a point where
 the chart value overflows, ``christoffel`` on the sphere where the
-stencil crosses the pole, and ``holonomy`` along A(s) = s X + Y where the
-samples overflow.  All run in one process through
-``opgeom.cli.run``; stderr names chart files without their directory, and an
-exception escaping ``run`` is recorded as ``exit=raised <type>``.
+stencil crosses the pole, ``holonomy`` along A(s) = s X + Y where the
+samples overflow, and four runs whose finite inputs overflow a Gram matrix,
+a metric or a matrix exponential: ``metric`` on a sphere of radius 1e300,
+``gram`` of a matrix with a 1e200 entry and the identity, ``holonomy`` with
+X off-diagonal +-1e300, and ``stokes`` at 1e200,0.3.  All run in one
+process through ``opgeom.cli.run``; stderr names chart files without their
+directory, and an exception escaping ``run`` is recorded as
+``exit=raised <type>``.
 """
 
 import argparse
@@ -61,13 +65,19 @@ ERRORS = {
     # an overflowing chart value, and a stencil stepping over the pole
     "paraboloid-metric-huge": ("metric", {"id": "paraboloid"}, "1e200,0"),
     "sphere-christoffel-pole": ("christoffel", CHARTS["sphere"][0], "0.00005,0.4"),
+    # a metric whose entries overflow
+    "sphere-metric-huge-radius": ("metric", {"id": "sphere", "params": {"r": 1e300}}, "1.1,0.7"),
 }
 
 # matrix file name -> matrix JSON: X of an affine connection whose samples
-# s X overflow for s > 1.8, and a zero Y
+# s X overflow for s > 1.8, one whose exponential overflows, a zero Y, and a
+# matrix whose Gram entry overflows, with the identity
 OVERFLOW_MATRICES = {
     "X-huge": {"dim": 2, "re": [0.0, 1e308, -1e308, 0.0], "im": [0.0] * 4},
+    "X-1e300": {"dim": 2, "re": [0.0, 1e300, -1e300, 0.0], "im": [0.0] * 4},
     "Y-zero": {"dim": 2, "re": [0.0] * 4, "im": [0.0] * 4},
+    "big": {"dim": 3, "re": [1e200, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0], "im": [0.0] * 9},
+    "eye": {"dim": 3, "re": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "im": [0.0] * 9},
 }
 
 
@@ -114,13 +124,19 @@ def error_runs(chart_dir: Path) -> list:
         path = chart_dir / f"{name}.json"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         runs.append((name, [cmd, "--chart", str(path), "--point", point]))
-    matrix_args = []
+    mat = {}
     for name, obj in OVERFLOW_MATRICES.items():
         path = chart_dir / f"{name}.json"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-        matrix_args += ["--matrix", str(path)]
-    runs.append(("holonomy-matrix-overflow",
-                 ["holonomy", *matrix_args, "--tau", "10", "--step", "0.5"]))
+        mat[name] = ["--matrix", str(path)]
+    runs += [
+        ("holonomy-matrix-overflow",
+         ["holonomy", *mat["X-huge"], *mat["Y-zero"], "--tau", "10", "--step", "0.5"]),
+        ("gram-huge-entry", ["gram", *mat["big"], *mat["eye"]]),
+        ("holonomy-matrix-huge",
+         ["holonomy", *mat["X-1e300"], *mat["Y-zero"], "--tau", "1", "--step", "0.5"]),
+        ("stokes-huge-point", ["stokes", "--point=1e200,0.3"]),
+    ]
     return runs
 
 

@@ -430,6 +430,8 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     Full rank means s_min > RANK_TOL * max(s_max, RANK_TOL) for the singular
     values.  Otherwise ``on_singular`` is warned (a Warning) or raised (an
     exception) and the inverse is the pseudo-inverse cut at RANK_TOL * s_max.
+    A matrix whose s_max is not finite (a non-finite entry, or an overflow)
+    raises ``ValueError``: its rank cannot be told.
     A 2x2 matrix takes s_min, s_max from |det| and its Frobenius norm and its
     inverse in closed form; larger ones use one SVD and an LU determinant.  A
     stack of shape (K, n, n) is solved in one pass: a stack of 2x2 matrices
@@ -463,19 +465,21 @@ def _solve_each(st: np.ndarray, two: bool):
     if two:
         rows = st.tolist()
     else:
-        u, s, vh = np.linalg.svd(st)
+        u, s, vh = np.linalg.svd(st)  # a NaN entry raises LinAlgError, a ValueError
         dets = np.linalg.det(st)
     inv, det, cond, full = [], [], [], []
     for k in range(len(st)):
         if two:
             (a, b), (c, d) = rows[k]
             dt = a * d - b * c
-            fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+            fro2 = abs(a) * abs(a) + abs(b) * abs(b) + abs(c) * abs(c) + abs(d) * abs(d)
             gap = 2.0 * abs(dt)
             s_max = math.sqrt(0.5 * (fro2 + math.sqrt(max((fro2 - gap) * (fro2 + gap), 0.0))))
             s_min = abs(dt) / s_max if s_max > 0 else 0.0
         else:
             dt, s_max, s_min = dets[k], s[k, 0], s[k, -1]
+        if not math.isfinite(s_max):
+            raise ValueError(_UNTESTABLE)
         ok = bool(s_min > RANK_TOL * max(s_max, RANK_TOL))
         if not ok:
             inv.append(None)  # the pseudo-inverse, once the singular policy has run
@@ -496,19 +500,18 @@ def _solve_2x2_stack(st: np.ndarray):
 
     The formulas and their operand order are those of the lone-matrix
     closed form, which runs on Python floats because a lone matrix would
-    spend several times as long in per-call array overhead.  Python's
-    ``x ** 2`` rounds through pow(), which can differ from x * x in the last
-    bit, so the squares here go through ``np.float_power``, which also calls
-    pow().  Real stacks get the lone-matrix bits exactly (complex products
-    may round differently; no caller passes a complex Gram matrix).
+    spend several times as long in per-call array overhead.  Real stacks get
+    the lone-matrix bits exactly (complex products may round differently).
     """
     a, b, c, d = st.reshape(-1, 4).T
     det = a * d - b * c
-    sq = np.float_power(np.abs(st.reshape(-1, 4)), 2.0)
+    sq = np.square(np.abs(st.reshape(-1, 4)))
     fro2 = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]
     adet = np.abs(det)
     gap = 2.0 * adet
     s_max = np.sqrt(0.5 * (fro2 + np.sqrt(np.maximum((fro2 - gap) * (fro2 + gap), 0.0))))
+    if not np.isfinite(s_max).all():
+        raise ValueError(_UNTESTABLE)
     s_min = np.divide(adet, s_max, out=np.zeros_like(s_max), where=s_max > 0)
     full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
     cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
@@ -521,6 +524,7 @@ def _solve_2x2_stack(st: np.ndarray):
 
 
 _ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+_UNTESTABLE = "Gram or metric matrix is not finite, or too large to test its rank"
 
 
 def heisenberg_dot(consts: PhysConstants, h: AlgebraElement, b: AlgebraElement,

@@ -524,10 +524,11 @@ def run(argv) -> int:
     """Parse argv (no program name) and execute; returns the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        text = _HANDLERS[args.subcommand](args)
+        with np.errstate(all="ignore"):  # overflows show as non-finite values, which checks reject
+            text = _HANDLERS[args.subcommand](args)
         _write_output(text, args.out)
         return 0
-    except (_InputError, OSError, ValueError, KeyError, TypeError,
+    except (_InputError, OSError, ValueError, KeyError, TypeError, OverflowError,
             DimensionError, HermiticityError, DomainError, EvaluationError,
             OrderTooLargeError) as exc:
         print(f"E_INPUT {exc}", file=sys.stderr)

@@ -103,7 +103,7 @@ from .errors import (
     SingularMetricError,
     StencilOutOfDomainError,
 )
-from .projection import _orthogonalize
+from .projection import _orthonormalize
 
 __all__ = [
     "Chart",
@@ -514,7 +514,7 @@ class _Geo:
                 if not inside(x):
                     return x
         elif inside is not _EVERYWHERE:
-            ok = inside.stack(pts)
+            ok = inside.fn(pts)  # comparisons never warn: no errstate needed
             if np.count_nonzero(ok) != len(ok):
                 return pts[~ok][0]
         return None
@@ -526,9 +526,6 @@ class _Geo:
         ys = xs if ys is None else ys
         # w . (x_i * y_j) per pair rounds exactly like one scalar weighted dot
         return (xs[..., :, None, :] * ys[..., None, :, :]).dot(self.weights)
-
-    def dotv(self, x, y) -> float:
-        return self.gram(x[None], y[None])[0, 0]
 
     def wrap(self, x) -> AlgebraElement:
         return embed_diag(x) if self.weights is not None else AlgebraElement(x)
@@ -1008,16 +1005,13 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     return GeodesicResult(states, left_domain=left)
 
 
-def _frame_raw(geo: _Geo, ts):
-    """Orthonormalized tangent stack (modified Gram-Schmidt on raw values)."""
-    ortho, norms = _orthogonalize(ts, geo.dotv, "tangent {} is numerically dependent")
-    return np.array([o / math.sqrt(nn) for o, nn in zip(ortho, norms)])
-
-
-def _frames(geo: _Geo, u, s: float):
-    """Fields at the centres of ``_star(u, s)`` and the frames there."""
-    f = _fields(geo, _star(u, s))
-    return f, np.array([_frame_raw(geo, ts) for ts in f.t])
+def _frames(chart: Chart, phi: State, cfg: DotConfig, u):
+    """The evaluator, the fields at the centres of ``_star(u, fd_step)``, the
+    frame at u and its central differences: all frames come from one call."""
+    geo, s = _geo(chart, phi, cfg, {}), chart.fd_step
+    f = _fields(geo, _star(_point(chart, u), s))
+    frames = _orthonormalize(f.t, geo.gram, "tangent {} is numerically dependent")[0]
+    return geo, f, frames[0], _diff(frames, s)
 
 
 def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u):
@@ -1028,11 +1022,7 @@ def orthonormal_frame(chart: Chart, phi: State, cfg: DotConfig, u):
     derivative layer, and this step keeps the antisymmetry defect at the
     square of the step).
     """
-    geo = _geo(chart, phi, cfg, {})
-    u = _point(chart, u)
-    s = chart.fd_step
-    frames = _frames(geo, u, s)[1]
-    frame, dframe = frames[0], _diff(frames, s)
+    geo, _, frame, dframe = _frames(chart, phi, cfg, u)
     conn = np.stack([geo.gram(frame, d) for d in dframe], axis=-1)
     return [geo.wrap(f) for f in frame], conn
 
@@ -1042,16 +1032,12 @@ def gauss_curvature_2d(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     K = (d_1 bhat_1 . d_2 bhat_2 - d_2 bhat_1 . d_1 bhat_2) / sqrt(det g)."""
     if chart.p != 2:
         raise DimensionError("gauss_curvature_2d requires a 2-parameter chart")
-    geo = _geo(chart, phi, cfg, {})
-    u = _point(chart, u)
-    s = chart.fd_step
-    f, frames = _frames(geo, u, s)
-    df, g = _diff(frames, s), f.g[0]
-    r12 = geo.dotv(df[0][0], df[1][1]) - geo.dotv(df[1][0], df[0][1])
-    det = float(_solve_gram(g)[1])
+    geo, f, _, df = _frames(chart, phi, cfg, u)
+    d = geo.gram(df[:, 0], df[::-1, 1])  # d[i, j] = d_i bhat_1 . d_(1-j) bhat_2
+    det = float(_solve_gram(f.g[0])[1])
     if det <= 0:
         raise SingularMetricError("metric determinant is not positive")
-    return float(r12 / math.sqrt(det))
+    return float((d[0, 0] - d[1, 1]) / math.sqrt(det))
 
 
 def gibbs_force(consts: PhysConstants, chart_ops, h: AlgebraElement, beta: float) -> np.ndarray:

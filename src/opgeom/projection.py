@@ -33,7 +33,6 @@ from .algebra import (
     _require_hermitian,
     _solve_gram,
     _stack,
-    dot,
     embed_diag,
 )
 from .errors import (
@@ -165,36 +164,47 @@ def reflect(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> AlgebraElement
 def gram_schmidt(phi: State, cfg: DotConfig, bs) -> tuple[list, list]:
     """Sequential orthogonalization of the reference set.
 
-    Returns (orthogonal, orthonormal) lists.  Each element is reduced
-    against the span of its predecessors (using the already orthogonalized
-    set, which spans the same subspace and behaves better in floats).
-    Raises ``LinearDependenceError`` when an intermediate squared norm falls
-    to ``RANK_TOL`` or below.
+    Returns (orthogonal, orthonormal) lists: each element reduced against
+    the span of its predecessors, from the Gram matrix of the set in two
+    passes (``_orthonormalize``).  Raises ``LinearDependenceError`` when an
+    intermediate squared norm falls to ``RANK_TOL`` or below.
     """
-    ortho, norms = _orthogonalize(bs, lambda x, y: dot(phi, cfg, x, y).real,
-                                  "element {} is linearly dependent on its predecessors")
-    return ortho, [o / math.sqrt(nn) for o, nn in zip(ortho, norms)]
+    bs = list(bs)
+    if not bs:
+        return [], []
+    onb, norms = _orthonormalize(_stack(bs), lambda xs: _dot_matrix(phi, cfg, xs),
+                                 "element {} is linearly dependent on its predecessors")
+    onb = [AlgebraElement(q) for q in onb]
+    return [q * math.sqrt(nn) for q, nn in zip(onb, norms)], onb
 
 
-def _orthogonalize(vectors, dotf, dependent: str) -> tuple[list, list]:
-    """Modified Gram-Schmidt under the dot callable ``dotf``.
+def _orthonormalize(xs: np.ndarray, gram, dependent: str):
+    """Orthonormal stack of the p vectors xs (..., p, ...) and their squared
+    norms (..., p) after reduction against their predecessors.
 
-    Returns the orthogonal vectors and their squared norms; raises
-    ``LinearDependenceError`` with ``dependent.format(k)`` when the squared
-    norm of element k falls to ``RANK_TOL`` or below.
+    Modified Gram-Schmidt runs on their (..., p, p) dot matrices ``gram(xs)``,
+    then on the result's: one pass leaves an orthogonality error of order
+    cond^2 eps, two leave rounding level (CholeskyQR2).  A squared norm <=
+    ``RANK_TOL`` in either pass raises ``LinearDependenceError`` with
+    ``dependent.format(k)``, k the first such; a non-finite dot matrix ``ValueError``.
     """
-    ortho: list = []
-    norms: list = []
-    for k, b in enumerate(vectors):
-        o = b
-        for u, uu in zip(ortho, norms):
-            o = o - (dotf(u, o) / uu) * u
-        oo = dotf(o, o)
-        if oo <= RANK_TOL:
-            raise LinearDependenceError(dependent.format(k))
-        ortho.append(o)
-        norms.append(oo)
-    return ortho, norms
+    norms = []
+    for _ in range(2):
+        g = gram(xs)
+        if not np.isfinite(g).all():
+            raise ValueError("dot matrix of the set has non-finite entries")
+        # w: dot matrix of the vectors as reduced so far; t: their coefficients
+        w, t = np.array(g, dtype=float), np.broadcast_to(np.eye(g.shape[-1]), g.shape).copy()
+        for k in range(g.shape[-1]):
+            if np.any(w[..., k, k] <= RANK_TOL):
+                raise LinearDependenceError(dependent.format(k))
+            r = w[..., k, k + 1:] / w[..., k, k, None]  # components of the later vectors along k
+            t[..., k + 1:, :] -= r[..., :, None] * t[..., k, None, :]
+            w[..., k + 1:, k + 1:] -= w[..., k + 1:, k, None] * r[..., None, :]
+        norms.append(np.diagonal(w, axis1=-2, axis2=-1))
+        t /= np.sqrt(norms[-1])[..., None]  # T xs is orthonormal
+        xs = (t @ xs.reshape(g.shape[:-1] + (-1,))).reshape(xs.shape)
+    return xs, norms[0]
 
 
 def kernel_basis(phi: State, cfg: DotConfig, bs, algebra_basis) -> list:
@@ -205,15 +215,13 @@ def kernel_basis(phi: State, cfg: DotConfig, bs, algebra_basis) -> list:
     spanning set against bs and keeping the directions with nonvanishing
     residual norm.
     """
-    kept = list(bs)
-    out = []
+    kept, out = list(bs), []
     for cand in algebra_basis:
         try:
-            _, onb = gram_schmidt(phi, cfg, kept + [cand])
+            out.append(gram_schmidt(phi, cfg, kept + [cand])[1][-1])
         except LinearDependenceError:
             continue
         kept.append(cand)
-        out.append(onb[-1])
     return out
 
 

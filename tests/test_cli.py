@@ -322,6 +322,44 @@ def test_overflowing_connection_is_one_input_error_without_warning(tmp_path):
     assert "Warning" not in proc.stderr
 
 
+HUGE_RUNS = {
+    "metric": ["metric", "--chart", "{sphere}", "--point", "1.1,0.7"],
+    "curvature": ["curvature", "--chart", "{sphere}", "--point", "1.1,0.7"],
+    "geodesic": ["geodesic", "--chart", "{sphere}", "--u0=1.1,0.7", "--v0=0.3,0.8",
+                 "--tau", "0.5", "--step", "0.05"],
+    "report": ["report", "--chart", "{torus}"],
+    "holonomy": ["holonomy", "--matrix", "{x}", "--matrix", "{zero}", "--tau", "1",
+                 "--step", "0.5"],
+    "stokes": ["stokes", "--point=1e200,0.3"],
+    **{cmd: [cmd, "--matrix", "{big}", "--matrix", "{eye}"]
+       for cmd in ("project", "orthonormalize", "uncertainty", "energy-bound", "gram",
+                   "volume")},
+}
+
+
+@pytest.mark.parametrize("name", list(HUGE_RUNS))
+def test_large_finite_input_is_one_error_line_without_warning(tmp_path, capsys, name):
+    # a 1e300 radius, a 1e300 connection or a 1e200 matrix entry overflows in
+    # the Gram, metric or exponential: one E_ line, no NumPy warning, no traceback
+    files = {
+        "sphere": write_json(tmp_path / "s.json", {"id": "sphere", "params": {"r": 1e300}}),
+        "torus": write_json(tmp_path / "t.json", {"id": "torus", "params": {"R": 1e300, "r": 0.5}}),
+        "x": write_matrix(tmp_path / "x.json", [[0.0, 1e300], [-1e300, 0.0]]),
+        "zero": write_matrix(tmp_path / "z.json", np.zeros((2, 2))),
+        "big": write_matrix(tmp_path / "big.json", np.diag([1e200, 1.0, 2.0])),
+        "eye": write_matrix(tmp_path / "eye.json", np.eye(3)),
+    }
+    argv = [arg.format(**files) for arg in HUGE_RUNS[name]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert [line[:2] for line in err.splitlines()] == ["E_"]
+    assert "Traceback" not in err and "Warning" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("tau, step", [
     ("inf", "0.01"), ("nan", "0.01"), ("-inf", "0.01"), ("1.0", "nan"),
     ("1.0", "inf"), ("1e300", "1e-300"), ("1e300", "1"),

@@ -899,3 +899,15 @@ def test_stacked_solve_matches_per_matrix_calls(n, k, spd, seed):
         inv, _, _, full = _solve_gram(m, UserWarning("singular member"))
     assert not full[bad] and full.sum() == k - 1
     assert inv[bad].tobytes() == np.linalg.pinv(m[bad], rcond=1e-10).tobytes()
+
+
+@pytest.mark.parametrize("m", [
+    [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]],
+    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]],
+    np.diag([1.0, math.inf, 1.0]), np.diag([1.0, 1.0, math.nan]),
+], ids=["inf", "nan", "huge", "stack", "svd-inf", "svd-nan"])
+def test_solve_rejects_a_matrix_whose_rank_cannot_be_tested(m):
+    # a non-finite entry, or squares beyond the float range, is an input error, not
+    # "singular"; the array formulas may warn on the way, as the CLI never shows
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        _solve_gram(np.array(m), SingularMetricError("singular"))

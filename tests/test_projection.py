@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgeom.algebra import AlgebraElement, DotConfig, State, dot, embed_diag
+from opgeom.algebra import AlgebraElement, DotConfig, State, _dot_matrix, dot, embed_diag
 from opgeom.errors import (
     DimensionError,
     DomainError,
@@ -248,6 +248,25 @@ def test_gram_schmidt_dependent_rejected(rng):
     b = rand_hermitian(rng, 3)
     with pytest.raises(LinearDependenceError):
         gram_schmidt(TRACE, CFG, [b, AlgebraElement(-0.5 * b.m)])
+
+
+def test_gram_schmidt_empty_set():
+    assert gram_schmidt(TRACE, CFG, []) == ([], [])
+
+
+def test_gram_schmidt_mixed_dimensions_rejected():
+    with pytest.raises(DimensionError):
+        gram_schmidt(TRACE, CFG, [embed_diag([1.0, 0.0]), embed_diag([1.0, 0.0, 0.0])])
+
+
+def test_gram_schmidt_near_dependent_set_is_orthonormal_to_rounding():
+    # condition number ~3e5: one Gram pass leaves ~1e-7, vector-space MGS ~1e-11
+    rng = np.random.default_rng(515)
+    bs = [rand_hermitian(rng, 8) for _ in range(4)]
+    bs.append(bs[0] + 0.7 * bs[1] + 1e-5 * rand_hermitian(rng, 8))
+    _, onb = gram_schmidt(TRACE, CFG, bs)
+    g = _dot_matrix(TRACE, CFG, np.stack([o.m for o in onb]))
+    assert np.abs(g - np.eye(len(bs))).max() <= 1e-13
 
 
 def test_kernel_basis_complement(rng):
