@@ -115,21 +115,6 @@ def _emit_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _listify(arr) -> list:
-    arr = np.asarray(arr)
-    if arr.ndim == 1:
-        return [float(v) for v in arr]
-    return [_listify(a) for a in arr]
-
-
-def _write_output(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # input loading
 
@@ -224,19 +209,18 @@ def _chart_point(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns the output text)
+# subcommand handlers (each returns its JSON document, geodesic its CSV text)
 
 def _cmd_gram(args):
     phi = _state_or_default(args, State.normalized_trace())
     bs = _load_matrices(args.matrix)
     gm = projection.gram(phi, DotConfig(), bs)
-    doc = {
-        "m": _listify(gm.m),
+    return {
+        "m": gm.m.tolist(),
         "det": float(gm.det),
         "full_rank": bool(gm.is_full_rank),
         "rank_tol": float(gm.rank_tol),
     }
-    return _emit_json(doc) + "\n"
 
 
 def _cmd_project(args):
@@ -245,22 +229,20 @@ def _cmd_project(args):
     if len(mats) < 2:
         raise _InputError("project needs the target matrix plus a reference set")
     res = projection.project(phi, DotConfig(), mats[0], mats[1:])
-    doc = {
+    return {
         "coefficients": [float(c) for c in res.coefficients],
         "norm_sq_parallel": float(res.norm_sq_parallel),
         "residual": float(res.residual),
         "parallel": algebra.matrix_to_json(res.parallel),
         "perpendicular": algebra.matrix_to_json(res.perpendicular),
     }
-    return _emit_json(doc) + "\n"
 
 
 def _cmd_orthonormalize(args):
     phi = _state_or_default(args, State.normalized_trace())
     mats = _load_matrices(args.matrix)
     _, onb = projection.gram_schmidt(phi, DotConfig(), mats)
-    doc = {"orthonormal": [algebra.matrix_to_json(o) for o in onb]}
-    return _emit_json(doc) + "\n"
+    return {"orthonormal": [algebra.matrix_to_json(o) for o in onb]}
 
 
 def _bound_doc(rep) -> dict:
@@ -278,9 +260,7 @@ def _cmd_uncertainty(args):
     if len(mats) != 2:
         raise _InputError("uncertainty needs exactly two matrices (a, b)")
     rep = uncertainty.pair_product_bound(phi, mats[0], mats[1])
-    doc = _bound_doc(rep)
-    doc["commutator_abs"] = float(rep.extra["commutator_abs"])
-    return _emit_json(doc) + "\n"
+    return {**_bound_doc(rep), "commutator_abs": float(rep.extra["commutator_abs"])}
 
 
 def _cmd_energy_bound(args):
@@ -289,31 +269,28 @@ def _cmd_energy_bound(args):
     if len(mats) < 2:
         raise _InputError("energy-bound needs the hamiltonian plus reference matrices")
     raw, fluct = uncertainty.energy_bound(PhysConstants(), phi, mats[0], mats[1:])
-    doc = {"raw": _bound_doc(raw), "fluctuation": _bound_doc(fluct)}
-    return _emit_json(doc) + "\n"
+    return {"raw": _bound_doc(raw), "fluctuation": _bound_doc(fluct)}
 
 
 def _cmd_metric(args):
     chart, u, phi, cfg = _chart_point(args)
     mf = hypersurface.metric(chart, phi, cfg, u)
-    doc = {"g": _listify(mf.g), "g_inv": _listify(mf.g_inv), "det": float(mf.det)}
-    return _emit_json(doc) + "\n"
+    return {"g": mf.g.tolist(), "g_inv": mf.g_inv.tolist(), "det": float(mf.det)}
 
 
 def _cmd_christoffel(args):
     chart, u, phi, cfg = _chart_point(args)
     cf = hypersurface.christoffel(chart, phi, cfg, u, method=args.method)
-    doc = {"method": args.method, "gamma": _listify(cf.gamma)}
-    return _emit_json(doc) + "\n"
+    return {"method": args.method, "gamma": cf.gamma.tolist()}
 
 
 def _cmd_curvature(args):
     chart, u, phi, cfg = _chart_point(args)
     cf = hypersurface.curvature(chart, phi, cfg, u)
-    doc = {"riemann": _listify(cf.riemann)}
+    doc = {"riemann": cf.riemann.tolist()}
     if chart.p == 2:
         doc["gauss_curvature"] = cf.gauss_curvature(cf.metric)
-    return _emit_json(doc) + "\n"
+    return doc
 
 
 def _cmd_geodesic(args):
@@ -355,13 +332,11 @@ def _cmd_holonomy(args):
     else:
         a = transport.stored_test_path().A
     path = transport.ConnectionPath(A=a, s_range=(0.0, tau), n_steps=n_steps)
-    f = transport.product_integral(path)
-    doc = {
+    return {
         "s_range": [0.0, tau],
         "n_steps": n_steps,
-        "transport": algebra.matrix_to_json(AlgebraElement(f)),
+        "transport": algebra.matrix_to_json(AlgebraElement(transport.product_integral(path))),
     }
-    return _emit_json(doc) + "\n"
 
 
 def _cmd_stokes(args):
@@ -378,20 +353,17 @@ def _cmd_stokes(args):
                               epsilon=eps / 2.0)
     r_full = transport.stokes_residual(transport.stored_su2_field, loop)
     r_half = transport.stokes_residual(transport.stored_su2_field, half)
-    doc = {
+    return {
         "epsilon": eps,
         "residual": float(r_full),
         "residual_half": float(r_half),
         "ratio": float(r_full / r_half) if r_half > 0 else float("inf"),
     }
-    return _emit_json(doc) + "\n"
 
 
 def _cmd_bianchi(args):
     chart, u, phi, cfg = _chart_point(args)
-    res = hypersurface.bianchi_residual(chart, phi, cfg, u)
-    doc = {"residual": float(res)}
-    return _emit_json(doc) + "\n"
+    return {"residual": float(hypersurface.bianchi_residual(chart, phi, cfg, u))}
 
 
 def _cmd_volume(args):
@@ -410,8 +382,7 @@ def _cmd_volume(args):
             raise _InputError("volume supports only the trace and sum states")
         normalized = kind == "trace"
     vol = projection.parallelepiped_volume(vecs, normalized=normalized)
-    doc = {"volume_sq": float(vol), "count": len(vecs)}
-    return _emit_json(doc) + "\n"
+    return {"volume_sq": float(vol), "count": len(vecs)}
 
 
 def _cmd_killing(args):
@@ -426,8 +397,7 @@ def _cmd_killing(args):
         raise _InputError(f"bad structure constants file: {exc}") from exc
     if f.size == d ** 3:
         f = f.reshape(d, d, d)
-    g = hypersurface.killing_metric(f, d)
-    return _emit_json({"g": _listify(g)}) + "\n"
+    return {"g": hypersurface.killing_metric(f, d).tolist()}
 
 
 def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
@@ -457,7 +427,7 @@ def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
         "state": phi.kind,
         "seed": int(seed),
         "count": int(sample_count),
-        "points": [_listify(u) for u in points],
+        "points": [u.tolist() for u in points],
         "stats": {
             "metric_det": stats(geom.det),
             "christoffel_max_abs": stats(max_abs(geom.gamma)),
@@ -474,8 +444,7 @@ def _cmd_report(args):
     chart = _load_chart(_need(args, "chart"))
     phi = _state_or_default(args, chart.default_state())
     seed = int(args.seed) if args.seed is not None else 0
-    doc = report(chart, phi, DotConfig(), REPORT_SAMPLE_COUNT, seed)
-    return _emit_json(doc) + "\n"
+    return report(chart, phi, DotConfig(), REPORT_SAMPLE_COUNT, seed)
 
 
 _HANDLERS = {
@@ -525,8 +494,13 @@ def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # overflows show as non-finite values, which checks reject
-            text = _HANDLERS[args.subcommand](args)
-        _write_output(text, args.out)
+            out = _HANDLERS[args.subcommand](args)
+        text = out if isinstance(out, str) else _emit_json(out) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
         return 0
     except (_InputError, OSError, ValueError, KeyError, TypeError, OverflowError,
             DimensionError, HermiticityError, DomainError, EvaluationError,

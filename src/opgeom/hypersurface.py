@@ -182,14 +182,11 @@ class Chart:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Induced metric and its inverse at one parameter point."""
+    """Induced metric, its inverse and its determinant at one parameter point."""
 
     g: np.ndarray
     g_inv: np.ndarray
-
-    @property
-    def det(self) -> float:
-        return float(_solve_gram(self.g)[1])
+    det: float
 
 
 @dataclass(frozen=True)
@@ -723,9 +720,10 @@ def tangent_basis(chart: Chart, phi: State, cfg: DotConfig, u) -> list:
 
 
 def metric(chart: Chart, phi: State, cfg: DotConfig, u) -> MetricField:
-    """Induced metric g[i, j] = b_i . b_j with its inverse."""
+    """Induced metric g[i, j] = b_i . b_j with its inverse and determinant."""
     g = _fields(_geo(chart, phi, cfg), _point(chart, u)[None]).g[0]
-    return MetricField(g=g, g_inv=_solve_metric(g)[0])
+    g_inv, det = _solve_metric(g)[:2]
+    return MetricField(g=g, g_inv=g_inv, det=float(det))
 
 
 def projector_apply(chart: Chart, phi: State, cfg: DotConfig, u, a: AlgebraElement) -> AlgebraElement:
@@ -879,8 +877,8 @@ def _curvature_at(geo: _Geo, xs: np.ndarray, s: float | None = None,
 def curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> CurvatureField:
     """Riemann components from central differences of the connection factors,
     with the metric at u from the same stencils."""
-    g, ginv, _, _, riem = _curvature_at(_geo(chart, phi, cfg, {}), _point(chart, u)[None])
-    return CurvatureField(riemann=riem[0], metric=MetricField(g=g[0], g_inv=ginv[0]))
+    g, ginv, det, _, riem = _curvature_at(_geo(chart, phi, cfg, {}), _point(chart, u)[None])
+    return CurvatureField(riemann=riem[0], metric=MetricField(g=g[0], g_inv=ginv[0], det=float(det[0])))
 
 
 def riemann_gauss_curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> float:

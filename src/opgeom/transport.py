@@ -3,13 +3,14 @@
 A connection along a curve enters as the sampled 1-form s -> A(gamma(s)) gamma'(s).
 The path-ordered exponential solving dF/ds = A(s) F is computed three ways:
 a truncated iterated-integral series, an ordered product of midpoint
-exponentials, and an adaptive ODE oracle used only for verification.
+exponentials, and an adaptive ODE oracle used only for verification: a
+Dormand-Prince 5(4) pair at local tolerance 3e-14, run toward s1 either way.
 
 Connections are sampled by one rule.  A ``_Stacked`` connection, as every
-connection this module builds is, takes one call per block of samples, and a
-call on one argument is a view of the same formula, with the same bits.  Any
-other callable, a wrapped library connection included, takes one call per
-sample, with a float64 argument.  Only ``transport_oracle`` imports scipy.
+connection this module builds is, takes one call per block of samples (per
+step in the oracle), and a call on one argument is a view of the same
+formula, with the same bits.  Any other callable, a wrapped library
+connection included, takes one call per sample, with a float64 argument.
 """
 
 from __future__ import annotations
@@ -149,6 +150,18 @@ _THETA13 = 5.371920351148152
 _BLOCK = 1024
 
 
+# Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 1980): nodes, stages (the
+# last row is the fifth-order solution), fifth- minus fourth-order weights.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([row + [0.0] * (7 - len(row)) for row in (
+    [], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_ORACLE_TOL = 3e-14
+
+
 def _pade(a, m):
     """Degree-m Pade approximant (V - U)^-1 (V + U) of exp on a stack."""
     b = _PADE[m]
@@ -184,10 +197,13 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
             continue
         s = np.maximum(0, np.ceil(np.log2(norms[sel] / _THETA13))).astype(int)
         r = _pade(a[sel] * np.exp2(-s)[:, None, None], 13)
-        for k in range(s.max()):
-            sq = s > k
-            r[sq] = r[sq] @ r[sq]
+        with np.errstate(all="ignore"):  # an overflow shows in the check below
+            for k in range(s.max()):
+                sq = s > k
+                r[sq] = r[sq] @ r[sq]
         out[sel] = r
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix exponential overflows")
     return out
 
 
@@ -206,10 +222,13 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
     The factors are sampled, exponentiated and multiplied in blocks of
     ``_BLOCK`` steps; each block's product multiplies the running one.
     """
-    s = path.grid()
+    s0, s1, n = float(path.s_range[0]), float(path.s_range[1]), path.n_steps
     f = None
-    for lo in range(0, path.n_steps, _BLOCK):
-        edges = s[lo:lo + _BLOCK + 1]
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        edges = np.arange(lo, hi + 1.0) * ((s1 - s0) / n) + s0  # np.linspace's formula
+        if hi == n:
+            edges[-1] = s1
         vals = _sample(path.A, 0.5 * (edges[:-1] + edges[1:]))
         block = _tree_product(_expm_stack(vals * np.diff(edges)[:, None, None]))
         f = block if f is None else block @ f
@@ -217,22 +236,30 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
 
 
 def transport_oracle(path: ConnectionPath, f0: np.ndarray | None = None) -> np.ndarray:
-    """Adaptive Runge-Kutta solution of dF/ds = A(s) F to local tolerance 1e-12."""
-    from scipy.integrate import solve_ivp
-
-    s0, s1 = float(path.s_range[0]), float(path.s_range[1])
-    a0 = np.asarray(path.A(s0), dtype=complex)
-    d = a0.shape[0]
-    start = np.eye(d, dtype=complex) if f0 is None else np.asarray(f0, dtype=complex)
-
-    def rhs(s, y):
-        return (np.asarray(path.A(s), dtype=complex) @ y.reshape(d, d)).reshape(-1)
-
-    sol = solve_ivp(rhs, (s0, s1), start.reshape(-1), method="RK45",
-                    rtol=1e-12, atol=1e-12)
-    if not sol.success:
-        raise StiffnessError(f"transport integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(d, d)
+    """Dormand-Prince 5(4) solution of dF/ds = A(s) F from F(s0) = f0 (default
+    the identity) to s1, backward if s1 < s0.  A step samples its seven nodes
+    in one call on a ``_Stacked`` A (else one per node), is kept if its error
+    estimate is at most ``_ORACLE_TOL`` max(1, max |F|), and scales the step by
+    0.9 err^(-1/5) in [0.2, 5]; StiffnessError once it is 1e-14 (|s| + |s1 - s0|)."""
+    s, s1 = float(path.s_range[0]), float(path.s_range[1])
+    f = np.array(np.eye(len(_sample(path.A, np.array([s]))[0])) if f0 is None else f0, dtype=complex)
+    h = span = s1 - s
+    while s != s1:
+        if abs(h) <= 1e-14 * (abs(s) + abs(span)):
+            raise StiffnessError(f"transport step size fell to {h:.3g} at s = {s:.17g}")
+        t = s1 if abs(h) >= abs(s1 - s) else s + h
+        h = t - s
+        a = _sample(path.A, s + _DP_C * h)
+        k = np.zeros(f.shape + (7,), dtype=complex)  # stage i in k[..., i]
+        with np.errstate(all="ignore"):  # an overflowing step shows as a non-finite error
+            for i in range(7):
+                y = f + h * (k @ _DP_A[i])
+                k[..., i] = a[i] @ y
+            err = np.abs(h * (k @ _DP_E)).max() / (_ORACLE_TOL * max(1.0, np.abs(f).max()))
+        if err <= 1.0:
+            s, f = t, y  # y, the last stage's argument, is the fifth-order solution
+        h *= min(5.0, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
+    return f
 
 
 def reverse_path(path: ConnectionPath) -> ConnectionPath:

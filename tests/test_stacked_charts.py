@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgeom.algebra import DotConfig, State, _Stacked
+from opgeom import hypersurface
+from opgeom.algebra import DotConfig, State, _solve_gram, _Stacked
 from opgeom.cli import report
 from opgeom.errors import DimensionError, EvaluationError, StencilOutOfDomainError
 from opgeom.hypersurface import (
@@ -274,6 +275,25 @@ def test_curvature_builds_the_metric_once():
     assert cf.metric.g.tobytes() == mf.g.tobytes()
     assert cf.metric.g_inv.tobytes() == mf.g_inv.tobytes()
     assert gauss == cf.gauss_curvature(mf)
+
+
+@pytest.mark.parametrize("chart", [sphere(), torus(), paraboloid(), flat_plane(),
+                                   graph3_chart()], ids=lambda c: c.id)
+def test_metric_det_is_stored_from_the_one_solve(chart, monkeypatch):
+    lo, hi = chart.sample_box
+    u = lo + 0.37 * (hi - lo)
+    for mf in (metric(chart, SUM, CFG, u), curvature(chart, SUM, CFG, u).metric):
+        assert float(mf.det).hex() == float(_solve_gram(mf.g)[1]).hex()
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return _solve_gram(*args)
+
+    monkeypatch.setattr(hypersurface, "_solve_gram", counted)
+    metric(chart, SUM, CFG, u).det
+    curvature(chart, SUM, CFG, u).metric.det
+    assert len(solves) == 2
 
 
 @pytest.mark.parametrize("chart", [paraboloid(), counting(paraboloid())[0]],

@@ -1,16 +1,20 @@
 """Path-ordered transports, loop holonomy versus field strength, and the
 differential curvature identity."""
 
+import ast
 import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from opgeom.algebra import DotConfig, State
@@ -18,6 +22,7 @@ from opgeom.errors import (
     DimensionError,
     OrderTooLargeError,
     PatchDomainError,
+    StiffnessError,
 )
 from opgeom.hypersurface import Chart, flat_plane, sphere, torus
 from opgeom.transport import (
@@ -34,9 +39,11 @@ from opgeom.transport import (
     transport_oracle,
     _BLOCK,
     _Stacked,
+    _affine_connection,
     _expm_stack,
     _sample,
     _segment_path,
+    _tree_product,
 )
 
 SUM = State.unnormalized_sum()
@@ -196,6 +203,43 @@ def test_product_memory_bounded_by_block():
     assert peak(100_000) < 3 * peak(_BLOCK)
 
 
+def test_product_memory_constant_in_steps():
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            product_integral(stored_test_path(n_steps=n_steps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(_BLOCK)  # one-time allocations of a first call
+    # each block's edges are generated, so no grid of n_steps + 1 floats is held
+    assert peak(200_000) < 1.5 * peak(_BLOCK)
+
+
+def grid_product(path):
+    """The blocked product over slices of path.grid(), the edges product_integral
+    generates block by block."""
+    s, f = path.grid(), None
+    for lo in range(0, path.n_steps, _BLOCK):
+        edges = s[lo:lo + _BLOCK + 1]
+        vals = _sample(path.A, 0.5 * (edges[:-1] + edges[1:]))
+        block = _tree_product(_expm_stack(vals * np.diff(edges)[:, None, None]))
+        f = block if f is None else block @ f
+    return f
+
+
+@pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10000])
+@pytest.mark.parametrize("s_range", [(0.0, 1.0), (0.3, -2.7), (-1.1, 0.1), (0.5, 0.5)])
+def test_block_edges_are_the_grid(n_steps, s_range):
+    path = ConnectionPath(A=stored_test_path().A, s_range=s_range, n_steps=n_steps)
+    stack, calls = counting(path.A.stack)
+    got = product_integral(replace(path, A=_Stacked(stack)))
+    s = path.grid()
+    assert np.concatenate(calls).tobytes() == (0.5 * (s[:-1] + s[1:])).tobytes()
+    assert hexes(got) == hexes(grid_product(path))
+
+
 @st.composite
 def expm_stacks(draw):
     """Stacks of general or antihermitian d x d matrices, d = 1..6, whose
@@ -230,6 +274,23 @@ def test_expm_stack_rejects_nonfinite():
         _expm_stack(np.full((1, 2, 2), np.inf, dtype=complex))
 
 
+def test_overflowing_product_integral_raises_without_warnings():
+    x = np.array([[0.0, 1e300], [-1e300, 0.0]], dtype=complex)
+    path = ConnectionPath(A=lambda s: s * x, s_range=(0.0, 1.0), n_steps=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exponential overflows"):
+            product_integral(path)
+
+
+def test_overflowing_stokes_loop_raises_without_warnings():
+    loop = LoopSpec(base=(1e200, 0.3), dirs=LOOP_DIRS, epsilon=0.025)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exponential overflows"):
+            stokes_residual(stored_su2_field, loop)
+
+
 def test_import_loads_no_scipy():
     code = ("import opgeom, sys; "
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
@@ -237,10 +298,25 @@ def test_import_loads_no_scipy():
 
 
 def test_ordered_series_loads_no_scipy():
-    code = ("import sys; from opgeom.transport import ordered_series, stored_test_path; "
-            "ordered_series(stored_test_path(n_steps=10), 3); "
-            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
-    subprocess.run([sys.executable, "-c", code], check=True)
+    for call in ("ordered_series(stored_test_path(n_steps=10), 3)",
+                 "transport_oracle(stored_test_path())"):
+        code = ("import sys; from opgeom.transport import *; " + call + "; "
+                "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_package_sources_import_no_scipy():
+    sources = sorted((Path(__file__).parents[1] / "src" / "opgeom").glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +444,73 @@ def test_oracle_initial_value_linearity(rng):
     f0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     full = transport_oracle(path, f0=f0)
     assert np.abs(full - transport_oracle(path) @ f0).max() < 1e-10
+
+
+def dop853(path):
+    """Reference transport by scipy's eighth-order DOP853 near its tightest tolerance."""
+    s0, s1 = path.s_range
+    d = len(path.A(s0))
+    sol = solve_ivp(lambda s, y: (path.A(s) @ y.reshape(d, d)).reshape(-1), (s0, s1),
+                    np.eye(d, dtype=complex).reshape(-1), method="DOP853",
+                    rtol=2.3e-14, atol=1e-16)
+    assert sol.success
+    return sol.y[:, -1].reshape(d, d)
+
+
+def antihermitian(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (m - m.conj().T)
+
+
+def oracle_paths():
+    rng = np.random.default_rng(20)
+    yield stored_test_path()
+    for d in (2, 2, 4, 4):
+        yield ConnectionPath(A=_affine_connection(antihermitian(rng, d), antihermitian(rng, d)),
+                             s_range=(0.0, 1.0), n_steps=1)
+
+
+@pytest.mark.parametrize("path", list(oracle_paths()), ids=["stored", "d2a", "d2b", "d4a", "d4b"])
+def test_oracle_against_dop853(path):
+    f = transport_oracle(path)
+    assert np.abs(f - dop853(path)).max() <= 1e-13
+    back = transport_oracle(replace(path, s_range=path.s_range[::-1]))
+    assert np.abs(back - np.linalg.inv(f)).max() <= 1e-12
+
+
+def test_oracle_empty_range_returns_the_start(rng):
+    path = replace(stored_test_path(), s_range=(0.4, 0.4))
+    f0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    assert np.array_equal(transport_oracle(path), np.eye(2))
+    assert np.array_equal(transport_oracle(path, f0=f0), f0)
+
+
+def test_oracle_samples_each_step_once():
+    stack, calls = counting(stored_test_path().A.stack)
+    transport_oracle(ConnectionPath(A=_Stacked(stack), s_range=(0.0, 1.0), n_steps=1))
+    # the start point for the identity's size, then the seven nodes of each step
+    assert [len(s) for s in calls[1:]] == [7] * (len(calls) - 1) and len(calls) > 10
+    a, points = counting(stored_test_path().A)
+    transport_oracle(ConnectionPath(A=a, s_range=(0.0, 1.0), n_steps=1))
+    assert len(points) == 1 + 7 * (len(calls) - 1)
+
+
+@pytest.mark.parametrize("sample, error", [
+    (np.ones((2, 3)), DimensionError),
+    (np.full((2, 2), np.inf), ValueError),
+])
+def test_oracle_rejects_bad_samples(sample, error):
+    with pytest.raises(error):
+        transport_oracle(ConnectionPath(A=lambda s: sample, s_range=(0.0, 1.0), n_steps=1))
+
+
+def test_oracle_overflow_is_a_stiffness_error():
+    x = np.array([[0.0, 1e300], [-1e300, 0.0]], dtype=complex)
+    path = ConnectionPath(A=lambda s: x, s_range=(0.0, 1.0), n_steps=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError):
+            transport_oracle(path)
 
 
 # ---------------------------------------------------------------------------
