@@ -18,16 +18,18 @@ two-parameter chart, plus ``holonomy`` (the stored path, a long one spanning
 several product-integral blocks, and A(s) = s X + Y from two matrix files)
 and ``stokes`` (default and a given loop).  The error runs are
 a chart file with a 400-digit radius, one with a state object,
-``christoffel`` at a NaN point, ``metric`` on a paraboloid at a point where
-the chart value overflows, ``christoffel`` on the sphere where the
-stencil crosses the pole, ``holonomy`` along A(s) = s X + Y where the
-samples overflow, and four runs whose finite inputs overflow a Gram matrix,
+``christoffel`` at a NaN point, ``metric`` on a torus chart file with a
+parameter the torus does not take (``big_r``) and on a sphere chart file
+with a misspelled field (``fd_stpe``), ``metric`` on a paraboloid at a
+point where the chart value overflows, ``christoffel`` on the sphere where
+the stencil crosses the pole, ``holonomy`` along A(s) = s X + Y where the
+samples overflow, four runs whose finite inputs overflow a Gram matrix,
 a metric or a matrix exponential: ``metric`` on a sphere of radius 1e300,
 ``gram`` of a matrix with a 1e200 entry and the identity, ``holonomy`` with
-X off-diagonal +-1e300, and ``stokes`` at 1e200,0.3.  All run in one
-process through ``opgeom.cli.run``; stderr names chart files without their
-directory, and an exception escaping ``run`` is recorded as
-``exit=raised <type>``.
+X off-diagonal +-1e300, and ``stokes`` at 1e200,0.3, and ``stokes`` at a
+three-component point.  All run in one process through ``opgeom.cli.run``;
+stderr names chart files without their directory, and an exception
+escaping ``run`` is recorded as ``exit=raised <type>``.
 """
 
 import argparse
@@ -67,6 +69,9 @@ ERRORS = {
     "sphere-christoffel-pole": ("christoffel", CHARTS["sphere"][0], "0.00005,0.4"),
     # a metric whose entries overflow
     "sphere-metric-huge-radius": ("metric", {"id": "sphere", "params": {"r": 1e300}}, "1.1,0.7"),
+    # a parameter the chart does not take, and a misspelled field
+    "chart-unknown-param": ("metric", {"id": "torus", "params": {"big_r": 3.0}}, "0.4,1.3"),
+    "chart-unknown-field": ("metric", {"id": "sphere", "fd_stpe": 0.05}, "1.1,0.7"),
 }
 
 # matrix file name -> matrix JSON: X of an affine connection whose samples
@@ -136,6 +141,7 @@ def error_runs(chart_dir: Path) -> list:
         ("holonomy-matrix-huge",
          ["holonomy", *mat["X-1e300"], *mat["Y-zero"], "--tau", "1", "--step", "0.5"]),
         ("stokes-huge-point", ["stokes", "--point=1e200,0.3"]),
+        ("stokes-three-point", ["stokes", "--point", "0.2,0.3,0.4"]),
     ]
     return runs
 

@@ -12,16 +12,17 @@ with lam = 1/2 giving the symmetric product used throughout the geometry
 modules.
 
 All matrix and state file I/O (a small JSON schema) lives in this module;
-the other modules consume in-memory values only.  So do two helpers the
-geometry and transport modules share: ``_Stacked``, the one type of callable
-defined over a stack of points, with ``_each``, the rule that calls it, and
-``_asymmetric``, the one relative symmetry test.
+the other modules consume in-memory values only.  So do the helpers other
+modules share: ``_Stacked``, the one type of callable defined over a stack
+of points, with ``_each``, the rule that calls it, ``_step_count``, the one
+step-count rule, and ``_asymmetric``, the one relative symmetry test.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -122,6 +123,15 @@ def _each(fn, xs: np.ndarray, memo: dict | None = None):
             v = memo[key] = fn(x)
         out.append(v)
     return out
+
+
+def _step_count(tau: float, step: float) -> int:
+    """Integrator steps round(tau / step), at least one.  ``ValueError`` unless
+    tau and step are positive and finite with tau / step at most sys.maxsize."""
+    if not (0.0 < step < math.inf and tau > 0.0 and tau / step <= sys.maxsize):
+        raise ValueError(f"tau and step must be positive and finite, tau / step <= sys.maxsize; "
+                         f"got {tau} and {step}")
+    return max(1, int(round(tau / step)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,11 +481,8 @@ def _solve_each(st: np.ndarray, two: bool):
     for k in range(len(st)):
         if two:
             (a, b), (c, d) = rows[k]
-            dt = a * d - b * c
-            fro2 = abs(a) * abs(a) + abs(b) * abs(b) + abs(c) * abs(c) + abs(d) * abs(d)
-            gap = 2.0 * abs(dt)
-            s_max = math.sqrt(0.5 * (fro2 + math.sqrt(max((fro2 - gap) * (fro2 + gap), 0.0))))
-            s_min = abs(dt) / s_max if s_max > 0 else 0.0
+            dt, adet, s_max = _closed_2x2(a, b, c, d, math.sqrt, max)
+            s_min = adet / s_max if s_max > 0 else 0.0
         else:
             dt, s_max, s_min = dets[k], s[k, 0], s[k, -1]
         if not math.isfinite(s_max):
@@ -493,23 +500,26 @@ def _solve_each(st: np.ndarray, two: bool):
     return inv, det, cond, full
 
 
+def _closed_2x2(a, b, c, d, sqrt, maximum):
+    """det, |det| and s_max of [[a, b], [c, d]] from its determinant and
+    Frobenius norm: the one 2x2 closed form.  A lone matrix passes Python
+    numbers with (math.sqrt, max), since array overhead would cost it several
+    times as long; a stack passes its entry columns with (np.sqrt, np.maximum)."""
+    det = a * d - b * c
+    adet = abs(det)
+    aa, ab, ac, ad = abs(a), abs(b), abs(c), abs(d)
+    fro2 = aa * aa + ab * ab + ac * ac + ad * ad
+    gap = 2.0 * adet
+    return det, adet, sqrt(0.5 * (fro2 + sqrt(maximum((fro2 - gap) * (fro2 + gap), 0.0))))
+
+
 def _solve_2x2_stack(st: np.ndarray):
     """The four results of ``_solve_gram`` on a stack of K > 1 2x2 matrices,
-    as arrays from array arithmetic, with zeros for the inverse of a member
-    that is not of full rank.
-
-    The formulas and their operand order are those of the lone-matrix
-    closed form, which runs on Python floats because a lone matrix would
-    spend several times as long in per-call array overhead.  Real stacks get
-    the lone-matrix bits exactly (complex products may round differently).
+    as arrays from array arithmetic (``_closed_2x2``), with zeros for the
+    inverse of a member that is not of full rank.  Real stacks get the
+    lone-matrix bits exactly (complex products may round differently).
     """
-    a, b, c, d = st.reshape(-1, 4).T
-    det = a * d - b * c
-    sq = np.square(np.abs(st.reshape(-1, 4)))
-    fro2 = sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]
-    adet = np.abs(det)
-    gap = 2.0 * adet
-    s_max = np.sqrt(0.5 * (fro2 + np.sqrt(np.maximum((fro2 - gap) * (fro2 + gap), 0.0))))
+    det, adet, s_max = _closed_2x2(*st.reshape(-1, 4).T, np.sqrt, np.maximum)
     if not np.isfinite(s_max).all():
         raise ValueError(_UNTESTABLE)
     s_min = np.divide(adet, s_max, out=np.zeros_like(s_max), where=s_max > 0)

@@ -14,8 +14,8 @@ reproduce across platforms and implementations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -142,12 +142,6 @@ def _load_chart(path) -> hypersurface.Chart:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise _InputError(f"chart file {path} must hold a JSON object")
-    env = os.environ.get("OPGEOM_FD_STEP")
-    if env is not None and "fd_step" not in obj:
-        try:
-            obj = dict(obj, fd_step=float(env))
-        except ValueError as exc:
-            raise _InputError(f"OPGEOM_FD_STEP is not a real number: {exc}") from exc
     try:
         return hypersurface.chart_from_json(obj)
     except _BAD_CONTENT as exc:
@@ -186,24 +180,9 @@ def _need(args, flag: str):
     return value
 
 
-def _step_count(tau: float, step: float) -> int:
-    """Integrator steps round(tau / step), at least one, for positive finite
-    inputs whose ratio fits the platform's index range."""
-    if not (np.isfinite(tau) and np.isfinite(step)):
-        raise _InputError("--tau and --step must be finite")
-    if tau <= 0 or step <= 0:
-        raise _InputError("--tau and --step must be positive")
-    ratio = tau / step
-    if ratio > sys.maxsize:
-        raise _InputError(f"--tau/--step gives {ratio:.17g} steps, more than {sys.maxsize}")
-    return max(1, int(round(ratio)))
-
-
 def _chart_point(args):
     chart = _load_chart(_need(args, "chart"))
     u = _parse_csv_floats(_need(args, "point"), "point")
-    if u.size != chart.p:
-        raise _InputError(f"--point needs {chart.p} components for chart '{chart.id}'")
     phi = _state_or_default(args, chart.default_state())
     return chart, u, phi, DotConfig()
 
@@ -226,8 +205,6 @@ def _cmd_gram(args):
 def _cmd_project(args):
     phi = _state_or_default(args, State.normalized_trace())
     mats = _load_matrices(args.matrix)
-    if len(mats) < 2:
-        raise _InputError("project needs the target matrix plus a reference set")
     res = projection.project(phi, DotConfig(), mats[0], mats[1:])
     return {
         "coefficients": [float(c) for c in res.coefficients],
@@ -266,8 +243,6 @@ def _cmd_uncertainty(args):
 def _cmd_energy_bound(args):
     phi = _state_or_default(args, State.normalized_trace())
     mats = _load_matrices(args.matrix)
-    if len(mats) < 2:
-        raise _InputError("energy-bound needs the hamiltonian plus reference matrices")
     raw, fluct = uncertainty.energy_bound(PhysConstants(), phi, mats[0], mats[1:])
     return {"raw": _bound_doc(raw), "fluctuation": _bound_doc(fluct)}
 
@@ -299,9 +274,6 @@ def _cmd_geodesic(args):
     v0 = _parse_csv_floats(_need(args, "v0"), "v0")
     tau = float(_need(args, "tau"))
     step = float(_need(args, "step"))
-    _step_count(tau, step)
-    if u0.size != chart.p or v0.size != chart.p:
-        raise _InputError(f"--u0/--v0 need {chart.p} components for chart '{chart.id}'")
     phi = _state_or_default(args, chart.default_state())
     result = hypersurface.geodesic(chart, phi, DotConfig(), u0, v0, tau, step)
     p = chart.p
@@ -320,15 +292,12 @@ def _cmd_geodesic(args):
 def _cmd_holonomy(args):
     tau = float(args.tau) if args.tau is not None else 1.0
     step = float(args.step) if args.step is not None else 1e-3
-    n_steps = _step_count(tau, step)
+    n_steps = algebra._step_count(tau, step)
     if args.matrix:
         mats = _load_matrices(args.matrix)
         if len(mats) != 2:
             raise _InputError("holonomy takes two matrices X, Y for A(s) = s X + Y")
-        x_m, y_m = mats[0].m, mats[1].m
-        if x_m.shape != y_m.shape:
-            raise DimensionError("X and Y must have equal dimension")
-        a = transport._affine_connection(x_m, y_m)
+        a = transport._affine_connection(mats[0].m, mats[1].m)
     else:
         a = transport.stored_test_path().A
     path = transport.ConnectionPath(A=a, s_range=(0.0, tau), n_steps=n_steps)
@@ -342,15 +311,10 @@ def _cmd_holonomy(args):
 def _cmd_stokes(args):
     base = (_parse_csv_floats(args.point, "point")
             if args.point else np.array([0.2, 0.3]))
-    if base.size != 2:
-        raise _InputError("--point needs 2 components for stokes")
     eps = float(args.step) if args.step is not None else 0.05
-    if eps <= 0:
-        raise _InputError("--step (loop side length) must be positive")
     loop = transport.LoopSpec(base=tuple(base), dirs=((1.0, 0.0), (0.0, 1.0)),
                               epsilon=eps)
-    half = transport.LoopSpec(base=tuple(base), dirs=((1.0, 0.0), (0.0, 1.0)),
-                              epsilon=eps / 2.0)
+    half = dataclasses.replace(loop, epsilon=eps / 2.0)
     r_full = transport.stokes_residual(transport.stored_su2_field, loop)
     r_half = transport.stokes_residual(transport.stored_su2_field, half)
     return {

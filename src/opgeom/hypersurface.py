@@ -89,6 +89,7 @@ from .algebra import (
     _solve_gram,
     _stack,
     _Stacked,
+    _step_count,
     embed_diag,
     heisenberg_dot,
 )
@@ -385,23 +386,30 @@ def custom_grid(axes, values, state: str = "sum", fd_step: float | None = None,
     )
 
 
+# each chart id's constructor and JSON parameter names, with the keyword each
+# fills (custom_grid decodes its own); the defaults live in the constructors
+_CHART_IDS = {
+    "flat_plane": (flat_plane, {}),
+    "sphere": (sphere, {"r": "r"}),
+    "torus": (torus, {"R": "big_r", "r": "r"}),
+    "paraboloid": (paraboloid, {"a": "a"}),
+    "custom_grid": (custom_grid, dict.fromkeys(("axes", "dim", "values_re", "values_im"))),
+}
+
+
 def make_chart(chart_id: str, params: dict | None = None, state: str = "sum",
                fd_step: float | None = None, fd_step2: float | None = None) -> Chart:
-    """Build a registered chart from its id and parameter dict."""
+    """Build a registered chart from its id and parameter dict; an unknown id
+    or parameter name raises ``ValueError``."""
+    if not (isinstance(chart_id, str) and chart_id in _CHART_IDS):
+        raise ValueError(f"unknown chart id {chart_id!r}")
+    build, names = _CHART_IDS[chart_id]
     params = dict(params or {})
-    kw = {"state": state}
-    if fd_step is not None:
-        kw["fd_step"] = float(fd_step)
-    if fd_step2 is not None:
-        kw["fd_step2"] = float(fd_step2)
-    if chart_id == "flat_plane":
-        return flat_plane(**kw)
-    if chart_id == "sphere":
-        return sphere(r=float(params.get("r", 1.0)), **kw)
-    if chart_id == "torus":
-        return torus(big_r=float(params.get("R", 2.0)), r=float(params.get("r", 0.5)), **kw)
-    if chart_id == "paraboloid":
-        return paraboloid(a=float(params.get("a", 1.0)), **kw)
+    unknown = [name for name in params if name not in names]
+    if unknown:
+        raise ValueError(f"chart {chart_id!r} takes parameters {list(names)}, not {unknown}")
+    kw = {"state": state, **{name: float(step) for name, step in
+                             (("fd_step", fd_step), ("fd_step2", fd_step2)) if step is not None}}
     if chart_id == "custom_grid":
         axes = params["axes"]
         dim = int(params["dim"])
@@ -409,7 +417,8 @@ def make_chart(chart_id: str, params: dict | None = None, state: str = "sum",
         re = np.asarray(params["values_re"], dtype=float).reshape(shape)
         im = np.asarray(params.get("values_im", np.zeros(re.size)), dtype=float).reshape(shape)
         return custom_grid(axes, re + 1j * im, **kw)
-    raise ValueError(f"unknown chart id {chart_id!r}")
+    return build(**{key: float(params[name]) for name, key in names.items() if name in params},
+                 **kw)
 
 
 def chart_to_json(chart: Chart) -> dict:
@@ -423,6 +432,9 @@ def chart_from_json(obj: dict) -> Chart:
         chart_id = obj["id"]
     except (KeyError, TypeError) as exc:
         raise ValueError("chart object must carry an 'id' field") from exc
+    unknown = [name for name in obj if name not in ("id", "params", "state", "fd_step", "fd_step2")]
+    if unknown:
+        raise ValueError(f"unknown chart field(s) {unknown}")
     return make_chart(
         chart_id,
         params=obj.get("params"),
@@ -965,6 +977,9 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     returned with ``left_domain`` set.  The acceleration contracts the
     connection with the velocity through a single directional second
     difference (fourth-order stencil, step ``fd_step2``).
+    Raises ``DimensionError`` unless u0 and v0 have shape (p,), ``ValueError``
+    for a non-finite u0 or v0, a zero v0, or a tau_max and step ``_step_count``
+    rejects, and ``EvaluationError`` for a u0 outside the chart domain.
     """
     u = np.asarray(u0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
@@ -974,12 +989,10 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
         raise ValueError(f"u0 and v0 must be finite, got {u.tolist()} and {v.tolist()}")
     if not np.any(v != 0.0):
         raise ValueError("initial velocity must be nonzero")
-    if not (step > 0 and tau_max > 0):
-        raise ValueError("step and tau_max must be positive")
+    n_steps = _step_count(tau_max, step)
     geo = _geo(chart, phi, cfg)  # no memo: RK4 stages never share a point
     if geo.outside(u[None]) is not None:
         raise EvaluationError(f"initial point {u.tolist()} outside chart domain")
-    n_steps = max(1, int(round(tau_max / step)))
     states = [GeodesicState(tau=0.0, u=u.copy(), udot=v.copy())]
     left = False
     for k in range(n_steps):

@@ -128,12 +128,15 @@ def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> ProjectionResu
     w = g.solve(n)
     par = AlgebraElement(sum(bi.m * wi for bi, wi in zip(bs, w)))
     perp = a - par
+    norm_sq, residual = float(n @ w), _dot_matrix(phi, cfg, perp.m[None])[0, 0]
+    if not (np.isfinite(w).all() and math.isfinite(norm_sq) and math.isfinite(residual)):
+        raise ValueError("projection overflows: its coefficients or norms are not finite")
     return ProjectionResult(
         coefficients=-w,
         parallel=par,
         perpendicular=perp,
-        norm_sq_parallel=float(n @ w),
-        residual=_dot_matrix(phi, cfg, perp.m[None])[0, 0],
+        norm_sq_parallel=norm_sq,
+        residual=residual,
     )
 
 

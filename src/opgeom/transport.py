@@ -73,15 +73,20 @@ class ConnectionPath:
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """Square loop: base point, two spanning directions, side length."""
+    """Square loop: base point, two spanning directions, side length epsilon.
+    ``DimensionError`` unless base has shape (2,) and dirs (2, 2), ``ValueError``
+    unless their entries and epsilon are finite, with epsilon > 0."""
 
     base: tuple
     dirs: tuple
     epsilon: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError("loop side length must be positive")
+        base, dirs = np.asarray(self.base, dtype=float), np.asarray(self.dirs, dtype=float)
+        if base.shape != (2,) or dirs.shape != (2, 2):
+            raise DimensionError(f"loop base {base.shape}, dirs {dirs.shape} are not (2,), (2, 2)")
+        if not (np.isfinite(base).all() and np.isfinite(dirs).all() and 0 < self.epsilon < np.inf):
+            raise ValueError(f"loop base, dirs, side {self.epsilon} must be finite and side > 0")
 
 
 def _values(a, points) -> np.ndarray:
@@ -196,6 +201,9 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
             out[sel] = _pade(a[sel], _DEGREES[i])
             continue
         s = np.maximum(0, np.ceil(np.log2(norms[sel] / _THETA13))).astype(int)
+        if s.max() > 52:  # s squarings amplify rounding up to 2^s, which reaches 1 / 2^-53 at 53
+            raise ValueError(f"matrix exponential overflows: 1-norm {norms.max():.3g} needs "
+                             f"{s.max()} squarings, and past 52 no digit is correct")
         r = _pade(a[sel] * np.exp2(-s)[:, None, None], 13)
         with np.errstate(all="ignore"):  # an overflow shows in the check below
             for k in range(s.max()):
@@ -220,7 +228,8 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
     factors multiplying from the left.
 
     The factors are sampled, exponentiated and multiplied in blocks of
-    ``_BLOCK`` steps; each block's product multiplies the running one.
+    ``_BLOCK`` steps; each block's product multiplies the running one.  A
+    product that overflows raises ``ValueError``.
     """
     s0, s1, n = float(path.s_range[0]), float(path.s_range[1]), path.n_steps
     f = None
@@ -230,8 +239,11 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
         if hi == n:
             edges[-1] = s1
         vals = _sample(path.A, 0.5 * (edges[:-1] + edges[1:]))
-        block = _tree_product(_expm_stack(vals * np.diff(edges)[:, None, None]))
-        f = block if f is None else block @ f
+        factors = _expm_stack(vals * np.diff(edges)[:, None, None])
+        with np.errstate(all="ignore"):  # an overflow shows in the check below
+            f = _tree_product(factors) if f is None else _tree_product(factors) @ f
+        if not np.isfinite(f).all():  # a non-finite block product makes f non-finite too
+            raise ValueError("product integral overflows")
     return f
 
 
@@ -240,9 +252,17 @@ def transport_oracle(path: ConnectionPath, f0: np.ndarray | None = None) -> np.n
     the identity) to s1, backward if s1 < s0.  A step samples its seven nodes
     in one call on a ``_Stacked`` A (else one per node), is kept if its error
     estimate is at most ``_ORACLE_TOL`` max(1, max |F|), and scales the step by
-    0.9 err^(-1/5) in [0.2, 5]; StiffnessError once it is 1e-14 (|s| + |s1 - s0|)."""
+    0.9 err^(-1/5) in [0.2, 5]; StiffnessError once it is 1e-14 (|s| + |s1 - s0|).
+    An f0 not of shape (d, d), d the size of A, raises ``DimensionError``, and
+    a non-finite one ``ValueError``.
+    """
     s, s1 = float(path.s_range[0]), float(path.s_range[1])
-    f = np.array(np.eye(len(_sample(path.A, np.array([s]))[0])) if f0 is None else f0, dtype=complex)
+    d = len(_sample(path.A, np.array([s]))[0])
+    f = np.array(np.eye(d) if f0 is None else f0, dtype=complex)
+    if f.shape != (d, d):
+        raise DimensionError(f"f0 must have shape ({d}, {d}), got {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("f0 must be finite")
     h = span = s1 - s
     while s != s1:
         if abs(h) <= 1e-14 * (abs(s) + abs(span)):
@@ -332,7 +352,9 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _affine_connection(x: np.ndarray, y: np.ndarray) -> _Stacked:
-    """A(s) = s X + Y."""
+    """A(s) = s X + Y; X and Y of different shapes raise ``DimensionError``."""
+    if x.shape != y.shape:
+        raise DimensionError("X and Y must have equal dimension")
     return _Stacked(lambda s: s[:, None, None] * x + y)
 
 

@@ -93,9 +93,6 @@ def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> Boun
     configured dot product.  With the default symmetric configuration the
     margin is nonnegative for every state (up to rounding).
     """
-    bs = list(bs)
-    if not bs:
-        raise DimensionError("reference set is empty")
     da = fluctuation(phi, a)
     dbs = [fluctuation(phi, b) for b in bs]
     res = project(phi, cfg, da, dbs)

@@ -372,6 +372,35 @@ def test_step_count_must_be_finite_and_fit(flat_file, capsys, tau, step):
         assert err.count("\n") == 1
 
 
+# inputs the library rejects with a typed error; the CLI only parses them (the
+# step-count rule has its own test above)
+LIBRARY_CHECKED_RUNS = {
+    "point-length": ["metric", "--chart", "{sphere}", "--point", "0.5"],
+    "u0-length": ["geodesic", "--chart", "{sphere}", "--u0=0.5", "--v0=1,0",
+                  "--tau", "1", "--step", "0.1"],
+    "v0-length": ["geodesic", "--chart", "{sphere}", "--u0=1.1,0.7", "--v0=1,0,0",
+                  "--tau", "1", "--step", "0.1"],
+    "holonomy-shapes": ["holonomy", "--matrix", "{m2}", "--matrix", "{m3}"],
+    "stokes-point-length": ["stokes", "--point", "0.2,0.3,0.4"],
+    "stokes-step-zero": ["stokes", "--step", "0"],
+    "stokes-step-negative": ["stokes", "--step=-0.1"],
+    "project-one-matrix": ["project", "--matrix", "{m2}"],
+    "energy-bound-one-matrix": ["energy-bound", "--matrix", "{m2}"],
+}
+
+
+@pytest.mark.parametrize("name", list(LIBRARY_CHECKED_RUNS))
+def test_library_checked_input_is_one_input_error(tmp_path, capsys, name):
+    files = {
+        "sphere": write_json(tmp_path / "s.json", {"id": "sphere"}),
+        "m2": write_matrix(tmp_path / "m2.json", np.diag([1.0, -1.0])),
+        "m3": write_matrix(tmp_path / "m3.json", np.eye(3)),
+    }
+    argv = [arg.format(**files) for arg in LIBRARY_CHECKED_RUNS[name]]
+    err = run_err(capsys, argv, 1, "E_INPUT")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("chart_obj", [
     {"id": "sphere", "fd_step": 0}, {"id": "sphere", "fd_step": -1e-4},
     {"id": "sphere", "fd_step2": 0}, {"id": "torus", "params": {"R": "inf"}},
@@ -426,8 +455,10 @@ HUGE = 10 ** 400  # an integer no float can hold
     ("state", {"kind": "gibbs", "h": {"dim": 1, "re": [1.0], "im": [0.0]}, "beta": HUGE}),
     ("chart", {"id": "sphere", "state": {"kind": "trace"}}),
     ("chart", {"id": "sphere", "state": "bogus"}),
+    ("chart", {"id": "torus", "params": {"big_r": 3.0}}),
+    ("chart", {"id": "sphere", "fd_stpe": 0.05}),
 ], ids=["chart-r-huge", "chart-fd_step-huge", "matrix-re-huge", "gibbs-beta-huge",
-        "chart-state-object", "chart-state-bogus"])
+        "chart-state-object", "chart-state-bogus", "chart-unknown-param", "chart-unknown-field"])
 def test_bad_file_content_is_one_input_error(tmp_path, capsys, kind, obj):
     path = write_json(tmp_path / "input.json", obj)
     one = write_matrix(tmp_path / "one.json", [[1.0]])
@@ -481,26 +512,6 @@ def test_console_script_matches_in_process(sphere_file, capsys):
         capture_output=True, text=True, check=True)
     assert proc.stdout == expected
     assert proc.stderr == ""
-
-
-# ---------------------------------------------------------------------------
-# environment override
-
-def test_fd_step_env_fills_missing_field(tmp_path, capsys, monkeypatch):
-    bare = write_json(tmp_path / "bare.json", {"id": "sphere", "params": {"r": 1.0}})
-    pinned = write_json(tmp_path / "pinned.json",
-                        {"id": "sphere", "params": {"r": 1.0}, "fd_step": 1e-4})
-    monkeypatch.setenv("OPGEOM_FD_STEP", "0.05")
-    coarse = run_json(capsys, ["metric", "--chart", bare, "--point", "0.9,0.5"])
-    fine = run_json(capsys, ["metric", "--chart", pinned, "--point", "0.9,0.5"])
-    err_coarse = abs(coarse["g"][1][1] - SIN09 * SIN09)
-    err_fine = abs(fine["g"][1][1] - SIN09 * SIN09)
-    # the env step only applies where the chart file leaves fd_step unset
-    assert err_coarse > 1e-5
-    assert err_fine < 1e-7
-    monkeypatch.setenv("OPGEOM_FD_STEP", "not-a-number")
-    run_err(capsys, ["metric", "--chart", bare, "--point", "0.9,0.5"],
-            1, "E_INPUT")
 
 
 def test_unknown_subcommand(capsys):

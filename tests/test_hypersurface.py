@@ -142,6 +142,18 @@ def test_make_chart_unknown_id():
         chart_from_json({"params": {}})
 
 
+def test_unknown_chart_parameter_or_field_is_rejected():
+    # torus parameters are named R and r in JSON; big_r would leave R = 2 silently
+    with pytest.raises(ValueError, match="big_r"):
+        make_chart("torus", {"big_r": 3})
+    with pytest.raises(ValueError, match="'a'"):
+        make_chart("sphere", {"r": 1.0, "a": 2.0})
+    with pytest.raises(ValueError, match="fd_stpe"):
+        chart_from_json({"id": "sphere", "fd_stpe": 0.05})
+    chart = make_chart("torus", {"R": 3.0})
+    assert chart.params == {"R": 3.0, "r": 0.5} and chart.fd_step == 1e-4
+
+
 # ---------------------------------------------------------------------------
 # tangents and metric
 
@@ -529,6 +541,10 @@ def test_geodesic_validation():
                    (SPHERE_PT, np.array([math.inf, 1.0]))):
         with pytest.raises(ValueError):
             geodesic(sphere(), SUM, CFG, u0, v0, 1.0, 0.01)
+    # a step count that is not finite, or does not fit an index
+    for tau_max, step in ((math.inf, 0.01), (1e300, 1e-300), (math.nan, 0.01), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="tau / step"):
+            geodesic(sphere(), SUM, CFG, SPHERE_PT, np.array([1.0, 0.0]), tau_max, step)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,13 @@ def test_project_invariants_sweep(rng):
         assert np.abs(again.parallel.m - res.parallel.m).max() < 1e-10
 
 
+def test_project_overflow_is_an_error():
+    # a.a of diag(1e200, 1, 2) overflows: the residual would be NaN
+    target = AlgebraElement(np.diag([1e200, 1.0, 2.0]))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        project(State.normalized_trace(), CFG, target, [AlgebraElement(np.eye(3))])
+
+
 def test_project_singular_gram_warns(rng):
     b = rand_hermitian(rng, 3)
     with pytest.warns(SingularGramWarning):

@@ -81,6 +81,22 @@ def test_path_validation():
         LoopSpec(base=(0.0, 0.0), dirs=((1, 0), (0, 1)), epsilon=0.0)
 
 
+@pytest.mark.parametrize("base, dirs, epsilon, error", [
+    ((0.2, 0.3, 0.4), ((1.0, 0.0), (0.0, 1.0)), 0.05, DimensionError),
+    ((0.2, 0.3), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), 0.05, DimensionError),
+    ((0.2, 0.3), ((1.0, 0.0), (0.0, 1.0)), math.inf, ValueError),
+    ((0.2, math.nan), ((1.0, 0.0), (0.0, 1.0)), 0.05, ValueError),
+], ids=["base-3", "dirs-3", "epsilon-inf", "base-nan"])
+def test_loop_spec_checks_its_shapes_and_values(base, dirs, epsilon, error):
+    with pytest.raises(error):
+        LoopSpec(base=base, dirs=dirs, epsilon=epsilon)
+
+
+def test_affine_connection_needs_equal_shapes():
+    with pytest.raises(DimensionError):
+        _affine_connection(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
 def test_nonsquare_samples_rejected():
     path = ConnectionPath(A=lambda s: np.ones((2, 3)), s_range=(0.0, 1.0), n_steps=4)
     with pytest.raises(DimensionError):
@@ -281,6 +297,31 @@ def test_overflowing_product_integral_raises_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="exponential overflows"):
             product_integral(path)
+
+
+def test_overflowing_block_product_raises_without_warnings():
+    # every factor exp(diag(700, 1) / 4) is finite; their product overflows
+    a = np.diag([700.0, 1.0]).astype(complex)
+    path = ConnectionPath(A=lambda s: a, s_range=(0.0, 2.0), n_steps=8)
+    assert np.isfinite(_expm_stack(np.broadcast_to(a * 0.25, (8, 2, 2)).copy())).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            product_integral(path)
+
+
+def test_expm_scaling_past_double_precision_is_an_error():
+    # the field-strength exponential has 1-norm ~1e196: its squared Pade result
+    # would come out finite but meaningless (a residual of exactly 0.0)
+    loop = LoopSpec(base=(1e200, 0.3), dirs=LOOP_DIRS, epsilon=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exponential overflows"):
+            stokes_residual(stored_su2_field, loop)
+    scale = 5.371920351148152 * 2.0 ** 52  # theta_13 2^52, the last 1-norm of 52 squarings
+    assert np.isfinite(_expm_stack(np.array([[[0.0, scale], [-scale, 0.0]]]) * (1 - 1e-6))).all()
+    with pytest.raises(ValueError, match="exponential overflows"):
+        _expm_stack(np.array([[[0.0, scale], [-scale, 0.0]]]) * (1 + 1e-6))
 
 
 def test_overflowing_stokes_loop_raises_without_warnings():
@@ -502,6 +543,15 @@ def test_oracle_samples_each_step_once():
 def test_oracle_rejects_bad_samples(sample, error):
     with pytest.raises(error):
         transport_oracle(ConnectionPath(A=lambda s: sample, s_range=(0.0, 1.0), n_steps=1))
+
+
+@pytest.mark.parametrize("f0, error", [
+    (np.full((2, 2), np.nan), ValueError),
+    (np.eye(3), DimensionError),
+], ids=["nan", "3x3"])
+def test_oracle_checks_its_start(f0, error):
+    with pytest.raises(error):
+        transport_oracle(stored_test_path(), f0=f0)
 
 
 def test_oracle_overflow_is_a_stiffness_error():
