@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from opgeom import (
+    Chart,
     DotConfig,
     bianchi_residual,
     gauss_curvature_2d,
@@ -33,8 +34,7 @@ from opgeom import (
 
 @dataclass(frozen=True)
 class SweepConfig:
-    chart_id: str
-    params: dict
+    chart: Chart
     count: int
     seed: int
     csv_path: str | None
@@ -52,7 +52,7 @@ def analytic_curvature(chart_id: str, params: dict, u: np.ndarray):
 
 
 def run_sweep(cfg: SweepConfig) -> int:
-    chart = make_chart(cfg.chart_id, cfg.params)
+    chart = cfg.chart
     phi = chart.default_state()
     dot_cfg = DotConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -72,7 +72,7 @@ def run_sweep(cfg: SweepConfig) -> int:
             "k_riemann": k_riem, "k_frame": k_frame,
             "compat_residual": compat, "bianchi_residual": bianchi,
         }
-        k_exact = analytic_curvature(cfg.chart_id, chart.params, u)
+        k_exact = analytic_curvature(chart.id, chart.params, u)
         if k_exact is not None:
             row["k_error"] = abs(k_riem - k_exact)
             worst_err = max(worst_err, row["k_error"])
@@ -121,8 +121,11 @@ def main(argv=None) -> int:
         params["R"] = args.big_r
     if args.a is not None:
         params["a"] = args.a
-    cfg = SweepConfig(chart_id=args.chart, params=params, count=args.count,
-                      seed=args.seed, csv_path=args.csv)
+    try:
+        chart = make_chart(args.chart, params)
+    except ValueError as exc:  # a parameter the chart does not take, say
+        parser.error(str(exc))
+    cfg = SweepConfig(chart=chart, count=args.count, seed=args.seed, csv_path=args.csv)
     return run_sweep(cfg)
 
 

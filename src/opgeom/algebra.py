@@ -12,7 +12,7 @@ with lam = 1/2 giving the symmetric product used throughout the geometry
 modules.
 
 All matrix and state file I/O (a small JSON schema) lives in this module;
-the other modules consume in-memory values only.  So do the helpers other
+the other modules consume in-process values only.  So do the helpers other
 modules share: ``_Stacked``, the one type of callable defined over a stack
 of points, with ``_each``, the rule that calls it, ``_step_count``, the one
 step-count rule, and ``_asymmetric``, the one relative symmetry test.
@@ -106,23 +106,12 @@ class _Stacked:
         return self.stack(np.asarray(x, dtype=float)[None])[0]
 
 
-def _each(fn, xs: np.ndarray, memo: dict | None = None):
+def _each(fn, xs: np.ndarray):
     """The values of fn at the rows of xs: one call on the whole stack when
-    fn is a ``_Stacked``, otherwise a list of one call per row.  Given a
-    memo, a dict keyed on the bytes of each row, a per-row fn is called once
-    per distinct row."""
+    fn is a ``_Stacked``, otherwise a list of one call per row."""
     if isinstance(fn, _Stacked):
         return fn.stack(xs)
-    if memo is None:
-        return [fn(x) for x in xs]
-    out = []
-    for x in xs:
-        key = x.tobytes()
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = fn(x)
-        out.append(v)
-    return out
+    return [fn(x) for x in xs]
 
 
 def _step_count(tau: float, step: float) -> int:
@@ -517,19 +506,22 @@ def _solve_2x2_stack(st: np.ndarray):
     """The four results of ``_solve_gram`` on a stack of K > 1 2x2 matrices,
     as arrays from array arithmetic (``_closed_2x2``), with zeros for the
     inverse of a member that is not of full rank.  Real stacks get the
-    lone-matrix bits exactly (complex products may round differently).
+    lone-matrix bits exactly (complex products may round differently).  A
+    member out of the float range shows only as a non-finite s_max, which
+    raises ``ValueError`` with no NumPy warning.
     """
-    det, adet, s_max = _closed_2x2(*st.reshape(-1, 4).T, np.sqrt, np.maximum)
-    if not np.isfinite(s_max).all():
-        raise ValueError(_UNTESTABLE)
-    s_min = np.divide(adet, s_max, out=np.zeros_like(s_max), where=s_max > 0)
-    full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
-    cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
-    # the adjugate [[d, -b], [-c, a]] over det, for the full-rank members; C order
-    # like a stack of lone-matrix inverses, since products with it round by layout
-    inv = np.zeros(st.shape, dtype=np.result_type(st, 1.0))
-    adj = st.reshape(-1, 4)[:, [3, 1, 2, 0]] * _ADJUGATE_SIGN
-    np.divide(adj, det[:, None], out=inv.reshape(-1, 4), where=full[:, None])
+    with np.errstate(all="ignore"):
+        det, adet, s_max = _closed_2x2(*st.reshape(-1, 4).T, np.sqrt, np.maximum)
+        if not np.isfinite(s_max).all():
+            raise ValueError(_UNTESTABLE)
+        s_min = np.divide(adet, s_max, out=np.zeros_like(s_max), where=s_max > 0)
+        full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
+        cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
+        # the adjugate [[d, -b], [-c, a]] over det, for the full-rank members; C order
+        # like a stack of lone-matrix inverses, since products with it round by layout
+        inv = np.zeros(st.shape, dtype=np.result_type(st, 1.0))
+        adj = st.reshape(-1, 4)[:, [3, 1, 2, 0]] * _ADJUGATE_SIGN
+        np.divide(adj, det[:, None], out=inv.reshape(-1, 4), where=full[:, None])
     return inv, det, cond, full
 
 

@@ -39,19 +39,15 @@ so every entry keeps the bits of a point-by-point evaluation.
 Chart maps and domain tests follow one rule.  A ``_Stacked`` one is defined
 once over a (k, p) stack of points and takes one call per stack, repeated
 points included; its per-point call is a view of the same formula, with the
-same bits.  Any other callable takes one call per point.  Every built-in
+same bits.  Any other callable takes one call per stencil row, repeats
+included, and nothing is cached.  Every built-in
 chart's ``map_vec``, ``map_mat`` and ``in_domain`` are ``_Stacked``
 (``custom_grid`` included); a user chart's, or one substituted into a
 built-in chart, as a counting wrapper is, are not.  A chart defined
 everywhere (``torus``, ``paraboloid``, ``flat_plane``) runs no domain test.
-A per-point map is called once per distinct point per memo, keyed on the
-point's bytes.
-The memo lives for one public call, or for one block of ``geometry_at``,
-whose curvature and Bianchi batches share it; ``metric``, ``tangent_basis``
-and ``geodesic`` keep none, since their points never repeat.  This assumes a
-chart map is a pure function of the point.  Because all points are
-evaluated before any difference, a domain error may name a different stencil
-point than a point-by-point evaluation would meet first.
+Because all points are evaluated before any difference, a domain error may
+name a different stencil point than a point-by-point evaluation would meet
+first.
 
 A stencil point outside the chart domain raises ``StencilOutOfDomainError``,
 a subclass of ``EvaluationError``, from every function that evaluates the
@@ -60,11 +56,9 @@ chart, and a non-finite chart value (an overflow, say) raises
 raises ``EvaluationError``.
 
 ``geometry_at`` gives the metric, Christoffel, Riemann and Bianchi fields of
-a stack of points in blocks of at most ``_BLOCK`` stencil rows on a chart whose
-map is ``_Stacked``, and of one point on any other chart, whose memo holds
-every chart value of its block.  ``curvature``,
-``riemann_gauss_curvature`` and ``bianchi_residual`` run the same stacked code
-on one point.
+a stack of points in blocks of at most ``_BLOCK`` stencil rows, on every
+chart.  ``curvature``, ``riemann_gauss_curvature`` and ``bianchi_residual``
+run the same stacked code on one point.
 """
 
 from __future__ import annotations
@@ -468,21 +462,15 @@ class _Geo:
 
     ``map`` is the chart's ``map_vec`` if it has one, else its ``map_mat``.
     It and ``in_domain`` are each called once on a whole stack if
-    ``_Stacked``, with no memo, and otherwise once per point.  A per-point
-    map is memoised in ``memo``, a dict from the bytes of each evaluated
-    point to its chart value, so a point is evaluated once however many
-    stencils use it, and evaluators given the same memo share their chart
-    evaluations.  Without one, every point is evaluated as it comes, which
-    is cheaper where points never repeat.
+    ``_Stacked``, and otherwise once per stencil row, repeats included.
     """
 
-    __slots__ = ("chart", "phi", "cfg", "weights", "memo", "map")
+    __slots__ = ("chart", "phi", "cfg", "weights", "map")
 
-    def __init__(self, chart: Chart, phi: State, cfg: DotConfig, memo: dict | None = None):
+    def __init__(self, chart: Chart, phi: State, cfg: DotConfig):
         self.chart = chart
         self.phi = phi
         self.cfg = cfg
-        self.memo = memo
         self.weights = None
         self.map = chart.map_mat
         if chart.map_vec is not None:
@@ -507,7 +495,7 @@ class _Geo:
         bad = self.outside(pts)
         if bad is not None:
             raise _outside(chart, bad)
-        out = np.asarray(_each(self.map, pts, self.memo))
+        out = np.asarray(_each(self.map, pts))
         finite = np.isfinite(out)
         if np.count_nonzero(finite) != finite.size:  # half the cost of .all() on short stacks
             bad = pts[~finite.reshape(len(out), -1).all(axis=1)][0]
@@ -540,12 +528,12 @@ class _Geo:
         return embed_diag(x) if self.weights is not None else AlgebraElement(x)
 
 
-def _geo(chart: Chart, phi: State, cfg: DotConfig, memo: dict | None = None) -> _Geo:
+def _geo(chart: Chart, phi: State, cfg: DotConfig) -> _Geo:
     """The evaluator of a public geometry call; DomainError unless Re(lam) > 0."""
     lam = complex(cfg.lam)
     if not lam.real > 0:
         raise DomainError(f"chart geometry needs Re(lam) > 0, got lam={lam}")
-    return _Geo(chart, phi, cfg, memo)
+    return _Geo(chart, phi, cfg)
 
 
 def _outside(chart: Chart, x) -> StencilOutOfDomainError:
@@ -754,7 +742,7 @@ def _tangent_projection(phi: State, cfg: DotConfig, ts: list, a: AlgebraElement)
 def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "direct") -> ConnectionField:
     """Connection coefficients from second chart derivatives ("direct") or
     from first derivatives of the metric ("metric")."""
-    geo, u = _geo(chart, phi, cfg, {}), _point(chart, u)
+    geo, u = _geo(chart, phi, cfg), _point(chart, u)
     if method == "direct":
         f = _fields(geo, u[None], second=True)
         return ConnectionField(gamma=_gamma(_metric_inverse(f.g[0]), f.n[0]))
@@ -769,7 +757,7 @@ def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "dire
 
 def metric_compat_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Max-norm violation of d_c g_{ij} = gamma^r_{ci} g_{rj} + gamma^r_{cj} g_{ir}."""
-    geo = _geo(chart, phi, cfg, {})
+    geo = _geo(chart, phi, cfg)
     u = _point(chart, u)
     f = _fields(geo, u[None], second=True)
     g = f.g[0]
@@ -827,8 +815,7 @@ def _gauss(g: np.ndarray, riemann: np.ndarray, det) -> float:
 
 
 # Stencil rows (chart points, repeats included) evaluated per block of
-# geometry_at on a chart whose map is _Stacked; bounds its working memory for
-# any number of points.
+# geometry_at; bounds its working set for any number of points.
 _BLOCK = 2048
 
 
@@ -838,11 +825,9 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
 
     Every entry has the bits that ``metric``, ``christoffel``, ``curvature``
     and ``bianchi_residual`` give at that point alone.  The points go in
-    blocks, each making one fields batch for its curvature stencils and one
-    for its Bianchi stencils: as many points as fit ``_BLOCK`` stencil rows
-    on a chart whose map is ``_Stacked``, and one point on any other chart,
-    whose memo, shared by the two batches, holds every chart value of its
-    block.
+    blocks of as many points as fit ``_BLOCK`` stencil rows (at least one),
+    each making one fields batch for its curvature stencils and one for its
+    Bianchi stencils.
     """
     xs = np.asarray(points, dtype=float)
     p = chart.p
@@ -850,10 +835,9 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
         raise DimensionError(f"points must have shape (K, {p}) with K >= 1 on chart "
                              f"'{chart.id}', got {xs.shape}")
     geo = _geo(chart, phi, cfg)
-    per = max(1, _BLOCK // _stencil_rows(p)) if isinstance(geo.map, _Stacked) else 1
+    per = max(1, _BLOCK // _stencil_rows(p))
     parts = []
     for lo in range(0, len(xs), per):
-        geo.memo = {}
         block = xs[lo:lo + per]
         parts.append(_curvature_at(geo, block) + (_bianchi_at(geo, block) if p >= 2 else None,))
     return Geometry(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
@@ -889,7 +873,7 @@ def _curvature_at(geo: _Geo, xs: np.ndarray, s: float | None = None,
 def curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> CurvatureField:
     """Riemann components from central differences of the connection factors,
     with the metric at u from the same stencils."""
-    g, ginv, det, _, riem = _curvature_at(_geo(chart, phi, cfg, {}), _point(chart, u)[None])
+    g, ginv, det, _, riem = _curvature_at(_geo(chart, phi, cfg), _point(chart, u)[None])
     return CurvatureField(riemann=riem[0], metric=MetricField(g=g[0], g_inv=ginv[0], det=float(det[0])))
 
 
@@ -920,12 +904,12 @@ def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     x = _point(chart, u)
     if chart.p < 2:
         raise DimensionError("Bianchi residual needs at least two parameters")
-    return float(_bianchi_at(_geo(chart, phi, cfg, {}), x[None])[0])
+    return float(_bianchi_at(_geo(chart, phi, cfg), x[None])[0])
 
 
 def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
     """Bianchi residuals (K,) at the points xs (K, p) of a chart with p >= 2,
-    from one fields batch; chart values come from and go to ``geo.memo``."""
+    from one fields batch."""
     k = len(xs)
     base = float(geo.chart.fd_step2)
     s3 = 3.0 * base
@@ -990,7 +974,7 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     if not np.any(v != 0.0):
         raise ValueError("initial velocity must be nonzero")
     n_steps = _step_count(tau_max, step)
-    geo = _geo(chart, phi, cfg)  # no memo: RK4 stages never share a point
+    geo = _geo(chart, phi, cfg)
     if geo.outside(u[None]) is not None:
         raise EvaluationError(f"initial point {u.tolist()} outside chart domain")
     states = [GeodesicState(tau=0.0, u=u.copy(), udot=v.copy())]
@@ -1019,7 +1003,7 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
 def _frames(chart: Chart, phi: State, cfg: DotConfig, u):
     """The evaluator, the fields at the centres of ``_star(u, fd_step)``, the
     frame at u and its central differences: all frames come from one call."""
-    geo, s = _geo(chart, phi, cfg, {}), chart.fd_step
+    geo, s = _geo(chart, phi, cfg), chart.fd_step
     f = _fields(geo, _star(_point(chart, u), s))
     frames = _orthonormalize(f.t, geo.gram, "tangent {} is numerically dependent")[0]
     return geo, f, frames[0], _diff(frames, s)

@@ -151,7 +151,7 @@ _THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
 _THETA13 = 5.371920351148152
 
 # Factors exponentiated and multiplied per pass of product_integral; bounds
-# its working memory at O(_BLOCK d^2) for any number of steps.
+# its working set at O(_BLOCK d^2) for any number of steps.
 _BLOCK = 1024
 
 

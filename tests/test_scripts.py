@@ -24,6 +24,15 @@ def test_script_main_returns_zero(name, argv, capsys):
     assert capsys.readouterr().out
 
 
+def test_sweep_reports_a_parameter_the_chart_does_not_take_as_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script("surface_geometry_sweep").main(["--chart", "sphere", "--a", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage:")
+    assert err[-1].endswith("error: chart 'sphere' takes parameters ['r'], not ['a']")
+
+
 def test_cli_snapshot_writes_every_run(tmp_path):
     module = load_script("cli_snapshot")
     assert module.main([str(tmp_path)]) == 0

@@ -103,8 +103,14 @@ def test_stacked_maps_match_the_per_point_formulas_bit_for_bit(name, c, scale, s
 
 
 def per_point(chart):
-    """The chart with a plain per-point map_vec, which takes the memoised loop."""
+    """The chart with a plain per-point map_vec, called once per stencil row."""
     return dataclasses.replace(chart, map_vec=lambda u, f=chart.map_vec: f(u))
+
+
+def generic_per_point(chart):
+    """The chart with no map_vec and a plain per-point map_mat, so the state's
+    Gram kernel runs on the values of one call per stencil row."""
+    return dataclasses.replace(chart, map_vec=None, map_mat=lambda u, f=chart.map_mat: f(u))
 
 
 def test_only_untouched_builtins_take_the_stacked_path():
@@ -234,8 +240,9 @@ def single_point_stats(chart, points):
             for k, v in cols.items() if v}
 
 
-@pytest.mark.parametrize("chart", [sphere(), counting(sphere())[0], graph3_chart()],
-                         ids=["sphere-stacked", "sphere-per-point", "graph3"])
+@pytest.mark.parametrize("chart", [
+    sphere(), counting(sphere())[0], generic_per_point(sphere()), graph3_chart(),
+], ids=["sphere-stacked", "sphere-per-point", "sphere-generic", "graph3"])
 def test_report_blocks_match_the_single_point_routes(chart):
     block = _BLOCK // _stencil_rows(chart.p)
     for count in (block - 1, block, block + 1):
@@ -269,7 +276,7 @@ def test_curvature_builds_the_metric_once():
     counted, seen = counting(sphere())
     u = np.array([0.9, 0.5])
     gauss = riemann_gauss_curvature(counted, SUM, CFG, u)
-    assert len(seen) == 53 and len(set(seen)) == 53
+    assert len(seen) == 65 and len(set(seen)) == 53  # 5 star centres x 13 rows, no metric stencil
     cf = curvature(sphere(), SUM, CFG, u)
     mf = metric(sphere(), SUM, CFG, u)
     assert cf.metric.g.tobytes() == mf.g.tobytes()
