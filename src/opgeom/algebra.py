@@ -314,7 +314,8 @@ class State:
         ``xs`` has shape (..., p, n, n) and ``ys`` shape (..., q, n, n), with
         the same leading batch axes; one contraction per state kind.  Without
         ``ys`` the pairs run over xs twice and P, hermitian in exact
-        arithmetic, is returned exactly hermitian.
+        arithmetic, is returned exactly hermitian.  A density or Gibbs state
+        forms y rho for the whole stack as one (q n, n) @ (n, n) product.
         """
         n = xs.shape[-1]
         self._check_dim(n)
@@ -326,8 +327,8 @@ class State:
             pm = xv.conj() @ (xv if same else ys @ self._psi).swapaxes(-1, -2)
         else:
             # phi(x' y) = sum_mk conj(x)_mk (y rho)_mk; rho = 1/n or 1 for traces
-            right = ys if self.kind in ("trace", "sum") else ys @ self._rho
-            pm = (xs.conj().reshape(xs.shape[:-2] + (-1,))
+            right = ys if self.kind in ("trace", "sum") else ys.reshape(-1, n) @ self._rho
+            pm = (xs.reshape(xs.shape[:-2] + (-1,)).conj()
                   @ right.reshape(ys.shape[:-2] + (-1,)).swapaxes(-1, -2))
             if self.kind == "trace":
                 pm = pm / n
@@ -529,12 +530,19 @@ _ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 _UNTESTABLE = "Gram or metric matrix is not finite, or too large to test its rank"
 
 
+def _heisenberg(consts: PhysConstants, h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(i/hbar) (h b - b h) of a raw array b, or of each member of a (p, n, n)
+    stack with b h as one 2-D product: the one home of the Heisenberg
+    commutator.  It checks nothing; callers check h once."""
+    return (1j / consts.hbar) * (h @ b - (b.reshape(-1, h.shape[0]) @ h).reshape(b.shape))
+
+
 def heisenberg_dot(consts: PhysConstants, h: AlgebraElement, b: AlgebraElement,
                    dbdt_explicit: AlgebraElement | None = None) -> AlgebraElement:
     """Total time derivative dB/dt = dB/dt|_explicit + (i/hbar) [H, B]."""
     _require_hermitian(h.m, "hamiltonian")
     h._check_dim(b)
-    out = (1j / consts.hbar) * (h.m @ b.m - b.m @ h.m)
+    out = _heisenberg(consts, h.m, b.m)
     if dbdt_explicit is not None:
         b._check_dim(dbdt_explicit)
         out = out + dbdt_explicit.m

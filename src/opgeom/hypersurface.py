@@ -79,13 +79,13 @@ from .algebra import (
     _asymmetric,
     _dot_matrix,
     _each,
+    _heisenberg,
     _require_hermitian,
     _solve_gram,
     _stack,
     _Stacked,
     _step_count,
     embed_diag,
-    heisenberg_dot,
 )
 from .errors import (
     DimensionError,
@@ -1051,8 +1051,7 @@ def gibbs_force(consts: PhysConstants, chart_ops, h: AlgebraElement, beta: float
     stack = _stack(ops)
     ginv = _solve_gram(_dot_matrix(omega, cfg, stack), SingularGramError(
         "tangent Gram matrix is singular in the Gibbs state"))[0]
-    vel = _stack([heisenberg_dot(consts, h, b) for b in ops])
-    return -(ginv @ _dot_matrix(omega, cfg, stack, vel))
+    return -(ginv @ _dot_matrix(omega, cfg, stack, _heisenberg(consts, h.m, stack)))
 
 
 def killing_metric(structure_constants, d: int) -> np.ndarray:

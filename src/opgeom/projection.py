@@ -18,7 +18,6 @@ thresholded pseudo-inverse and emits ``SingularGramWarning``, while
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -118,15 +117,14 @@ class ProjectionResult:
 
 
 def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> ProjectionResult:
-    """Project a onto the real span of the reference set."""
-    bs = list(bs)
-    g = gram(phi, cfg, bs)
-    if not g.is_full_rank:
-        warnings.warn("rank-deficient Gram matrix; using pseudo-inverse", SingularGramWarning)
-    stack = _stack([a] + bs)
-    n = _dot_matrix(phi, cfg, stack[:1], stack[1:])[0]
-    w = g.solve(n)
-    par = AlgebraElement(sum(bi.m * wi for bi, wi in zip(bs, w)))
+    """Project a onto the real span of the reference set, from one Gram
+    matrix D of the stack [a] + bs: M = D[1:, 1:] and N = D[0, 1:], which is
+    a . b_i for every lam."""
+    d, stack = _gram_with(phi, cfg, a, bs)
+    n = d[0, 1:]
+    w = _solve_gram(d[1:, 1:], SingularGramWarning(
+        "rank-deficient Gram matrix; using pseudo-inverse"))[0] @ n
+    par = AlgebraElement(np.tensordot(w, stack[1:], 1))
     perp = a - par
     norm_sq, residual = float(n @ w), _dot_matrix(phi, cfg, perp.m[None])[0, 0]
     if not (np.isfinite(w).all() and math.isfinite(norm_sq) and math.isfinite(residual)):
@@ -143,19 +141,24 @@ def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> ProjectionResu
 def cauchy_schwarz_check(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> tuple[float, float]:
     """Residual a.a - N M^-1 N and the Gram determinant ratio.
 
-    The ratio is det of the Gram matrix of (a, b_1..b_p) divided by det of
-    the Gram matrix of (b_1..b_p); both quantities are equal and nonnegative
-    for any state.  Raises ``SingularGramError`` when the reference Gram
-    matrix is rank deficient.
+    The ratio is det D / det M for D the Gram matrix of (a, b_1..b_p) and M
+    its block of (b_1..b_p), from which N and a.a come too; both quantities
+    are equal and nonnegative for any state.  Raises ``SingularGramError``
+    when M is rank deficient.
     """
-    bs = list(bs)
-    g = gram(phi, cfg, bs)
-    if not g.is_full_rank:
-        raise SingularGramError("reference Gram matrix is singular; residual is undefined")
-    big = gram(phi, cfg, [a] + bs)
-    n = big.m[0, 1:]
-    residual = big.m[0, 0] - float(n @ g.solve(n))
-    return residual, big.det / g.det
+    d = _gram_with(phi, cfg, a, bs)[0]
+    inv, det, _, _ = _solve_gram(d[1:, 1:], SingularGramError(
+        "reference Gram matrix is singular; residual is undefined"))
+    n = d[0, 1:]
+    return d[0, 0] - float(n @ (inv @ n)), float(_solve_gram(d)[1]) / float(det)
+
+
+def _gram_with(phi: State, cfg: DotConfig, a: AlgebraElement, bs):
+    """Dot matrix of the stack [a] + bs, and that stack; bs must not be empty."""
+    stack = _stack([a] + list(bs))
+    if len(stack) == 1:
+        raise DimensionError("reference set is empty")
+    return _dot_matrix(phi, cfg, stack), stack
 
 
 def reflect(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> AlgebraElement:

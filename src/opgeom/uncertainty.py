@@ -28,7 +28,6 @@ from .algebra import (
     _solve_gram,
     _stack,
     commutator,
-    heisenberg_dot,
     state_eval,
 )
 from .errors import DimensionError, HermiticityError, SingularGramWarning
@@ -119,10 +118,13 @@ def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
     return _report(lhs, rhs, extra)
 
 
-def _hermitian_or_anti(el: AlgebraElement, name: str):
+def _hermitian_or_anti(el: AlgebraElement, name: str) -> float:
+    """s = 1 for a hermitian el and -1 for an antihermitian one, so el' = s el."""
     adj = el.m.conj().T
-    if _asymmetric(el.m, adj) and _asymmetric(el.m, -adj):
-        raise HermiticityError(f"{name} must be hermitian or antihermitian")
+    for s in (1.0, -1.0):
+        if not _asymmetric(el.m, s * adj):
+            return s
+    raise HermiticityError(f"{name} must be hermitian or antihermitian")
 
 
 def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
@@ -140,30 +142,37 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
     must be hermitian or antihermitian; the quadratic form is invariant
     under rephasing B_i -> i B_i, so mixed families are accepted.  The Gram
     forms here are fixed by the inequality and do not take a DotConfig.
+
+    With B_i' = s_i B_i (s_i = +-1), both forms come from the kernel on the
+    stack, and the velocities from one cross Gram against h, no commutator.
     """
     bs = list(bs)
     if not bs:
         raise DimensionError("reference set is empty")
     _require_hermitian(h.m, "energy bound hamiltonian")
-    for k, b in enumerate(bs):
-        _hermitian_or_anti(b, f"reference element {k}")
-        h._check_dim(b)
-    if explicit_dts is None:
-        explicit_dts = [None] * len(bs)
-    if len(explicit_dts) != len(bs):
+    dts = [None] * len(bs) if explicit_dts is None else list(explicit_dts)
+    if len(dts) != len(bs):
         raise DimensionError("explicit_dts length must match the reference set")
+    sign, vel = np.empty(len(bs)), np.zeros(len(bs), dtype=complex)
+    for k, (b, dt) in enumerate(zip(bs, dts)):
+        sign[k] = _hermitian_or_anti(b, f"reference element {k}")
+        h._check_dim(b)
+        if dt is not None:
+            b._check_dim(dt)
+            vel[k] = state_eval(phi, dt)
+    # phi(h B_i) = conj(phi(B_i' h)) and phi(B_i h) = s_i phi(B_i' h)
+    stack = _stack(bs)
+    cross = phi.gram(stack, h.m[None])[:, 0]
+    vel += (1j / consts.hbar) * (cross.conj() - sign * cross)
 
-    dbs = [heisenberg_dot(consts, h, b, dt) for b, dt in zip(bs, explicit_dts)]
-    vel = np.array([state_eval(phi, db) for db in dbs])
-
-    def quad_form(els) -> float:
-        # M = (P + P^T) / 2 with P[i, j] = phi(B_i B_j), from the kernel on the B_i'
-        stack = _stack(els)
-        pm = phi.gram(stack.conj().transpose(0, 2, 1), stack)
+    def quad_form(st) -> float:
+        # M = (P + P^T) / 2 with P[i, j] = phi(B_i B_j) = s_i phi(B_i' B_j)
+        pm = sign[:, None] * phi.gram(st)
         inv = _solve_gram(0.5 * (pm + pm.T), SingularGramWarning(
             "rank-deficient anticommutator Gram matrix; using pseudo-inverse"))[0]
         return ((consts.hbar**2 / 4.0) * (vel @ inv @ vel)).real
 
-    raw = _report(state_eval(phi, h @ h).real, quad_form(bs))
-    fluct = _report(variance(phi, h), quad_form(fluctuation(phi, b) for b in bs))
+    raw = _report(state_eval(phi, h @ h).real, quad_form(stack))
+    means = np.array([phi.eval_matrix(b) for b in stack])
+    fluct = _report(variance(phi, h), quad_form(stack - means[:, None, None] * np.eye(h.dim)))
     return raw, fluct

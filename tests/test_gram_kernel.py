@@ -1,33 +1,46 @@
 """The Gram kernel against the scalar dot, and the guarded solve's singular branches."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opgeom import algebra, uncertainty
 from opgeom.algebra import (
     AlgebraElement,
     DotConfig,
     PhysConstants,
     State,
     _dot_matrix,
+    anticommutator,
     dot,
     fock_position,
     harmonic_hamiltonian,
+    heisenberg_dot,
+    state_eval,
 )
-from opgeom.errors import LinearDependenceError, SingularGramWarning, SingularMetricError
+from opgeom.errors import (
+    DimensionError,
+    LinearDependenceError,
+    SingularGramError,
+    SingularGramWarning,
+    SingularMetricError,
+)
 from opgeom.hypersurface import (
     _fields,
     _Geo,
     custom_grid,
+    gibbs_force,
     make_chart,
     orthonormal_frame,
     projector_apply,
     tangent_basis,
 )
-from opgeom.uncertainty import energy_bound
+from opgeom.projection import cauchy_schwarz_check, project
+from opgeom.uncertainty import energy_bound, fluctuation, fluctuation_bound, variance
 
 from .conftest import rand_density, rand_hermitian
 
@@ -132,3 +145,168 @@ def _frame_raises():
                                   _frame_raises], ids=lambda f: f.__name__.strip("_"))
 def test_singular_branches(case):
     case()
+
+
+# ---------------------------------------------------------------------------
+# the one-Gram forms of project, cauchy_schwarz_check and the bounds against
+# their element-by-element definitions: the scalar dot loop, heisenberg_dot
+# and state_eval
+
+def rand_el(rng, n, kind):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "h":
+        return AlgebraElement(0.5 * (m + m.conj().T))
+    if kind == "a":
+        return AlgebraElement(0.5 * (m - m.conj().T))
+    return AlgebraElement(m)
+
+
+FAMILY_KINDS = {"hermitian": "hhhhhh", "antihermitian": "aaaaaa", "mixed": "hahaah"}
+FIXED_LAMS = [0.5, 0.3 + 0.4j, -0.7]
+
+
+def dot_loop(phi, cfg, xs, ys):
+    return np.array([[dot(phi, cfg, x, y).real for y in ys] for x in xs])
+
+
+def anticommutator_form(phi, bs):
+    return np.array([[0.5 * state_eval(phi, anticommutator(bi, bj)) for bj in bs] for bi in bs])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_KINDS))
+@pytest.mark.parametrize("lam", FIXED_LAMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_gram_forms_match_element_definitions(kind, lam, family):
+    rng = np.random.default_rng([KINDS.index(kind), FIXED_LAMS.index(lam),
+                                 sorted(FAMILY_KINDS).index(family)])
+    n, p = int(rng.choice([4, 7, 16])), int(rng.integers(3, 7))
+    phi, cfg = make_state(kind, rng, n), DotConfig(lam=lam, scale=float(rng.uniform(0.5, 2.0)))
+    bs = [rand_el(rng, n, t) for t in FAMILY_KINDS[family][:p]]
+    a, h = rand_el(rng, n, "g"), rand_el(rng, n, "h")
+
+    # project and cauchy_schwarz_check: M, N and a.a from the scalar dot
+    m, cross = dot_loop(phi, cfg, bs, bs), dot_loop(phi, cfg, [a], bs)[0]
+    w = np.linalg.solve(m, cross)
+    par = sum(wi * bi.m for wi, bi in zip(w, bs))
+    perp = AlgebraElement(a.m - par)
+    res = project(phi, cfg, a, bs)
+    assert rel_gap(res.coefficients, -w) <= 1e-10
+    assert rel_gap(res.parallel.m, par) <= 1e-10
+    assert rel_gap(res.perpendicular.m, perp.m) <= 1e-10
+    assert rel_gap(res.norm_sq_parallel, cross @ w) <= 1e-10
+    assert rel_gap(res.residual, dot(phi, cfg, perp, perp).real) <= 1e-10
+    aa = dot(phi, cfg, a, a).real
+    big = dot_loop(phi, cfg, [a] + bs, [a] + bs)
+    residual, ratio = cauchy_schwarz_check(phi, cfg, a, bs)
+    assert rel_gap(residual, aa - cross @ w) <= 1e-10
+    assert rel_gap(ratio, np.linalg.det(big) / np.linalg.det(m)) <= 1e-10
+
+    # fluctuation_bound: the projection of da onto the db_i
+    dbs = [fluctuation(phi, b) for b in bs]
+    da = fluctuation(phi, h)
+    dm, dcross = dot_loop(phi, cfg, dbs, dbs), dot_loop(phi, cfg, [da], dbs)[0]
+    rep = fluctuation_bound(phi, cfg, h, bs)
+    assert rel_gap(rep.lhs, variance(phi, h)) <= 1e-10
+    assert rel_gap(rep.rhs, dcross @ np.linalg.solve(dm, dcross)) <= 1e-10
+
+    # energy_bound: velocities from heisenberg_dot, M from the anticommutators
+    consts = PhysConstants(hbar=float(rng.uniform(0.5, 2.0)))
+    dts = [rand_el(rng, n, "h") if k % 2 else None for k in range(p)]
+    vel = np.array([state_eval(phi, heisenberg_dot(consts, h, b, dt)) for b, dt in zip(bs, dts)])
+
+    def form(els):
+        return (consts.hbar**2 / 4.0 * (vel @ np.linalg.solve(anticommutator_form(phi, els), vel))).real
+
+    raw, fluct = energy_bound(consts, phi, h, bs, explicit_dts=dts)
+    assert rel_gap(raw.lhs, state_eval(phi, h @ h).real) <= 1e-10
+    assert rel_gap(raw.rhs, form(bs)) <= 1e-10
+    assert rel_gap(fluct.lhs, variance(phi, h)) <= 1e-10
+    assert rel_gap(fluct.rhs, form(dbs)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# work counts: each operation applies the state to each stack once
+
+def _counted(monkeypatch, owner, name, calls):
+    inner = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+@pytest.mark.parametrize("op, grams", [
+    ("project", 2), ("fluctuation_bound", 2), ("cauchy_schwarz_check", 1), ("energy_bound", 3),
+])
+def test_state_gram_calls_per_operation(monkeypatch, op, grams):
+    rng = np.random.default_rng(5)
+    phi = rand_density(rng, 6)
+    bs = [rand_el(rng, 6, t) for t in "hhah"]
+    a, h = rand_el(rng, 6, "g"), rand_el(rng, 6, "h")
+    calls, commutators = [], []
+    _counted(monkeypatch, State, "gram", calls)
+    for owner in (algebra, uncertainty):
+        for name in ("heisenberg_dot", "_heisenberg"):
+            if hasattr(owner, name):
+                _counted(monkeypatch, owner, name, commutators)
+    run = {
+        "project": lambda: project(phi, DotConfig(), a, bs),
+        "fluctuation_bound": lambda: fluctuation_bound(phi, DotConfig(), h, bs[:2] + bs[3:]),
+        "cauchy_schwarz_check": lambda: cauchy_schwarz_check(phi, DotConfig(), a, bs),
+        "energy_bound": lambda: energy_bound(PhysConstants(), phi, h, bs,
+                                             explicit_dts=[None, h, None, None]),
+    }
+    run[op]()
+    assert len(calls) == grams
+    assert commutators == []
+
+
+# ---------------------------------------------------------------------------
+# a family with an exact linear dependency, and the other input errors
+
+def _dependent_family(n=5):
+    rng = np.random.default_rng(17)
+    bs = [rand_el(rng, n, "h") for _ in range(3)]
+    bs.append(AlgebraElement(1.2 * bs[0].m - 0.7 * bs[1].m))
+    return rng, bs, rand_el(rng, n, "g"), rand_el(rng, n, "h")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dependent_family_warns_or_raises_as_before(kind):
+    rng, bs, a, h = _dependent_family()
+    phi, cfg = make_state(kind, rng, 5), DotConfig()
+    # project and fluctuation_bound warn once; energy_bound once for each
+    # anticommutator form, raw and centered, which are both singular
+    for call, warns in ((lambda: project(phi, cfg, a, bs), 1),
+                        (lambda: fluctuation_bound(phi, cfg, a, bs), 1),
+                        (lambda: energy_bound(PhysConstants(), phi, h, bs), 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [SingularGramWarning] * warns
+    with pytest.raises(SingularGramError):
+        cauchy_schwarz_check(phi, cfg, a, bs)
+    with pytest.raises(SingularGramError):
+        gibbs_force(PhysConstants(), bs, h, 0.7)
+
+
+def test_empty_and_mismatched_inputs_still_raise():
+    _, bs, a, h = _dependent_family()
+    phi, cfg, consts = State.normalized_trace(), DotConfig(), PhysConstants()
+    for call in (lambda: project(phi, cfg, a, []),
+                 lambda: cauchy_schwarz_check(phi, cfg, a, []),
+                 lambda: fluctuation_bound(phi, cfg, a, []),
+                 lambda: energy_bound(consts, phi, h, []),
+                 lambda: gibbs_force(consts, [], h, 0.7),
+                 lambda: energy_bound(consts, phi, h, bs[:2],
+                                      explicit_dts=[None, AlgebraElement.identity(3)]),
+                 lambda: energy_bound(consts, phi, h, bs[:2], explicit_dts=[None])):
+        with pytest.raises(DimensionError):
+            call()
+    big = AlgebraElement(np.diag([1e200, 1.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError):
+            project(phi, cfg, big, [AlgebraElement.identity(3)])
