@@ -16,7 +16,10 @@ The runs are ``metric``, ``christoffel`` (both routes), ``curvature``,
 ``geodesic``, ``bianchi`` and ``report --seed 7`` on each builtin
 two-parameter chart, plus ``holonomy`` (the stored path, a long one spanning
 several product-integral blocks, and A(s) = s X + Y from two matrix files)
-and ``stokes`` (default and a given loop).  The error runs are
+and ``stokes`` (default and a given loop).  The operator runs are ``gram``,
+``project``, ``orthonormalize``, ``uncertainty``, ``energy-bound`` (each
+under the default trace state and a density state), ``volume`` (trace and
+sum states) and ``killing`` (su(2)) on fixed 3x3 matrix files.  The error runs are
 a chart file with a 400-digit radius, one with a state object,
 ``christoffel`` at a NaN point, ``metric`` on a torus chart file with a
 parameter the torus does not take (``big_r``) and on a sphere chart file
@@ -26,8 +29,8 @@ the stencil crosses the pole, ``holonomy`` along A(s) = s X + Y where the
 samples overflow, four runs whose finite inputs overflow a Gram matrix,
 a metric or a matrix exponential: ``metric`` on a sphere of radius 1e300,
 ``gram`` of a matrix with a 1e200 entry and the identity, ``holonomy`` with
-X off-diagonal +-1e300, and ``stokes`` at 1e200,0.3, and ``stokes`` at a
-three-component point.  All run in one process through ``opgeom.cli.run``;
+X off-diagonal +-1e300, and ``stokes`` at 1e200,0.3, ``stokes`` at a
+three-component point, and ``killing`` of structure constants with a NaN.  All run in one process through ``opgeom.cli.run``;
 stderr names chart files without their directory, and an exception
 escaping ``run`` is recorded as ``exit=raised <type>``.
 """
@@ -59,6 +62,38 @@ MATRICES = {
           "im": [-0.3, 0.2, 0.0, 0.2, 0.35, -0.1, 0.0, -0.1, 0.05]},
 }
 
+
+
+def _matrix(rows) -> dict:
+    """Matrix JSON of a list of rows of complex entries."""
+    flat = [complex(x) for row in rows for x in row]
+    return {"dim": len(rows), "re": [x.real for x in flat], "im": [x.imag for x in flat]}
+
+
+# operator file name -> JSON: a general target A, hermitian B1 and B2, an
+# antihermitian B3, a hamiltonian H, diagonal vectors V1..V3, a density
+# state, the sum state and su(2) structure constants f[r, a, b], with
+# [J_a, J_b] = f[r, a, b] J_r
+SU2 = [[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+       [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+       [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+OPERATOR_FILES = {
+    "A": _matrix([[0.3 + 0.2j, -0.7 + 0.4j, 0.2 - 0.3j], [0.5, 1.1 + 0.6j, -0.4 + 0.1j],
+                  [0.9 - 0.5j, 0.1 + 0.3j, -0.6 + 0.7j]]),
+    "B1": _matrix([[1.0, 0.2 + 0.3j, -0.1], [0.2 - 0.3j, -0.5, 0.4j], [-0.1, -0.4j, 0.3]]),
+    "B2": _matrix([[0.2, -0.6, 0.1 - 0.2j], [-0.6, 0.7, 0.3], [0.1 + 0.2j, 0.3, -0.9]]),
+    "B3": _matrix([[0.5j, 0.3 + 0.1j, -0.2], [-0.3 + 0.1j, -0.2j, 0.4 + 0.4j],
+                   [0.2, -0.4 + 0.4j, 0.1j]]),
+    "H": _matrix([[1.0, 0.5, 0.0], [0.5, 2.0, 0.5j], [0.0, -0.5j, 3.0]]),
+    "V1": _matrix([[1.0, 0, 0], [0, 0.5, 0], [0, 0, -0.2]]),
+    "V2": _matrix([[0.3, 0, 0], [0, 1.2, 0], [0, 0, 0.4]]),
+    "V3": _matrix([[-0.1, 0, 0], [0, 0.2, 0], [0, 0, 0.9]]),
+    "density": {"kind": "density",
+                "rho": _matrix([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.2]])},
+    "sum": {"kind": "sum"},
+    "su2": {"d": 3, "f": SU2},
+}
+
 # error run name -> (subcommand, chart JSON, point)
 ERRORS = {
     "sphere-bigint": ("metric", {"id": "sphere", "params": {"r": 10 ** 400}}, "1.1,0.7"),
@@ -76,13 +111,15 @@ ERRORS = {
 
 # matrix file name -> matrix JSON: X of an affine connection whose samples
 # s X overflow for s > 1.8, one whose exponential overflows, a zero Y, and a
-# matrix whose Gram entry overflows, with the identity
+# matrix whose Gram entry overflows, with the identity; and structure
+# constants with f[0, 0, 1] = NaN, which compares false in every test
 OVERFLOW_MATRICES = {
     "X-huge": {"dim": 2, "re": [0.0, 1e308, -1e308, 0.0], "im": [0.0] * 4},
     "X-1e300": {"dim": 2, "re": [0.0, 1e300, -1e300, 0.0], "im": [0.0] * 4},
     "Y-zero": {"dim": 2, "re": [0.0] * 4, "im": [0.0] * 4},
     "big": {"dim": 3, "re": [1e200, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0], "im": [0.0] * 9},
     "eye": {"dim": 3, "re": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "im": [0.0] * 9},
+    "killing-nan": {"d": 2, "f": [0.0, float("nan")] + [0.0] * 6},
 }
 
 
@@ -112,7 +149,26 @@ def snapshot_runs(chart_dir: Path) -> list:
         path = chart_dir / f"{name}.json"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         matrix_args += ["--matrix", str(path)]
+    op = {}
+    for name, obj in OPERATOR_FILES.items():
+        path = chart_dir / f"op-{name}.json"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        op[name] = ["--state" if name in ("density", "sum") else "--matrix", str(path)]
+    bs = [*op["B1"], *op["B2"], *op["B3"]]
+    for state in ("trace", "density"):
+        given = op["density"] if state == "density" else []
+        runs += [
+            (f"gram-{state}", ["gram", *bs, *given]),
+            (f"project-{state}", ["project", *op["A"], *bs, *given]),
+            (f"orthonormalize-{state}", ["orthonormalize", *bs, *given]),
+            (f"uncertainty-{state}", ["uncertainty", *op["B1"], *op["B2"], *given]),
+            (f"energy-bound-{state}", ["energy-bound", *op["H"], *bs, *given]),
+        ]
+    vs = [*op["V1"], *op["V2"], *op["V3"]]
     runs += [
+        ("volume-trace", ["volume", *vs]),
+        ("volume-sum", ["volume", *vs, *op["sum"]]),
+        ("killing-su2", ["killing", *op["su2"]]),
         ("holonomy", ["holonomy", "--step", "0.001"]),
         ("holonomy-long", ["holonomy", "--tau", "2.5", "--step", "0.0004"]),
         ("holonomy-matrix", ["holonomy", *matrix_args]),
@@ -142,6 +198,7 @@ def error_runs(chart_dir: Path) -> list:
          ["holonomy", *mat["X-1e300"], *mat["Y-zero"], "--tau", "1", "--step", "0.5"]),
         ("stokes-huge-point", ["stokes", "--point=1e200,0.3"]),
         ("stokes-three-point", ["stokes", "--point", "0.2,0.3,0.4"]),
+        ("killing-nan", ["killing", *mat["killing-nan"]]),
     ]
     return runs
 

@@ -80,7 +80,6 @@ from .algebra import (
     _dot_matrix,
     _each,
     _heisenberg,
-    _require_hermitian,
     _solve_gram,
     _stack,
     _Stacked,
@@ -98,7 +97,7 @@ from .errors import (
     SingularMetricError,
     StencilOutOfDomainError,
 )
-from .projection import _orthonormalize
+from .projection import _orthonormalize, _project_on
 
 __all__ = [
     "Chart",
@@ -1040,18 +1039,18 @@ def gibbs_force(consts: PhysConstants, chart_ops, h: AlgebraElement, beta: float
 
     ``chart_ops`` are operator-valued tangent elements; their time
     derivatives come from the Heisenberg commutator with h (no explicit
-    part), and the dots use the symmetric product in Gibbs(h, beta).
+    part), and the dots use the symmetric product in Gibbs(h, beta): the
+    force is -W of ``_project_on`` with the velocities as targets.
     """
     ops = list(chart_ops)
     if not ops:
         raise DimensionError("chart_ops is empty")
-    _require_hermitian(h.m, "gibbs_force hamiltonian")
     omega = State.gibbs(h, beta)
-    cfg = DotConfig()
     stack = _stack(ops)
-    ginv = _solve_gram(_dot_matrix(omega, cfg, stack), SingularGramError(
-        "tangent Gram matrix is singular in the Gibbs state"))[0]
-    return -(ginv @ _dot_matrix(omega, cfg, stack, _heisenberg(consts, h.m, stack)))
+    h._check_dim(ops[0])
+    targets_then_ops = np.concatenate([_heisenberg(consts, h.m, stack), stack])
+    return -_project_on(omega, DotConfig(), targets_then_ops, len(ops), SingularGramError(
+        "tangent Gram matrix is singular in the Gibbs state"))[1]
 
 
 def killing_metric(structure_constants, d: int) -> np.ndarray:
@@ -1064,6 +1063,8 @@ def killing_metric(structure_constants, d: int) -> np.ndarray:
     f = np.asarray(structure_constants, dtype=float)
     if f.shape != (d, d, d):
         raise DimensionError(f"structure constants must have shape ({d},{d},{d})")
+    if not np.isfinite(f).all():  # NaN would pass both the symmetry and the Jacobi tests
+        raise ValueError("structure constants have non-finite entries")
     scale = max(1.0, np.abs(f).max())
     if _asymmetric(f, -np.swapaxes(f, 1, 2)):
         raise ValueError("structure constants must be antisymmetric in the lower pair")

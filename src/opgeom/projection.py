@@ -9,10 +9,11 @@ product) determine the closest point of span_R{b_i} to a:
     residual        f      = a.a - N M^-1 N  >= 0
 
 The residual is the determinant ratio det(M with a prepended)/det(M), which
-is the multi-element form of the Cauchy-Schwarz inequality.  ``gram`` flags
-a rank-deficient Gram matrix; ``project`` then uses the singular-value
-thresholded pseudo-inverse and emits ``SingularGramWarning``, while
-``cauchy_schwarz_check`` raises ``SingularGramError``.
+is the multi-element form of the Cauchy-Schwarz inequality.  ``project``,
+``fluctuation_bound`` and ``gibbs_force`` share one rule, ``_project_on``.
+``gram`` flags a rank-deficient Gram matrix; ``project`` then uses the
+singular-value thresholded pseudo-inverse and emits ``SingularGramWarning``,
+while ``cauchy_schwarz_check`` raises ``SingularGramError``.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ class GramMatrix:
     def p(self) -> int:
         return self.m.shape[0]
 
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        return self.inverse_or_pseudo @ v
-
 
 def gram(phi: State, cfg: DotConfig, bs) -> GramMatrix:
     """Gram matrix M_ij = b_i . b_j of the reference set.
@@ -117,25 +115,35 @@ class ProjectionResult:
 
 
 def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> ProjectionResult:
-    """Project a onto the real span of the reference set, from one Gram
-    matrix D of the stack [a] + bs: M = D[1:, 1:] and N = D[0, 1:], which is
-    a . b_i for every lam."""
-    d, stack = _gram_with(phi, cfg, a, bs)
-    n = d[0, 1:]
-    w = _solve_gram(d[1:, 1:], SingularGramWarning(
-        "rank-deficient Gram matrix; using pseudo-inverse"))[0] @ n
-    par = AlgebraElement(np.tensordot(w, stack[1:], 1))
+    """Project a onto the real span of the reference set through
+    ``_project_on`` on the stack [a] + bs."""
+    stack = _stack([a] + list(bs))
+    n, w = _project_on(phi, cfg, stack, 1, SingularGramWarning(
+        "rank-deficient Gram matrix; using pseudo-inverse"))
+    par = AlgebraElement(np.tensordot(w[:, 0], stack[1:], 1))
     perp = a - par
-    norm_sq, residual = float(n @ w), _dot_matrix(phi, cfg, perp.m[None])[0, 0]
-    if not (np.isfinite(w).all() and math.isfinite(norm_sq) and math.isfinite(residual)):
-        raise ValueError("projection overflows: its coefficients or norms are not finite")
-    return ProjectionResult(
-        coefficients=-w,
-        parallel=par,
-        perpendicular=perp,
-        norm_sq_parallel=norm_sq,
-        residual=residual,
-    )
+    norm_sq, residual = float(n[:, 0] @ w[:, 0]), _dot_matrix(phi, cfg, perp.m[None])[0, 0]
+    if not (math.isfinite(norm_sq) and math.isfinite(residual)):
+        raise ValueError("projection overflows: its norms are not finite")
+    return ProjectionResult(coefficients=-w[:, 0], parallel=par, perpendicular=perp,
+                            norm_sq_parallel=norm_sq, residual=residual)
+
+
+def _project_on(phi: State, cfg: DotConfig, stack: np.ndarray, q: int, on_singular):
+    """The one projection rule: cross dots N[i, k] = t_k . b_i and W = M^+ N
+    for the q targets t_k = stack[k] and the references b_i = stack[q + i].
+    M and N come from one dot matrix of the raw stack against the references,
+    so the state meets each reference once; ``_solve_gram`` applies
+    ``on_singular``.  An empty reference set raises ``DimensionError``, a
+    non-finite W ``ValueError``."""
+    if len(stack) == q:
+        raise DimensionError("reference set is empty")
+    d = _dot_matrix(phi, cfg, stack, stack[q:])
+    n = d[:q].T
+    w = _solve_gram(d[q:], on_singular)[0] @ n
+    if not np.isfinite(w).all():
+        raise ValueError("projection overflows: its coefficients are not finite")
+    return n, w
 
 
 def cauchy_schwarz_check(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> tuple[float, float]:
@@ -146,19 +154,14 @@ def cauchy_schwarz_check(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> t
     are equal and nonnegative for any state.  Raises ``SingularGramError``
     when M is rank deficient.
     """
-    d = _gram_with(phi, cfg, a, bs)[0]
+    stack = _stack([a] + list(bs))
+    if len(stack) == 1:
+        raise DimensionError("reference set is empty")
+    d = _dot_matrix(phi, cfg, stack)
     inv, det, _, _ = _solve_gram(d[1:, 1:], SingularGramError(
         "reference Gram matrix is singular; residual is undefined"))
     n = d[0, 1:]
     return d[0, 0] - float(n @ (inv @ n)), float(_solve_gram(d)[1]) / float(det)
-
-
-def _gram_with(phi: State, cfg: DotConfig, a: AlgebraElement, bs):
-    """Dot matrix of the stack [a] + bs, and that stack; bs must not be empty."""
-    stack = _stack([a] + list(bs))
-    if len(stack) == 1:
-        raise DimensionError("reference set is empty")
-    return _dot_matrix(phi, cfg, stack), stack
 
 
 def reflect(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> AlgebraElement:

@@ -5,11 +5,13 @@ is at least the squared norm of its projection onto any finite reference
 set.  Specializing the element and the set yields
 
 - ``fluctuation_bound``: variance of A against the span of fluctuations of
-  a reference family,
+  a reference family, by ``projection._project_on`` on the centred stack,
 - ``pair_product_bound``: the raw second-moment product of two hermitian
   elements against the squared expectation of their commutator,
 - ``energy_bound``: the second moment (or variance) of a hamiltonian
   against the Heisenberg velocities of a reference family.
+
+A bound whose lhs or rhs is not finite raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from .algebra import (
     _require_hermitian,
     _solve_gram,
     _stack,
-    commutator,
     state_eval,
 )
 from .errors import DimensionError, HermiticityError, SingularGramWarning
-from .projection import project
+from .projection import _project_on
 
 __all__ = [
     "BoundReport",
@@ -62,26 +63,31 @@ class BoundReport:
 
 
 def _report(lhs: float, rhs: float, extra: dict | None = None) -> BoundReport:
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+        raise ValueError(f"bound is not finite: lhs {lhs}, rhs {rhs}")
     margin = lhs - rhs
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        satisfied=bool(margin >= -MARGIN_TOL),
-        extra=extra or {},
-    )
+    return BoundReport(lhs=lhs, rhs=rhs, margin=margin,
+                       satisfied=bool(margin >= -MARGIN_TOL), extra=extra or {})
+
+
+def _centred(phi: State, stack: np.ndarray) -> np.ndarray:
+    """Fluctuations x - phi(x) 1 of a raw (p, n, n) stack: the one centring rule."""
+    means = np.array([phi.eval_matrix(x) for x in stack])
+    return stack - means[:, None, None] * np.eye(stack.shape[-1])
 
 
 def fluctuation(phi: State, a: AlgebraElement) -> AlgebraElement:
     """Centered element a - phi(a) 1."""
-    mean = state_eval(phi, a)
-    return a - mean * AlgebraElement.identity(a.dim)
+    return AlgebraElement(_centred(phi, a.m[None])[0])
 
 
 def variance(phi: State, a: AlgebraElement) -> float:
-    """phi(da' da) with da the fluctuation of a; real and >= -1e-12."""
-    da = fluctuation(phi, a)
-    return phi.eval_matrix(da.m.conj().T @ da.m).real
+    """phi(da' da) with da the fluctuation of a; real and >= -1e-12; ValueError if not finite."""
+    da = _centred(phi, a.m[None])[0]
+    var = phi.eval_matrix(da.conj().T @ da).real
+    if not np.isfinite(var):
+        raise ValueError(f"variance is not finite: {var}")
+    return var
 
 
 def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> BoundReport:
@@ -89,13 +95,14 @@ def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> Boun
 
     lhs is the variance of a; rhs is the squared norm of the projection of
     the fluctuation da onto the real span of the fluctuations db_i, in the
-    configured dot product.  With the default symmetric configuration the
-    margin is nonnegative for every state (up to rounding).
+    configured dot product: N . W from ``_project_on`` on the centred stack
+    [da] + [db_i].  With the default symmetric configuration the margin is
+    nonnegative for every state (up to rounding).
     """
-    da = fluctuation(phi, a)
-    dbs = [fluctuation(phi, b) for b in bs]
-    res = project(phi, cfg, da, dbs)
-    return _report(variance(phi, a), res.norm_sq_parallel)
+    stack = _centred(phi, _stack([a] + list(bs)))
+    n, w = _project_on(phi, cfg, stack, 1, SingularGramWarning(
+        "rank-deficient Gram matrix; using pseudo-inverse"))
+    return _report(variance(phi, a), float(n[:, 0] @ w[:, 0]))
 
 
 def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
@@ -109,8 +116,8 @@ def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
     for name, el in (("a", a), ("b", b)):
         _require_hermitian(el.m, f"pair product bound argument {name}")
     a._check_dim(b)
-    lhs = state_eval(phi, a @ a).real * state_eval(phi, b @ b).real
-    comm = state_eval(phi, commutator(a, b))
+    lhs = phi.eval_matrix(a.m @ a.m).real * phi.eval_matrix(b.m @ b.m).real
+    comm = phi.eval_matrix(a.m @ b.m - b.m @ a.m)
     rhs = abs(comm) ** 2 / 4.0
     extra = {"commutator_abs": abs(comm)}
     if commutator_scale is not None:
@@ -173,6 +180,4 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
         return ((consts.hbar**2 / 4.0) * (vel @ inv @ vel)).real
 
     raw = _report(state_eval(phi, h @ h).real, quad_form(stack))
-    means = np.array([phi.eval_matrix(b) for b in stack])
-    fluct = _report(variance(phi, h), quad_form(stack - means[:, None, None] * np.eye(h.dim)))
-    return raw, fluct
+    return raw, _report(variance(phi, h), quad_form(_centred(phi, stack)))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opgeom import algebra, uncertainty
+from opgeom import algebra, hypersurface, uncertainty
 from opgeom.algebra import (
     AlgebraElement,
     DotConfig,
@@ -238,7 +238,8 @@ def _counted(monkeypatch, owner, name, calls):
 
 
 @pytest.mark.parametrize("op, grams", [
-    ("project", 2), ("fluctuation_bound", 2), ("cauchy_schwarz_check", 1), ("energy_bound", 3),
+    ("project", 2), ("fluctuation_bound", 1), ("cauchy_schwarz_check", 1), ("energy_bound", 3),
+    ("gibbs_force", 1),
 ])
 def test_state_gram_calls_per_operation(monkeypatch, op, grams):
     rng = np.random.default_rng(5)
@@ -257,10 +258,37 @@ def test_state_gram_calls_per_operation(monkeypatch, op, grams):
         "cauchy_schwarz_check": lambda: cauchy_schwarz_check(phi, DotConfig(), a, bs),
         "energy_bound": lambda: energy_bound(PhysConstants(), phi, h, bs,
                                              explicit_dts=[None, h, None, None]),
+        "gibbs_force": lambda: gibbs_force(PhysConstants(), bs, h, 0.7),
     }
     run[op]()
     assert len(calls) == grams
     assert commutators == []
+
+
+def test_bounds_on_raw_stacks_build_no_elements(monkeypatch):
+    rng = np.random.default_rng(5)
+    phi = rand_density(rng, 6)
+    bs = [rand_el(rng, 6, "h") for _ in range(3)]
+    h = rand_el(rng, 6, "h")
+    built = []
+    inner = AlgebraElement.__post_init__
+    monkeypatch.setattr(AlgebraElement, "__post_init__", lambda el: built.append(1) or inner(el))
+    fluctuation_bound(phi, DotConfig(), h, bs)
+    uncertainty.pair_product_bound(phi, bs[0], bs[1])
+    assert built == []
+
+
+def test_gibbs_force_checks_hermiticity_once_and_dimensions(monkeypatch):
+    rng = np.random.default_rng(6)
+    bs = [rand_el(rng, 2, "h") for _ in range(2)]
+    checks = []
+    for owner in (algebra, hypersurface):
+        if hasattr(owner, "_require_hermitian"):
+            _counted(monkeypatch, owner, "_require_hermitian", checks)
+    gibbs_force(PhysConstants(), bs, rand_el(rng, 2, "h"), 0.7)
+    assert checks == ["_require_hermitian"]  # the one inside State.gibbs
+    with pytest.raises(DimensionError):
+        gibbs_force(PhysConstants(), bs, rand_el(rng, 3, "h"), 0.7)
 
 
 # ---------------------------------------------------------------------------

@@ -689,6 +689,14 @@ def test_killing_rejects_nonantisymmetric():
         killing_metric(f, 3)
 
 
+def test_killing_rejects_nonfinite_constants():
+    # NaN compares false, so it would pass the antisymmetry and Jacobi tests
+    f = np.zeros((2, 2, 2))
+    f[0, 0, 1] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        killing_metric(f, 2)
+
+
 def test_killing_rejects_jacobi_violation():
     # brackets [J0,J1]=J2, [J1,J2]=J0, [J2,J0]=J0 break the Jacobi identity
     f = np.zeros((3, 3, 3))

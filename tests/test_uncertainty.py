@@ -270,6 +270,16 @@ def test_energy_bound_validation(rng):
         energy_bound(CONSTS, TRACE, embed_diag([1.0, 2.0]), [bad])
 
 
+def test_overflowing_variance_and_bound_are_errors():
+    # phi(da' da) of diag(1e200, 1) overflows to NaN; so does the bound's lhs
+    big = AlgebraElement(np.diag([1e200, 1.0]))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            variance(TRACE, big)
+        with pytest.raises(ValueError, match="not finite"):
+            fluctuation_bound(TRACE, CFG, big, [embed_diag([1.0, 2.0])])
+
+
 def test_bound_report_shape():
     rep = BoundReport(lhs=2.0, rhs=1.0, margin=1.0, satisfied=True)
     assert rep.extra == {}
