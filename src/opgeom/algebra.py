@@ -13,8 +13,9 @@ modules.
 
 All matrix and state file I/O (a small JSON schema) lives in this module;
 the other modules consume in-process values only.  So do the helpers other
-modules share: ``_Stacked``, the one type of callable defined over a stack
-of points, with ``_each``, the rule that calls it, ``_step_count``, the one
+modules share: ``stacked``, the one type of callable defined over a stack
+of points (public, so a user chart or connection can be one), with
+``_each``, the rule that calls it, ``_step_count``, the one
 step-count rule, and ``_asymmetric``, the one relative symmetry test.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -54,6 +56,7 @@ __all__ = [
     "dump_matrix",
     "load_state",
     "dump_state",
+    "stacked",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -83,14 +86,17 @@ def _require_hermitian(arr, what="matrix"):
             f"{what} is not hermitian within {HERMITICITY_TOL} relative tolerance")
 
 
-class _Stacked:
+class stacked:
     """A callable defined once over a stack of arguments.
 
-    ``fn`` maps a (k, ...) float stack of arguments to the (k, ...) stack of
-    their values.  ``stack`` runs it with NumPy's floating-point warnings
-    off, so an overflow shows only as a non-finite value, which the caller
-    checks.  A call on one argument is a view of it: ``stack`` of a stack of
-    one, indexed, so both give the same bits.
+    ``stacked(fn)`` wraps ``fn``, which maps a (k, ...) float stack of
+    arguments to the (k, ...) stack of their values.  A chart's ``map_vec``,
+    ``map_mat`` or ``in_domain``, or a connection ``A``, wrapped this way is
+    called once per stack of points instead of once per point.  ``stack``
+    runs ``fn`` with NumPy's floating-point warnings off, so an overflow
+    shows only as a non-finite value, which the caller checks.  A call on
+    one argument is a view of it: ``stack`` of a stack of one, indexed, so
+    both give the same bits.
     """
 
     __slots__ = ("fn",)
@@ -108,8 +114,8 @@ class _Stacked:
 
 def _each(fn, xs: np.ndarray):
     """The values of fn at the rows of xs: one call on the whole stack when
-    fn is a ``_Stacked``, otherwise a list of one call per row."""
-    if isinstance(fn, _Stacked):
+    fn is a ``stacked``, otherwise a list of one call per row."""
+    if isinstance(fn, stacked):
         return fn.stack(xs)
     return [fn(x) for x in xs]
 
@@ -428,27 +434,30 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     """Guarded inverse of a Gram or metric matrix: (inverse, det, cond, full).
 
     Full rank means s_min > RANK_TOL * max(s_max, RANK_TOL) for the singular
-    values.  Otherwise ``on_singular`` is warned (a Warning) or raised (an
-    exception) and the inverse is the pseudo-inverse cut at RANK_TOL * s_max.
+    values.  Otherwise ``on_singular`` is warned (a Warning, attributed to
+    the first caller outside this package) or raised (an exception) and the
+    inverse is the pseudo-inverse cut at RANK_TOL * s_max.
     A matrix whose s_max is not finite (a non-finite entry, or an overflow)
     raises ``ValueError``: its rank cannot be told.
     A 2x2 matrix takes s_min, s_max from |det| and its Frobenius norm and its
     inverse in closed form; larger ones use one SVD and an LU determinant.  A
-    stack of shape (K, n, n) is solved in one pass: a stack of 2x2 matrices
-    by array arithmetic (``_solve_2x2_stack``), larger ones by one
-    factorization call and a solve per member.  It warns or raises once if
-    any member is singular and returns the four results stacked; every
-    member has the bits of a call on that member alone.
+    stack of shape (K, n, n) is solved in one pass of array arithmetic: a
+    stack of 2x2 matrices by ``_solve_2x2_stack``, larger ones by one
+    factorization call and one stacked product (``_solve_svd_stack``).  It
+    warns or raises once if any member is singular and returns the four
+    results stacked; every member has the bits of a call on that member alone.
     """
     st = m if m.ndim == 3 else m[None]
     two = st.shape[1:] == (2, 2)
-    if two and len(st) > 1:
+    if len(st) == 1:
+        inv, det, cond, full = _solve_lone(st[0], two)
+    elif two:
         inv, det, cond, full = _solve_2x2_stack(st)
     else:
-        inv, det, cond, full = _solve_each(st, two)
+        inv, det, cond, full = _solve_svd_stack(st)
     if not all(full):
         if isinstance(on_singular, Warning):
-            warnings.warn(on_singular, stacklevel=3)
+            warnings.warn(on_singular, stacklevel=_caller_level())
         elif on_singular is not None:
             raise on_singular
         for k, ok in enumerate(full):
@@ -459,35 +468,38 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     return np.asarray(inv), np.asarray(det), np.asarray(cond), np.asarray(full)
 
 
-def _solve_each(st: np.ndarray, two: bool):
-    """The four results of ``_solve_gram`` as lists, member by member, with
-    None for the inverse of a member that is not of full rank."""
+_PACKAGE = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _caller_level() -> int:
+    """The ``stacklevel`` of a warning issued by this function's caller that
+    points at the first frame outside this package, whatever the call depth."""
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
+def _solve_lone(m: np.ndarray, two: bool):
+    """The four results of ``_solve_gram`` on one matrix, as lists of one,
+    with None for the inverse if it is not of full rank."""
     if two:
-        rows = st.tolist()
+        (a, b), (c, d) = m.tolist()
+        dt, adet, s_max = _closed_2x2(a, b, c, d, math.sqrt, max)
+        s_min = adet / s_max if s_max > 0 else 0.0
     else:
-        u, s, vh = np.linalg.svd(st)  # a NaN entry raises LinAlgError, a ValueError
-        dets = np.linalg.det(st)
-    inv, det, cond, full = [], [], [], []
-    for k in range(len(st)):
-        if two:
-            (a, b), (c, d) = rows[k]
-            dt, adet, s_max = _closed_2x2(a, b, c, d, math.sqrt, max)
-            s_min = adet / s_max if s_max > 0 else 0.0
-        else:
-            dt, s_max, s_min = dets[k], s[k, 0], s[k, -1]
-        if not math.isfinite(s_max):
-            raise ValueError(_UNTESTABLE)
-        ok = bool(s_min > RANK_TOL * max(s_max, RANK_TOL))
-        if not ok:
-            inv.append(None)  # the pseudo-inverse, once the singular policy has run
-        elif two:
-            inv.append(np.array([[d, -b], [-c, a]]) / dt)
-        else:
-            inv.append((vh[k].conj().T / s[k]) @ u[k].conj().T)
-        det.append(dt)
-        cond.append(s_max / s_min if s_min > 0 else math.inf)
-        full.append(ok)
-    return inv, det, cond, full
+        u, s, vh = np.linalg.svd(m)  # a NaN entry raises LinAlgError, a ValueError
+        dt, s_max, s_min = np.linalg.det(m), s[0], s[-1]
+    if not math.isfinite(s_max):
+        raise ValueError(_UNTESTABLE)
+    ok = bool(s_min > RANK_TOL * max(s_max, RANK_TOL))
+    if not ok:
+        inv = None  # the pseudo-inverse, once the singular policy has run
+    elif two:
+        inv = np.array([[d, -b], [-c, a]]) / dt
+    else:
+        inv = (vh.conj().T / s) @ u.conj().T
+    return [inv], [dt], [s_max / s_min if s_min > 0 else math.inf], [ok]
 
 
 def _closed_2x2(a, b, c, d, sqrt, maximum):
@@ -524,6 +536,22 @@ def _solve_2x2_stack(st: np.ndarray):
         adj = st.reshape(-1, 4)[:, [3, 1, 2, 0]] * _ADJUGATE_SIGN
         np.divide(adj, det[:, None], out=inv.reshape(-1, 4), where=full[:, None])
     return inv, det, cond, full
+
+
+def _solve_svd_stack(st: np.ndarray):
+    """The four results of ``_solve_gram`` on a stack of K > 1 n x n matrices,
+    n > 2, as arrays from one SVD, one LU determinant and one stacked
+    product, which gives each member the bits of the lone-matrix inverse.
+    The inverse of a member that is not of full rank is not finite."""
+    u, s, vh = np.linalg.svd(st)  # a NaN entry raises LinAlgError, a ValueError
+    s_max, s_min = s[:, 0], s[:, -1]
+    if not np.isfinite(s_max).all():
+        raise ValueError(_UNTESTABLE)
+    full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
+    with np.errstate(all="ignore"):
+        cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
+        inv = (vh.conj().swapaxes(-1, -2) / s[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    return inv, np.linalg.det(st), cond, full
 
 
 _ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])

@@ -36,15 +36,16 @@ with q = fd_step2.  It evaluates them in one pass, then differences whole
 stencil layers as stacks with the per-point formulas in their operand order,
 so every entry keeps the bits of a point-by-point evaluation.
 
-Chart maps and domain tests follow one rule.  A ``_Stacked`` one is defined
+Chart maps and domain tests follow one rule.  A ``stacked`` one is defined
 once over a (k, p) stack of points and takes one call per stack, repeated
 points included; its per-point call is a view of the same formula, with the
 same bits.  Any other callable takes one call per stencil row, repeats
 included, and nothing is cached.  Every built-in
-chart's ``map_vec``, ``map_mat`` and ``in_domain`` are ``_Stacked``
-(``custom_grid`` included); a user chart's, or one substituted into a
-built-in chart, as a counting wrapper is, are not.  A chart defined
-everywhere (``torus``, ``paraboloid``, ``flat_plane``) runs no domain test.
+chart's ``map_vec``, ``map_mat`` and ``in_domain`` are ``stacked``
+(``custom_grid`` included); a user chart's are if the user wraps them in
+``stacked``, and a plain callable substituted into a built-in chart, as a
+counting wrapper is, is not.  A chart defined everywhere (``in_domain``
+None: ``torus``, ``paraboloid``, ``flat_plane``) runs no domain test.
 Because all points are evaluated before any difference, a domain error may
 name a different stencil point than a point-by-point evaluation would meet
 first.
@@ -56,9 +57,13 @@ chart, and a non-finite chart value (an overflow, say) raises
 raises ``EvaluationError``.
 
 ``geometry_at`` gives the metric, Christoffel, Riemann and Bianchi fields of
-a stack of points in blocks of at most ``_BLOCK`` stencil rows, on every
-chart.  ``curvature``, ``riemann_gauss_curvature`` and ``bianchi_residual``
-run the same stacked code on one point.
+a stack of points in blocks sized by bytes (``_block_points``): at most
+``_BLOCK_BYTES`` of stencil-row values, counted from the chart's value size,
+and for a per-point map from the ndarray each call returns.  A 20-point
+report on a built-in two-parameter chart is one block; a per-point chart
+takes 5 points per block at two parameters and 3 x 3 values, and one point
+at three parameters and dim 4.  ``curvature``, ``riemann_gauss_curvature``
+and ``bianchi_residual`` run the same stacked code on one point.
 """
 
 from __future__ import annotations
@@ -82,9 +87,9 @@ from .algebra import (
     _heisenberg,
     _solve_gram,
     _stack,
-    _Stacked,
     _step_count,
     embed_diag,
+    stacked,
 )
 from .errors import (
     DimensionError,
@@ -141,9 +146,11 @@ class Chart:
 
     ``map_mat`` returns the raw complex matrix b(u).  Charts embedding a
     real vector diagonally also provide ``map_vec`` (the diagonal), which
-    the geometry routines use as a fast path.  The geometry routines call
-    a map or ``in_domain`` that is a ``_Stacked`` once per stack of points,
-    and any other callable once per point.
+    the geometry routines use as a fast path.  ``in_domain`` tells whether
+    a point lies in the chart; None means the chart is defined everywhere.
+    The geometry routines call a map or ``in_domain`` wrapped in
+    :class:`opgeom.stacked` once per stack of points, and any other
+    callable once per point.
     ``state_kind`` names the dimension-free default state ("sum" or
     "trace") used by the CLI.
     """
@@ -153,7 +160,7 @@ class Chart:
     dim: int
     map_mat: Callable
     map_vec: Callable | None
-    in_domain: Callable
+    in_domain: Callable | None
     sample_box: tuple
     state_kind: str = "sum"
     fd_step: float = 1e-4
@@ -161,6 +168,8 @@ class Chart:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.in_domain is None:
+            object.__setattr__(self, "in_domain", _EVERYWHERE)
         if self.state_kind not in ("sum", "trace"):
             raise ValueError(f"chart state must be 'sum' or 'trace', got {self.state_kind!r}")
         for name in ("fd_step", "fd_step2"):
@@ -230,8 +239,9 @@ def _columns(*cols) -> np.ndarray:
     return out
 
 
-# the domain test of a chart defined everywhere, which no stack is run through
-_EVERYWHERE = _Stacked(lambda xs: np.ones(len(xs), dtype=bool))
+# the domain test of a chart defined everywhere (in_domain None), which no
+# stack is run through
+_EVERYWHERE = stacked(lambda xs: np.ones(len(xs), dtype=bool))
 
 
 def _diag_chart(id, p, dim, values, inside, box, params, state="sum",
@@ -246,8 +256,8 @@ def _diag_chart(id, p, dim, values, inside, box, params, state="sum",
         return out
 
     return Chart(
-        id=id, p=p, dim=dim, map_mat=_Stacked(matrices), map_vec=_Stacked(values),
-        in_domain=_EVERYWHERE if inside is None else _Stacked(inside), sample_box=box,
+        id=id, p=p, dim=dim, map_mat=stacked(matrices), map_vec=stacked(values),
+        in_domain=None if inside is None else stacked(inside), sample_box=box,
         state_kind=state, fd_step=fd_step, fd_step2=fd_step2, params=dict(params),
     )
 
@@ -368,8 +378,8 @@ def custom_grid(axes, values, state: str = "sum", fd_step: float | None = None,
         return ((box[0] <= xs) & (xs <= box[1])).all(axis=1)
 
     return Chart(
-        id="custom_grid", p=p, dim=dim, map_mat=_Stacked(map_mat), map_vec=None,
-        in_domain=_Stacked(in_domain), sample_box=box, state_kind=state,
+        id="custom_grid", p=p, dim=dim, map_mat=stacked(map_mat), map_vec=None,
+        in_domain=stacked(in_domain), sample_box=box, state_kind=state,
         fd_step=fd_step if fd_step is not None else spacing / 4.0,
         fd_step2=fd_step2 if fd_step2 is not None else spacing,
         params={"axes": [ax.tolist() for ax in axes],
@@ -461,7 +471,7 @@ class _Geo:
 
     ``map`` is the chart's ``map_vec`` if it has one, else its ``map_mat``.
     It and ``in_domain`` are each called once on a whole stack if
-    ``_Stacked``, and otherwise once per stencil row, repeats included.
+    ``stacked``, and otherwise once per stencil row, repeats included.
     """
 
     __slots__ = ("chart", "phi", "cfg", "weights", "map")
@@ -505,7 +515,7 @@ class _Geo:
         """The first row of pts outside the chart domain, or None; a chart
         defined everywhere runs no test."""
         inside = self.chart.in_domain
-        if not isinstance(inside, _Stacked):
+        if not isinstance(inside, stacked):
             for x in pts:
                 if not inside(x):
                     return x
@@ -813,9 +823,9 @@ def _gauss(g: np.ndarray, riemann: np.ndarray, det) -> float:
     return float(g[0, :] @ riemann[:, 1, 0, 1] / det)
 
 
-# Stencil rows (chart points, repeats included) evaluated per block of
-# geometry_at; bounds its working set for any number of points.
-_BLOCK = 2048
+# Bytes of stencil-row values held per block of geometry_at; bounds its
+# working set for any number of points.
+_BLOCK_BYTES = 1 << 19
 
 
 def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
@@ -824,9 +834,8 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
 
     Every entry has the bits that ``metric``, ``christoffel``, ``curvature``
     and ``bianchi_residual`` give at that point alone.  The points go in
-    blocks of as many points as fit ``_BLOCK`` stencil rows (at least one),
-    each making one fields batch for its curvature stencils and one for its
-    Bianchi stencils.
+    blocks of ``_block_points`` points, each making one fields batch for its
+    curvature stencils and one for its Bianchi stencils.
     """
     xs = np.asarray(points, dtype=float)
     p = chart.p
@@ -834,12 +843,29 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
         raise DimensionError(f"points must have shape (K, {p}) with K >= 1 on chart "
                              f"'{chart.id}', got {xs.shape}")
     geo = _geo(chart, phi, cfg)
-    per = max(1, _BLOCK // _stencil_rows(p))
+    per = _block_points(geo)
     parts = []
     for lo in range(0, len(xs), per):
         block = xs[lo:lo + per]
         parts.append(_curvature_at(geo, block) + (_bianchi_at(geo, block) if p >= 2 else None,))
     return Geometry(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
+
+
+def _block_points(geo: _Geo) -> int:
+    """Points per block of ``geometry_at``: as many as fit ``_BLOCK_BYTES``
+    of stencil-row values, at least one.  A ``stacked`` map's row is one row
+    of its value array, 8 dim bytes from ``map_vec`` or 16 dim^2 from
+    ``map_mat``.  A per-point map's row is the ndarray its call returns,
+    whose size is known only after the call: it counts as a dim x dim
+    complex matrix with an array header."""
+    dim = geo.chart.dim
+    if not isinstance(geo.map, stacked):
+        row = 16 * dim * dim + np.empty(0).__sizeof__()
+    elif geo.weights is not None:
+        row = 8 * dim
+    else:
+        row = 16 * dim * dim
+    return max(1, _BLOCK_BYTES // (row * _stencil_rows(geo.p)))
 
 
 def _stencil_rows(p: int) -> int:

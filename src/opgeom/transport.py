@@ -6,7 +6,7 @@ a truncated iterated-integral series, an ordered product of midpoint
 exponentials, and an adaptive ODE oracle used only for verification: a
 Dormand-Prince 5(4) pair at local tolerance 3e-14, run toward s1 either way.
 
-Connections are sampled by one rule.  A ``_Stacked`` connection, as every
+Connections are sampled by one rule.  A ``stacked`` connection, as every
 connection this module builds is, takes one call per block of samples (per
 step in the oracle), and a call on one argument is a view of the same
 formula, with the same bits.  Any other callable, a wrapped library
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _each, _Stacked
+from .algebra import _each, stacked
 from .errors import (
     DimensionError,
     OrderTooLargeError,
@@ -250,7 +250,7 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
 def transport_oracle(path: ConnectionPath, f0: np.ndarray | None = None) -> np.ndarray:
     """Dormand-Prince 5(4) solution of dF/ds = A(s) F from F(s0) = f0 (default
     the identity) to s1, backward if s1 < s0.  A step samples its seven nodes
-    in one call on a ``_Stacked`` A (else one per node), is kept if its error
+    in one call on a ``stacked`` A (else one per node), is kept if its error
     estimate is at most ``_ORACLE_TOL`` max(1, max |F|), and scales the step by
     0.9 err^(-1/5) in [0.2, 5]; StiffnessError once it is 1e-14 (|s| + |s1 - s0|).
     An f0 not of shape (d, d), d the size of A, raises ``DimensionError``, and
@@ -285,7 +285,7 @@ def transport_oracle(path: ConnectionPath, f0: np.ndarray | None = None) -> np.n
 def reverse_path(path: ConnectionPath) -> ConnectionPath:
     """Path traversed backward; its transport is the inverse of the original."""
     s0, s1 = path.s_range
-    return ConnectionPath(A=_Stacked(lambda s: -_values(path.A, s0 + s1 - s)),
+    return ConnectionPath(A=stacked(lambda s: -_values(path.A, s0 + s1 - s)),
                           s_range=(s0, s1), n_steps=path.n_steps)
 
 
@@ -297,7 +297,7 @@ def _segment_path(a_field, start, end, n_steps):
         comps = _values(a_field, start + t[:, None] * delta)
         return np.einsum("i,kijl->kjl", delta, comps)
 
-    return ConnectionPath(A=_Stacked(a_seg), s_range=(0.0, 1.0), n_steps=n_steps)
+    return ConnectionPath(A=stacked(a_seg), s_range=(0.0, 1.0), n_steps=n_steps)
 
 
 def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
@@ -351,11 +351,11 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _affine_connection(x: np.ndarray, y: np.ndarray) -> _Stacked:
+def _affine_connection(x: np.ndarray, y: np.ndarray) -> stacked:
     """A(s) = s X + Y; X and Y of different shapes raise ``DimensionError``."""
     if x.shape != y.shape:
         raise DimensionError("X and Y must have equal dimension")
-    return _Stacked(lambda s: s[:, None, None] * x + y)
+    return stacked(lambda s: s[:, None, None] * x + y)
 
 
 def stored_test_path(n_steps: int = 2000) -> ConnectionPath:
@@ -374,4 +374,4 @@ def _su2_field(us: np.ndarray) -> np.ndarray:
 
 
 # called on one point u (2,), the components (2, 2, 2) there
-stored_su2_field = _Stacked(_su2_field)
+stored_su2_field = stacked(_su2_field)

@@ -320,6 +320,20 @@ def test_dependent_family_warns_or_raises_as_before(kind):
         gibbs_force(PhysConstants(), bs, h, 0.7)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_singular_warnings_point_at_the_caller(kind):
+    rng, bs, a, h = _dependent_family()
+    phi, cfg = make_state(kind, rng, 5), DotConfig()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        project(phi, cfg, a, bs)
+        fluctuation_bound(phi, cfg, a, bs)
+        energy_bound(PhysConstants(), phi, h, bs)
+        tangent_basis(collapsed_chart(), State.unnormalized_sum(), cfg, [0.1, 0.1])
+    assert [w.category for w in caught] == [SingularGramWarning] * 5
+    assert {w.filename for w in caught} == {__file__}
+
+
 def test_empty_and_mismatched_inputs_still_raise():
     _, bs, a, h = _dependent_family()
     phi, cfg, consts = State.normalized_trace(), DotConfig(), PhysConstants()

@@ -928,6 +928,22 @@ def test_stacked_solve_matches_per_matrix_calls(n, k, spd, seed):
     assert inv[bad].tobytes() == np.linalg.pinv(m[bad], rcond=1e-10).tobytes()
 
 
+def test_a_large_stack_solves_with_the_lone_bits():
+    # one SVD and one stacked product for the whole stack; one member of rank 2
+    # takes the pseudo-inverse, as a lone call on it does
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(1120, 3, 3))
+    m = a @ a.transpose(0, 2, 1) + 0.05 * np.eye(3)
+    m[417] = np.outer(a[417, 0], a[417, 0]) + np.outer(a[417, 1], a[417, 1])
+    with pytest.warns(UserWarning):
+        inv, det, cond, full = _solve_gram(m, UserWarning("singular member"))
+    assert full.sum() == 1119 and not full[417]
+    for k in range(len(m)):
+        one = _solve_gram(m[k])
+        assert inv[k].tobytes() == one[0].tobytes()
+        assert (det[k].hex(), cond[k].hex(), full[k]) == (one[1].hex(), one[2].hex(), one[3])
+
+
 @pytest.mark.parametrize("m", [
     [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]],
     [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]],

@@ -1,11 +1,16 @@
 """Smoke tests: each runnable script finishes on small arguments."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# SHA-256 of every file scripts/cli_snapshot.py writes, in `sha256sum` format;
+# after a change that is meant to move CLI bytes, regenerate it with
+#   PYTHONPATH=src python3 scripts/cli_snapshot.py OUT && (cd OUT && sha256sum *)
+SNAPSHOT_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_snapshot.sha256"
 
 
 def load_script(name):
@@ -41,3 +46,13 @@ def test_cli_snapshot_writes_every_run(tmp_path):
     assert [line.split()[0] for line in index] == names
     assert all("exit=0" in line for line in index)
     assert all((tmp_path / f"{name}.out").read_text(encoding="utf-8") for name in names)
+
+
+def test_cli_snapshot_bytes_match_the_pinned_digests(tmp_path):
+    assert load_script("cli_snapshot").main([str(tmp_path)]) == 0
+    want = dict(reversed(line.split()) for line in
+                SNAPSHOT_DIGESTS.read_text(encoding="utf-8").splitlines())
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir()}
+    moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    assert not moved, f"CLI output bytes moved in {moved}"

@@ -1,24 +1,28 @@
 """The built-in charts' stacked maps and the stacked geometry entry point:
 bit identity with the per-point formulas and the single-point routes, and
-the one dispatch rule: a ``_Stacked`` map or domain test takes one call per
+the one dispatch rule: a ``stacked`` map or domain test takes one call per
 stack, any other callable one call per point."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opgeom
 from opgeom import hypersurface
-from opgeom.algebra import DotConfig, State, _solve_gram, _Stacked
+from opgeom.algebra import DotConfig, State, _solve_gram, stacked
 from opgeom.cli import report
 from opgeom.errors import DimensionError, EvaluationError, StencilOutOfDomainError
 from opgeom.hypersurface import (
-    _BLOCK,
+    _EVERYWHERE,
+    _block_points,
     _Geo,
     _stencil_rows,
+    Chart,
     bianchi_residual,
     christoffel,
     curvature,
@@ -83,19 +87,19 @@ def test_stacked_maps_match_the_per_point_formulas_bit_for_bit(name, c, scale, s
     chart = build(c)
     rng = np.random.default_rng(seed)
     pts = np.concatenate([np.array(extra).reshape(-1, 2), rng.uniform(-scale, scale, (3000, 2))])
-    assert all(isinstance(fn, _Stacked) for fn in (chart.map_vec, chart.map_mat, chart.in_domain))
+    assert all(isinstance(fn, stacked) for fn in (chart.map_vec, chart.map_mat, chart.in_domain))
     geo = _Geo(chart, SUM, CFG)
     assert geo.map is chart.map_vec
-    stacked, mask = chart.map_vec.stack(pts), chart.in_domain.stack(pts)
+    vals, mask = chart.map_vec.stack(pts), chart.in_domain.stack(pts)
     mats = chart.map_mat.stack(pts[:200])
     # the evaluator's one call on the stack gives the stacked map's bits
-    assert geo.vals(pts[mask]).tobytes() == stacked[mask].tobytes()
+    assert geo.vals(pts[mask]).tobytes() == vals[mask].tobytes()
     for k, u in enumerate(pts.tolist()):
         want = hexes(formula(c, u))
-        assert hexes(stacked[k]) == want
+        assert hexes(vals[k]) == want
         assert bool(mask[k]) == domain(u)
         if k < 200:  # the per-point matrix formula, the diagonal embedded
-            assert mats[k].tobytes() == np.diag(stacked[k]).astype(complex).tobytes()
+            assert mats[k].tobytes() == np.diag(vals[k]).astype(complex).tobytes()
         if k < 40:  # the per-point views are the same map on one row
             assert hexes(chart.map_vec(u)) == want
             assert hexes(np.diagonal(chart.map_mat(u)).real) == want
@@ -116,7 +120,7 @@ def generic_per_point(chart):
 def test_only_untouched_builtins_take_the_stacked_path():
     chart, u = sphere(), np.array([1.1, 0.7])
     want = metric(chart, SUM, CFG, u).g.tobytes()
-    assert isinstance(_Geo(chart, SUM, CFG).map, _Stacked)
+    assert isinstance(_Geo(chart, SUM, CFG).map, stacked)
     counted, seen = counting(chart)
     asked = []
 
@@ -130,12 +134,12 @@ def test_only_untouched_builtins_take_the_stacked_path():
                     dataclasses.replace(chart, in_domain=inside), counted):
         assert metric(changed, SUM, CFG, u).g.tobytes() == want
     assert len(seen) == len(asked) == 4
-    assert not isinstance(_Geo(per_point(chart), SUM, CFG).map, _Stacked)
-    assert not isinstance(_Geo(counted, SUM, CFG).map, _Stacked)
+    assert not isinstance(_Geo(per_point(chart), SUM, CFG).map, stacked)
+    assert not isinstance(_Geo(counted, SUM, CFG).map, stacked)
     for changed in (dataclasses.replace(chart, map_mat=lambda u: u),
                     dataclasses.replace(chart, in_domain=inside)):
         assert _Geo(changed, SUM, CFG).map is chart.map_vec
-    assert not isinstance(_Geo(graph3_chart(), SUM, CFG).map, _Stacked)
+    assert not isinstance(_Geo(graph3_chart(), SUM, CFG).map, stacked)
 
 
 def test_substituted_domain_test_is_called_per_point_beside_the_stacked_map():
@@ -150,7 +154,7 @@ def test_substituted_domain_test_is_called_per_point_beside_the_stacked_map():
         asked.append(x.tobytes())
         return chart.in_domain(x)
 
-    changed = dataclasses.replace(chart, map_vec=_Stacked(values), in_domain=inside)
+    changed = dataclasses.replace(chart, map_vec=stacked(values), in_domain=inside)
     pts = np.array([[0.9, 0.5], [1.7, 2.2], [2.3, -0.6]])
     got, want = geometry_at(changed, SUM, CFG, pts), geometry_at(chart, SUM, CFG, pts)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -244,7 +248,7 @@ def single_point_stats(chart, points):
     sphere(), counting(sphere())[0], generic_per_point(sphere()), graph3_chart(),
 ], ids=["sphere-stacked", "sphere-per-point", "sphere-generic", "graph3"])
 def test_report_blocks_match_the_single_point_routes(chart):
-    block = _BLOCK // _stencil_rows(chart.p)
+    block = _block_points(_Geo(chart, SUM, CFG))
     for count in (block - 1, block, block + 1):
         if count < 1:
             continue
@@ -318,3 +322,108 @@ def test_stencil_out_of_domain_is_an_evaluation_error():
     for fn in (metric, christoffel, curvature, bianchi_residual):
         with pytest.raises(StencilOutOfDomainError, match="outside domain"):
             fn(sphere(), SUM, CFG, [5e-5, 0.4])
+
+
+# ---------------------------------------------------------------------------
+# a user chart stacked with the public type, and the block rule of geometry_at
+
+def stacked_graph3():
+    """The graph3 hypersurface as a user stacks it: ``opgeom.stacked`` maps and
+    no domain test (``in_domain=None``)."""
+
+    def values(xs):
+        sin, cos = np.sin(xs), np.cos(xs)
+        f = sin[:, 0] * cos[:, 1] + 0.5 * sin[:, 1] * xs[:, 2] + 0.3 * cos[:, 2] * xs[:, 0]
+        return np.column_stack([xs, f])
+
+    def matrices(xs):
+        v = values(xs)
+        out = np.zeros(v.shape + (4,), dtype=complex)
+        out[:, range(4), range(4)] = v
+        return out
+
+    box = (np.array([-1.0] * 3), np.array([1.0] * 3))
+    return Chart(id="graph3", p=3, dim=4, map_mat=opgeom.stacked(matrices),
+                 map_vec=opgeom.stacked(values), in_domain=None, sample_box=box)
+
+
+def test_a_stacked_user_chart_has_the_bits_of_its_per_point_view():
+    chart = stacked_graph3()
+    assert opgeom.stacked is stacked and chart.in_domain is _EVERYWHERE
+    assert isinstance(_Geo(chart, SUM, CFG).map, stacked)
+    view = per_point(chart)
+    got, want = report(chart, SUM, CFG, 4, seed=5), report(view, SUM, CFG, 4, seed=5)
+    assert got["points"] == want["points"]
+    assert {k: hexes(list(v.values())) for k, v in got["stats"].items()} == \
+        {k: hexes(list(v.values())) for k, v in want["stats"].items()}
+    u0, v0 = [0.2, -0.3, 0.4], [0.5, 0.1, -0.6]
+    got, want = (geodesic(c, SUM, CFG, u0, v0, 0.3, 0.05) for c in (chart, view))
+    assert len(got) == len(want) == 7 and got.left_domain == want.left_domain
+    for a, b in zip(got, want):
+        assert (a.tau, a.u.tobytes(), a.udot.tobytes()) == (b.tau, b.u.tobytes(), b.udot.tobytes())
+
+
+class NonDiagonal:
+    """Per-point hermitian 3x3 two-parameter chart with no map_vec, so the
+    state's Gram kernel runs: b(u) = u0 H1 + u1 H2 + (u0^2 + u1^2) H3 + u0 u1 H4."""
+
+    def __init__(self, seed=11):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        self.hs = 0.5 * (m + m.conj().swapaxes(1, 2))
+
+    def map_mat(self, u):
+        h1, h2, h3, h4 = self.hs
+        return u[0] * h1 + u[1] * h2 + (u[0] * u[0] + u[1] * u[1]) * h3 + u[0] * u[1] * h4
+
+    def chart(self):
+        box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        return Chart(id="nondiag", p=2, dim=3, map_mat=self.map_mat, map_vec=None,
+                     in_domain=lambda u: True, sample_box=box)
+
+
+@pytest.mark.parametrize("chart", [sphere(1.3), torus(2.1, 0.45), paraboloid(0.8), flat_plane()],
+                         ids=lambda c: c.id)
+def test_a_builtin_report_is_one_block_of_two_stacked_map_calls(chart):
+    calls = []
+
+    def values(xs):
+        calls.append(len(xs))
+        return chart.map_vec.fn(xs)
+
+    counted = dataclasses.replace(chart, map_vec=stacked(values))
+    got, want = report(counted, SUM, CFG, 20, seed=7), report(chart, SUM, CFG, 20, seed=7)
+    assert got == want
+    # one curvature fields batch and one Bianchi fields batch over all 20 points
+    assert len(calls) == 2 and sum(calls) == 20 * _stencil_rows(2)
+
+
+@pytest.mark.parametrize("chart, per", [(graph3_chart(), 1), (NonDiagonal().chart(), 5),
+                                        (stacked_graph3(), 11), (sphere(), 56)],
+                         ids=["graph3", "nondiag", "graph3-stacked", "sphere"])
+def test_blocks_are_sized_by_the_bytes_of_a_row(chart, per, monkeypatch):
+    blocks = []
+
+    def bianchi_at(geo, xs):  # called once per block, on its points
+        blocks.append(len(xs))
+        return bianchi(geo, xs)
+
+    bianchi = hypersurface._bianchi_at
+    monkeypatch.setattr(hypersurface, "_bianchi_at", bianchi_at)
+    assert _block_points(_Geo(chart, SUM, CFG)) == per
+    report(chart, SUM, CFG, 20, seed=7)
+    assert blocks == [per] * (20 // per) + [20 % per] * (20 % per > 0)
+
+
+def test_a_per_point_report_keeps_its_memory_peak():
+    # 20 points of this chart in 5-point blocks peak at 825,964 bytes under
+    # tracemalloc (Python 3.11, NumPy 2.4); one block of 20 takes about 3.2 MB
+    chart = NonDiagonal().chart()
+    report(chart, SUM, CFG, 20, seed=7)
+    tracemalloc.start()
+    try:
+        report(chart, SUM, CFG, 20, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 825_964

@@ -38,7 +38,7 @@ from opgeom.transport import (
     stored_test_path,
     transport_oracle,
     _BLOCK,
-    _Stacked,
+    stacked,
     _affine_connection,
     _expm_stack,
     _sample,
@@ -250,7 +250,7 @@ def grid_product(path):
 def test_block_edges_are_the_grid(n_steps, s_range):
     path = ConnectionPath(A=stored_test_path().A, s_range=s_range, n_steps=n_steps)
     stack, calls = counting(path.A.stack)
-    got = product_integral(replace(path, A=_Stacked(stack)))
+    got = product_integral(replace(path, A=stacked(stack)))
     s = path.grid()
     assert np.concatenate(calls).tobytes() == (0.5 * (s[:-1] + s[1:])).tobytes()
     assert hexes(got) == hexes(grid_product(path))
@@ -382,7 +382,7 @@ def test_stacked_paths_match_their_per_point_calls(s, s0, s1):
     s = np.array(s)
     path = ConnectionPath(A=stored_test_path().A, s_range=(s0, s1), n_steps=3)
     for a in (path.A, reverse_path(path).A, reverse_path(reverse_path(path)).A):
-        assert isinstance(a, _Stacked)
+        assert isinstance(a, stacked)
         assert hexes(_sample(a, s)) == hexes([a(x) for x in s])
 
 
@@ -431,7 +431,7 @@ def test_stacked_stokes_matches_per_point():
     (lambda s: np.full((len(s), 2, 2), np.nan), ValueError),
 ])
 def test_stacked_connection_bad_samples_rejected(stack, error):
-    path = ConnectionPath(A=_Stacked(stack), s_range=(0.0, 1.0), n_steps=4)
+    path = ConnectionPath(A=stacked(stack), s_range=(0.0, 1.0), n_steps=4)
     with pytest.raises(error):
         product_integral(path)
     with pytest.raises(error):
@@ -451,7 +451,7 @@ def counting(fn):
 
 def test_stacked_connection_is_sampled_once_per_block():
     stack, calls = counting(stored_test_path().A.stack)
-    product_integral(ConnectionPath(A=_Stacked(stack), s_range=(0.0, 1.0),
+    product_integral(ConnectionPath(A=stacked(stack), s_range=(0.0, 1.0),
                                     n_steps=2 * _BLOCK + 1))
     assert [len(s) for s in calls] == [_BLOCK, _BLOCK, 1]
 
@@ -528,7 +528,7 @@ def test_oracle_empty_range_returns_the_start(rng):
 
 def test_oracle_samples_each_step_once():
     stack, calls = counting(stored_test_path().A.stack)
-    transport_oracle(ConnectionPath(A=_Stacked(stack), s_range=(0.0, 1.0), n_steps=1))
+    transport_oracle(ConnectionPath(A=stacked(stack), s_range=(0.0, 1.0), n_steps=1))
     # the start point for the identity's size, then the seven nodes of each step
     assert [len(s) for s in calls[1:]] == [7] * (len(calls) - 1) and len(calls) > 10
     a, points = counting(stored_test_path().A)
