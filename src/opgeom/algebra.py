@@ -15,7 +15,7 @@ All matrix and state file I/O (a small JSON schema) lives in this module;
 the other modules consume in-process values only.  So do the helpers other
 modules share: ``stacked``, the one type of callable defined over a stack
 of points (public, so a user chart or connection can be one), with
-``_each``, the rule that calls it, ``_step_count``, the one
+``_lifted``, which makes any other callable one, ``_step_count``, the one
 step-count rule, and ``_asymmetric``, the one relative symmetry test.
 """
 
@@ -90,13 +90,13 @@ class stacked:
     """A callable defined once over a stack of arguments.
 
     ``stacked(fn)`` wraps ``fn``, which maps a (k, ...) float stack of
-    arguments to the (k, ...) stack of their values.  A chart's ``map_vec``,
-    ``map_mat`` or ``in_domain``, or a connection ``A``, wrapped this way is
-    called once per stack of points instead of once per point.  ``stack``
-    runs ``fn`` with NumPy's floating-point warnings off, so an overflow
-    shows only as a non-finite value, which the caller checks.  A call on
-    one argument is a view of it: ``stack`` of a stack of one, indexed, so
-    both give the same bits.
+    arguments to the (k, ...) stack of their values.  A chart's maps and
+    domain test and a connection ``A`` are called once per stack of points:
+    given any other callable, the chart or connection wraps it as a
+    ``stacked`` that calls it per point.  ``stack`` runs ``fn`` with NumPy's
+    floating-point warnings off, so an overflow shows only as a non-finite
+    value, which the caller checks.  A call on one argument is a view of
+    it: ``stack`` of a stack of one, indexed, so both give the same bits.
     """
 
     __slots__ = ("fn",)
@@ -112,12 +112,32 @@ class stacked:
         return self.stack(np.asarray(x, dtype=float)[None])[0]
 
 
-def _each(fn, xs: np.ndarray):
-    """The values of fn at the rows of xs: one call on the whole stack when
-    fn is a ``stacked``, otherwise a list of one call per row."""
-    if isinstance(fn, stacked):
-        return fn.stack(xs)
-    return [fn(x) for x in xs]
+def _lifted(fn):
+    """fn as a ``stacked``: fn itself if it is one or None, else one that calls
+    fn once per row, in row order.  The values go through ``np.asarray`` 64
+    rows at a time, into one array preallocated from the first 64, so a value
+    of another shape raises ``ValueError`` and one of a wider type (complex
+    after real, say) widens the array, as for ``np.asarray`` of all values."""
+    if fn is None or isinstance(fn, stacked):
+        return fn
+
+    def rows(xs):
+        n = 64  # a list of n values, each its own ndarray, is held at a time
+        head = np.asarray([fn(x) for x in xs[:n]])
+        if len(xs) <= n:
+            return head
+        out = np.empty((len(xs),) + head.shape[1:], head.dtype)
+        out[:n] = head
+        for lo in range(n, len(xs), n):
+            part = np.asarray([fn(x) for x in xs[lo:lo + n]])
+            if part.shape[1:] != out.shape[1:]:
+                raise ValueError(f"values of shape {part.shape[1:]} from row {lo}, "
+                                 f"row 0's has shape {out.shape[1:]}")
+            out = out.astype(np.result_type(out, part), copy=False)
+            out[lo:lo + n] = part
+        return out
+
+    return stacked(rows)
 
 
 def _step_count(tau: float, step: float) -> int:

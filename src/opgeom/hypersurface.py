@@ -36,19 +36,15 @@ with q = fd_step2.  It evaluates them in one pass, then differences whole
 stencil layers as stacks with the per-point formulas in their operand order,
 so every entry keeps the bits of a point-by-point evaluation.
 
-Chart maps and domain tests follow one rule.  A ``stacked`` one is defined
-once over a (k, p) stack of points and takes one call per stack, repeated
-points included; its per-point call is a view of the same formula, with the
-same bits.  Any other callable takes one call per stencil row, repeats
-included, and nothing is cached.  Every built-in
-chart's ``map_vec``, ``map_mat`` and ``in_domain`` are ``stacked``
-(``custom_grid`` included); a user chart's are if the user wraps them in
-``stacked``, and a plain callable substituted into a built-in chart, as a
-counting wrapper is, is not.  A chart defined everywhere (``in_domain``
-None: ``torus``, ``paraboloid``, ``flat_plane``) runs no domain test.
-Because all points are evaluated before any difference, a domain error may
-name a different stencil point than a point-by-point evaluation would meet
-first.
+Chart maps and domain tests follow one rule: each is a ``stacked``, called
+once per (k, p) stack of points, repeats included, and nothing is cached;
+a map runs with NumPy's floating-point warnings off.  Built-in charts are
+defined over a stack (``custom_grid`` included), and ``Chart`` lifts any
+other callable into one that calls it per stencil row, in row order.  A
+chart defined everywhere (``in_domain`` None: ``torus``, ``paraboloid``,
+``flat_plane``) runs no domain test.  Because all points are evaluated
+before any difference, a domain error may name a different stencil point
+than a point-by-point evaluation would meet first.
 
 A stencil point outside the chart domain raises ``StencilOutOfDomainError``,
 a subclass of ``EvaluationError``, from every function that evaluates the
@@ -58,12 +54,12 @@ raises ``EvaluationError``.
 
 ``geometry_at`` gives the metric, Christoffel, Riemann and Bianchi fields of
 a stack of points in blocks sized by bytes (``_block_points``): at most
-``_BLOCK_BYTES`` of stencil-row values, counted from the chart's value size,
-and for a per-point map from the ndarray each call returns.  A 20-point
-report on a built-in two-parameter chart is one block; a per-point chart
-takes 5 points per block at two parameters and 3 x 3 values, and one point
-at three parameters and dim 4.  ``curvature``, ``riemann_gauss_curvature``
-and ``bianchi_residual`` run the same stacked code on one point.
+``_BLOCK_BYTES`` of stencil rows, each counted as its point and its value.
+A 20-point report on a built-in two-parameter chart is one block of 33
+points at most; a chart takes 8 points per block at two parameters and
+3 x 3 values, and 6 at three parameters and dim 4.  ``curvature``,
+``riemann_gauss_curvature`` and ``bianchi_residual`` run the same stacked
+code on one point.
 """
 
 from __future__ import annotations
@@ -83,8 +79,8 @@ from .algebra import (
     State,
     _asymmetric,
     _dot_matrix,
-    _each,
     _heisenberg,
+    _lifted,
     _solve_gram,
     _stack,
     _step_count,
@@ -149,8 +145,8 @@ class Chart:
     the geometry routines use as a fast path.  ``in_domain`` tells whether
     a point lies in the chart; None means the chart is defined everywhere.
     The geometry routines call a map or ``in_domain`` wrapped in
-    :class:`opgeom.stacked` once per stack of points, and any other
-    callable once per point.
+    :class:`opgeom.stacked` once per stack of points; the chart wraps any
+    other callable in a ``stacked`` that calls it once per point.
     ``state_kind`` names the dimension-free default state ("sum" or
     "trace") used by the CLI.
     """
@@ -168,8 +164,9 @@ class Chart:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.in_domain is None:
-            object.__setattr__(self, "in_domain", _EVERYWHERE)
+        object.__setattr__(self, "map_mat", _lifted(self.map_mat))
+        object.__setattr__(self, "map_vec", _lifted(self.map_vec))
+        object.__setattr__(self, "in_domain", _lifted(self.in_domain) or _EVERYWHERE)
         if self.state_kind not in ("sum", "trace"):
             raise ValueError(f"chart state must be 'sum' or 'trace', got {self.state_kind!r}")
         for name in ("fd_step", "fd_step2"):
@@ -239,8 +236,7 @@ def _columns(*cols) -> np.ndarray:
     return out
 
 
-# the domain test of a chart defined everywhere (in_domain None), which no
-# stack is run through
+# the domain test of a chart defined everywhere (in_domain None), never run
 _EVERYWHERE = stacked(lambda xs: np.ones(len(xs), dtype=bool))
 
 
@@ -470,8 +466,8 @@ class _Geo:
     are arrays of shape (..., k, dim) or (..., k, dim, dim).
 
     ``map`` is the chart's ``map_vec`` if it has one, else its ``map_mat``.
-    It and ``in_domain`` are each called once on a whole stack if
-    ``stacked``, and otherwise once per stencil row, repeats included.
+    It and ``in_domain`` are ``stacked`` (see :class:`Chart`), each called
+    once on a whole stack.
     """
 
     __slots__ = ("chart", "phi", "cfg", "weights", "map")
@@ -503,8 +499,8 @@ class _Geo:
         chart = self.chart
         bad = self.outside(pts)
         if bad is not None:
-            raise _outside(chart, bad)
-        out = np.asarray(_each(self.map, pts))
+            raise StencilOutOfDomainError(f"point {bad.tolist()} outside domain of chart '{chart.id}'")
+        out = self.map.stack(pts)
         finite = np.isfinite(out)
         if np.count_nonzero(finite) != finite.size:  # half the cost of .all() on short stacks
             bad = pts[~finite.reshape(len(out), -1).all(axis=1)][0]
@@ -515,14 +511,10 @@ class _Geo:
         """The first row of pts outside the chart domain, or None; a chart
         defined everywhere runs no test."""
         inside = self.chart.in_domain
-        if not isinstance(inside, stacked):
-            for x in pts:
-                if not inside(x):
-                    return x
-        elif inside is not _EVERYWHERE:
-            ok = inside.fn(pts)  # comparisons never warn: no errstate needed
+        if inside is not _EVERYWHERE:
+            ok = inside.fn(pts)  # no errstate: the built-in tests only compare, which never warns
             if np.count_nonzero(ok) != len(ok):
-                return pts[~ok][0]
+                return pts[np.logical_not(ok)][0]
         return None
 
     def gram(self, xs, ys=None) -> np.ndarray:
@@ -543,10 +535,6 @@ def _geo(chart: Chart, phi: State, cfg: DotConfig) -> _Geo:
     if not lam.real > 0:
         raise DomainError(f"chart geometry needs Re(lam) > 0, got lam={lam}")
     return _Geo(chart, phi, cfg)
-
-
-def _outside(chart: Chart, x) -> StencilOutOfDomainError:
-    return StencilOutOfDomainError(f"point {x.tolist()} outside domain of chart '{chart.id}'")
 
 
 def _point(chart: Chart, u) -> np.ndarray:
@@ -853,18 +841,10 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
 
 def _block_points(geo: _Geo) -> int:
     """Points per block of ``geometry_at``: as many as fit ``_BLOCK_BYTES``
-    of stencil-row values, at least one.  A ``stacked`` map's row is one row
-    of its value array, 8 dim bytes from ``map_vec`` or 16 dim^2 from
-    ``map_mat``.  A per-point map's row is the ndarray its call returns,
-    whose size is known only after the call: it counts as a dim x dim
-    complex matrix with an array header."""
+    of stencil rows, at least one.  A row is its point, 8 p bytes, and its
+    value, 8 dim bytes from ``map_vec`` or 16 dim^2 from ``map_mat``."""
     dim = geo.chart.dim
-    if not isinstance(geo.map, stacked):
-        row = 16 * dim * dim + np.empty(0).__sizeof__()
-    elif geo.weights is not None:
-        row = 8 * dim
-    else:
-        row = 16 * dim * dim
+    row = 8 * geo.p + (8 * dim if geo.weights is not None else 16 * dim * dim)
     return max(1, _BLOCK_BYTES // (row * _stencil_rows(geo.p)))
 
 
@@ -957,14 +937,11 @@ def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
 def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -> np.ndarray:
     """D[a, b] = d_a V^b + gamma^b_{a d} V^d for a vector field V(u)."""
     gamma = christoffel(chart, phi, cfg, u).gamma
-    u = _point(chart, u)
-    vv = np.asarray(v_field(u), dtype=float)
-    if vv.shape != (chart.p,):
+    star = _star(_point(chart, u), chart.fd_step2)
+    vs = np.asarray(_lifted(v_field).stack(star), dtype=float)
+    if vs.shape[1:] != (chart.p,):
         raise DimensionError(f"vector field must return shape ({chart.p},)")
-    star = _star(u, chart.fd_step2)
-    dv = _diff(np.array([vv] + [np.asarray(v_field(x), dtype=float) for x in star[1:]]),
-               chart.fd_step2)
-    return dv + np.einsum("bad,d->ab", gamma, vv)
+    return _diff(vs, chart.fd_step2) + np.einsum("bad,d->ab", gamma, vs[0])
 
 
 def _geodesic_accel(geo: _Geo, u, v):

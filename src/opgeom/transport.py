@@ -6,11 +6,10 @@ a truncated iterated-integral series, an ordered product of midpoint
 exponentials, and an adaptive ODE oracle used only for verification: a
 Dormand-Prince 5(4) pair at local tolerance 3e-14, run toward s1 either way.
 
-Connections are sampled by one rule.  A ``stacked`` connection, as every
-connection this module builds is, takes one call per block of samples (per
-step in the oracle), and a call on one argument is a view of the same
-formula, with the same bits.  Any other callable, a wrapped library
-connection included, takes one call per sample, with a float64 argument.
+Connections are sampled by one rule: each is a ``stacked``, called once per
+block of samples (per step in the oracle) with NumPy's floating-point
+warnings off.  ``ConnectionPath`` and ``stokes_residual`` lift any other
+callable into one that calls it per sample, with a float64 argument.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _each, stacked
+from .algebra import _lifted, stacked
 from .errors import (
     DimensionError,
     OrderTooLargeError,
@@ -50,9 +49,9 @@ class ConnectionPath:
     """Matrix connection sampled along a curve.
 
     ``A`` maps the curve parameter s to a square complex matrix (the 1-form
-    already contracted with the curve velocity); ``s_range`` is the
-    integration interval and ``n_steps`` the number of subintervals of the
-    uniform partition.
+    already contracted with the curve velocity), lifted into a ``stacked``
+    unless it is one; ``s_range`` is the integration interval and
+    ``n_steps`` the number of subintervals of the uniform partition.
     """
 
     A: callable
@@ -60,6 +59,7 @@ class ConnectionPath:
     n_steps: int
 
     def __post_init__(self):
+        object.__setattr__(self, "A", _lifted(self.A))
         s0, s1 = self.s_range
         if not (np.isfinite(s0) and np.isfinite(s1)):
             raise ValueError("s_range must be finite")
@@ -90,8 +90,8 @@ class LoopSpec:
 
 
 def _values(a, points) -> np.ndarray:
-    """The values of a at each of points, as one complex array (see ``_each``)."""
-    return np.asarray(_each(a, points), dtype=complex)
+    """The values of the ``stacked`` a at each of points, as one complex array."""
+    return np.asarray(a.stack(points), dtype=complex)
 
 
 def _sample(a, points):
@@ -292,6 +292,7 @@ def reverse_path(path: ConnectionPath) -> ConnectionPath:
 def _segment_path(a_field, start, end, n_steps):
     start = np.asarray(start, dtype=float)
     delta = np.asarray(end, dtype=float) - start
+    a_field = _lifted(a_field)
 
     def a_seg(t):
         comps = _values(a_field, start + t[:, None] * delta)
@@ -316,6 +317,7 @@ def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
     d1 = np.asarray(loop.dirs[0], dtype=float)
     d2 = np.asarray(loop.dirs[1], dtype=float)
     eps = float(loop.epsilon)
+    a_field = _lifted(a_field)
     corners = [base, base + eps * d1, base + eps * d1 + eps * d2, base + eps * d2]
     if in_patch is not None:
         margin = h * (np.abs(d1) + np.abs(d2))
