@@ -15,7 +15,8 @@ All matrix and state file I/O (a small JSON schema) lives in this module;
 the other modules consume in-process values only.  So do the helpers other
 modules share: ``stacked``, the one type of callable defined over a stack
 of points (public, so a user chart or connection can be one), with
-``_lifted``, which makes any other callable one, ``_step_count``, the one
+``_lifted``, which makes any other callable one, ``_first_false``, the one
+rule for the answers of a domain or patch test, ``_step_count``, the one
 step-count rule, and ``_asymmetric``, the one relative symmetry test.
 """
 
@@ -95,8 +96,11 @@ class stacked:
     given any other callable, the chart or connection wraps it as a
     ``stacked`` that calls it per point.  ``stack`` runs ``fn`` with NumPy's
     floating-point warnings off, so an overflow shows only as a non-finite
-    value, which the caller checks.  A call on one argument is a view of
-    it: ``stack`` of a stack of one, indexed, so both give the same bits.
+    value, which the caller checks; the chart evaluator calls the ``fn`` of
+    a domain test and a map under one such ``np.errstate`` of its own.  A
+    domain or patch test answers one truth value per point, (k,) of bool or
+    int.  A call on one argument is a view of it: ``stack`` of a stack of
+    one, indexed, so both give the same bits.
     """
 
     __slots__ = ("fn",)
@@ -138,6 +142,19 @@ def _lifted(fn):
         return out
 
     return stacked(rows)
+
+
+def _first_false(ok, pts: np.ndarray, test: str):
+    """The first row of pts that the truth test named ``test`` answered false
+    in ok, its answer on pts, or None.  ``DimensionError`` unless ok holds one
+    truth value per row: shape (k,), of bool or integer type."""
+    ok = np.asarray(ok)
+    if ok.shape != (len(pts),) or ok.dtype.kind not in "biu":
+        raise DimensionError(f"{test} must answer one truth value per point: shape "
+                             f"({len(pts)},) of bool or int, got shape {ok.shape} of {ok.dtype}")
+    if np.count_nonzero(ok) != len(ok):
+        return pts[np.logical_not(ok)][0]
+    return None
 
 
 def _step_count(tau: float, step: float) -> int:

@@ -38,19 +38,23 @@ so every entry keeps the bits of a point-by-point evaluation.
 
 Chart maps and domain tests follow one rule: each is a ``stacked``, called
 once per (k, p) stack of points, repeats included, and nothing is cached;
-a map runs with NumPy's floating-point warnings off.  Built-in charts are
-defined over a stack (``custom_grid`` included), and ``Chart`` lifts any
-other callable into one that calls it per stencil row, in row order.  A
-chart defined everywhere (``in_domain`` None: ``torus``, ``paraboloid``,
-``flat_plane``) runs no domain test.  Because all points are evaluated
-before any difference, a domain error may name a different stencil point
-than a point-by-point evaluation would meet first.
+the domain test and the map of a stencil stack run inside one
+``np.errstate`` with NumPy's floating-point warnings off, so an overflow in
+either shows only as its answer.  Built-in charts are defined over a stack
+(``custom_grid`` included), and ``Chart`` lifts any other callable into one
+that calls it per stencil row, in row order.  A domain test answers one
+truth value per point, a (k,) array of bool or int; any other answer raises
+``DimensionError``.  A chart defined everywhere (``in_domain`` None:
+``torus``, ``paraboloid``, ``flat_plane``) runs no domain test.  Because
+all points are evaluated before any difference, a domain error may name a
+different stencil point than a point-by-point evaluation would meet first.
+``covariant_derivative`` lifts its vector field the same way.
 
 A stencil point outside the chart domain raises ``StencilOutOfDomainError``,
 a subclass of ``EvaluationError``, from every function that evaluates the
 chart, and a non-finite chart value (an overflow, say) raises
 ``EvaluationError``; the CLI reports both as E_INPUT.  A non-finite centre
-raises ``EvaluationError``.
+or vector-field value raises ``EvaluationError``.
 
 ``geometry_at`` gives the metric, Christoffel, Riemann and Bianchi fields of
 a stack of points in blocks sized by bytes (``_block_points``): at most
@@ -79,6 +83,7 @@ from .algebra import (
     State,
     _asymmetric,
     _dot_matrix,
+    _first_false,
     _heisenberg,
     _lifted,
     _solve_gram,
@@ -467,7 +472,9 @@ class _Geo:
 
     ``map`` is the chart's ``map_vec`` if it has one, else its ``map_mat``.
     It and ``in_domain`` are ``stacked`` (see :class:`Chart`), each called
-    once on a whole stack.
+    once on a whole stack: ``vals`` calls both ``fn`` inside its one
+    ``np.errstate``, and ``outside``, which tests a geodesic's states, makes
+    one ``stack`` call.
     """
 
     __slots__ = ("chart", "phi", "cfg", "weights", "map")
@@ -494,28 +501,29 @@ class _Geo:
         Every point evaluated here is a stencil point: the first row outside
         the chart domain raises ``StencilOutOfDomainError``, checked before
         any evaluation, and the first row with a non-finite value
-        ``EvaluationError``, checked once over the whole result.
+        ``EvaluationError``, checked once over the whole result.  The domain
+        test and the map run in one ``np.errstate``, through each
+        ``stacked``'s ``fn``.
         """
-        chart = self.chart
-        bad = self.outside(pts)
+        chart, inside = self.chart, self.chart.in_domain
+        with np.errstate(all="ignore"):  # an overflow in a user callable shows as its answer
+            if inside is not _EVERYWHERE:
+                bad = _first_false(inside.fn(pts), pts, "in_domain")
+                if bad is not None:
+                    raise StencilOutOfDomainError(f"point {bad.tolist()} outside domain of chart '{chart.id}'")
+            out = self.map.fn(pts)
+        bad = _nonfinite_row(out, pts)
         if bad is not None:
-            raise StencilOutOfDomainError(f"point {bad.tolist()} outside domain of chart '{chart.id}'")
-        out = self.map.stack(pts)
-        finite = np.isfinite(out)
-        if np.count_nonzero(finite) != finite.size:  # half the cost of .all() on short stacks
-            bad = pts[~finite.reshape(len(out), -1).all(axis=1)][0]
             raise EvaluationError(f"chart '{chart.id}' has a non-finite value at point {bad.tolist()}")
         return out
 
     def outside(self, pts):
         """The first row of pts outside the chart domain, or None; a chart
-        defined everywhere runs no test."""
+        defined everywhere runs no test, any other one ``stack`` call."""
         inside = self.chart.in_domain
-        if inside is not _EVERYWHERE:
-            ok = inside.fn(pts)  # no errstate: the built-in tests only compare, which never warns
-            if np.count_nonzero(ok) != len(ok):
-                return pts[np.logical_not(ok)][0]
-        return None
+        if inside is _EVERYWHERE:
+            return None
+        return _first_false(inside.stack(pts), pts, "in_domain")
 
     def gram(self, xs, ys=None) -> np.ndarray:
         """Real dot matrices D[..., i, j] = x_i . y_j of two stacks (ys defaults to xs)."""
@@ -527,6 +535,15 @@ class _Geo:
 
     def wrap(self, x) -> AlgebraElement:
         return embed_diag(x) if self.weights is not None else AlgebraElement(x)
+
+
+def _nonfinite_row(vals: np.ndarray, pts: np.ndarray):
+    """The first row of pts whose value in vals, their stacked values, is not
+    finite, or None."""
+    finite = np.isfinite(vals)
+    if np.count_nonzero(finite) != finite.size:  # half the cost of .all() on short stacks
+        return pts[~finite.reshape(len(vals), -1).all(axis=1)][0]
+    return None
 
 
 def _geo(chart: Chart, phi: State, cfg: DotConfig) -> _Geo:
@@ -935,12 +952,21 @@ def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
 
 
 def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -> np.ndarray:
-    """D[a, b] = d_a V^b + gamma^b_{a d} V^d for a vector field V(u)."""
+    """D[a, b] = d_a V^b + gamma^b_{a d} V^d for a vector field V(u).
+
+    V is lifted into a ``stacked`` and called once on its star: u and the
+    points u +- fd_step2 e_c.  ``DimensionError`` unless each value has
+    shape (p,), and ``EvaluationError`` naming the first star point whose
+    value is not finite (an overflow in V included).
+    """
     gamma = christoffel(chart, phi, cfg, u).gamma
     star = _star(_point(chart, u), chart.fd_step2)
     vs = np.asarray(_lifted(v_field).stack(star), dtype=float)
     if vs.shape[1:] != (chart.p,):
         raise DimensionError(f"vector field must return shape ({chart.p},)")
+    bad = _nonfinite_row(vs, star)
+    if bad is not None:
+        raise EvaluationError(f"vector field has a non-finite value at point {bad.tolist()}")
     return _diff(vs, chart.fd_step2) + np.einsum("bad,d->ab", gamma, vs[0])
 
 

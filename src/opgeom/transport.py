@@ -10,6 +10,10 @@ Connections are sampled by one rule: each is a ``stacked``, called once per
 block of samples (per step in the oracle) with NumPy's floating-point
 warnings off.  ``ConnectionPath`` and ``stokes_residual`` lift any other
 callable into one that calls it per sample, with a float64 argument.
+``stokes_residual`` lifts its field once and samples it once per side and
+once for the field strength's five points; it lifts its patch test the same
+way and calls it once on the loop's six points, which must get one truth
+value each.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _lifted, stacked
+from .algebra import _first_false, _lifted, stacked
 from .errors import (
     DimensionError,
     OrderTooLargeError,
@@ -289,10 +293,9 @@ def reverse_path(path: ConnectionPath) -> ConnectionPath:
                           s_range=(s0, s1), n_steps=path.n_steps)
 
 
-def _segment_path(a_field, start, end, n_steps):
+def _segment_path(a_field: stacked, start, end, n_steps):
     start = np.asarray(start, dtype=float)
     delta = np.asarray(end, dtype=float) - start
-    a_field = _lifted(a_field)
 
     def a_seg(t):
         comps = _values(a_field, start + t[:, None] * delta)
@@ -311,6 +314,13 @@ def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
     F12 = d1 A2 - d2 A1 + [A1, A2] at the base point (central differences
     at step 1e-4 along the spanning directions).  Each side is transported
     in 256 product-integral steps.  The defect is third order in eps.
+
+    ``a_field`` and ``in_patch`` are lifted into ``stacked`` callables like
+    a connection.  ``in_patch`` answers one truth value per point for the
+    four corners and the two points base +- 1e-4 (|d1| + |d2|), tested in
+    one call: ``PatchDomainError`` names the first one outside, and
+    ``DimensionError`` an answer of another shape.  The field strength
+    samples the base point and its four difference points in one call.
     """
     n_steps, h = 256, 1e-4
     base = np.asarray(loop.base, dtype=float)
@@ -321,24 +331,22 @@ def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
     corners = [base, base + eps * d1, base + eps * d1 + eps * d2, base + eps * d2]
     if in_patch is not None:
         margin = h * (np.abs(d1) + np.abs(d2))
-        for c in corners + [base + margin, base - margin]:
-            if not in_patch(c):
-                raise PatchDomainError(f"loop point {c.tolist()} leaves the patch")
+        pts = np.array(corners + [base + margin, base - margin])
+        bad = _first_false(_lifted(in_patch).stack(pts), pts, "in_patch")
+        if bad is not None:
+            raise PatchDomainError(f"loop point {bad.tolist()} leaves the patch")
     holo = None
     for i in range(4):
         seg = _segment_path(a_field, corners[i], corners[(i + 1) % 4], n_steps)
         f = product_integral(seg)
         holo = f if holo is None else holo @ f
-
-    def a_dir(u, direction):
-        comps = np.asarray(a_field(u), dtype=complex)
-        return np.einsum("i,ijk->jk", direction, comps)
-
-    da2 = (a_dir(base + h * d1, d2) - a_dir(base - h * d1, d2)) / (2.0 * h)
-    da1 = (a_dir(base + h * d2, d1) - a_dir(base - h * d2, d1)) / (2.0 * h)
-    a1 = a_dir(base, d1)
-    a2 = a_dir(base, d2)
-    f12 = da2 - da1 + a1 @ a2 - a2 @ a1
+    comps = _values(a_field, np.array([base, base + h * d1, base - h * d1,
+                                       base + h * d2, base - h * d2]))
+    # each point's components along d1 and along d2
+    a1, a2 = (np.einsum("i,kijl->kjl", d, comps) for d in (d1, d2))
+    da2 = (a2[1] - a2[2]) / (2.0 * h)
+    da1 = (a1[3] - a1[4]) / (2.0 * h)
+    f12 = da2 - da1 + a1[0] @ a2[0] - a2[0] @ a1[0]
     return float(np.linalg.norm(holo - _expm_stack((f12 * eps * eps)[None])[0]))
 
 

@@ -17,7 +17,12 @@ import opgeom
 from opgeom import hypersurface
 from opgeom.algebra import DotConfig, State, _lifted, _solve_gram, stacked
 from opgeom.cli import report
-from opgeom.errors import DimensionError, EvaluationError, StencilOutOfDomainError
+from opgeom.errors import (
+    DimensionError,
+    EvaluationError,
+    PatchDomainError,
+    StencilOutOfDomainError,
+)
 from opgeom.hypersurface import (
     _EVERYWHERE,
     _block_points,
@@ -26,6 +31,7 @@ from opgeom.hypersurface import (
     Chart,
     bianchi_residual,
     christoffel,
+    covariant_derivative,
     curvature,
     custom_grid,
     flat_plane,
@@ -37,7 +43,13 @@ from opgeom.hypersurface import (
     sphere,
     torus,
 )
-from opgeom.transport import ConnectionPath, product_integral
+from opgeom.transport import (
+    ConnectionPath,
+    LoopSpec,
+    product_integral,
+    stokes_residual,
+    stored_su2_field,
+)
 
 from .test_hypersurface import counting
 from .test_transport import graph3_chart
@@ -455,12 +467,52 @@ def test_plain_callables_overflow_into_typed_errors_without_a_warning():
                   map_vec=blowup, in_domain=None, sample_box=sphere().sample_box)
     path = ConnectionPath(A=lambda s: np.exp(1000.0 * s) * np.eye(2), s_range=(0.0, 1.0),
                           n_steps=4)
+    # a domain test, a patch test and a vector field that overflow, or a field
+    # that answers NaN, end in their typed errors too
+    overflowing_domain = dataclasses.replace(
+        sphere(), in_domain=lambda u: np.exp(1000.0 * u[0]) < np.inf)
+    loop = LoopSpec((1.0, 0.2), ((1, 0), (0, 1)), 0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="non-finite value at point"):
             metric(chart, SUM, CFG, [1.0, 0.0])
         with pytest.raises(ValueError, match="must be finite"):
             product_integral(path)
+        with pytest.raises(StencilOutOfDomainError, match="outside domain"):
+            metric(overflowing_domain, SUM, CFG, [1.0, 0.3])
+        with pytest.raises(PatchDomainError, match=r"loop point \[1.0, 0.2\] leaves"):
+            stokes_residual(stored_su2_field, loop, in_patch=lambda u: np.exp(1000.0 * u[0]) < 1e300)
+        for field in (lambda u: np.array([np.exp(1000.0 * u[0]), 1.0]),
+                      lambda u: np.array([np.nan, 1.0])):
+            with pytest.raises(EvaluationError,
+                               match=r"vector field has a non-finite value at point \[1.0, 0.3\]"):
+                covariant_derivative(sphere(), SUM, CFG, [1.0, 0.3], field)
+
+
+def test_a_geodesic_stage_enters_one_errstate_and_a_domain_test_one_more_per_step(monkeypatch):
+    entered, errstate = [], np.errstate
+
+    def counted(**kw):  # the library enters each errstate it makes at once
+        entered.append(kw)
+        return errstate(**kw)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    # 5 steps of 4 stages; the sphere tests its initial point and each state
+    for chart, want in ((torus(), 4 * 5), (sphere(), 1 + 5 * (4 + 1))):
+        entered.clear()
+        assert len(geodesic(chart, SUM, CFG, [1.0, 0.3], [0.3, 0.8], 0.1, 0.02)) == 6
+        assert len(entered) == want
+
+
+@pytest.mark.parametrize("answer", [lambda u: u > -10.0, lambda u: None, lambda u: [True],
+                                    stacked(lambda us: us > -10.0)],
+                         ids=["per-coordinate", "none", "list", "stacked-per-coordinate"])
+def test_truth_tests_answer_one_value_per_point(answer):
+    with pytest.raises(DimensionError, match="in_domain must answer one truth value per point"):
+        metric(dataclasses.replace(torus(), in_domain=answer), SUM, CFG, [0.5, 0.4])
+    with pytest.raises(DimensionError, match="in_patch must answer one truth value per point"):
+        stokes_residual(stored_su2_field, LoopSpec((0.2, -0.1), ((1, 0), (0, 1)), 0.05),
+                        in_patch=answer)
 
 
 def test_a_lifted_callable_is_called_once_per_row_in_order():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from opgeom.algebra import DotConfig, State
+from opgeom.algebra import DotConfig, State, _lifted
 from opgeom.errors import (
     DimensionError,
     OrderTooLargeError,
@@ -401,7 +401,7 @@ def test_stacked_segment_matches_per_point_field(t, start, end):
     # non-axis directions: the segment contracts both field components
     t = np.array(t)
     seg = _segment_path(stored_su2_field, start, end, 4).A
-    plain = _segment_path(per_point(stored_su2_field), start, end, 4).A
+    plain = _segment_path(_lifted(per_point(stored_su2_field)), start, end, 4).A
     want = hexes([plain(x) for x in t])
     assert hexes(_sample(seg, t)) == want
     assert hexes(_sample(plain, t)) == want
@@ -463,8 +463,19 @@ def test_wrapped_connection_is_sampled_once_per_point():
     assert all(type(s) is np.float64 for s in calls)
     field, calls = counting(stored_su2_field)
     stokes_residual(field, LoopSpec(base=LOOP_BASE, dirs=LOOP_DIRS, epsilon=0.1))
-    # 256 midpoints on each of the 4 sides, then 6 field-strength samples
-    assert len(calls) == 4 * 256 + 6
+    # 256 midpoints on each of the 4 sides, then 5 field-strength samples
+    assert len(calls) == 4 * 256 + 5
+
+
+def test_stokes_samples_a_stacked_field_and_patch_test_once_per_stack():
+    field, rows = counting(stored_su2_field.stack)
+    inside, asked = counting(lambda us: np.ones(len(us), dtype=bool))
+    stokes_residual(stacked(field), LoopSpec(base=LOOP_BASE, dirs=LOOP_DIRS, epsilon=0.1),
+                    in_patch=stacked(inside))
+    # 256 midpoints per side, then the base point and its four difference points;
+    # the four corners and the two margin points
+    assert [len(us) for us in rows] == [256, 256, 256, 256, 5]
+    assert [len(us) for us in asked] == [6]
 
 
 # ---------------------------------------------------------------------------
