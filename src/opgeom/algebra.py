@@ -533,7 +533,7 @@ def _solve_lone(m: np.ndarray, two: bool):
     if not ok:
         inv = None  # the pseudo-inverse, once the singular policy has run
     elif two:
-        inv = np.array([[d, -b], [-c, a]]) / dt
+        inv = np.array([[d / dt, -b / dt], [-c / dt, a / dt]])  # as the array / dt rounds
     else:
         inv = (vh.conj().T / s) @ u.conj().T
     return [inv], [dt], [s_max / s_min if s_min > 0 else math.inf], [ok]

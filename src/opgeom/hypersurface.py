@@ -31,16 +31,22 @@ function raises ``DomainError`` for a ``DotConfig`` with Re(lam) <= 0.
 All chart values come from one stencil evaluator, ``_fields``.  Given a
 stack of centres it builds every stencil point first: the central tangent
 points x +- fd_step e_c, the second-partial points x, x +- fd_step2 e_i and
-(x +- fd_step2 e_i) +- fd_step2 e_j, and for geodesics x +- q v, x +- 2q v
-with q = fd_step2.  It evaluates them in one pass, then differences whole
-stencil layers as stacks with the per-point formulas in their operand order,
-so every entry keeps the bits of a point-by-point evaluation.
+(x +- fd_step2 e_i) +- fd_step2 e_j.  It evaluates them in one pass, then
+differences whole stencil layers as stacks with the per-point formulas in
+their operand order, so every entry keeps the bits of a point-by-point
+evaluation.  A geodesic RK4 stage (``_geodesic_slope``) evaluates one
+centre's tangent points and x +- q d, x +- 2q d along the unit velocity d
+(q = fd_step2), and differences them with ``_central``, the tangent
+formula ``_fields`` uses, and ``_along``; the trajectory is kept in arrays
+that grow by doubling (``GeodesicResult``).
 
 Chart maps and domain tests follow one rule: each is a ``stacked``, called
 once per (k, p) stack of points, repeats included, and nothing is cached;
 the domain test and the map of a stencil stack run inside one
 ``np.errstate`` with NumPy's floating-point warnings off, so an overflow in
-either shows only as its answer.  Built-in charts are defined over a stack
+either shows only as its answer; it also covers the differences and dot
+products, so an overflowing metric is the guarded solve's ``ValueError``.
+Built-in charts are defined over a stack
 (``custom_grid`` included), and ``Chart`` lifts any other callable into one
 that calls it per stencil row, in row order.  A domain test answers one
 truth value per point, a (k,) array of bool or int; any other answer raises
@@ -221,12 +227,38 @@ class GeodesicState:
     udot: np.ndarray
 
 
-class GeodesicResult(list):
-    """List of GeodesicState with a flag set when the chart domain was left."""
+class GeodesicResult:
+    """A trajectory in read-only arrays ``tau`` (n,), ``u`` and ``udot``
+    (n, p) that reads as a list of :class:`GeodesicState` views (slices give
+    a list); ``left_at`` is the tau of the last state if ``left_domain``.
 
-    def __init__(self, states, left_domain: bool = False):
-        super().__init__(states)
+    Health numbers over the completed steps (None if none): ``speed_drift``,
+    max |g(v, v) - g0| / g0 with g from each step's first stage, and
+    ``metric_cond_max``, the largest condition number its stages solved.
+    """
+
+    __slots__ = ("tau", "u", "udot", "left_domain", "speed_drift", "metric_cond_max")
+
+    def __init__(self, tau, u, udot, left_domain: bool = False,
+                 speed_drift: float | None = None, metric_cond_max: float | None = None):
+        for arr in (tau, u, udot):
+            arr.flags.writeable = False
+        self.tau, self.u, self.udot = tau, u, udot
         self.left_domain = bool(left_domain)
+        self.speed_drift = speed_drift
+        self.metric_cond_max = metric_cond_max
+
+    @property
+    def left_at(self) -> float | None:
+        return float(self.tau[-1]) if self.left_domain else None
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __getitem__(self, i):  # iteration runs through it, up to its IndexError
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return GeodesicState(tau=float(self.tau[i]), u=self.u[i], udot=self.udot[i])
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +504,9 @@ class _Geo:
 
     ``map`` is the chart's ``map_vec`` if it has one, else its ``map_mat``.
     It and ``in_domain`` are ``stacked`` (see :class:`Chart`), each called
-    once on a whole stack: ``vals`` calls both ``fn`` inside its one
-    ``np.errstate``, and ``outside``, which tests a geodesic's states, makes
-    one ``stack`` call.
+    once on a whole stack: ``vals`` calls both ``fn`` inside its caller's
+    one ``np.errstate``, and ``outside``, which tests a geodesic's states,
+    makes one ``stack`` call.
     """
 
     __slots__ = ("chart", "phi", "cfg", "weights", "map")
@@ -502,16 +534,15 @@ class _Geo:
         the chart domain raises ``StencilOutOfDomainError``, checked before
         any evaluation, and the first row with a non-finite value
         ``EvaluationError``, checked once over the whole result.  The domain
-        test and the map run in one ``np.errstate``, through each
-        ``stacked``'s ``fn``.
+        test and the map run through each ``stacked``'s ``fn``, inside the
+        caller's one ``np.errstate``.
         """
         chart, inside = self.chart, self.chart.in_domain
-        with np.errstate(all="ignore"):  # an overflow in a user callable shows as its answer
-            if inside is not _EVERYWHERE:
-                bad = _first_false(inside.fn(pts), pts, "in_domain")
-                if bad is not None:
-                    raise StencilOutOfDomainError(f"point {bad.tolist()} outside domain of chart '{chart.id}'")
-            out = self.map.fn(pts)
+        if inside is not _EVERYWHERE:
+            bad = _first_false(inside.fn(pts), pts, "in_domain")
+            if bad is not None:
+                raise StencilOutOfDomainError(f"point {bad.tolist()} outside domain of chart '{chart.id}'")
+        out = self.map.fn(pts)
         bad = _nonfinite_row(out, pts)
         if bad is not None:
             raise EvaluationError(f"chart '{chart.id}' has a non-finite value at point {bad.tolist()}")
@@ -572,57 +603,63 @@ class _Fields(NamedTuple):
     g: np.ndarray            # (K, p, p) metric
     sec: np.ndarray | None   # (K, p, p, *v) second partials d_n d_b b
     n: np.ndarray | None     # (K, p, p, p) second field N[r, n, b] = b_r . d_n d_b b
-    dd: np.ndarray | None    # (K, *v) second derivative along dirs
 
 
 def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
-            dirs: np.ndarray | None = None, h2: float | None = None) -> _Fields:
+            h2: float | None = None) -> _Fields:
     """Tangents and metric at the float centres xs (K, p) from one evaluation pass.
 
     Every stencil point is built first and evaluated through ``geo.vals``,
     then each stencil is differenced as a stack with the per-point formula:
-    tangents (b(x + h e_c) - b(x - h e_c)) / 2h at h = fd_step; with
-    ``second``, the partials d_i d_i b = (b(x + h2 e_i) - 2 b(x) +
-    b(x - h2 e_i)) / h2^2 and d_i d_j b = (b(x + h2 e_i + h2 e_j) -
-    b(x + h2 e_i - h2 e_j) - b(x - h2 e_i + h2 e_j) + b(x - h2 e_i - h2 e_j))
-    / 4 h2^2 at h2 (default fd_step2), and the field N; with unit directions
-    ``dirs`` (K, p), the fourth-order second difference along each at step
-    h2.  Points and differences are formed in the same order as for a
-    single point, so every entry has the bits of the per-point formula.
+    tangents (``_central``) at h = fd_step; with ``second``, the partials
+    d_i d_i b = (b(x + h2 e_i) - 2 b(x) + b(x - h2 e_i)) / h2^2 and
+    d_i d_j b = (b(x + h2 e_i + h2 e_j) - b(x + h2 e_i - h2 e_j) -
+    b(x - h2 e_i + h2 e_j) + b(x - h2 e_i - h2 e_j)) / 4 h2^2 at h2
+    (default fd_step2), and the field N.  Points and differences are formed
+    in the same order as for a single point, so every entry has the bits of
+    the per-point formula.  All of it runs in one ``np.errstate``: an
+    overflow shows as a non-finite value.
     """
     if not all(map(math.isfinite, xs.flat)):
         bad = xs[~np.isfinite(xs).all(axis=1)][0]
         raise EvaluationError(f"point {bad.tolist()} is not finite")
     k, p = xs.shape
     h, h2 = geo.chart.fd_step, geo.chart.fd_step2 if h2 is None else h2
-    st = _stencil(p, h, h2, second, dirs is not None)
-    c = xs[:, None]
-    first = c + st.offsets
+    st = _stencil(p, h, h2, second, False)
+    first = xs[:, None] + st.offsets
     pts = [first]
     if second:
         pts.append(first[:, st.base] + st.offsets2)
-    if dirs is not None:
-        pts.append(c + st.dir_steps * dirs[:, None])
-    flat = geo.vals(np.concatenate(pts, axis=1).reshape(-1, p))
-    v = flat.reshape((k, -1) + flat.shape[1:])
-    t = (v[:, :p] - v[:, p:2 * p]) / (2.0 * h)
-    g = geo.gram(t)
-    sec = n = dd = None
-    if second:
-        iu, ju, ni, bi, pair = _pair_index(p)
-        v0, vp, vm = v[:, 2 * p:2 * p + 1], v[:, 2 * p + 1:3 * p + 1], v[:, 3 * p + 1:4 * p + 1]
-        at, m = 4 * p + 1, len(iu)
-        vpp, vpm, vmp, vmm = (v[:, at + i * m:at + (i + 1) * m] for i in range(4))
-        sec = np.empty((k, p) + vp.shape[1:], dtype=vp.dtype)
-        sec[:, range(p), range(p)] = (vp - 2.0 * v0 + vm) / (h2 * h2)
-        sec[:, iu, ju] = sec[:, ju, iu] = (vpp - vpm - vmp + vmm) / (4.0 * h2 * h2)
-        # one dot per unordered pair keeps N exactly symmetric in (n, b)
-        n = np.ascontiguousarray(geo.gram(t, sec[:, ni, bi])[:, :, pair])
-    if dirs is not None:
-        v0 = v[:, 2 * p]
-        a2, a1, m1, m2 = (v[:, i] for i in range(-4, 0))
-        dd = (-a2 + 16.0 * a1 - 30.0 * v0 + 16.0 * m1 - m2) / (12.0 * h2 * h2)
-    return _Fields(t, g, sec, n, dd)
+    with np.errstate(all="ignore"):
+        flat = geo.vals(np.concatenate(pts, axis=1).reshape(-1, p))
+        v = flat.reshape((k, -1) + flat.shape[1:])
+        t = _central(v[:, :p], v[:, p:2 * p], h)
+        g = geo.gram(t)
+        sec = n = None
+        if second:
+            iu, ju, ni, bi, pair = _pair_index(p)
+            v0, vp, vm = v[:, 2 * p:2 * p + 1], v[:, 2 * p + 1:3 * p + 1], v[:, 3 * p + 1:4 * p + 1]
+            at, m = 4 * p + 1, len(iu)
+            vpp, vpm, vmp, vmm = (v[:, at + i * m:at + (i + 1) * m] for i in range(4))
+            sec = np.empty((k, p) + vp.shape[1:], dtype=vp.dtype)
+            sec[:, range(p), range(p)] = (vp - 2.0 * v0 + vm) / (h2 * h2)
+            sec[:, iu, ju] = sec[:, ju, iu] = (vpp - vpm - vmp + vmm) / (4.0 * h2 * h2)
+            # one dot per unordered pair keeps N exactly symmetric in (n, b)
+            n = np.ascontiguousarray(geo.gram(t, sec[:, ni, bi])[:, :, pair])
+    return _Fields(t, g, sec, n)
+
+
+def _central(plus: np.ndarray, minus: np.ndarray, h: float) -> np.ndarray:
+    """Central differences (f(x + h e) - f(x - h e)) / 2h of the values plus
+    at x + h e and minus at x - h e: the one first-difference formula."""
+    return (plus - minus) / (2.0 * h)
+
+
+def _along(a2, a1, f0, m1, m2, q: float) -> np.ndarray:
+    """Fourth-order second difference along a unit direction d,
+    (-f(x + 2q d) + 16 f(x + q d) - 30 f(x) + 16 f(x - q d) - f(x - 2q d)) / 12 q^2,
+    of the values a2, a1, f0, m1, m2 at those points."""
+    return (-a2 + 16.0 * a1 - 30.0 * f0 + 16.0 * m1 - m2) / (12.0 * q * q)
 
 
 class _Stencil(NamedTuple):
@@ -633,19 +670,22 @@ class _Stencil(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _stencil(p: int, h: float, h2: float, second: bool, centre: bool) -> _Stencil:
+def _stencil(p: int, h: float, h2: float, second: bool, along: bool) -> _Stencil:
     """Point offsets of the stencils around one centre, in evaluation order.
 
     First level: x + h e_c, x - h e_c (c < p), then with ``second`` or
-    ``centre`` the centre x, then with ``second`` x + h2 e_i, x - h2 e_i.
-    Second level, for each pair i < j: (x + h2 e_i) + h2 e_j,
-    (x + h2 e_i) - h2 e_j, (x - h2 e_i) + h2 e_j, (x - h2 e_i) - h2 e_j.
+    ``along`` the centre x, then with ``second`` x + h2 e_i, x - h2 e_i, then
+    with ``along`` four rows of -0.0, to which a geodesic stage adds the
+    ``dir_steps`` times its unit direction d: x + 2 h2 d, x + h2 d,
+    x - h2 d, x - 2 h2 d.  Second level, for each pair i < j:
+    (x + h2 e_i) + h2 e_j, (x + h2 e_i) - h2 e_j, (x - h2 e_i) + h2 e_j,
+    (x - h2 e_i) - h2 e_j.
     IEEE 754 defines x - y as x + (-y), and x + (-0.0) is x, so adding these
     offset rows gives each point the bits of the per-point expression.
     """
     e, e2 = np.diag(np.full(p, float(h))), np.diag(np.full(p, float(h2)))
     rows = [e, -e]
-    if second or centre:
+    if second or along:
         rows.append(np.full((1, p), -0.0))
     iu, ju = _pair_index(p)[:2]
     up = 2 * p + 1 + iu  # first-level rows x + h2 e_i of each pair
@@ -653,6 +693,8 @@ def _stencil(p: int, h: float, h2: float, second: bool, centre: bool) -> _Stenci
     offsets2 = np.concatenate([e2[ju], -e2[ju], e2[ju], -e2[ju]])
     if second:
         rows += [e2, -e2]
+    if along:
+        rows.append(np.full((4, p), -0.0))
     q = float(h2)
     dir_steps = np.array([[2.0 * q], [q], [-q], [-(2.0 * q)]])
     out = _Stencil(np.concatenate(rows), base, offsets2, dir_steps)
@@ -690,7 +732,7 @@ def _diff(fs, h: float) -> np.ndarray:
     """Central differences (f(u + h e_c) - f(u - h e_c)) / 2h, stacked over c,
     of a field stacked on its first axis over the centres of ``_star(u, h)``."""
     p = (len(fs) - 1) // 2
-    return (fs[1:1 + p] - fs[1 + p:]) / (2.0 * h)
+    return _central(fs[1:1 + p], fs[1 + p:], h)
 
 
 def _metric_inverse(g: np.ndarray) -> np.ndarray:
@@ -713,7 +755,9 @@ def _gamma(ginv: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _require_symmetric_metric(g: np.ndarray):
-    if np.any(_asymmetric(g, g.swapaxes(-1, -2), axes=(-2, -1))):
+    # a non-finite metric (an overflow) has no symmetry to test: the guarded
+    # solve that follows raises for it
+    if np.isfinite(g).all() and np.any(_asymmetric(g, g.swapaxes(-1, -2), axes=(-2, -1))):
         raise NonSymmetricMetricError(
             "connection formulas require a symmetric metric; use a real lam dot product")
 
@@ -762,10 +806,11 @@ def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "dire
         return ConnectionField(gamma=_gamma(_metric_inverse(f.g[0]), f.n[0]))
     if method == "metric":
         g = _fields(geo, _star(u, chart.fd_step2)).g
+        ginv = _metric_inverse(g[0])  # first: it rejects a metric that overflowed
         dg = _diff(g, chart.fd_step2)
         # gamma^a_{rs} = 1/2 g^{ab} (d_r g_{bs} - d_b g_{rs} + d_s g_{rb})
         term = dg.transpose(1, 0, 2) - dg + dg.transpose(2, 1, 0)
-        return ConnectionField(gamma=0.5 * np.einsum("ab,brs->ars", _metric_inverse(g[0]), term))
+        return ConnectionField(gamma=0.5 * np.einsum("ab,brs->ars", ginv, term))
     raise ValueError(f"unknown christoffel method {method!r}")
 
 
@@ -956,76 +1001,129 @@ def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -
 
     V is lifted into a ``stacked`` and called once on its star: u and the
     points u +- fd_step2 e_c.  ``DimensionError`` unless each value has
-    shape (p,), and ``EvaluationError`` naming the first star point whose
-    value is not finite (an overflow in V included).
+    shape (p,), and ``EvaluationError`` for complex values or naming the
+    first star point whose value is not finite (an overflow in V included).
     """
     gamma = christoffel(chart, phi, cfg, u).gamma
     star = _star(_point(chart, u), chart.fd_step2)
-    vs = np.asarray(_lifted(v_field).stack(star), dtype=float)
+    vs = np.asarray(_lifted(v_field).stack(star))
     if vs.shape[1:] != (chart.p,):
         raise DimensionError(f"vector field must return shape ({chart.p},)")
+    if np.iscomplexobj(vs):  # a cast to float would drop the imaginary parts
+        raise EvaluationError(f"vector field must be real, got values of type {vs.dtype}")
+    vs = vs.astype(float, copy=False)
     bad = _nonfinite_row(vs, star)
     if bad is not None:
         raise EvaluationError(f"vector field has a non-finite value at point {bad.tolist()}")
     return _diff(vs, chart.fd_step2) + np.einsum("bad,d->ab", gamma, vs[0])
 
 
-def _geodesic_accel(geo: _Geo, u, v):
-    speed = math.sqrt(v.dot(v))  # np.linalg.norm's own formula
-    f = _fields(geo, u[None], dirs=None if speed == 0.0 else (v / speed)[None])
-    ginv = _solve_metric(f.g[0])[0]
-    if speed == 0.0:
-        return np.zeros(geo.p)
-    sec = f.dd[0] * (speed * speed)
-    return -(ginv @ geo.gram(f.t[0], sec[None])[:, 0])
+def _geodesic_slope(geo: _Geo, plan: _Stencil, y: list, form: bool = False):
+    """One RK4 stage of ``geodesic``: (k, cond, g(v, v)), the slope
+    k = (v, a) of the state y = (u, v), a list of 2p floats, with
+    a = -g^{-1} (b_r . d_v d_v b), the condition number of the metric g at u,
+    and with ``form`` the speed form g(v, v) as a float, else None.
+
+    The 2p + 5 points of ``plan``, the ``_stencil`` with ``along`` at u and
+    the unit direction d = v / |v|, go into one fresh array and one
+    ``geo.vals`` call; ``_central`` and ``_along`` difference them in the
+    per-point formulas' operand order, so a has their bits.  A zero v
+    evaluates only the tangent points and has a = 0.  All of it runs in one
+    ``np.errstate``; a state or |v| that is not finite is ``EvaluationError``.
+    """
+    p, chart = geo.p, geo.chart
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked
+        if not all(map(math.isfinite, y)):
+            raise EvaluationError(f"state {y} is not finite")
+        v = np.array(y[p:])
+        speed = math.sqrt(v.dot(v))  # np.linalg.norm's own formula
+        if not math.isfinite(speed):
+            raise EvaluationError(f"velocity {y[p:]} overflows")
+        pts = np.add(y[:p], plan.offsets)  # fresh: a map may return a view of its input
+        if speed:
+            pts[2 * p + 1:] += plan.dir_steps * (v / speed)  # u + q d rounds as q d + u
+        vals = geo.vals(pts if speed else pts[:2 * p])
+        t = _central(vals[:p], vals[p:2 * p], chart.fd_step)
+        g = geo.gram(t)
+        ginv, _, cond, _ = _solve_metric(g)
+        vgv = float(v.dot(g).dot(v)) if form else None
+        if not speed:
+            return y[p:] + [0.0] * p, cond, vgv
+        c = 2 * p
+        dd = _along(vals[c + 1], vals[c + 2], vals[c], vals[c + 3], vals[c + 4], chart.fd_step2)
+        a = -(ginv @ geo.gram(t, (dd * (speed * speed))[None])[:, 0])
+    return y[p:] + a.tolist(), cond, vgv
+
+
+# States a geodesic's arrays hold at the start.  They double as they fill,
+# so what a run allocates follows the states it reaches, not its step count.
+_GROW_ROWS = 1024
 
 
 def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
              step: float) -> GeodesicResult:
     """Integrate d2u^a = -gamma^a_{rs} du^r du^s with classical fixed-step RK4.
 
-    Emits a state per step including the initial one.  If a stencil leaves
-    the chart domain the integration halts and the partial trajectory is
-    returned with ``left_domain`` set.  The acceleration contracts the
-    connection with the velocity through a single directional second
-    difference (fourth-order stencil, step ``fd_step2``).
+    Keeps a state per step including the initial one, in arrays of at most
+    ``_GROW_ROWS`` rows at the start that double as they fill, up to the
+    ``_step_count(tau_max, step)`` steps.  If a stencil leaves the chart
+    domain, the metric turns singular, or a state or velocity stops being
+    finite, the integration halts and the partial trajectory is returned
+    with ``left_domain`` set.  Each stage contracts the connection with the
+    velocity through a single directional second difference (fourth-order
+    stencil, step ``fd_step2``).  The state (u, v) is stepped in Python
+    floats, which round as the array expressions do and overflow to inf with
+    no NumPy warning.  See :class:`GeodesicResult` for the health numbers.
     Raises ``DimensionError`` unless u0 and v0 have shape (p,), ``ValueError``
-    for a non-finite u0 or v0, a zero v0, or a tau_max and step ``_step_count``
-    rejects, and ``EvaluationError`` for a u0 outside the chart domain.
+    for a non-finite u0 or v0, a zero v0 or one whose squared norm
+    overflows, or a tau_max and step ``_step_count`` rejects, and
+    ``EvaluationError`` for a u0 outside the chart domain.
     """
-    u = np.asarray(u0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    u, v = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
     if u.shape != (chart.p,) or v.shape != (chart.p,):
         raise DimensionError(f"u0 and v0 must have shape ({chart.p},)")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError(f"u0 and v0 must be finite, got {u.tolist()} and {v.tolist()}")
     if not np.any(v != 0.0):
         raise ValueError("initial velocity must be nonzero")
+    if not math.isfinite(sum(x * x for x in v.tolist())):
+        raise ValueError(f"v0 {v.tolist()} is too large: its squared norm overflows")
     n_steps = _step_count(tau_max, step)
     geo = _geo(chart, phi, cfg)
     if geo.outside(u[None]) is not None:
         raise EvaluationError(f"initial point {u.tolist()} outside chart domain")
-    states = [GeodesicState(tau=0.0, u=u.copy(), udot=v.copy())]
-    left = False
-    for k in range(n_steps):
+    p = chart.p
+    ys = np.empty((min(n_steps + 1, _GROW_ROWS), 2 * p))  # the states (u, v), one per row
+    plan = _stencil(p, chart.fd_step, chart.fd_step2, False, True)
+    half, sixth = 0.5 * step, step / 6.0
+    y = ys[0] = u.tolist() + v.tolist()  # the state, stepped in Python floats
+    # g(v, v) at state 0 and its extremes, and the largest cond, over the completed steps
+    stored, g0, lo, hi, cond = 1, None, math.inf, -math.inf, 0.0
+    for _ in range(n_steps):
         try:
-            k1u, k1v = v, _geodesic_accel(geo, u, v)
-            k2u = v + 0.5 * step * k1v
-            k2v = _geodesic_accel(geo, u + 0.5 * step * k1u, k2u)
-            k3u = v + 0.5 * step * k2v
-            k3v = _geodesic_accel(geo, u + 0.5 * step * k2u, k3u)
-            k4u = v + step * k3v
-            k4v = _geodesic_accel(geo, u + step * k3u, k4u)
+            k1, c1, form = _geodesic_slope(geo, plan, y, form=True)
+            k2, c2, _ = _geodesic_slope(geo, plan, [a + half * b for a, b in zip(y, k1)])
+            k3, c3, _ = _geodesic_slope(geo, plan, [a + half * b for a, b in zip(y, k2)])
+            k4, c4, _ = _geodesic_slope(geo, plan, [a + step * b for a, b in zip(y, k3)])
         except (EvaluationError, SingularMetricError):
-            left = True
             break
-        u = u + (step / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if geo.outside(u[None]) is not None:
-            left = True
+        g0 = form if g0 is None else g0
+        lo, hi, cond = min(lo, form), max(hi, form), max(cond, c1, c2, c3, c4)
+        y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+        if stored == len(ys):  # full: double, up to the step count
+            ys = np.concatenate([ys, np.empty((min(stored, n_steps + 1 - stored), 2 * p))])
+        ys[stored] = y
+        if not all(map(math.isfinite, y)) or geo.outside(ys[stored:stored + 1, :p]) is not None:
             break
-        states.append(GeodesicState(tau=(k + 1) * step, u=u.copy(), udot=v.copy()))
-    return GeodesicResult(states, left_domain=left)
+        stored += 1
+    left = stored <= n_steps
+    if stored < len(ys):  # a partial trajectory keeps only its states
+        ys = ys[:stored].copy()
+    tau, us, vs = np.arange(stored) * step, ys[:, :p], ys[:, p:]
+    if g0 is None:  # no step completed
+        return GeodesicResult(tau, us, vs, left)
+    drift = max(hi - g0, g0 - lo) / g0 if g0 > 0.0 else hi - lo  # g0 underflows only
+    return GeodesicResult(tau, us, vs, left, drift, float(cond))
 
 
 def _frames(chart: Chart, phi: State, cfg: DotConfig, u):

@@ -39,6 +39,9 @@ from opgeom.errors import (
 from opgeom.hypersurface import (
     _fields,
     _Geo,
+    _geodesic_slope,
+    _solve_metric,
+    _stencil,
     _stencil_rows,
     bianchi_residual,
     chart_from_json,
@@ -891,17 +894,24 @@ def test_fields_match_per_point_formulas_bit_for_bit(chart_id, generic, data):
     dirs = np.array([[math.cos(a), math.sin(a)] for a in angles])
     geo = _Geo(chart, SUM, CFG)
     fs = _fields(geo, xs, second=True)
-    fd = _fields(geo, xs, dirs=dirs)
     h, h2 = chart.fd_step, chart.fd_step2
-    for x, v, t, t_d, sec, dd in zip(xs, dirs, fs.t, fd.t, fs.sec, fd.dd):
-        want = tangents_per_point(f, x, h)
-        assert t.tobytes() == want.tobytes() and t_d.tobytes() == want.tobytes()
+    plan = _stencil(chart.p, h, h2, False, True)
+    for x, v, t, sec in zip(xs, dirs, fs.t, fs.sec):
+        tangents = tangents_per_point(f, x, h)
+        assert t.tobytes() == tangents.tobytes()
         for i in range(chart.p):
             for j in range(i, chart.p):
                 want = second_per_point(f, x, i, j, h2)
                 assert sec[i, j].tobytes() == want.tobytes()
                 assert sec[j, i].tobytes() == want.tobytes()
-        assert dd.tobytes() == dir4_per_point(f, x, v, h2).tobytes()
+        # a geodesic stage's acceleration, from the per-point tangents and
+        # second difference along the unit velocity
+        slope = _geodesic_slope(geo, plan, x.tolist() + v.tolist())[0]
+        speed = math.sqrt(v.dot(v))
+        dd = dir4_per_point(f, x, v / speed, h2) * (speed * speed)
+        ginv = _solve_metric(geo.gram(tangents))[0]
+        want = -(ginv @ geo.gram(tangents, dd[None])[:, 0])
+        assert np.array(slope[chart.p:]).tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
