@@ -15,7 +15,8 @@ equal:
 The runs are ``metric``, ``christoffel`` (both routes), ``curvature``,
 ``geodesic``, ``bianchi`` and ``report --seed 7`` on each builtin
 two-parameter chart, plus ``holonomy`` (the stored path, a long one spanning
-several product-integral blocks, and A(s) = s X + Y from two matrix files)
+several product-integral blocks, and A(s) = s X + Y from two 3x3 and from
+two 2x2 matrix files)
 and ``stokes`` (default and a given loop).  The operator runs are ``gram``,
 ``project``, ``orthonormalize``, ``uncertainty``, ``energy-bound`` (each
 under the default trace state and a density state), ``volume`` (trace and
@@ -54,12 +55,15 @@ CHARTS = {
     "flat_plane": ({"id": "flat_plane"}, "0.2,0.5", "0.7,0.1"),
 }
 
-# matrix file name -> matrix JSON: antihermitian X and Y of the holonomy run
+# matrix file name -> matrix JSON: antihermitian X and Y of the holonomy runs,
+# 3x3 (the BLAS route) and 2x2 (the array route, u(2) with nonzero traces)
 MATRICES = {
     "X": {"dim": 3, "re": [0.0, 0.5, -0.2, -0.5, 0.0, 0.3, 0.2, -0.3, 0.0],
           "im": [0.1, 0.0, 0.4, 0.0, -0.2, 0.1, 0.4, 0.1, 0.3]},
     "Y": {"dim": 3, "re": [0.0, -0.25, 0.4, 0.25, 0.0, 0.15, -0.4, -0.15, 0.0],
           "im": [-0.3, 0.2, 0.0, 0.2, 0.35, -0.1, 0.0, -0.1, 0.05]},
+    "X2": {"dim": 2, "re": [0.0, 0.5, -0.5, 0.0], "im": [0.2, 0.1, 0.1, -0.4]},
+    "Y2": {"dim": 2, "re": [0.0, -0.25, 0.25, 0.0], "im": [-0.3, 0.35, 0.35, 0.15]},
 }
 
 
@@ -144,11 +148,11 @@ def snapshot_runs(chart_dir: Path) -> list:
     runs.append(("sphere-geodesic-pole", ["geodesic", "--chart", str(chart_dir / "sphere.json"),
                                           "--u0=0.5,0.3", "--v0=-1,0", "--tau", "1",
                                           "--step", "0.05"]))
-    matrix_args = []
+    mat = {}
     for name, obj in MATRICES.items():
         path = chart_dir / f"{name}.json"
         path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-        matrix_args += ["--matrix", str(path)]
+        mat[name] = ["--matrix", str(path)]
     op = {}
     for name, obj in OPERATOR_FILES.items():
         path = chart_dir / f"op-{name}.json"
@@ -171,7 +175,8 @@ def snapshot_runs(chart_dir: Path) -> list:
         ("killing-su2", ["killing", *op["su2"]]),
         ("holonomy", ["holonomy", "--step", "0.001"]),
         ("holonomy-long", ["holonomy", "--tau", "2.5", "--step", "0.0004"]),
-        ("holonomy-matrix", ["holonomy", *matrix_args]),
+        ("holonomy-matrix", ["holonomy", *mat["X"], *mat["Y"]]),
+        ("holonomy-matrix2", ["holonomy", *mat["X2"], *mat["Y2"]]),
         ("stokes", ["stokes"]),
         ("stokes-loop", ["stokes", "--point", "0.1,-0.2", "--step", "0.1"]),
     ]

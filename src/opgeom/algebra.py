@@ -522,7 +522,8 @@ def _solve_lone(m: np.ndarray, two: bool):
     with None for the inverse if it is not of full rank."""
     if two:
         (a, b), (c, d) = m.tolist()
-        dt, adet, s_max = _closed_2x2(a, b, c, d, math.sqrt, max)
+        adj, dt = _adjugate_2x2(a, b, c, d)
+        adet, s_max = _closed_2x2(a, b, c, d, dt, math.sqrt, max)
         s_min = adet / s_max if s_max > 0 else 0.0
     else:
         u, s, vh = np.linalg.svd(m)  # a NaN entry raises LinAlgError, a ValueError
@@ -532,46 +533,56 @@ def _solve_lone(m: np.ndarray, two: bool):
     ok = bool(s_min > RANK_TOL * max(s_max, RANK_TOL))
     if not ok:
         inv = None  # the pseudo-inverse, once the singular policy has run
-    elif two:
-        inv = np.array([[d / dt, -b / dt], [-c / dt, a / dt]])  # as the array / dt rounds
+    elif two:  # entry by entry, as the array / dt rounds
+        inv = np.array([[adj[0] / dt, adj[1] / dt], [adj[2] / dt, adj[3] / dt]])
     else:
         inv = (vh.conj().T / s) @ u.conj().T
     return [inv], [dt], [s_max / s_min if s_min > 0 else math.inf], [ok]
 
 
-def _closed_2x2(a, b, c, d, sqrt, maximum):
-    """det, |det| and s_max of [[a, b], [c, d]] from its determinant and
-    Frobenius norm: the one 2x2 closed form.  A lone matrix passes Python
-    numbers with (math.sqrt, max), since array overhead would cost it several
-    times as long; a stack passes its entry columns with (np.sqrt, np.maximum)."""
-    det = a * d - b * c
+def _adjugate_2x2(a, b, c, d):
+    """The adjugate entries (d, -b, -c, a) of [[a, b], [c, d]], in C order, and
+    its determinant ad - bc: the one home of both, for Python numbers or for
+    the entry columns of a stack.  The guarded solve and the Pade
+    exponential's 2x2 solve (``transport``) both take them from here."""
+    return (d, -b, -c, a), a * d - b * c
+
+
+def _closed_2x2(a, b, c, d, det, sqrt, maximum):
+    """|det| and s_max of [[a, b], [c, d]] with determinant det, from |det|
+    and the Frobenius norm: the one 2x2 closed form.  A lone matrix passes
+    Python numbers with (math.sqrt, max), since array overhead would cost it
+    several times as long; a stack passes its entry columns with (np.sqrt,
+    np.maximum)."""
     adet = abs(det)
     aa, ab, ac, ad = abs(a), abs(b), abs(c), abs(d)
     fro2 = aa * aa + ab * ab + ac * ac + ad * ad
     gap = 2.0 * adet
-    return det, adet, sqrt(0.5 * (fro2 + sqrt(maximum((fro2 - gap) * (fro2 + gap), 0.0))))
+    return adet, sqrt(0.5 * (fro2 + sqrt(maximum((fro2 - gap) * (fro2 + gap), 0.0))))
 
 
 def _solve_2x2_stack(st: np.ndarray):
     """The four results of ``_solve_gram`` on a stack of K > 1 2x2 matrices,
-    as arrays from array arithmetic (``_closed_2x2``), with zeros for the
-    inverse of a member that is not of full rank.  Real stacks get the
-    lone-matrix bits exactly (complex products may round differently).  A
-    member out of the float range shows only as a non-finite s_max, which
+    as arrays from array arithmetic (``_adjugate_2x2``, ``_closed_2x2``), with
+    zeros for the inverse of a member that is not of full rank.  Real stacks
+    get the lone-matrix bits exactly (complex products may round differently).
+    A member out of the float range shows only as a non-finite s_max, which
     raises ``ValueError`` with no NumPy warning.
     """
+    cols = st.reshape(-1, 4).T
     with np.errstate(all="ignore"):
-        det, adet, s_max = _closed_2x2(*st.reshape(-1, 4).T, np.sqrt, np.maximum)
+        adj, det = _adjugate_2x2(*cols)
+        adet, s_max = _closed_2x2(*cols, det, np.sqrt, np.maximum)
         if not np.isfinite(s_max).all():
             raise ValueError(_UNTESTABLE)
         s_min = np.divide(adet, s_max, out=np.zeros_like(s_max), where=s_max > 0)
         full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
         cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
-        # the adjugate [[d, -b], [-c, a]] over det, for the full-rank members; C order
-        # like a stack of lone-matrix inverses, since products with it round by layout
+        # the adjugate over det, for the full-rank members; C order like a
+        # stack of lone-matrix inverses, since products with it round by layout
         inv = np.zeros(st.shape, dtype=np.result_type(st, 1.0))
-        adj = st.reshape(-1, 4)[:, [3, 1, 2, 0]] * _ADJUGATE_SIGN
-        np.divide(adj, det[:, None], out=inv.reshape(-1, 4), where=full[:, None])
+        np.divide(np.stack(adj, axis=1), det[:, None], out=inv.reshape(-1, 4),
+                  where=full[:, None])
     return inv, det, cond, full
 
 
@@ -591,7 +602,6 @@ def _solve_svd_stack(st: np.ndarray):
     return inv, np.linalg.det(st), cond, full
 
 
-_ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 _UNTESTABLE = "Gram or metric matrix is not finite, or too large to test its rank"
 
 

@@ -84,7 +84,8 @@ def fluctuation(phi: State, a: AlgebraElement) -> AlgebraElement:
 def variance(phi: State, a: AlgebraElement) -> float:
     """phi(da' da) with da the fluctuation of a; real and >= -1e-12; ValueError if not finite."""
     da = _centred(phi, a.m[None])[0]
-    var = phi.eval_matrix(da.conj().T @ da).real
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        var = phi.eval_matrix(da.conj().T @ da).real
     if not np.isfinite(var):
         raise ValueError(f"variance is not finite: {var}")
     return var
@@ -179,5 +180,9 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
             "rank-deficient anticommutator Gram matrix; using pseudo-inverse"))[0]
         return ((consts.hbar**2 / 4.0) * (vel @ inv @ vel)).real
 
-    raw = _report(state_eval(phi, h @ h).real, quad_form(stack))
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        h2 = phi.eval_matrix(h.m @ h.m).real
+    if not np.isfinite(h2):
+        raise ValueError(f"energy bound hamiltonian: phi(h^2) is not finite: {h2}")
+    raw = _report(h2, quad_form(stack))
     return raw, _report(variance(phi, h), quad_form(_centred(phi, stack)))

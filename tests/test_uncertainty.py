@@ -271,13 +271,16 @@ def test_energy_bound_validation(rng):
 
 
 def test_overflowing_variance_and_bound_are_errors():
-    # phi(da' da) of diag(1e200, 1) overflows to NaN; so does the bound's lhs
+    # phi(da' da) of diag(1e200, 1) overflows to NaN; so does the bound's lhs,
+    # and phi(h^2) of the energy bound: each a ValueError with no NumPy warning
     big = AlgebraElement(np.diag([1e200, 1.0]))
-    with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match="not finite"):
-            variance(TRACE, big)
-        with pytest.raises(ValueError, match="not finite"):
-            fluctuation_bound(TRACE, CFG, big, [embed_diag([1.0, 2.0])])
+    with pytest.raises(ValueError, match="not finite"):
+        variance(TRACE, big)
+    with pytest.raises(ValueError, match="not finite"):
+        fluctuation_bound(TRACE, CFG, big, [embed_diag([1.0, 2.0])])
+    sigma_x = AlgebraElement(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="energy bound hamiltonian.*not finite"):
+        energy_bound(CONSTS, TRACE, big, [sigma_x])
 
 
 def test_bound_report_shape():
