@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 import warnings
@@ -164,6 +165,15 @@ def _step_count(tau: float, step: float) -> int:
         raise ValueError(f"tau and step must be positive and finite, tau / step <= sys.maxsize; "
                          f"got {tau} and {step}")
     return max(1, int(round(tau / step)))
+
+
+def _count(n, name: str) -> int:
+    """n as an int (``operator.index``), so an ``np.int64`` passes; ``ValueError``
+    for any other number, such as 2.5."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,8 +37,9 @@ their operand order, so every entry keeps the bits of a point-by-point
 evaluation.  A geodesic RK4 stage (``_geodesic_slope``) evaluates one
 centre's tangent points and x +- q d, x +- 2q d along the unit velocity d
 (q = fd_step2), and differences them with ``_central``, the tangent
-formula ``_fields`` uses, and ``_along``; the trajectory is kept in arrays
-that grow by doubling (``GeodesicResult``).
+formula ``_fields`` uses, and ``_along``, per entry on Python floats for real
+chart values; the trajectory is kept in arrays that grow by doubling
+(``GeodesicResult``).
 
 Chart maps and domain tests follow one rule: each is a ``stacked``, called
 once per (k, p) stack of points, repeats included, and nothing is cached;
@@ -46,6 +47,9 @@ the domain test and the map of a stencil stack run inside one
 ``np.errstate`` with NumPy's floating-point warnings off, so an overflow in
 either shows only as its answer; it also covers the differences and dot
 products, so an overflowing metric is the guarded solve's ``ValueError``.
+A geodesic enters one such ``np.errstate`` for its whole run: every stage
+and every per-step domain test runs inside it, and each stage checks its
+state for finiteness.
 Built-in charts are defined over a stack
 (``custom_grid`` included), and ``Chart`` lifts any other callable into one
 that calls it per stencil row, in row order.  A domain test answers one
@@ -504,9 +508,9 @@ class _Geo:
 
     ``map`` is the chart's ``map_vec`` if it has one, else its ``map_mat``.
     It and ``in_domain`` are ``stacked`` (see :class:`Chart`), each called
-    once on a whole stack: ``vals`` calls both ``fn`` inside its caller's
-    one ``np.errstate``, and ``outside``, which tests a geodesic's states,
-    makes one ``stack`` call.
+    once on a whole stack: ``vals`` calls both ``fn``, and ``outside``, which
+    tests a geodesic's states, calls the domain test's ``fn``, each inside
+    its caller's one ``np.errstate``.
     """
 
     __slots__ = ("chart", "phi", "cfg", "weights", "map")
@@ -550,11 +554,12 @@ class _Geo:
 
     def outside(self, pts):
         """The first row of pts outside the chart domain, or None; a chart
-        defined everywhere runs no test, any other one ``stack`` call."""
+        defined everywhere runs no test, any other one call of its ``fn``,
+        inside the caller's ``np.errstate``."""
         inside = self.chart.in_domain
         if inside is _EVERYWHERE:
             return None
-        return _first_false(inside.stack(pts), pts, "in_domain")
+        return _first_false(inside.fn(pts), pts, "in_domain")
 
     def gram(self, xs, ys=None) -> np.ndarray:
         """Real dot matrices D[..., i, j] = x_i . y_j of two stacks (ys defaults to xs)."""
@@ -1027,31 +1032,40 @@ def _geodesic_slope(geo: _Geo, plan: _Stencil, y: list, form: bool = False):
     The 2p + 5 points of ``plan``, the ``_stencil`` with ``along`` at u and
     the unit direction d = v / |v|, go into one fresh array and one
     ``geo.vals`` call; ``_central`` and ``_along`` difference them in the
-    per-point formulas' operand order, so a has their bits.  A zero v
-    evaluates only the tangent points and has a = 0.  All of it runs in one
-    ``np.errstate``; a state or |v| that is not finite is ``EvaluationError``.
+    per-point formulas' operand order, so a has their bits.  On float64 chart
+    values ``_along`` runs per entry on Python floats, which round as the
+    array formula does; complex values keep the array formula, since Python
+    and NumPy divide complex numbers differently.  A zero v evaluates only
+    the tangent points and has a = 0.  It runs in its caller's one
+    ``np.errstate`` (see ``geodesic``); a state or |v| that is not finite is
+    ``EvaluationError``.
     """
     p, chart = geo.p, geo.chart
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked
-        if not all(map(math.isfinite, y)):
-            raise EvaluationError(f"state {y} is not finite")
-        v = np.array(y[p:])
-        speed = math.sqrt(v.dot(v))  # np.linalg.norm's own formula
-        if not math.isfinite(speed):
-            raise EvaluationError(f"velocity {y[p:]} overflows")
-        pts = np.add(y[:p], plan.offsets)  # fresh: a map may return a view of its input
-        if speed:
-            pts[2 * p + 1:] += plan.dir_steps * (v / speed)  # u + q d rounds as q d + u
-        vals = geo.vals(pts if speed else pts[:2 * p])
-        t = _central(vals[:p], vals[p:2 * p], chart.fd_step)
-        g = geo.gram(t)
-        ginv, _, cond, _ = _solve_metric(g)
-        vgv = float(v.dot(g).dot(v)) if form else None
-        if not speed:
-            return y[p:] + [0.0] * p, cond, vgv
+    if not all(map(math.isfinite, y)):
+        raise EvaluationError(f"state {y} is not finite")
+    v = np.array(y[p:])
+    speed = math.sqrt(v.dot(v))  # np.linalg.norm's own formula
+    if not math.isfinite(speed):
+        raise EvaluationError(f"velocity {y[p:]} overflows")
+    pts = np.add(y[:p], plan.offsets)  # fresh: a map may return a view of its input
+    if speed:
+        pts[2 * p + 1:] += plan.dir_steps * (v / speed)  # u + q d rounds as q d + u
+    vals = geo.vals(pts if speed else pts[:2 * p])
+    t = _central(vals[:p], vals[p:2 * p], chart.fd_step)
+    g = geo.gram(t)
+    ginv, _, cond, _ = _solve_metric(g)
+    vgv = float(v.dot(g).dot(v)) if form else None
+    if not speed:
+        return y[p:] + [0.0] * p, cond, vgv
+    q, vv = chart.fd_step2, speed * speed
+    if vals.dtype == np.float64:  # as Python floats, entry by entry
+        f0, a2, a1, m1, m2 = vals[2 * p:].reshape(5, -1).tolist()
+        dd = np.array([_along(*e, q) * vv for e in zip(a2, a1, f0, m1, m2)])
+        dd = dd.reshape((1,) + vals.shape[1:])
+    else:
         c = 2 * p
-        dd = _along(vals[c + 1], vals[c + 2], vals[c], vals[c + 3], vals[c + 4], chart.fd_step2)
-        a = -(ginv @ geo.gram(t, (dd * (speed * speed))[None])[:, 0])
+        dd = (_along(vals[c + 1], vals[c + 2], vals[c], vals[c + 3], vals[c + 4], q) * vv)[None]
+    a = -(ginv @ geo.gram(t, dd)[:, 0])
     return y[p:] + a.tolist(), cond, vgv
 
 
@@ -1073,7 +1087,10 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     velocity through a single directional second difference (fourth-order
     stencil, step ``fd_step2``).  The state (u, v) is stepped in Python
     floats, which round as the array expressions do and overflow to inf with
-    no NumPy warning.  See :class:`GeodesicResult` for the health numbers.
+    no NumPy warning.  The whole run, its domain tests included, is one
+    ``np.errstate`` with NumPy's warnings off, so an overflow shows as a
+    non-finite value, which is checked.  See :class:`GeodesicResult` for the
+    health numbers.
     Raises ``DimensionError`` unless u0 and v0 have shape (p,), ``ValueError``
     for a non-finite u0 or v0, a zero v0 or one whose squared norm
     overflows, or a tau_max and step ``_step_count`` rejects, and
@@ -1090,8 +1107,6 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
         raise ValueError(f"v0 {v.tolist()} is too large: its squared norm overflows")
     n_steps = _step_count(tau_max, step)
     geo = _geo(chart, phi, cfg)
-    if geo.outside(u[None]) is not None:
-        raise EvaluationError(f"initial point {u.tolist()} outside chart domain")
     p = chart.p
     ys = np.empty((min(n_steps + 1, _GROW_ROWS), 2 * p))  # the states (u, v), one per row
     plan = _stencil(p, chart.fd_step, chart.fd_step2, False, True)
@@ -1099,23 +1114,26 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     y = ys[0] = u.tolist() + v.tolist()  # the state, stepped in Python floats
     # g(v, v) at state 0 and its extremes, and the largest cond, over the completed steps
     stored, g0, lo, hi, cond = 1, None, math.inf, -math.inf, 0.0
-    for _ in range(n_steps):
-        try:
-            k1, c1, form = _geodesic_slope(geo, plan, y, form=True)
-            k2, c2, _ = _geodesic_slope(geo, plan, [a + half * b for a, b in zip(y, k1)])
-            k3, c3, _ = _geodesic_slope(geo, plan, [a + half * b for a, b in zip(y, k2)])
-            k4, c4, _ = _geodesic_slope(geo, plan, [a + step * b for a, b in zip(y, k3)])
-        except (EvaluationError, SingularMetricError):
-            break
-        g0 = form if g0 is None else g0
-        lo, hi, cond = min(lo, form), max(hi, form), max(cond, c1, c2, c3, c4)
-        y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-        if stored == len(ys):  # full: double, up to the step count
-            ys = np.concatenate([ys, np.empty((min(stored, n_steps + 1 - stored), 2 * p))])
-        ys[stored] = y
-        if not all(map(math.isfinite, y)) or geo.outside(ys[stored:stored + 1, :p]) is not None:
-            break
-        stored += 1
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked
+        if geo.outside(u[None]) is not None:
+            raise EvaluationError(f"initial point {u.tolist()} outside chart domain")
+        for _ in range(n_steps):
+            try:
+                k1, c1, form = _geodesic_slope(geo, plan, y, form=True)
+                k2, c2, _ = _geodesic_slope(geo, plan, [a + half * b for a, b in zip(y, k1)])
+                k3, c3, _ = _geodesic_slope(geo, plan, [a + half * b for a, b in zip(y, k2)])
+                k4, c4, _ = _geodesic_slope(geo, plan, [a + step * b for a, b in zip(y, k3)])
+            except (EvaluationError, SingularMetricError):
+                break
+            g0 = form if g0 is None else g0
+            lo, hi, cond = min(lo, form), max(hi, form), max(cond, c1, c2, c3, c4)
+            y = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+            if stored == len(ys):  # full: double, up to the step count
+                ys = np.concatenate([ys, np.empty((min(stored, n_steps + 1 - stored), 2 * p))])
+            ys[stored] = y
+            if not all(map(math.isfinite, y)) or geo.outside(ys[stored:stored + 1, :p]) is not None:
+                break
+            stored += 1
     left = stored <= n_steps
     if stored < len(ys):  # a partial trajectory keeps only its states
         ys = ys[:stored].copy()

@@ -92,7 +92,8 @@ def gram(phi: State, cfg: DotConfig, bs) -> GramMatrix:
     bs = list(bs)
     if not bs:
         raise DimensionError("reference set is empty")
-    m = _dot_matrix(phi, cfg, _stack(bs))
+    with np.errstate(all="ignore"):  # an overflow shows in _solve_gram's check
+        m = _dot_matrix(phi, cfg, _stack(bs))
     inv, det, _, full = _solve_gram(m)
     return GramMatrix(m=m, det=float(det), rank_tol=RANK_TOL, inverse_or_pseudo=inv,
                       is_full_rank=full)
@@ -122,7 +123,8 @@ def project(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> ProjectionResu
         "rank-deficient Gram matrix; using pseudo-inverse"))
     par = AlgebraElement(np.tensordot(w[:, 0], stack[1:], 1))
     perp = a - par
-    norm_sq, residual = float(n[:, 0] @ w[:, 0]), _dot_matrix(phi, cfg, perp.m[None])[0, 0]
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        norm_sq, residual = float(n[:, 0] @ w[:, 0]), _dot_matrix(phi, cfg, perp.m[None])[0, 0]
     if not (math.isfinite(norm_sq) and math.isfinite(residual)):
         raise ValueError("projection overflows: its norms are not finite")
     return ProjectionResult(coefficients=-w[:, 0], parallel=par, perpendicular=perp,
@@ -138,9 +140,10 @@ def _project_on(phi: State, cfg: DotConfig, stack: np.ndarray, q: int, on_singul
     non-finite W ``ValueError``."""
     if len(stack) == q:
         raise DimensionError("reference set is empty")
-    d = _dot_matrix(phi, cfg, stack, stack[q:])
-    n = d[:q].T
-    w = _solve_gram(d[q:], on_singular)[0] @ n
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        d = _dot_matrix(phi, cfg, stack, stack[q:])
+        n = d[:q].T
+        w = _solve_gram(d[q:], on_singular)[0] @ n
     if not np.isfinite(w).all():
         raise ValueError("projection overflows: its coefficients are not finite")
     return n, w
@@ -152,16 +155,20 @@ def cauchy_schwarz_check(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> t
     The ratio is det D / det M for D the Gram matrix of (a, b_1..b_p) and M
     its block of (b_1..b_p), from which N and a.a come too; both quantities
     are equal and nonnegative for any state.  Raises ``SingularGramError``
-    when M is rank deficient.
+    when M is rank deficient, and ``ValueError`` when either result overflows.
     """
     stack = _stack([a] + list(bs))
     if len(stack) == 1:
         raise DimensionError("reference set is empty")
-    d = _dot_matrix(phi, cfg, stack)
-    inv, det, _, _ = _solve_gram(d[1:, 1:], SingularGramError(
-        "reference Gram matrix is singular; residual is undefined"))
-    n = d[0, 1:]
-    return d[0, 0] - float(n @ (inv @ n)), float(_solve_gram(d)[1]) / float(det)
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        d = _dot_matrix(phi, cfg, stack)
+        inv, det, _, _ = _solve_gram(d[1:, 1:], SingularGramError(
+            "reference Gram matrix is singular; residual is undefined"))
+        n = d[0, 1:]
+        residual, ratio = d[0, 0] - float(n @ (inv @ n)), float(_solve_gram(d)[1]) / float(det)
+    if not (math.isfinite(residual) and math.isfinite(ratio)):
+        raise ValueError("Cauchy-Schwarz check overflows: its results are not finite")
+    return residual, ratio
 
 
 def reflect(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> AlgebraElement:
@@ -181,8 +188,9 @@ def gram_schmidt(phi: State, cfg: DotConfig, bs) -> tuple[list, list]:
     bs = list(bs)
     if not bs:
         return [], []
-    onb, norms = _orthonormalize(_stack(bs), lambda xs: _dot_matrix(phi, cfg, xs),
-                                 "element {} is linearly dependent on its predecessors")
+    with np.errstate(all="ignore"):  # an overflow shows in _orthonormalize's check
+        onb, norms = _orthonormalize(_stack(bs), lambda xs: _dot_matrix(phi, cfg, xs),
+                                     "element {} is linearly dependent on its predecessors")
     onb = [AlgebraElement(q) for q in onb]
     return [q * math.sqrt(nn) for q, nn in zip(onb, norms)], onb
 
@@ -350,7 +358,8 @@ def tuple_inner(phi: State, cfg: DotConfig, a_tuple, b_tuple) -> float:
 
     Antisymmetric under swapping two elements within either tuple, and zero
     when either tuple is linearly dependent.  The pairing of a tuple with
-    itself is a Gram determinant, hence nonnegative.
+    itself is a Gram determinant, hence nonnegative.  A dot matrix that
+    overflows raises ``ValueError``.
     """
     a_tuple = list(a_tuple)
     b_tuple = list(b_tuple)
@@ -360,4 +369,8 @@ def tuple_inner(phi: State, cfg: DotConfig, a_tuple, b_tuple) -> float:
         raise DimensionError("tuples are empty")
     stack = _stack(a_tuple + b_tuple)
     k = len(a_tuple)
-    return float(_solve_gram(_dot_matrix(phi, cfg, stack[:k], stack[k:]))[1])
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        d = _dot_matrix(phi, cfg, stack[:k], stack[k:])
+    if not np.isfinite(d).all():
+        raise ValueError("tuple dot matrix is not finite")
+    return float(_solve_gram(d)[1])

@@ -15,20 +15,20 @@ once for the field strength's five points; it lifts its patch test the same
 way and calls it once on the loop's six points, which must get one truth
 value each.
 
-The matrix size picks the arithmetic of the product integral and its
-exponentials (``_matmul``, ``_solve``): a 2x2 stack is multiplied by array
-arithmetic and solved by the adjugate, since a BLAS or LAPACK call per 2x2
-matrix costs several times its arithmetic; larger stacks go through BLAS
-and LAPACK.  ``transport_oracle``, the independent reference, stays on BLAS.
+The matrix size picks one layout per product integral (``_layout``): a 2x2
+stack is held in Fortran order, each entry one contiguous column over the
+stack, for array products and the adjugate solve; larger ones in C order for
+BLAS and LAPACK, where ``transport_oracle``, the independent reference, stays.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _adjugate_2x2, _first_false, _lifted, stacked
+from .algebra import _adjugate_2x2, _count, _first_false, _lifted, stacked
 from .errors import (
     DimensionError,
     OrderTooLargeError,
@@ -61,7 +61,7 @@ class ConnectionPath:
     ``A`` maps the curve parameter s to a square complex matrix (the 1-form
     already contracted with the curve velocity), lifted into a ``stacked``
     unless it is one; ``s_range`` is the integration interval and
-    ``n_steps`` the number of subintervals of the uniform partition.
+    ``n_steps`` the number of subintervals of the uniform partition, an int.
     """
 
     A: callable
@@ -70,6 +70,7 @@ class ConnectionPath:
 
     def __post_init__(self):
         object.__setattr__(self, "A", _lifted(self.A))
+        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps"))
         s0, s1 = self.s_range
         if not (np.isfinite(s0) and np.isfinite(s1)):
             raise ValueError("s_range must be finite")
@@ -120,6 +121,7 @@ def ordered_series(path: ConnectionPath, order: int) -> np.ndarray:
     accumulated with the composite trapezoid rule on the path grid; the
     ordering constraint lives in the nested integration limits.
     """
+    order = _count(order, "order")
     if order > MAX_SERIES_ORDER:
         raise OrderTooLargeError(
             f"series order {order} exceeds the supported maximum {MAX_SERIES_ORDER}")
@@ -177,85 +179,101 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 _ORACLE_TOL = 3e-14
 
 
+# A layout: ``pack`` gives a (k, d, d) stack its memory order, ``mul`` and ``solve``
+# are x @ y and p^-1 q on two stacks
+_Layout = namedtuple("_Layout", "pack mul solve")
+
+
+def _columns_mul(x, y):
+    """x @ y for Fortran-order 2x2 stacks: x[:, :, j, None] * y[:, None, j, :] summed over j."""
+    x, y = x.T, y.T  # entry (r, c) of each matrix is x[c, r], a contiguous column
+    return (x[0] * y[:, 0, None] + x[1] * y[:, 1, None]).T
+
+
+def _columns_solve(p, q):
+    """p^-1 q for Fortran-order 2x2 stacks: adj(p) q / det(p), by ``_adjugate_2x2``."""
+    (a, c), (b, d) = p.T
+    adj, det = _adjugate_2x2(a, b, c, d)
+    return _columns_mul(np.reshape(adj, (2, 2, -1)).transpose(2, 0, 1), q) / det[:, None, None]
+
+
+def _layout(d: int) -> _Layout:
+    """The layout of a stack of d x d matrices: Fortran order at d = 2, where a
+    BLAS or LAPACK call per matrix costs several times its arithmetic."""
+    if d == 2:
+        return _Layout(np.asfortranarray, _columns_mul, _columns_solve)
+    return _Layout(np.asarray, np.matmul, np.linalg.solve)
+
+
 def _matmul(x, y):
-    """x @ y over the last two axes.  For 2x2 matrices it is the array sum over
-    j of x[..., :, j, None] * y[..., None, j, :]: a BLAS call per 2x2 matrix
-    costs several times its arithmetic (a (1024, 2, 2) complex stack, numpy
-    2.4 with OpenBLAS on a 2-core Xeon: about 400 against 70 us).  Larger
-    ones go through BLAS, which is as fast or faster at 4x4 and three times
-    faster at 6x6."""
-    if x.shape[-1] != 2:
-        return x @ y
-    return x[..., :, 0, None] * y[..., None, 0, :] + x[..., :, 1, None] * y[..., None, 1, :]
+    """x @ y for two d x d matrices, with the bits of their layout's product."""
+    return _tree_product(np.stack([y, x]))
 
 
-def _solve(p, q):
-    """p^-1 q for stacks p, q: a 2x2 stack as adj(p) q / det(p) with the
-    adjugate and determinant of ``algebra._adjugate_2x2`` (LAPACK's solve on
-    1024 2x2 matrices takes 350-600 us on that host, this about 140), larger
-    ones by ``np.linalg.solve``."""
-    if p.shape[-1] != 2:
-        return np.linalg.solve(p, q)
-    adj, det = _adjugate_2x2(*p.reshape(-1, 4).T)
-    return _matmul(np.stack(adj, axis=1).reshape(p.shape), q) / det[:, None, None]
-
-
-def _pade(a, m):
-    """Degree-m Pade approximant (V - U)^-1 (V + U) of exp on a stack."""
-    b = _PADE[m]
-    eye = np.eye(a.shape[-1])
-    a2 = _matmul(a, a)
+def _pade(a, m, lay):
+    """Degree-m Pade approximant (V - U)^-1 (V + U) of exp on a stack of ``lay``."""
+    b, mul, eye = _PADE[m], lay.mul, lay.pack(np.eye(a.shape[-1]))
+    a2 = mul(a, a)
     if m == 13:
-        a4 = _matmul(a2, a2)
-        a6 = _matmul(a4, a2)
-        u = _matmul(a, _matmul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
-                    + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (_matmul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+        a4 = mul(a2, a2)
+        a6 = mul(a4, a2)
+        u = mul(a, mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+                + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
              + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     else:
         powers = [eye, a2]
         while len(powers) <= m // 2:
-            powers.append(_matmul(powers[-1], a2))
-        u = _matmul(a, sum(b[2 * k + 1] * p for k, p in enumerate(powers)))
+            powers.append(mul(powers[-1], a2))
+        u = mul(a, sum(b[2 * k + 1] * p for k, p in enumerate(powers)))
         v = sum(b[2 * k] * p for k, p in enumerate(powers))
-    return _solve(v - u, v + u)
+    return lay.solve(v - u, v + u)
 
 
-def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of every matrix in a (k, d, d) stack.
+def _expm_level(a, norms, i, lay):
+    """exp of a stack a of ``lay`` whose 1-norms, norms, all take Pade level i."""
+    if _DEGREES[i] < 13:
+        return _pade(a, _DEGREES[i], lay)
+    s = np.maximum(0, np.ceil(np.log2(norms / _THETA13))).astype(int)
+    if s.max() > 52:  # s squarings amplify rounding up to 2^s, which reaches 1 / 2^-53 at 53
+        raise ValueError(f"matrix exponential overflows: 1-norm {norms.max():.3g} needs "
+                         f"{s.max()} squarings, and past 52 no digit is correct")
+    r = _pade(a * np.exp2(-s)[:, None, None], 13, lay)
+    with np.errstate(all="ignore"):  # an overflow shows in the caller's check
+        for k in range(s.max()):
+            sq = s > k
+            r[sq] = lay.mul(r[sq], r[sq])
+    return r
 
-    Its products and its Pade solve go through ``_matmul`` and ``_solve``:
-    a 2x2 stack is multiplied by array arithmetic and solved by the
-    adjugate, a larger one by BLAS and LAPACK."""
+
+def _expm_stack(a: np.ndarray, lay: _Layout | None = None) -> np.ndarray:
+    """Matrix exponential of every matrix in a (k, d, d) stack, in the layout
+    ``lay`` (default: its ``_layout``).  The 1-norms pick each matrix's Pade
+    level: one level takes the whole stack, mixed levels take masks."""
+    lay = lay or _layout(a.shape[-1])
+    a = lay.pack(a)
     norms = np.abs(a).sum(axis=1).max(axis=1)
     if not np.all(np.isfinite(norms)):
         raise ValueError("matrix exponential needs finite entries")
     level = np.searchsorted(_THETA, norms)
-    out = np.empty_like(a)
-    for i in np.unique(level):
-        sel = level == i
-        if _DEGREES[i] < 13:
-            out[sel] = _pade(a[sel], _DEGREES[i])
-            continue
-        s = np.maximum(0, np.ceil(np.log2(norms[sel] / _THETA13))).astype(int)
-        if s.max() > 52:  # s squarings amplify rounding up to 2^s, which reaches 1 / 2^-53 at 53
-            raise ValueError(f"matrix exponential overflows: 1-norm {norms.max():.3g} needs "
-                             f"{s.max()} squarings, and past 52 no digit is correct")
-        r = _pade(a[sel] * np.exp2(-s)[:, None, None], 13)
-        with np.errstate(all="ignore"):  # an overflow shows in the check below
-            for k in range(s.max()):
-                sq = s > k
-                r[sq] = _matmul(r[sq], r[sq])
-        out[sel] = r
+    if level.min() == level.max():
+        out = _expm_level(a, norms, level[0], lay)
+    else:
+        out = np.empty_like(a)
+        for i in np.unique(level):
+            sel = level == i
+            out[sel] = _expm_level(a[sel], norms[sel], i, lay)
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix exponential overflows")
     return out
 
 
-def _tree_product(e: np.ndarray) -> np.ndarray:
-    """e[k-1] @ ... @ e[1] @ e[0], multiplied in pairs level by level."""
+def _tree_product(e: np.ndarray, lay: _Layout | None = None) -> np.ndarray:
+    """e[k-1] @ ... @ e[1] @ e[0] of a (k, d, d) stack held in the layout
+    ``lay`` (default: its ``_layout``), multiplied in pairs level by level."""
+    lay = lay or _layout(e.shape[-1])
     while len(e) > 1:
-        pairs = _matmul(e[1::2], e[0:len(e) - 1:2])
+        pairs = lay.mul(e[1::2], e[0:len(e) - 1:2])
         e = np.concatenate([pairs, e[-1:]]) if len(e) % 2 else pairs
     return e[0]
 
@@ -265,24 +283,26 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
     factors multiplying from the left.
 
     The factors are sampled, exponentiated and multiplied in blocks of
-    ``_BLOCK`` steps; each block's product multiplies the running one.  A
-    product that overflows raises ``ValueError``.  Every product goes
-    through ``_matmul``: array arithmetic for 2x2 factors, BLAS for larger.
+    ``_BLOCK`` steps; each block's product multiplies the running one, a
+    stack of one, all in the ``_layout`` the first block's samples pick.  A
+    product that overflows raises ``ValueError``.
     """
     s0, s1, n = float(path.s_range[0]), float(path.s_range[1]), path.n_steps
-    f = None
+    f = lay = None
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         edges = np.arange(lo, hi + 1.0) * ((s1 - s0) / n) + s0  # np.linspace's formula
         if hi == n:
             edges[-1] = s1
         vals = _sample(path.A, 0.5 * (edges[:-1] + edges[1:]))
-        factors = _expm_stack(vals * np.diff(edges)[:, None, None])
+        lay = lay or _layout(vals.shape[-1])
+        factors = _expm_stack(vals * np.diff(edges)[:, None, None], lay)
         with np.errstate(all="ignore"):  # an overflow shows in the check below
-            f = _tree_product(factors) if f is None else _matmul(_tree_product(factors), f)
+            block = _tree_product(factors, lay)[None]
+            f = block if f is None else lay.mul(block, f)
         if not np.isfinite(f).all():  # a non-finite block product makes f non-finite too
             raise ValueError("product integral overflows")
-    return f
+    return np.ascontiguousarray(f[0])
 
 
 def transport_oracle(path: ConnectionPath, f0: np.ndarray | None = None) -> np.ndarray:

@@ -16,6 +16,7 @@ A bound whose lhs or rhs is not finite raises ``ValueError``.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,9 +72,13 @@ def _report(lhs: float, rhs: float, extra: dict | None = None) -> BoundReport:
 
 
 def _centred(phi: State, stack: np.ndarray) -> np.ndarray:
-    """Fluctuations x - phi(x) 1 of a raw (p, n, n) stack: the one centring rule."""
-    means = np.array([phi.eval_matrix(x) for x in stack])
-    return stack - means[:, None, None] * np.eye(stack.shape[-1])
+    """Fluctuations x - phi(x) 1 of a raw (p, n, n) stack: the one centring rule.
+    A state value that overflows raises ``ValueError``."""
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        means = [phi.eval_matrix(x) for x in stack]
+    if not all(map(cmath.isfinite, means)):
+        raise ValueError(f"state value is not finite: {means}")
+    return stack - np.array(means)[:, None, None] * np.eye(stack.shape[-1])
 
 
 def fluctuation(phi: State, a: AlgebraElement) -> AlgebraElement:
@@ -83,7 +88,11 @@ def fluctuation(phi: State, a: AlgebraElement) -> AlgebraElement:
 
 def variance(phi: State, a: AlgebraElement) -> float:
     """phi(da' da) with da the fluctuation of a; real and >= -1e-12; ValueError if not finite."""
-    da = _centred(phi, a.m[None])[0]
+    return _variance(phi, _centred(phi, a.m[None])[0])
+
+
+def _variance(phi: State, da: np.ndarray) -> float:
+    """phi(da' da) of a raw fluctuation da (``_centred``); ValueError if not finite."""
     with np.errstate(all="ignore"):  # an overflow shows in the check below
         var = phi.eval_matrix(da.conj().T @ da).real
     if not np.isfinite(var):
@@ -103,7 +112,7 @@ def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> Boun
     stack = _centred(phi, _stack([a] + list(bs)))
     n, w = _project_on(phi, cfg, stack, 1, SingularGramWarning(
         "rank-deficient Gram matrix; using pseudo-inverse"))
-    return _report(variance(phi, a), float(n[:, 0] @ w[:, 0]))
+    return _report(_variance(phi, stack[0]), float(n[:, 0] @ w[:, 0]))
 
 
 def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
@@ -117,7 +126,8 @@ def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
     for name, el in (("a", a), ("b", b)):
         _require_hermitian(el.m, f"pair product bound argument {name}")
     a._check_dim(b)
-    lhs = phi.eval_matrix(a.m @ a.m).real * phi.eval_matrix(b.m @ b.m).real
+    with np.errstate(all="ignore"):  # an overflow shows in _report's check
+        lhs = phi.eval_matrix(a.m @ a.m).real * phi.eval_matrix(b.m @ b.m).real
     comm = phi.eval_matrix(a.m @ b.m - b.m @ a.m)
     rhs = abs(comm) ** 2 / 4.0
     extra = {"commutator_abs": abs(comm)}

@@ -23,6 +23,7 @@ from opgeom.algebra import (
     fock_position,
     harmonic_hamiltonian,
     heisenberg_dot,
+    stacked,
 )
 from opgeom.cli import report
 from opgeom.errors import (
@@ -37,6 +38,7 @@ from opgeom.errors import (
     StencilOutOfDomainError,
 )
 from opgeom.hypersurface import (
+    Chart,
     _fields,
     _Geo,
     _geodesic_slope,
@@ -878,20 +880,57 @@ def dir4_per_point(f, u, v, q):
             + 16.0 * f(u - q * v) - f(u - 2.0 * q * v)) / (12.0 * q * q)
 
 
-@settings(max_examples=60, deadline=None)
-@given(chart_id=st.sampled_from(["flat_plane", "sphere", "torus", "paraboloid"]),
+def hermitian3(real=False):
+    """A stacked hermitian 3x3 chart over three parameters, with no map_vec,
+    b(u) = u0 H1 + u1 H2 + u2 H3 + (u . u) H4: complex chart values, or with
+    ``real`` float values (the real symmetric parts of the H)."""
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    hs = 0.5 * (m + m.conj().swapaxes(1, 2))
+    hs = hs.real if real else hs
+
+    def matrices(xs):
+        sq = (xs * xs).sum(axis=1)
+        return np.einsum("ki,ijl->kjl", xs, hs[:3]) + sq[:, None, None] * hs[3]
+
+    box = (np.array([-1.0] * 3), np.array([1.0] * 3))
+    return Chart(id="hermitian3", p=3, dim=3, map_mat=stacked(matrices), map_vec=None,
+                 in_domain=None, sample_box=box)
+
+
+@pytest.fixture(scope="module")
+def bit_charts():
+    from .test_stacked_charts import stacked_graph3  # that module imports from this one
+
+    ids = ["flat_plane", "sphere", "torus", "paraboloid"]
+    return {**{i: make_chart(i) for i in ids}, "graph3": stacked_graph3(),
+            "hermitian3": hermitian3(), "symmetric3": hermitian3(real=True)}
+
+
+def unit_direction(data, p):
+    a = data.draw(st.floats(0.0, 2.0 * math.pi))
+    if p == 2:
+        return [math.cos(a), math.sin(a)]
+    b = data.draw(st.floats(0.0, math.pi))
+    return [math.sin(b) * math.cos(a), math.sin(b) * math.sin(a), math.cos(b)]
+
+
+# float chart values (map_vec, symmetric3) take the geodesic stage's per-entry
+# Python route and complex ones (a generic map_mat, hermitian3) its array route
+@settings(max_examples=90, deadline=None)
+@given(chart_id=st.sampled_from(["flat_plane", "sphere", "torus", "paraboloid", "graph3",
+                                 "hermitian3", "symmetric3"]),
        generic=st.booleans(), data=st.data())
-def test_fields_match_per_point_formulas_bit_for_bit(chart_id, generic, data):
-    chart = make_chart(chart_id)
+def test_fields_match_per_point_formulas_bit_for_bit(bit_charts, chart_id, generic, data):
+    chart = bit_charts[chart_id]
     if generic:
         chart = dataclasses.replace(chart, map_vec=None)
-    f = chart.map_mat if generic else chart.map_vec
+    f = chart.map_vec or chart.map_mat
     lo, hi = chart.sample_box
     k = data.draw(st.integers(1, 4))
     xs = np.array([[data.draw(st.floats(float(lo[c]), float(hi[c]))) for c in range(chart.p)]
                    for _ in range(k)])
-    angles = data.draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=k, max_size=k))
-    dirs = np.array([[math.cos(a), math.sin(a)] for a in angles])
+    dirs = np.array([unit_direction(data, chart.p) for _ in range(k)])
     geo = _Geo(chart, SUM, CFG)
     fs = _fields(geo, xs, second=True)
     h, h2 = chart.fd_step, chart.fd_step2

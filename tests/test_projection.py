@@ -128,8 +128,30 @@ def test_project_invariants_sweep(rng):
 def test_project_overflow_is_an_error():
     # a.a of diag(1e200, 1, 2) overflows: the residual would be NaN
     target = AlgebraElement(np.diag([1e200, 1.0, 2.0]))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="not finite"):
         project(State.normalized_trace(), CFG, target, [AlgebraElement(np.eye(3))])
+
+
+# b.b of diag(1e200, 1) overflows in the state's Gram kernel: each caller of the
+# dot matrix raises its ValueError with no NumPy warning first
+HUGE_SET = [AlgebraElement(np.diag([1e200, 1.0])), AlgebraElement(np.eye(2))]
+
+
+def test_gram_overflow_is_an_error():
+    with pytest.raises(ValueError, match="not finite"):
+        gram(TRACE, CFG, HUGE_SET)
+
+
+def test_gram_schmidt_overflow_is_an_error():
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_schmidt(TRACE, CFG, HUGE_SET)
+
+
+def test_cauchy_schwarz_and_tuple_overflows_are_errors():
+    with pytest.raises(ValueError, match="not finite"):
+        cauchy_schwarz_check(TRACE, CFG, HUGE_SET[0], HUGE_SET[1:])
+    with pytest.raises(ValueError, match="not finite"):
+        tuple_inner(TRACE, CFG, HUGE_SET[:1], HUGE_SET[:1])
 
 
 def test_project_singular_gram_warns(rng):

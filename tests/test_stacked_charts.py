@@ -489,7 +489,7 @@ def test_plain_callables_overflow_into_typed_errors_without_a_warning():
                 covariant_derivative(sphere(), SUM, CFG, [1.0, 0.3], field)
 
 
-def test_a_geodesic_stage_enters_one_errstate_and_a_domain_test_one_more_per_step(monkeypatch):
+def test_a_geodesic_run_enters_one_errstate(monkeypatch):
     entered, errstate = [], np.errstate
 
     def counted(**kw):  # the library enters each errstate it makes at once
@@ -497,11 +497,19 @@ def test_a_geodesic_stage_enters_one_errstate_and_a_domain_test_one_more_per_ste
         return errstate(**kw)
 
     monkeypatch.setattr(np, "errstate", counted)
-    # 5 steps of 4 stages; the sphere tests its initial point and each state
-    for chart, want in ((torus(), 4 * 5), (sphere(), 1 + 5 * (4 + 1))):
+    calls = []
+
+    def inside(xs):
+        calls.append(len(xs))
+        return sphere().in_domain.fn(xs)
+
+    # 5 steps of 4 stages, all in one errstate; the sphere tests its initial
+    # point, each stage's stencil and each state
+    for chart in (torus(), dataclasses.replace(sphere(), in_domain=stacked(inside))):
         entered.clear()
         assert len(geodesic(chart, SUM, CFG, [1.0, 0.3], [0.3, 0.8], 0.1, 0.02)) == 6
-        assert len(entered) == want
+        assert entered == [{"all": "ignore"}]
+    assert calls == [1] + 5 * ([9] * 4 + [1])
 
 
 @pytest.mark.parametrize("answer", [lambda u: u > -10.0, lambda u: None, lambda u: [True],

@@ -2,6 +2,7 @@
 differential curvature identity."""
 
 import ast
+import hashlib
 import math
 import subprocess
 import sys
@@ -80,6 +81,18 @@ def test_path_validation():
         ConnectionPath(A=lambda s: X_REF, s_range=(0.0, 1.0), n_steps=0)
     with pytest.raises(ValueError):
         LoopSpec(base=(0.0, 0.0), dirs=((1, 0), (0, 1)), epsilon=0.0)
+
+
+def test_step_counts_and_orders_must_be_integers():
+    with pytest.raises(ValueError, match="n_steps must be an integer, got 2.5"):
+        ConnectionPath(A=lambda s: X_REF, s_range=(0.0, 1.0), n_steps=2.5)
+    with pytest.raises(ValueError, match="order must be an integer, got 2.5"):
+        ordered_series(stored_test_path(10), 2.5)
+    # integer types pass, as the int they hold
+    path = ConnectionPath(A=stored_test_path().A, s_range=(0.0, 1.0), n_steps=np.int64(8))
+    assert type(path.n_steps) is int and path.n_steps == 8
+    assert hexes(product_integral(path)) == hexes(product_integral(stored_test_path(8)))
+    assert hexes(ordered_series(path, np.int64(3))) == hexes(ordered_series(stored_test_path(8), 3))
 
 
 @pytest.mark.parametrize("base, dirs, epsilon, error", [
@@ -266,6 +279,84 @@ def test_block_edges_are_the_grid(n_steps, s_range):
     s = path.grid()
     assert np.concatenate(calls).tobytes() == (0.5 * (s[:-1] + s[1:])).tobytes()
     assert hexes(got) == hexes(grid_product(path))
+
+
+# SHA-256 of each product below, in `sha256sum` format, pinned from the
+# (k, 2, 2) strided-array route that preceded the entry-column layout; regenerate with
+#   PYTHONPATH=src python3 -c "from tests.test_transport import write_digests; write_digests()"
+# only after a change that is meant to move product-integral bits
+PRODUCT_DIGESTS = Path(__file__).resolve().parent / "data" / "product_integral.sha256"
+
+
+def seeded_matrices(seed, d, norm, antihermitian=True):
+    """Two seeded complex d x d matrices of 1-norm norm, antihermitian or general."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        if antihermitian:
+            m = 0.5 * (m - m.conj().T)
+        out.append(m * (norm / np.abs(m).sum(axis=0).max()))
+    return out
+
+
+def affine_path(seed, d, norm, n_steps, s_range=(0.0, 1.0), antihermitian=True):
+    x, y = seeded_matrices(seed, d, norm, antihermitian)
+    return ConnectionPath(A=_affine_connection(x, y), s_range=s_range, n_steps=n_steps)
+
+
+def expm_stack_case(seed, antihermitian):
+    """300 seeded 2x2 matrices with 1-norms from 1e-8 to 50: every Pade degree,
+    and squarings, mixed within one stack."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(300, 2, 2)) + 1j * rng.normal(size=(300, 2, 2))
+    if antihermitian:
+        m = 0.5 * (m - m.conj().transpose(0, 2, 1))
+    norms = np.abs(m).sum(axis=1).max(axis=1)
+    return m * (10.0 ** rng.uniform(-8.0, math.log10(50.0), 300) / norms)[:, None, None]
+
+
+# name -> a function giving the product to pin: the stored path about one block,
+# seeded affine u(2) and general paths (degree 13 with squarings in every factor,
+# and one block whose factors take every Pade degree and up to 2 squarings), a 3x3 path, and
+# the exponential and tree product on 2x2 stacks
+PRODUCTS = {
+    **{f"stored@{n}": (lambda n=n: product_integral(stored_test_path(n)))
+       for n in (1, 1024, 1025, 10000)},
+    "stored_reverse@2000": lambda: product_integral(reverse_path(stored_test_path(2000))),
+    **{f"u2_seed{k}@1500": (lambda k=k: product_integral(affine_path(k, 2, 0.6, 1500)))
+       for k in (20, 21, 22)},
+    "general_seed23@1100": lambda: product_integral(
+        affine_path(23, 2, 0.8, 1100, (-0.4, 1.3), antihermitian=False)),
+    "u2_squarings@6": lambda: product_integral(affine_path(24, 2, 200.0, 6)),
+    "general_squarings@5": lambda: product_integral(
+        affine_path(25, 2, 60.0, 5, antihermitian=False)),
+    "u2_mixed_levels@300": lambda: product_integral(ConnectionPath(
+        A=_affine_connection(seeded_matrices(26, 2, 4000.0)[0], seeded_matrices(26, 2, 0.01)[1]),
+        s_range=(-0.05, 1.0), n_steps=300)),
+    "u3_seed27@1100": lambda: product_integral(affine_path(27, 3, 0.9, 1100)),
+    "expm_stack_u2": lambda: _expm_stack(expm_stack_case(28, True)),
+    "expm_stack_general": lambda: _expm_stack(expm_stack_case(29, False)),
+    "tree_product@37": lambda: _tree_product(_expm_stack(expm_stack_case(30, True)[:37])),
+    "tree_product@64": lambda: _tree_product(_expm_stack(expm_stack_case(31, True)[:64])),
+}
+
+
+def product_digest(m) -> str:
+    m = np.asarray(m)
+    return hashlib.sha256(repr((m.dtype.str, m.shape)).encode() + m.tobytes()).hexdigest()
+
+
+def write_digests():
+    lines = [f"{product_digest(PRODUCTS[name]())}  {name}" for name in PRODUCTS]
+    PRODUCT_DIGESTS.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS))
+def test_product_bits_match_the_pinned_digests(name):
+    want = dict(reversed(line.split()) for line in
+                PRODUCT_DIGESTS.read_text(encoding="utf-8").splitlines())
+    assert product_digest(PRODUCTS[name]()) == want[name]
 
 
 @st.composite

@@ -283,6 +283,22 @@ def test_overflowing_variance_and_bound_are_errors():
         energy_bound(CONSTS, TRACE, big, [sigma_x])
 
 
+def test_overflowing_pair_product_bound_is_an_error():
+    # phi(a^2) of diag(1e200, 1) overflows in a @ a
+    big = AlgebraElement(np.diag([1e200, 1.0]))
+    with pytest.raises(ValueError, match="not finite"):
+        pair_product_bound(TRACE, big, embed_diag([1.0, 2.0]))
+
+
+def test_overflowing_state_value_is_an_error():
+    # the trace of diag(1e308, 1e308) overflows before any fluctuation is formed
+    huge = AlgebraElement(np.diag([1e308, 1e308]))
+    with pytest.raises(ValueError, match="state value is not finite"):
+        variance(TRACE, huge)
+    with pytest.raises(ValueError, match="state value is not finite"):
+        fluctuation(TRACE, huge)
+
+
 def test_bound_report_shape():
     rep = BoundReport(lhs=2.0, rhs=1.0, margin=1.0, satisfied=True)
     assert rep.extra == {}
