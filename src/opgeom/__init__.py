@@ -7,117 +7,17 @@ an induced metric, connection, curvature, geodesics, and parallel
 transport, all evaluated by finite differences.
 """
 
-from .algebra import (
-    AlgebraElement,
-    DotConfig,
-    PhysConstants,
-    State,
-    anticommutator,
-    commutator,
-    dot,
-    dump_matrix,
-    dump_state,
-    embed_diag,
-    fock_lowering,
-    fock_momentum,
-    fock_position,
-    harmonic_hamiltonian,
-    heisenberg_dot,
-    load_matrix,
-    load_state,
-    matrix_from_json,
-    matrix_to_json,
-    stacked,
-    star,
-    state_eval,
-    state_from_json,
-    state_to_json,
-)
-from .errors import (
-    DimensionError,
-    DomainError,
-    EvaluationError,
-    HermiticityError,
-    JacobiViolationError,
-    LinearDependenceError,
-    NonSymmetricMetricError,
-    OpgeomError,
-    OrderTooLargeError,
-    PatchDomainError,
-    SingularGramError,
-    SingularGramWarning,
-    SingularMetricError,
-    StencilOutOfDomainError,
-    StiffnessError,
-)
-from .projection import (
-    GramMatrix,
-    ProjectionResult,
-    cauchy_schwarz_check,
-    gram,
-    gram_schmidt,
-    kernel_basis,
-    levi_civita_volume,
-    parallelepiped_volume,
-    power_dependence,
-    project,
-    reflect,
-    tetra_membership,
-    tuple_inner,
-)
-from .uncertainty import (
-    BoundReport,
-    energy_bound,
-    fluctuation,
-    fluctuation_bound,
-    pair_product_bound,
-    variance,
-)
-from .hypersurface import (
-    Chart,
-    ConnectionField,
-    CurvatureField,
-    GeodesicResult,
-    GeodesicState,
-    Geometry,
-    MetricField,
-    bianchi_residual,
-    chart_from_json,
-    chart_to_json,
-    christoffel,
-    covariant_derivative,
-    curvature,
-    custom_grid,
-    dump_chart,
-    flat_plane,
-    gauss_curvature_2d,
-    geodesic,
-    geometry_at,
-    gibbs_force,
-    killing_metric,
-    leibniz_violation_witness,
-    load_chart,
-    make_chart,
-    metric,
-    metric_compat_residual,
-    orthonormal_frame,
-    paraboloid,
-    projector_apply,
-    riemann_gauss_curvature,
-    sphere,
-    tangent_basis,
-    torus,
-)
-from .transport import (
-    ConnectionPath,
-    LoopSpec,
-    ordered_series,
-    product_integral,
-    reverse_path,
-    stokes_residual,
-    stored_su2_field,
-    stored_test_path,
-    transport_oracle,
-)
+from . import algebra, errors, projection, uncertainty, hypersurface, transport
+from .algebra import *  # noqa: F403 -- each module's __all__ is the one list of its public names
+from .errors import *  # noqa: F403
+from .projection import *  # noqa: F403
+from .uncertainty import *  # noqa: F403
+from .hypersurface import *  # noqa: F403
+from .transport import *  # noqa: F403
+
+# each name once, in module order (transport re-exports hypersurface's bianchi_residual)
+__all__ = list(dict.fromkeys(
+    name for mod in (algebra, errors, projection, uncertainty, hypersurface, transport)
+    for name in mod.__all__))
 
 __version__ = "0.1.0"

@@ -11,17 +11,21 @@ products on the algebra,
 with lam = 1/2 giving the symmetric product used throughout the geometry
 modules.
 
-All matrix and state file I/O (a small JSON schema) lives in this module;
-the other modules consume in-process values only.  So do the helpers other
-modules share: ``stacked``, the one type of callable defined over a stack
-of points (public, so a user chart or connection can be one), with
-``_lifted``, which makes any other callable one, ``_first_false``, the one
-rule for the answers of a domain or patch test, ``_step_count``, the one
-step-count rule, and ``_asymmetric``, the one relative symmetry test.
+Every element that arithmetic makes comes from ``_element``, which runs
+the expression under one ``np.errstate``: an overflow is the constructor's
+``ValueError``, never a NumPy warning first.  All file I/O lives here
+(``_read_json``, ``_write_json``, a small JSON schema for matrices and
+states).  So do the helpers other modules share: ``stacked``, the one type
+of callable defined over a stack of points (public, so a user chart or
+connection can be one), with ``_lifted``, which makes any other callable
+one, ``_first_false``, the one rule for the answers of a domain or patch
+test, ``_step_count``, the one step-count rule, ``_asymmetric``, the one
+relative symmetry test, and ``_finite_value``, the one check of a value.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import operator
@@ -201,42 +205,37 @@ class AlgebraElement:
         return cls(np.eye(dim, dtype=complex))
 
     def star(self) -> "AlgebraElement":
-        return AlgebraElement(self.m.conj().T)
+        return _element(lambda m: m.conj().T, self)
 
     def _check_dim(self, other: "AlgebraElement"):
         if self.dim != other.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_dim(other)
-        return AlgebraElement(self.m + other.m)
+    def _operator(expr):
+        """The operator expr(x, y) on two elements' arrays; NotImplemented for other operands."""
+        def op(self, other):
+            return _element(expr, self, other) if isinstance(other, AlgebraElement) else NotImplemented
+        return op
 
-    def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_dim(other)
-        return AlgebraElement(self.m - other.m)
+    __add__ = _operator(operator.add)
+    __sub__ = _operator(operator.sub)
+    __matmul__ = _operator(operator.matmul)
+    del _operator
 
     def __mul__(self, c):
         if isinstance(c, AlgebraElement):
             return NotImplemented
-        return AlgebraElement(self.m * complex(c))
+        c = complex(c)
+        return _element(lambda m: m * c, self)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        return AlgebraElement(self.m / complex(c))
+        c = complex(c)
+        return _element(lambda m: m / c, self)
 
     def __neg__(self):
-        return AlgebraElement(-self.m)
-
-    def __matmul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        self._check_dim(other)
-        return AlgebraElement(self.m @ other.m)
+        return _element(operator.neg, self)
 
     def __repr__(self):
         return f"AlgebraElement(dim={self.dim})"
@@ -255,14 +254,21 @@ def embed_diag(v) -> AlgebraElement:
     return AlgebraElement(np.diag(arr).astype(complex))
 
 
+def _element(expr, *els) -> AlgebraElement:
+    """The element expr(x, ...) of the arrays x of els, which must have one
+    dimension (``DimensionError``), with expr run under one ``np.errstate``."""
+    for e in els[1:]:
+        els[0]._check_dim(e)
+    with np.errstate(all="ignore"):  # an overflow shows in the constructor's check
+        return AlgebraElement(expr(*(e.m for e in els)))
+
+
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    a._check_dim(b)
-    return AlgebraElement(a.m @ b.m - b.m @ a.m)
+    return _element(lambda x, y: x @ y - y @ x, a, b)
 
 
 def anticommutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    a._check_dim(b)
-    return AlgebraElement(a.m @ b.m + b.m @ a.m)
+    return _element(lambda x, y: x @ y + y @ x, a, b)
 
 
 class State:
@@ -307,8 +313,9 @@ class State:
             raise DimensionError("state vector is empty")
         if not np.all(np.isfinite(v)):
             raise ValueError("state vector has non-finite entries")
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-10:
+        with np.errstate(all="ignore"):  # an overflowing norm fails the test below
+            nrm = np.linalg.norm(v)
+        if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"state vector must be normalized, |psi| = {nrm}")
         return cls("vector", dim=v.size, psi=v)
 
@@ -321,8 +328,9 @@ class State:
         w = np.linalg.eigvalsh(arr)
         if w.min() < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w.min()}")
-        tr = arr.trace().real
-        if abs(tr - 1.0) > 1e-10:
+        with np.errstate(all="ignore"):  # an overflowing trace fails the test below
+            tr = arr.trace().real
+        if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"density matrix trace must be 1, got {tr}")
         return cls("density", dim=arr.shape[0], rho=arr)
 
@@ -439,8 +447,9 @@ class PhysConstants:
 
 
 def state_eval(phi: State, a: AlgebraElement) -> complex:
-    """Evaluate the state on an algebra element."""
-    return phi.eval_matrix(a.m)
+    """Evaluate the state on an algebra element; ``ValueError`` on overflow."""
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        return _finite_value(phi.eval_matrix(a.m), "state value")
 
 
 def dot(phi: State, cfg: DotConfig, a: AlgebraElement, b: AlgebraElement) -> complex:
@@ -448,12 +457,21 @@ def dot(phi: State, cfg: DotConfig, a: AlgebraElement, b: AlgebraElement) -> com
 
     The combination lam a'b + conj(lam) b'a is hermitian for every lam, so
     the value is real up to rounding; it is returned as a complex number.
-    Symmetry under a <-> b holds exactly when lam is real.
+    Symmetry under a <-> b holds exactly when lam is real.  A value that
+    overflows raises ``ValueError``.
     """
     a._check_dim(b)
     lam = complex(cfg.lam)
-    mat = lam * (a.m.conj().T @ b.m) + np.conj(lam) * (b.m.conj().T @ a.m)
-    return cfg.scale * phi.eval_matrix(mat)
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        mat = lam * (a.m.conj().T @ b.m) + np.conj(lam) * (b.m.conj().T @ a.m)
+        return _finite_value(cfg.scale * phi.eval_matrix(mat), "dot product")
+
+
+def _finite_value(val: complex, what: str) -> complex:
+    """val, or ``ValueError`` naming ``what`` if it is not finite."""
+    if not cmath.isfinite(val):
+        raise ValueError(f"{what} is not finite: {val}")
+    return val
 
 
 def _stack(els) -> np.ndarray:
@@ -484,8 +502,8 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     values.  Otherwise ``on_singular`` is warned (a Warning, attributed to
     the first caller outside this package) or raised (an exception) and the
     inverse is the pseudo-inverse cut at RANK_TOL * s_max.
-    A matrix whose s_max is not finite (a non-finite entry, or an overflow)
-    raises ``ValueError``: its rank cannot be told.
+    A non-finite entry, or an s_max that overflows, raises ``ValueError``:
+    the rank cannot be told (entries go to an SVD only once found finite).
     A 2x2 matrix takes s_min, s_max from |det| and its Frobenius norm and its
     inverse in closed form; larger ones use one SVD and an LU determinant.  A
     stack of shape (K, n, n) is solved in one pass of array arithmetic: a
@@ -496,6 +514,8 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     """
     st = m if m.ndim == 3 else m[None]
     two = st.shape[1:] == (2, 2)
+    if not (two or np.isfinite(st).all()):  # the SVD of an infinite entry may not return
+        raise ValueError(_UNTESTABLE)
     if len(st) == 1:
         inv, det, cond, full = _solve_lone(st[0], two)
     elif two:
@@ -536,7 +556,7 @@ def _solve_lone(m: np.ndarray, two: bool):
         adet, s_max = _closed_2x2(a, b, c, d, dt, math.sqrt, max)
         s_min = adet / s_max if s_max > 0 else 0.0
     else:
-        u, s, vh = np.linalg.svd(m)  # a NaN entry raises LinAlgError, a ValueError
+        u, s, vh = np.linalg.svd(m)
         dt, s_max, s_min = np.linalg.det(m), s[0], s[-1]
     if not math.isfinite(s_max):
         raise ValueError(_UNTESTABLE)
@@ -601,7 +621,7 @@ def _solve_svd_stack(st: np.ndarray):
     n > 2, as arrays from one SVD, one LU determinant and one stacked
     product, which gives each member the bits of the lone-matrix inverse.
     The inverse of a member that is not of full rank is not finite."""
-    u, s, vh = np.linalg.svd(st)  # a NaN entry raises LinAlgError, a ValueError
+    u, s, vh = np.linalg.svd(st)
     s_max, s_min = s[:, 0], s[:, -1]
     if not np.isfinite(s_max).all():
         raise ValueError(_UNTESTABLE)
@@ -626,12 +646,9 @@ def heisenberg_dot(consts: PhysConstants, h: AlgebraElement, b: AlgebraElement,
                    dbdt_explicit: AlgebraElement | None = None) -> AlgebraElement:
     """Total time derivative dB/dt = dB/dt|_explicit + (i/hbar) [H, B]."""
     _require_hermitian(h.m, "hamiltonian")
-    h._check_dim(b)
-    out = _heisenberg(consts, h.m, b.m)
-    if dbdt_explicit is not None:
-        b._check_dim(dbdt_explicit)
-        out = out + dbdt_explicit.m
-    return AlgebraElement(out)
+    if dbdt_explicit is None:
+        return _element(lambda hm, bm: _heisenberg(consts, hm, bm), h, b)
+    return _element(lambda hm, bm, dm: _heisenberg(consts, hm, bm) + dm, h, b, dbdt_explicit)
 
 
 # ---------------------------------------------------------------------------
@@ -719,23 +736,31 @@ def state_from_json(obj: dict) -> State:
     raise ValueError(f"unknown state kind {kind!r}")
 
 
-def load_matrix(path) -> AlgebraElement:
+def _read_json(path):
+    """The JSON value in the file at path: the one file reader."""
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        return json.load(fh)
+
+
+def _write_json(obj, path) -> None:
+    """obj as JSON indented by 2, with a final newline, in the file at path:
+    the one file writer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def load_matrix(path) -> AlgebraElement:
+    return matrix_from_json(_read_json(path))
 
 
 def dump_matrix(a: AlgebraElement, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(a), fh, indent=2)
-        fh.write("\n")
+    _write_json(matrix_to_json(a), path)
 
 
 def load_state(path) -> State:
-    with open(path, "r", encoding="utf-8") as fh:
-        return state_from_json(json.load(fh))
+    return state_from_json(_read_json(path))
 
 
 def dump_state(phi: State, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_json(phi), fh, indent=2)
-        fh.write("\n")
+    _write_json(state_to_json(phi), path)

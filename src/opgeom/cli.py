@@ -130,47 +130,39 @@ def _parse_csv_floats(text: str, name: str) -> np.ndarray:
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return algebra._read_json(path)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _load(path, what: str, from_json):
+    """from_json of the JSON file at path: the one input-file rule, whose
+    failures are all ``_InputError``, content from_json rejects included."""
+    obj = _load_json(path)
+    try:
+        return from_json(obj)
+    except _BAD_CONTENT as exc:
+        raise _InputError(f"bad {what} file {path}: {exc}") from exc
+
+
 def _load_chart(path) -> hypersurface.Chart:
-    obj = _load_json(path)
-    if not isinstance(obj, dict):
-        raise _InputError(f"chart file {path} must hold a JSON object")
-    try:
+    def from_json(obj):
+        if not isinstance(obj, dict):
+            raise _InputError(f"chart file {path} must hold a JSON object")
         return hypersurface.chart_from_json(obj)
-    except _BAD_CONTENT as exc:
-        raise _InputError(f"bad chart file {path}: {exc}") from exc
-
-
-def _load_state_arg(path) -> State:
-    obj = _load_json(path)
-    try:
-        return algebra.state_from_json(obj)
-    except _BAD_CONTENT as exc:
-        raise _InputError(f"bad state file {path}: {exc}") from exc
+    return _load(path, "chart", from_json)
 
 
 def _load_matrices(paths) -> list:
     if not paths:
         raise _InputError("at least one --matrix file is required")
-    out = []
-    for path in paths:
-        obj = _load_json(path)
-        try:
-            out.append(algebra.matrix_from_json(obj))
-        except _BAD_CONTENT as exc:
-            raise _InputError(f"bad matrix file {path}: {exc}") from exc
-    return out
+    return [_load(path, "matrix", algebra.matrix_from_json) for path in paths]
 
 
 def _state_or_default(args, default: State) -> State:
-    return _load_state_arg(args.state) if args.state else default
+    return _load(args.state, "state", algebra.state_from_json) if args.state else default
 
 
 def _need(args, flag: str):
@@ -341,7 +333,7 @@ def _cmd_volume(args):
         vecs.append(diag.real)
     normalized = True
     if args.state:
-        kind = _load_state_arg(args.state).kind
+        kind = _load(args.state, "state", algebra.state_from_json).kind
         if kind not in ("trace", "sum"):
             raise _InputError("volume supports only the trace and sum states")
         normalized = kind == "trace"

@@ -79,7 +79,6 @@ code on one point.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -96,9 +95,11 @@ from .algebra import (
     _first_false,
     _heisenberg,
     _lifted,
+    _read_json,
     _solve_gram,
     _stack,
     _step_count,
+    _write_json,
     embed_diag,
     stacked,
 )
@@ -462,9 +463,8 @@ def make_chart(chart_id: str, params: dict | None = None, state: str = "sum",
 
 
 def chart_to_json(chart: Chart) -> dict:
-    out = {"id": chart.id, "params": chart.params, "state": chart.state_kind,
-           "fd_step": chart.fd_step, "fd_step2": chart.fd_step2}
-    return out
+    return {"id": chart.id, "params": chart.params, "state": chart.state_kind,
+            "fd_step": chart.fd_step, "fd_step2": chart.fd_step2}
 
 
 def chart_from_json(obj: dict) -> Chart:
@@ -485,14 +485,11 @@ def chart_from_json(obj: dict) -> Chart:
 
 
 def load_chart(path) -> Chart:
-    with open(path, "r", encoding="utf-8") as fh:
-        return chart_from_json(json.load(fh))
+    return chart_from_json(_read_json(path))
 
 
 def dump_chart(chart: Chart, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chart_to_json(chart), fh, indent=2)
-        fh.write("\n")
+    _write_json(chart_to_json(chart), path)
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +505,8 @@ class _Geo:
 
     ``map`` is the chart's ``map_vec`` if it has one, else its ``map_mat``.
     It and ``in_domain`` are ``stacked`` (see :class:`Chart`), each called
-    once on a whole stack: ``vals`` calls both ``fn``, and ``outside``, which
-    tests a geodesic's states, calls the domain test's ``fn``, each inside
+    once on a whole stack: ``outside`` calls the domain test's ``fn``, for
+    ``vals`` and for a geodesic's states, and ``vals`` the map's, each inside
     its caller's one ``np.errstate``.
     """
 
@@ -536,20 +533,17 @@ class _Geo:
 
         Every point evaluated here is a stencil point: the first row outside
         the chart domain raises ``StencilOutOfDomainError``, checked before
-        any evaluation, and the first row with a non-finite value
-        ``EvaluationError``, checked once over the whole result.  The domain
-        test and the map run through each ``stacked``'s ``fn``, inside the
-        caller's one ``np.errstate``.
+        any evaluation (``outside``), and the first row with a non-finite
+        value ``EvaluationError``, checked once over the whole result.  The
+        map runs through its ``fn``, inside the caller's one ``np.errstate``.
         """
-        chart, inside = self.chart, self.chart.in_domain
-        if inside is not _EVERYWHERE:
-            bad = _first_false(inside.fn(pts), pts, "in_domain")
-            if bad is not None:
-                raise StencilOutOfDomainError(f"point {bad.tolist()} outside domain of chart '{chart.id}'")
+        bad = self.outside(pts)
+        if bad is not None:
+            raise StencilOutOfDomainError(f"point {bad.tolist()} outside domain of chart '{self.chart.id}'")
         out = self.map.fn(pts)
         bad = _nonfinite_row(out, pts)
         if bad is not None:
-            raise EvaluationError(f"chart '{chart.id}' has a non-finite value at point {bad.tolist()}")
+            raise EvaluationError(f"chart '{self.chart.id}' has a non-finite value at point {bad.tolist()}")
         return out
 
     def outside(self, pts):
@@ -1214,13 +1208,17 @@ def killing_metric(structure_constants, d: int) -> np.ndarray:
     if _asymmetric(f, -np.swapaxes(f, 1, 2)):
         raise ValueError("structure constants must be antisymmetric in the lower pair")
     ad = np.transpose(f, (1, 0, 2))  # ad[a][r, b] = f[r, a, b]
-    comm = ad[:, None] @ ad[None] - ad[None] @ ad[:, None]  # comm[a, b] = [ad_a, ad_b]
-    gap = np.abs(comm - np.einsum("cab,crs->abrs", f, ad)).max(axis=(2, 3))
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        comm = ad[:, None] @ ad[None] - ad[None] @ ad[:, None]  # comm[a, b] = [ad_a, ad_b]
+        gap = np.abs(comm - np.einsum("cab,crs->abrs", f, ad)).max(axis=(2, 3))
+        # the sum-state Gram kernel of the ad_a, returned hermitian: Tr(ad_a' ad_b + ad_b' ad_a) / 2
+        g = State.unnormalized_sum().gram(ad).real / d
+    if not (np.isfinite(gap).all() and np.isfinite(g).all()):
+        raise ValueError("structure constants too large: the adjoint products overflow")
     bad = np.argwhere(gap > 1e-10 * max(1.0, scale * scale))
     if bad.size:
         raise JacobiViolationError(f"Jacobi identity fails for generator pair ({bad[0, 0]}, {bad[0, 1]})")
-    # the sum-state Gram kernel of the ad_a, returned hermitian: Tr(ad_a' ad_b + ad_b' ad_a) / 2
-    return State.unnormalized_sum().gram(ad).real / d
+    return g
 
 
 def leibniz_violation_witness(chart: Chart, phi: State, cfg: DotConfig, u) -> float:

@@ -30,6 +30,7 @@ from .algebra import (
     DotConfig,
     State,
     _dot_matrix,
+    _finite_value,
     _require_hermitian,
     _solve_gram,
     _stack,
@@ -191,8 +192,8 @@ def gram_schmidt(phi: State, cfg: DotConfig, bs) -> tuple[list, list]:
     with np.errstate(all="ignore"):  # an overflow shows in _orthonormalize's check
         onb, norms = _orthonormalize(_stack(bs), lambda xs: _dot_matrix(phi, cfg, xs),
                                      "element {} is linearly dependent on its predecessors")
-    onb = [AlgebraElement(q) for q in onb]
-    return [q * math.sqrt(nn) for q, nn in zip(onb, norms)], onb
+    return ([AlgebraElement(q * complex(math.sqrt(nn))) for q, nn in zip(onb, norms)],
+            [AlgebraElement(q) for q in onb])
 
 
 def _orthonormalize(xs: np.ndarray, gram, dependent: str):
@@ -279,18 +280,19 @@ def levi_civita_volume(vectors, normalized: bool = True) -> float:
     k = len(vecs)
     free = n - k
     comp: dict[tuple, float] = {}
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        w = sign
-        for v, idx in zip(vecs, perm[free:]):
-            w *= v[idx]
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        for perm in permutations(range(n)):
+            sign = _perm_sign(perm)
+            w = sign
+            for v, idx in zip(vecs, perm[free:]):
+                w *= v[idx]
+                if w == 0.0:
+                    break
             if w == 0.0:
-                break
-        if w == 0.0:
-            continue
-        key = perm[:free]
-        comp[key] = comp.get(key, 0.0) + w
-    total = sum(val * val for val in comp.values())
+                continue
+            key = perm[:free]
+            comp[key] = comp.get(key, 0.0) + w
+        total = _finite_value(sum(val * val for val in comp.values()), "Levi-Civita volume")
     total /= math.factorial(free)
     if normalized:
         total /= float(n) ** k

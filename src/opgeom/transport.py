@@ -35,7 +35,7 @@ from .errors import (
     PatchDomainError,
     StiffnessError,
 )
-from .hypersurface import bianchi_residual  # re-exported: its home is hypersurface
+from .hypersurface import _central, bianchi_residual  # bianchi_residual's home is hypersurface
 
 __all__ = [
     "ConnectionPath",
@@ -78,8 +78,17 @@ class ConnectionPath:
             raise ValueError("n_steps must be at least 1")
 
     def grid(self) -> np.ndarray:
-        s0, s1 = self.s_range
-        return np.linspace(float(s0), float(s1), self.n_steps + 1)
+        return _edges(self, 0, self.n_steps)
+
+
+def _edges(path: ConnectionPath, lo: int, hi: int) -> np.ndarray:
+    """Points lo..hi of the uniform partition of path.s_range in path.n_steps
+    steps, with the bits of ``np.linspace``: the one grid formula."""
+    s0, s1, n = float(path.s_range[0]), float(path.s_range[1]), path.n_steps
+    edges = np.arange(lo, hi + 1.0) * ((s1 - s0) / n) + s0
+    if hi == n:
+        edges[-1] = s1
+    return edges
 
 
 @dataclass(frozen=True)
@@ -205,11 +214,6 @@ def _layout(d: int) -> _Layout:
     return _Layout(np.asarray, np.matmul, np.linalg.solve)
 
 
-def _matmul(x, y):
-    """x @ y for two d x d matrices, with the bits of their layout's product."""
-    return _tree_product(np.stack([y, x]))
-
-
 def _pade(a, m, lay):
     """Degree-m Pade approximant (V - U)^-1 (V + U) of exp on a stack of ``lay``."""
     b, mul, eye = _PADE[m], lay.mul, lay.pack(np.eye(a.shape[-1]))
@@ -285,16 +289,16 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
     The factors are sampled, exponentiated and multiplied in blocks of
     ``_BLOCK`` steps; each block's product multiplies the running one, a
     stack of one, all in the ``_layout`` the first block's samples pick.  A
-    product that overflows raises ``ValueError``.
+    block whose samples have another size raises ``DimensionError``, and a
+    product that overflows ``ValueError``.
     """
-    s0, s1, n = float(path.s_range[0]), float(path.s_range[1]), path.n_steps
-    f = lay = None
+    n, f, lay = path.n_steps, None, None
     for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        edges = np.arange(lo, hi + 1.0) * ((s1 - s0) / n) + s0  # np.linspace's formula
-        if hi == n:
-            edges[-1] = s1
+        edges = _edges(path, lo, min(lo + _BLOCK, n))
         vals = _sample(path.A, 0.5 * (edges[:-1] + edges[1:]))
+        if f is not None and vals.shape[-1] != f.shape[-1]:
+            raise DimensionError(f"connection samples from s = {edges[0]:.17g} have size "
+                                 f"{vals.shape[-1]}, the first block's {f.shape[-1]}")
         lay = lay or _layout(vals.shape[-1])
         factors = _expm_stack(vals * np.diff(edges)[:, None, None], lay)
         with np.errstate(all="ignore"):  # an overflow shows in the check below
@@ -398,9 +402,7 @@ def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
                                        base + h * d2, base - h * d2]))
     # each point's components along d1 and along d2
     a1, a2 = (np.einsum("i,kijl->kjl", d, comps) for d in (d1, d2))
-    da2 = (a2[1] - a2[2]) / (2.0 * h)
-    da1 = (a1[3] - a1[4]) / (2.0 * h)
-    f12 = da2 - da1 + a1[0] @ a2[0] - a2[0] @ a1[0]
+    f12 = _central(a2[1], a2[2], h) - _central(a1[3], a1[4], h) + a1[0] @ a2[0] - a2[0] @ a1[0]
     return float(np.linalg.norm(holo - _expm_stack((f12 * eps * eps)[None])[0]))
 
 

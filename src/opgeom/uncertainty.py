@@ -27,6 +27,7 @@ from .algebra import (
     PhysConstants,
     State,
     _asymmetric,
+    _finite_value,
     _require_hermitian,
     _solve_gram,
     _stack,
@@ -93,11 +94,8 @@ def variance(phi: State, a: AlgebraElement) -> float:
 
 def _variance(phi: State, da: np.ndarray) -> float:
     """phi(da' da) of a raw fluctuation da (``_centred``); ValueError if not finite."""
-    with np.errstate(all="ignore"):  # an overflow shows in the check below
-        var = phi.eval_matrix(da.conj().T @ da).real
-    if not np.isfinite(var):
-        raise ValueError(f"variance is not finite: {var}")
-    return var
+    with np.errstate(all="ignore"):  # an overflow shows in the check
+        return _finite_value(phi.eval_matrix(da.conj().T @ da).real, "variance")
 
 
 def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> BoundReport:
@@ -128,7 +126,7 @@ def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
     a._check_dim(b)
     with np.errstate(all="ignore"):  # an overflow shows in _report's check
         lhs = phi.eval_matrix(a.m @ a.m).real * phi.eval_matrix(b.m @ b.m).real
-    comm = phi.eval_matrix(a.m @ b.m - b.m @ a.m)
+        comm = phi.eval_matrix(a.m @ b.m - b.m @ a.m)
     rhs = abs(comm) ** 2 / 4.0
     extra = {"commutator_abs": abs(comm)}
     if commutator_scale is not None:
@@ -183,16 +181,17 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
     cross = phi.gram(stack, h.m[None])[:, 0]
     vel += (1j / consts.hbar) * (cross.conj() - sign * cross)
 
-    def quad_form(st) -> float:
+    def quad_form(st, on_singular):
         # M = (P + P^T) / 2 with P[i, j] = phi(B_i B_j) = s_i phi(B_i' B_j)
         pm = sign[:, None] * phi.gram(st)
-        inv = _solve_gram(0.5 * (pm + pm.T), SingularGramWarning(
-            "rank-deficient anticommutator Gram matrix; using pseudo-inverse"))[0]
-        return ((consts.hbar**2 / 4.0) * (vel @ inv @ vel)).real
+        inv, _, _, full = _solve_gram(0.5 * (pm + pm.T), on_singular)
+        return ((consts.hbar**2 / 4.0) * (vel @ inv @ vel)).real, full
 
-    with np.errstate(all="ignore"):  # an overflow shows in the check below
-        h2 = phi.eval_matrix(h.m @ h.m).real
-    if not np.isfinite(h2):
-        raise ValueError(f"energy bound hamiltonian: phi(h^2) is not finite: {h2}")
-    raw = _report(h2, quad_form(stack))
-    return raw, _report(variance(phi, h), quad_form(_centred(phi, stack)))
+    with np.errstate(all="ignore"):  # an overflow shows in the check
+        h2 = _finite_value(phi.eval_matrix(h.m @ h.m).real, "energy bound hamiltonian: phi(h^2)")
+    # one warning per call: the centred form warns only if the raw one did not
+    warning = SingularGramWarning("rank-deficient anticommutator Gram matrix; using pseudo-inverse")
+    rhs, full = quad_form(stack, warning)
+    raw = _report(h2, rhs)
+    rhs, _ = quad_form(_centred(phi, stack), warning if full else None)
+    return raw, _report(variance(phi, h), rhs)

@@ -14,6 +14,7 @@ from opgeom.algebra import (
     DotConfig,
     PhysConstants,
     State,
+    anticommutator,
     commutator,
     dot,
     embed_diag,
@@ -69,6 +70,33 @@ def test_nonfinite_entries_rejected():
 def test_nonsquare_rejected():
     with pytest.raises(DimensionError):
         AlgebraElement(np.zeros((2, 3), dtype=complex))
+
+
+BIG = AlgebraElement(np.diag([1e300, 1.0]))
+HUGE = AlgebraElement(np.diag([1e308, 1.0]))
+OFF = AlgebraElement(np.array([[0.0, 1e10], [1e10, 0.0]]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BIG @ OFF,
+    lambda: HUGE + HUGE,
+    lambda: HUGE - -HUGE,
+    lambda: HUGE * 10.0,
+    lambda: HUGE / 0.1,
+    lambda: commutator(BIG, OFF),
+    lambda: anticommutator(BIG, OFF),
+    lambda: heisenberg_dot(PhysConstants(), BIG, OFF),
+    lambda: heisenberg_dot(PhysConstants(), BIG, OFF, HUGE),
+    lambda: dot(State.normalized_trace(), DotConfig(), BIG, BIG),
+    lambda: State.vector([1e200, 1e200]),
+    lambda: State.density(np.diag([1e308, 1e308])),
+], ids=["matmul", "add", "sub", "mul", "div", "commutator", "anticommutator", "heisenberg",
+        "heisenberg-explicit", "dot", "vector", "density"])
+def test_overflowing_arithmetic_and_state_values_are_errors(call):
+    # an overflow is the typed ValueError, with no NumPy warning first
+    with warnings.catch_warnings(), pytest.raises(ValueError):
+        warnings.simplefilter("error")
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ evaluator behind them."""
 
 import dataclasses
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -702,6 +704,15 @@ def test_killing_rejects_nonfinite_constants():
         killing_metric(f, 2)
 
 
+def test_killing_overflow_is_an_error():
+    # the adjoint products of 1e200 constants overflow: a ValueError, no NumPy warning
+    f = np.zeros((2, 2, 2))
+    f[1, 0, 1], f[1, 1, 0] = 1e200, -1e200
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="overflow"):
+        warnings.simplefilter("error")
+        killing_metric(f, 2)
+
+
 def test_killing_rejects_jacobi_violation():
     # brackets [J0,J1]=J2, [J1,J2]=J0, [J2,J0]=J0 break the Jacobi identity
     f = np.zeros((3, 3, 3))
@@ -1004,3 +1015,19 @@ def test_solve_rejects_a_matrix_whose_rank_cannot_be_tested(m):
     with warnings.catch_warnings(), pytest.raises(ValueError):
         warnings.simplefilter("error")
         _solve_gram(np.array(m), SingularMetricError("singular"))
+
+
+def test_solve_returns_on_an_infinite_entry():
+    # the SVD of diag(inf, 1, 1) may never return, so the entries are checked
+    # first; a child process, so a hang fails this test instead of the suite
+    code = ("import numpy as np\n"
+            "from opgeom.algebra import _solve_gram\n"
+            "bad = np.diag([np.inf, 1.0, 1.0])\n"
+            "for m in (bad, np.stack([np.eye(3), bad]), bad.astype(complex)):\n"
+            "    try:\n"
+            "        _solve_gram(m)\n"
+            "    except ValueError as exc:\n"
+            "        assert 'not finite' in str(exc), exc\n"
+            "    else:\n"
+            "        raise AssertionError('no ValueError')\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=20)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ def test_cauchy_schwarz_and_tuple_overflows_are_errors():
         cauchy_schwarz_check(TRACE, CFG, HUGE_SET[0], HUGE_SET[1:])
     with pytest.raises(ValueError, match="not finite"):
         tuple_inner(TRACE, CFG, HUGE_SET[:1], HUGE_SET[:1])
+
+
+def test_volume_and_power_overflows_are_errors():
+    # the epsilon products of 1e200 entries, and the powers of diag(1e100, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            levi_civita_volume([[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            power_dependence(AlgebraElement(np.diag([1e100, 1.0])), 3)
 
 
 def test_project_singular_gram_warns(rng):

@@ -42,7 +42,6 @@ from opgeom.transport import (
     stacked,
     _affine_connection,
     _expm_stack,
-    _matmul,
     _sample,
     _segment_path,
     _tree_product,
@@ -266,7 +265,7 @@ def grid_product(path):
         edges = s[lo:lo + _BLOCK + 1]
         vals = _sample(path.A, 0.5 * (edges[:-1] + edges[1:]))
         block = _tree_product(_expm_stack(vals * np.diff(edges)[:, None, None]))
-        f = block if f is None else _matmul(block, f)
+        f = block if f is None else _tree_product(np.stack([f, block]))
     return f
 
 
@@ -411,6 +410,18 @@ def test_overflowing_block_product_raises_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
             product_integral(path)
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 2)])
+def test_sample_size_change_between_blocks_is_named(sizes):
+    # each block takes the size its first sample picks: 2,000 steps make two blocks
+    def a(s):
+        d = sizes[0] if s[0] < 0.5 else sizes[1]
+        return np.broadcast_to(0.1j * np.eye(d), (len(s), d, d))
+
+    path = ConnectionPath(A=stacked(a), s_range=(0.0, 1.0), n_steps=2000)
+    with pytest.raises(DimensionError, match=f"size {sizes[1]}, the first block's {sizes[0]}"):
+        product_integral(path)
 
 
 def test_expm_scaling_past_double_precision_is_an_error():

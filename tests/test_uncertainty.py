@@ -1,5 +1,7 @@
 """Uncertainty reports: fluctuations, variances, and the three bound forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from opgeom.algebra import (
     embed_diag,
     state_eval,
 )
-from opgeom.errors import DimensionError, HermiticityError
+from opgeom.errors import DimensionError, HermiticityError, SingularGramWarning
 from opgeom.uncertainty import (
     BoundReport,
     energy_bound,
@@ -284,10 +286,15 @@ def test_overflowing_variance_and_bound_are_errors():
 
 
 def test_overflowing_pair_product_bound_is_an_error():
-    # phi(a^2) of diag(1e200, 1) overflows in a @ a
+    # phi(a^2) of diag(1e200, 1) overflows in a @ a; with a = diag(1e300, 1)
+    # the commutator's a @ b overflows too
     big = AlgebraElement(np.diag([1e200, 1.0]))
     with pytest.raises(ValueError, match="not finite"):
         pair_product_bound(TRACE, big, embed_diag([1.0, 2.0]))
+    off = AlgebraElement(np.array([[0.0, 1e10], [1e10, 0.0]]))
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="not finite"):
+        warnings.simplefilter("error")
+        pair_product_bound(TRACE, AlgebraElement(np.diag([1e300, 1.0])), off)
 
 
 def test_overflowing_state_value_is_an_error():
@@ -297,6 +304,18 @@ def test_overflowing_state_value_is_an_error():
         variance(TRACE, huge)
     with pytest.raises(ValueError, match="state value is not finite"):
         fluctuation(TRACE, huge)
+    with pytest.raises(ValueError, match="state value is not finite"):
+        state_eval(TRACE, huge)
+
+
+def test_energy_bound_warns_once_when_only_the_centred_form_is_singular():
+    # {1, sigma_x} has a full-rank anticommutator form; centring sends 1 to 0
+    refs = [AlgebraElement.identity(2), AlgebraElement(np.array([[0.0, 1.0], [1.0, 0.0]]))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        energy_bound(CONSTS, TRACE, embed_diag([1.0, 2.0]), refs)
+    assert [w.category for w in caught] == [SingularGramWarning]
+    assert caught[0].filename == __file__
 
 
 def test_bound_report_shape():
