@@ -31,9 +31,13 @@ samples overflow, four runs whose finite inputs overflow a Gram matrix,
 a metric or a matrix exponential: ``metric`` on a sphere of radius 1e300,
 ``gram`` of a matrix with a 1e200 entry and the identity, ``holonomy`` with
 X off-diagonal +-1e300, and ``stokes`` at 1e200,0.3, ``stokes`` at a
-three-component point, and ``killing`` of structure constants with a NaN.  All run in one process through ``opgeom.cli.run``;
-stderr names chart files without their directory, and an exception
-escaping ``run`` is recorded as ``exit=raised <type>``.
+three-component point, and ``killing`` of structure constants with a NaN.
+Four more overflow before a typed error: ``stokes`` at 1e77,1e154 with side
+0.1, ``killing`` of symmetric 1e308 constants, ``energy-bound`` with 1e200
+entries, and ``gram`` under a Gibbs state of beta 1e300.  All run in one
+process through ``opgeom.cli.run``; stderr names chart files without their
+directory, and an exception escaping ``run`` is recorded as
+``exit=raised <type>``.
 """
 
 import argparse
@@ -115,8 +119,10 @@ ERRORS = {
 
 # matrix file name -> matrix JSON: X of an affine connection whose samples
 # s X overflow for s > 1.8, one whose exponential overflows, a zero Y, and a
-# matrix whose Gram entry overflows, with the identity; and structure
-# constants with f[0, 0, 1] = NaN, which compares false in every test
+# matrix whose Gram entry overflows, with the identity; structure constants
+# with f[0, 0, 1] = NaN, which compares false in every test, and with
+# f[1, 0, 1] = f[1, 1, 0] = 1e308, whose antisymmetry test overflows; and a
+# Gibbs state whose beta E overflows
 OVERFLOW_MATRICES = {
     "X-huge": {"dim": 2, "re": [0.0, 1e308, -1e308, 0.0], "im": [0.0] * 4},
     "X-1e300": {"dim": 2, "re": [0.0, 1e300, -1e300, 0.0], "im": [0.0] * 4},
@@ -124,6 +130,9 @@ OVERFLOW_MATRICES = {
     "big": {"dim": 3, "re": [1e200, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0], "im": [0.0] * 9},
     "eye": {"dim": 3, "re": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "im": [0.0] * 9},
     "killing-nan": {"d": 2, "f": [0.0, float("nan")] + [0.0] * 6},
+    "killing-huge": {"d": 2, "f": [0.0] * 5 + [1e308, 1e308, 0.0]},
+    "gibbs-huge": {"kind": "gibbs", "beta": 1e300,
+                   "h": {"dim": 2, "re": [1e10, 0.0, 0.0, -1e10], "im": [0.0] * 4}},
 }
 
 
@@ -204,6 +213,10 @@ def error_runs(chart_dir: Path) -> list:
         ("stokes-huge-point", ["stokes", "--point=1e200,0.3"]),
         ("stokes-three-point", ["stokes", "--point", "0.2,0.3,0.4"]),
         ("killing-nan", ["killing", *mat["killing-nan"]]),
+        ("stokes-field-strength-huge", ["stokes", "--point=1e77,1e154", "--step", "0.1"]),
+        ("killing-huge", ["killing", *mat["killing-huge"]]),
+        ("energy-bound-huge-entry", ["energy-bound", *mat["big"], *mat["big"]]),
+        ("gram-gibbs-huge-beta", ["gram", *mat["Y-zero"], "--state", mat["gibbs-huge"][1]]),
     ]
     return runs
 

@@ -67,6 +67,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-12
+_FLOAT_MAX = np.finfo(float).max
 
 
 def _as_square_complex(m, what="matrix"):
@@ -81,9 +82,11 @@ def _as_square_complex(m, what="matrix"):
 def _asymmetric(a: np.ndarray, t: np.ndarray, axes=None):
     """Whether max|a - t| > HERMITICITY_TOL max(1, max|a|), for t a transpose
     of a, conjugated or negated as the symmetry asks: the one relative
-    symmetry test.  Given axes, it tests each member of a stack over them."""
-    scale = np.maximum(1.0, np.abs(a).max(axis=axes))
-    return np.abs(a - t).max(axis=axes) > HERMITICITY_TOL * scale
+    symmetry test.  Given axes, it tests each member of a stack over them.
+    An overflowing a - t is asymmetric, since the scale stops at the largest float."""
+    with np.errstate(all="ignore"):
+        scale = np.minimum(np.maximum(1.0, np.abs(a).max(axis=axes)), _FLOAT_MAX)
+        return np.abs(a - t).max(axis=axes) > HERMITICITY_TOL * scale
 
 
 def _require_hermitian(arr, what="matrix"):
@@ -346,8 +349,11 @@ class State:
             raise ValueError(f"beta must be finite, got {beta}")
         energies, vecs = np.linalg.eigh(hmat)
         # shift the exponent so exp never overflows, for either sign of beta
-        be = beta * energies
-        w = np.exp(be.min() - be)
+        with np.errstate(all="ignore"):  # an inf - inf shows in the check below
+            be = beta * energies
+            w = np.exp(be.min() - be)
+        if not np.isfinite(w).all():
+            raise ValueError(f"Gibbs weights are not finite: beta {beta} times an energy overflows")
         w = w / w.sum()
         rho = (vecs * w) @ vecs.conj().T
         return cls("gibbs", dim=hmat.shape[0], rho=rho, hmat=np.array(hmat), beta=beta)
@@ -504,6 +510,7 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     inverse is the pseudo-inverse cut at RANK_TOL * s_max.
     A non-finite entry, or an s_max that overflows, raises ``ValueError``:
     the rank cannot be told (entries go to an SVD only once found finite).
+    So does a determinant that overflows (past 2x2: at 2x2 it cannot).
     A 2x2 matrix takes s_min, s_max from |det| and its Frobenius norm and its
     inverse in closed form; larger ones use one SVD and an LU determinant.  A
     stack of shape (K, n, n) is solved in one pass of array arithmetic: a
@@ -557,7 +564,8 @@ def _solve_lone(m: np.ndarray, two: bool):
         s_min = adet / s_max if s_max > 0 else 0.0
     else:
         u, s, vh = np.linalg.svd(m)
-        dt, s_max, s_min = np.linalg.det(m), s[0], s[-1]
+        # Python floats, so that s_max / s_min may overflow to inf with no warning
+        dt, s_max, s_min = _det(m), float(s[0]), float(s[-1])
     if not math.isfinite(s_max):
         raise ValueError(_UNTESTABLE)
     ok = bool(s_min > RANK_TOL * max(s_max, RANK_TOL))
@@ -568,6 +576,20 @@ def _solve_lone(m: np.ndarray, two: bool):
     else:
         inv = (vh.conj().T / s) @ u.conj().T
     return [inv], [dt], [s_max / s_min if s_min > 0 else math.inf], [ok]
+
+
+def _det(m: np.ndarray):
+    """det m, the one rule for a lone matrix: ad - bc (``_adjugate_2x2``) at
+    2x2, an LU determinant above; ``ValueError`` if it is not finite."""
+    if m.shape == (2, 2):
+        (a, b), (c, d) = m.tolist()
+        dt = _adjugate_2x2(a, b, c, d)[1]
+    else:
+        with np.errstate(all="ignore"):  # an overflow shows in the check below
+            dt = np.linalg.det(m)
+    if not cmath.isfinite(dt):
+        raise ValueError(_NONFINITE_DET)
+    return dt
 
 
 def _adjugate_2x2(a, b, c, d):
@@ -629,10 +651,14 @@ def _solve_svd_stack(st: np.ndarray):
     with np.errstate(all="ignore"):
         cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
         inv = (vh.conj().swapaxes(-1, -2) / s[:, None, :]) @ u.conj().swapaxes(-1, -2)
-    return inv, np.linalg.det(st), cond, full
+        det = np.linalg.det(st)
+    if not np.isfinite(det).all():
+        raise ValueError(_NONFINITE_DET)
+    return inv, det, cond, full
 
 
 _UNTESTABLE = "Gram or metric matrix is not finite, or too large to test its rank"
+_NONFINITE_DET = "Gram or metric determinant is not finite"
 
 
 def _heisenberg(consts: PhysConstants, h: np.ndarray, b: np.ndarray) -> np.ndarray:

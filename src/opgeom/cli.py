@@ -14,8 +14,8 @@ reproduce across platforms and implementations.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -66,10 +66,6 @@ class _InputError(Exception):
     """Bad command line, unreadable file, or malformed JSON."""
 
 
-# errors of decoding a JSON file's content; OverflowError: an int too large for a float
-_BAD_CONTENT = (ValueError, KeyError, TypeError, OverflowError)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _InputError(message)
@@ -79,9 +75,9 @@ class _Parser(argparse.ArgumentParser):
 # deterministic serialization
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {float(x)!r} in output")
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def _emit_json(obj, indent: int = 0) -> str:
@@ -128,22 +124,19 @@ def _parse_csv_floats(text: str, name: str) -> np.ndarray:
     return vals
 
 
-def _load_json(path):
+def _load(path, what: str, from_json):
+    """from_json of the JSON file at path: the one input-file rule.  Every
+    failure is an ``_InputError``: an unreadable file, invalid JSON, and
+    content from_json rejects (OverflowError: an int too large for a float)."""
     try:
-        return algebra._read_json(path)
+        obj = algebra._read_json(path)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _load(path, what: str, from_json):
-    """from_json of the JSON file at path: the one input-file rule, whose
-    failures are all ``_InputError``, content from_json rejects included."""
-    obj = _load_json(path)
     try:
         return from_json(obj)
-    except _BAD_CONTENT as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _InputError(f"bad {what} file {path}: {exc}") from exc
 
 
@@ -180,7 +173,7 @@ def _chart_point(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns its JSON document, geodesic its CSV text)
+# subcommand handlers (each returns its JSON document, geodesic its CSV lines)
 
 def _cmd_gram(args):
     phi = _state_or_default(args, State.normalized_trace())
@@ -268,17 +261,23 @@ def _cmd_geodesic(args):
     step = float(_need(args, "step"))
     phi = _state_or_default(args, chart.default_state())
     result = hypersurface.geodesic(chart, phi, DotConfig(), u0, v0, tau, step)
-    p = chart.p
-    header = "tau," + ",".join(f"u{i+1}" for i in range(p)) + "," + \
-        ",".join(f"du{i+1}" for i in range(p))
-    lines = [header]
-    for st in result:
-        row = [st.tau, *st.u, *st.udot]
-        lines.append(",".join(_fmt_float(v) for v in row))
     if result.left_domain:
-        print("W_LEFT_DOMAIN trajectory truncated at the chart boundary",
-              file=sys.stderr)
-    return "\n".join(lines) + "\n"
+        print("W_LEFT_DOMAIN trajectory truncated at the chart boundary", file=sys.stderr)
+    names = [f"u{i+1}" for i in range(chart.p)]
+    return _csv_lines(["tau", *names, *("d" + n for n in names)],
+                      (result.tau, result.u, result.udot))
+
+
+_ROW_BLOCK = 1024  # CSV rows formatted at a time
+
+
+def _csv_lines(header, cols):
+    """The header line, then one line per row of the columns cols, made from
+    _ROW_BLOCK rows at a time so that the text never exists whole."""
+    yield ",".join(header) + "\n"
+    for i in range(0, len(cols[0]), _ROW_BLOCK):
+        for row in np.column_stack([c[i:i + _ROW_BLOCK] for c in cols]).tolist():
+            yield ",".join(map(_fmt_float, row)) + "\n"
 
 
 def _cmd_holonomy(args):
@@ -301,14 +300,10 @@ def _cmd_holonomy(args):
 
 
 def _cmd_stokes(args):
-    base = (_parse_csv_floats(args.point, "point")
-            if args.point else np.array([0.2, 0.3]))
+    base = _parse_csv_floats(args.point, "point") if args.point else np.array([0.2, 0.3])
     eps = float(args.step) if args.step is not None else 0.05
-    loop = transport.LoopSpec(base=tuple(base), dirs=((1.0, 0.0), (0.0, 1.0)),
-                              epsilon=eps)
-    half = dataclasses.replace(loop, epsilon=eps / 2.0)
-    r_full = transport.stokes_residual(transport.stored_su2_field, loop)
-    r_half = transport.stokes_residual(transport.stored_su2_field, half)
+    r_full, r_half = (transport.stokes_residual(transport.stored_su2_field, transport.LoopSpec(
+        base=tuple(base), dirs=((1.0, 0.0), (0.0, 1.0)), epsilon=e)) for e in (eps, eps / 2.0))
     return {
         "epsilon": eps,
         "residual": float(r_full),
@@ -331,26 +326,18 @@ def _cmd_volume(args):
         if np.abs(off).max() > 1e-12 or np.abs(diag.imag).max() > 1e-12:
             raise _InputError("volume expects diagonally embedded real vectors")
         vecs.append(diag.real)
-    normalized = True
-    if args.state:
-        kind = _load(args.state, "state", algebra.state_from_json).kind
-        if kind not in ("trace", "sum"):
-            raise _InputError("volume supports only the trace and sum states")
-        normalized = kind == "trace"
-    vol = projection.parallelepiped_volume(vecs, normalized=normalized)
+    kind = _load(args.state, "state", algebra.state_from_json).kind if args.state else "trace"
+    if kind not in ("trace", "sum"):
+        raise _InputError("volume supports only the trace and sum states")
+    vol = projection.parallelepiped_volume(vecs, normalized=kind == "trace")
     return {"volume_sq": float(vol), "count": len(vecs)}
 
 
 def _cmd_killing(args):
-    paths = args.matrix
-    if len(paths) != 1:
+    if len(args.matrix) != 1:
         raise _InputError("killing needs one structure-constants file")
-    obj = _load_json(paths[0])
-    try:
-        d = int(obj["d"])
-        f = np.asarray(obj["f"], dtype=float)
-    except _BAD_CONTENT as exc:
-        raise _InputError(f"bad structure constants file: {exc}") from exc
+    d, f = _load(args.matrix[0], "structure constants",
+                 lambda obj: (int(obj["d"]), np.asarray(obj["f"], dtype=float)))
     if f.size == d ** 3:
         f = f.reshape(d, d, d)
     return {"g": hypersurface.killing_metric(f, d).tolist()}
@@ -449,14 +436,13 @@ def run(argv) -> int:
     """Parse argv (no program name) and execute; returns the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        with np.errstate(all="ignore"):  # overflows show as non-finite values, which checks reject
-            out = _HANDLERS[args.subcommand](args)
-        text = out if isinstance(out, str) else _emit_json(out) + "\n"
+        out = _HANDLERS[args.subcommand](args)
+        lines = [_emit_json(out) + "\n"] if isinstance(out, dict) else out
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(lines)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(lines)
         return 0
     except (_InputError, OSError, ValueError, KeyError, TypeError, OverflowError,
             DimensionError, HermiticityError, DomainError, EvaluationError,

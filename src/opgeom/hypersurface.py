@@ -19,8 +19,8 @@ Finite-difference steps: ``fd_step`` (default 1e-4) for first derivatives of
 the chart map, ``fd_step2`` (default 1e-3) for second derivatives and for
 first derivatives of derived fields; the connection is differenced at
 1e-2 sqrt(fd_step) inside ``curvature``.  Linear charts carry no truncation
-error, so coarser steps there only reduce rounding noise.  Both steps must
-be positive and finite.
+error, so coarser steps there only reduce rounding noise.  Both steps and
+their squares, by which second differences divide, must be positive and finite.
 
 Every public function taking a point u checks it first: a shape other than
 (p,) raises ``DimensionError`` and a non-finite entry ``EvaluationError``.
@@ -187,8 +187,8 @@ class Chart:
             raise ValueError(f"chart state must be 'sum' or 'trace', got {self.state_kind!r}")
         for name in ("fd_step", "fd_step2"):
             step = getattr(self, name)
-            if not (math.isfinite(step) and step > 0):
-                raise ValueError(f"{name} must be positive and finite, got {step}")
+            if not (step > 0 and 0 < step * step < math.inf):
+                raise ValueError(f"{name} must be positive and finite, its square too, got {step}")
 
     def default_state(self) -> State:
         if self.state_kind == "trace":
@@ -378,8 +378,10 @@ def custom_grid(axes, values, state: str = "sum", fd_step: float | None = None,
     if p == 0:
         raise DimensionError("custom_grid needs at least one axis")
     for ax in axes:
-        if ax.ndim != 1 or ax.size < 2 or np.any(np.diff(ax) <= 0):
-            raise ValueError("each axis must be strictly increasing with >= 2 nodes")
+        with np.errstate(all="ignore"):  # an overflowing gap is inf, which fails the test
+            gaps = np.diff(ax) if ax.ndim == 1 else ax
+        if ax.ndim != 1 or ax.size < 2 or not ((0 < gaps) & (gaps < math.inf)).all():
+            raise ValueError("each axis needs >= 2 nodes, strictly increasing in finite gaps")
     vals = np.asarray(values, dtype=complex)
     shape = tuple(ax.size for ax in axes)
     if vals.shape[:p] != shape or vals.ndim != p + 2 or vals.shape[p] != vals.shape[p + 1]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .algebra import (
     AlgebraElement,
     DotConfig,
     State,
+    _det,
     _dot_matrix,
     _finite_value,
     _require_hermitian,
@@ -166,7 +167,7 @@ def cauchy_schwarz_check(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> t
         inv, det, _, _ = _solve_gram(d[1:, 1:], SingularGramError(
             "reference Gram matrix is singular; residual is undefined"))
         n = d[0, 1:]
-        residual, ratio = d[0, 0] - float(n @ (inv @ n)), float(_solve_gram(d)[1]) / float(det)
+        residual, ratio = d[0, 0] - float(n @ (inv @ n)), float(_det(d)) / float(det)
     if not (math.isfinite(residual) and math.isfinite(ratio)):
         raise ValueError("Cauchy-Schwarz check overflows: its results are not finite")
     return residual, ratio
@@ -282,8 +283,7 @@ def levi_civita_volume(vectors, normalized: bool = True) -> float:
     comp: dict[tuple, float] = {}
     with np.errstate(all="ignore"):  # an overflow shows in the check below
         for perm in permutations(range(n)):
-            sign = _perm_sign(perm)
-            w = sign
+            w = (-1) ** sum(i > j for i, j in combinations(perm, 2))  # the sign of perm
             for v, idx in zip(vecs, perm[free:]):
                 w *= v[idx]
                 if w == 0.0:
@@ -297,23 +297,6 @@ def levi_civita_volume(vectors, normalized: bool = True) -> float:
     if normalized:
         total /= float(n) ** k
     return total
-
-
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def tetra_membership(x: float, y: float, z: float) -> bool:
@@ -340,11 +323,9 @@ def power_dependence(a: AlgebraElement, m: int) -> tuple[np.ndarray, float]:
     _require_power_input(a, m)
     phi = State.normalized_trace()
     cfg = DotConfig()
-    powers = []
-    cur = a
-    for _ in range(m):
-        powers.append(cur)
-        cur = cur @ a
+    powers = [a]
+    for _ in range(m - 1):
+        powers.append(powers[-1] @ a)
     res = project(phi, cfg, AlgebraElement.identity(a.dim), powers)
     return res.coefficients, res.residual
 

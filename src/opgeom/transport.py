@@ -293,19 +293,19 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
     product that overflows ``ValueError``.
     """
     n, f, lay = path.n_steps, None, None
-    for lo in range(0, n, _BLOCK):
-        edges = _edges(path, lo, min(lo + _BLOCK, n))
-        vals = _sample(path.A, 0.5 * (edges[:-1] + edges[1:]))
-        if f is not None and vals.shape[-1] != f.shape[-1]:
-            raise DimensionError(f"connection samples from s = {edges[0]:.17g} have size "
-                                 f"{vals.shape[-1]}, the first block's {f.shape[-1]}")
-        lay = lay or _layout(vals.shape[-1])
-        factors = _expm_stack(vals * np.diff(edges)[:, None, None], lay)
-        with np.errstate(all="ignore"):  # an overflow shows in the check below
+    with np.errstate(all="ignore"):  # an overflow shows in a check: _sample's, _expm_stack's, below
+        for lo in range(0, n, _BLOCK):
+            edges = _edges(path, lo, min(lo + _BLOCK, n))
+            vals = _sample(path.A, 0.5 * (edges[:-1] + edges[1:]))
+            if f is not None and vals.shape[-1] != f.shape[-1]:
+                raise DimensionError(f"connection samples from s = {edges[0]:.17g} have size "
+                                     f"{vals.shape[-1]}, the first block's {f.shape[-1]}")
+            lay = lay or _layout(vals.shape[-1])
+            factors = _expm_stack(vals * np.diff(edges)[:, None, None], lay)
             block = _tree_product(factors, lay)[None]
             f = block if f is None else lay.mul(block, f)
-        if not np.isfinite(f).all():  # a non-finite block product makes f non-finite too
-            raise ValueError("product integral overflows")
+            if not np.isfinite(f).all():  # a non-finite block product makes f non-finite too
+                raise ValueError("product integral overflows")
     return np.ascontiguousarray(f[0])
 
 
@@ -386,9 +386,12 @@ def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
     d2 = np.asarray(loop.dirs[1], dtype=float)
     eps = float(loop.epsilon)
     a_field = _lifted(a_field)
-    corners = [base, base + eps * d1, base + eps * d1 + eps * d2, base + eps * d2]
-    if in_patch is not None:
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        corners = [base, base + eps * d1, base + eps * d1 + eps * d2, base + eps * d2]
         margin = h * (np.abs(d1) + np.abs(d2))
+    if not (np.isfinite(corners).all() and np.isfinite(margin).all()):
+        raise ValueError(f"loop corners overflow: base {base.tolist()}, side {eps}")
+    if in_patch is not None:
         pts = np.array(corners + [base + margin, base - margin])
         bad = _first_false(_lifted(in_patch).stack(pts), pts, "in_patch")
         if bad is not None:
@@ -402,8 +405,10 @@ def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
                                        base + h * d2, base - h * d2]))
     # each point's components along d1 and along d2
     a1, a2 = (np.einsum("i,kijl->kjl", d, comps) for d in (d1, d2))
-    f12 = _central(a2[1], a2[2], h) - _central(a1[3], a1[4], h) + a1[0] @ a2[0] - a2[0] @ a1[0]
-    return float(np.linalg.norm(holo - _expm_stack((f12 * eps * eps)[None])[0]))
+    with np.errstate(all="ignore"):  # an overflow shows in _expm_stack's check
+        f12 = _central(a2[1], a2[2], h) - _central(a1[3], a1[4], h) + a1[0] @ a2[0] - a2[0] @ a1[0]
+        f12 = f12 * eps * eps
+    return float(np.linalg.norm(holo - _expm_stack(f12[None])[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,12 @@ def _report(lhs: float, rhs: float, extra: dict | None = None) -> BoundReport:
 
 def _centred(phi: State, stack: np.ndarray) -> np.ndarray:
     """Fluctuations x - phi(x) 1 of a raw (p, n, n) stack: the one centring rule.
-    A state value that overflows raises ``ValueError``."""
-    with np.errstate(all="ignore"):  # an overflow shows in the check below
+    An overflowing state value raises ``ValueError``; a fluctuation shows as inf."""
+    with np.errstate(all="ignore"):
         means = [phi.eval_matrix(x) for x in stack]
-    if not all(map(cmath.isfinite, means)):
-        raise ValueError(f"state value is not finite: {means}")
-    return stack - np.array(means)[:, None, None] * np.eye(stack.shape[-1])
+        if not all(map(cmath.isfinite, means)):
+            raise ValueError(f"state value is not finite: {means}")
+        return stack - np.array(means)[:, None, None] * np.eye(stack.shape[-1])
 
 
 def fluctuation(phi: State, a: AlgebraElement) -> AlgebraElement:
@@ -176,10 +176,9 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
         if dt is not None:
             b._check_dim(dt)
             vel[k] = state_eval(phi, dt)
-    # phi(h B_i) = conj(phi(B_i' h)) and phi(B_i h) = s_i phi(B_i' h)
     stack = _stack(bs)
-    cross = phi.gram(stack, h.m[None])[:, 0]
-    vel += (1j / consts.hbar) * (cross.conj() - sign * cross)
+    # one warning per call: the centred form warns only if the raw one did not
+    warning = SingularGramWarning("rank-deficient anticommutator Gram matrix; using pseudo-inverse")
 
     def quad_form(st, on_singular):
         # M = (P + P^T) / 2 with P[i, j] = phi(B_i B_j) = s_i phi(B_i' B_j)
@@ -187,11 +186,12 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
         inv, _, _, full = _solve_gram(0.5 * (pm + pm.T), on_singular)
         return ((consts.hbar**2 / 4.0) * (vel @ inv @ vel)).real, full
 
-    with np.errstate(all="ignore"):  # an overflow shows in the check
+    with np.errstate(all="ignore"):  # an overflow shows in the checks below and in _report's
+        # phi(h B_i) = conj(phi(B_i' h)) and phi(B_i h) = s_i phi(B_i' h)
+        cross = phi.gram(stack, h.m[None])[:, 0]
+        vel += (1j / consts.hbar) * (cross.conj() - sign * cross)
         h2 = _finite_value(phi.eval_matrix(h.m @ h.m).real, "energy bound hamiltonian: phi(h^2)")
-    # one warning per call: the centred form warns only if the raw one did not
-    warning = SingularGramWarning("rank-deficient anticommutator Gram matrix; using pseudo-inverse")
-    rhs, full = quad_form(stack, warning)
-    raw = _report(h2, rhs)
-    rhs, _ = quad_form(_centred(phi, stack), warning if full else None)
+        rhs, full = quad_form(stack, warning)
+        raw = _report(h2, rhs)
+        rhs, _ = quad_form(_centred(phi, stack), warning if full else None)
     return raw, _report(variance(phi, h), rhs)

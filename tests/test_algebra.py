@@ -14,6 +14,7 @@ from opgeom.algebra import (
     DotConfig,
     PhysConstants,
     State,
+    _require_hermitian,
     anticommutator,
     commutator,
     dot,
@@ -90,8 +91,10 @@ OFF = AlgebraElement(np.array([[0.0, 1e10], [1e10, 0.0]]))
     lambda: dot(State.normalized_trace(), DotConfig(), BIG, BIG),
     lambda: State.vector([1e200, 1e200]),
     lambda: State.density(np.diag([1e308, 1e308])),
+    lambda: State.gibbs(np.diag([1e10, -1e10]), 1e300),
+    lambda: State.gibbs(np.diag([1e308, -1e308]), 10.0),
 ], ids=["matmul", "add", "sub", "mul", "div", "commutator", "anticommutator", "heisenberg",
-        "heisenberg-explicit", "dot", "vector", "density"])
+        "heisenberg-explicit", "dot", "vector", "density", "gibbs-beta", "gibbs-energies"])
 def test_overflowing_arithmetic_and_state_values_are_errors(call):
     # an overflow is the typed ValueError, with no NumPy warning first
     with warnings.catch_warnings(), pytest.raises(ValueError):
@@ -288,6 +291,25 @@ def test_gibbs_large_negative_beta_is_top_projector():
         phi = State.gibbs(np.diag([0.0, 1.0]), -1e6)
     assert state_eval(phi, embed_diag([0.0, 1.0])) == 1.0
     assert state_eval(phi, embed_diag([1.0, 0.0])) == 0.0
+
+
+def test_gibbs_zero_temperature_limit_has_no_warning():
+    # beta E overflows to inf for the excited level only: its weight is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = State.gibbs(np.diag([1e10, 1.0]), 1e300)
+    assert state_eval(phi, embed_diag([0.0, 1.0])) == 1.0
+    assert state_eval(phi, embed_diag([1.0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("m", [[[0.0, 1e308], [-1e308, 0.0]], [[1.7e308 + 1.7e308j, 0.0], [0.0, 0.0]]],
+                         ids=["difference", "modulus"])
+def test_symmetry_test_overflow_is_asymmetric_with_no_warning(m):
+    # a - a' overflows, and with it the modulus of the 1.7e308 + 1.7e308j entry
+    # that sets the scale: not hermitian, by the typed error
+    with warnings.catch_warnings(), pytest.raises(HermiticityError):
+        warnings.simplefilter("error")
+        _require_hermitian(np.array(m, dtype=complex))
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])

@@ -4,11 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from opgeom import hypersurface
 from opgeom.algebra import (
     AlgebraElement,
     DotConfig,
@@ -19,7 +21,7 @@ from opgeom.algebra import (
     state_to_json,
 )
 from opgeom.cli import REPORT_SAMPLE_COUNT, XorShift64Star, _fmt_float, run
-from opgeom.hypersurface import chart_to_json, sphere
+from opgeom.hypersurface import GeodesicResult, chart_to_json, sphere
 from opgeom.projection import parallelepiped_volume
 from opgeom.transport import product_integral, stored_test_path
 
@@ -184,6 +186,13 @@ def test_killing_output(tmp_path, capsys):
     assert np.allclose(doc["g"], (2.0 / 3.0) * np.eye(3), atol=1e-12)
 
 
+def test_bad_killing_file_names_the_file(tmp_path, capsys):
+    # read by the one input-file rule, as a matrix or chart file is
+    path = write_json(tmp_path / "constants.json", {"d": 2})
+    err = run_err(capsys, ["killing", "--matrix", path], 1, "E_INPUT")
+    assert err == f"E_INPUT bad structure constants file {path}: 'f'\n"
+
+
 def test_killing_jacobi_violation_is_numeric_error(tmp_path, capsys):
     f = np.zeros((3, 3, 3))
     for r, a, b in ((2, 0, 1), (0, 1, 2), (0, 2, 0)):
@@ -276,6 +285,38 @@ def test_geodesic_domain_warning(sphere_file, capsys):
     assert "W_LEFT_DOMAIN" in captured.err
     rows = captured.out.strip().splitlines()[1:]
     assert 1 < len(rows) < 101
+
+
+def test_geodesic_output_is_streamed(flat_file, tmp_path, monkeypatch, capsys):
+    # the output phase alone, on a precomputed 10,001-state result: its ~93
+    # bytes of text per row are formatted and written a block at a time
+    rows = 10_001
+    rng = np.random.default_rng(5)
+    result = GeodesicResult(np.arange(rows) * 1e-3, rng.normal(size=(rows, 2)),
+                            rng.normal(size=(rows, 2)))
+    monkeypatch.setattr(hypersurface, "geodesic", lambda *args: result)
+    out = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        code = run(["geodesic", "--chart", flat_file, "--u0=0,0", "--v0=1,0", "--tau", "10",
+                    "--step", "1e-3", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < 1 << 20
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == rows + 1
+    assert lines[-1] == ",".join(format(float(v), ".17g") for v in
+                                 (result.tau[-1], *result.u[-1], *result.udot[-1]))
+
+
+def test_geodesic_error_writes_no_out_file(sphere_file, tmp_path, capsys):
+    # the trajectory is integrated before the output file is opened
+    out = tmp_path / "rows.csv"
+    run_err(capsys, ["geodesic", "--chart", sphere_file, "--u0=-1,0", "--v0=1,0",
+                     "--tau", "1", "--step", "0.1", "--out", str(out)], 1, "E_INPUT")
+    assert not out.exists()
 
 
 def test_geodesic_missing_args(flat_file, capsys):
@@ -404,7 +445,8 @@ def test_library_checked_input_is_one_input_error(tmp_path, capsys, name):
 @pytest.mark.parametrize("chart_obj", [
     {"id": "sphere", "fd_step": 0}, {"id": "sphere", "fd_step": -1e-4},
     {"id": "sphere", "fd_step2": 0}, {"id": "torus", "params": {"R": "inf"}},
-], ids=["fd_step-zero", "fd_step-negative", "fd_step2-zero", "torus-R-inf"])
+    {"id": "flat_plane", "fd_step2": 1e-200},
+], ids=["fd_step-zero", "fd_step-negative", "fd_step2-zero", "torus-R-inf", "fd_step2-underflow"])
 def test_bad_chart_steps_and_radii_are_input_errors(tmp_path, capsys, chart_obj):
     path = write_json(tmp_path / "chart.json", chart_obj)
     err = run_err(capsys, ["metric", "--chart", path, "--point", "0.5,0.4"], 1, "E_INPUT")

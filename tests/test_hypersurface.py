@@ -115,6 +115,9 @@ def test_builder_validation():
         custom_grid([[0.0, 0.0, 1.0]], np.zeros((3, 2, 2)))
     with pytest.raises(DimensionError):
         custom_grid([[0.0, 1.0]], np.zeros((3, 2, 2)))
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="in finite gaps"):
+        warnings.simplefilter("error")  # the gap 3.4e308 overflows
+        custom_grid([[-1.7e308, 1.7e308]], np.zeros((2, 1, 1)))
 
 
 def test_chart_json_round_trip(tmp_path):
@@ -705,12 +708,14 @@ def test_killing_rejects_nonfinite_constants():
 
 
 def test_killing_overflow_is_an_error():
-    # the adjoint products of 1e200 constants overflow: a ValueError, no NumPy warning
-    f = np.zeros((2, 2, 2))
-    f[1, 0, 1], f[1, 1, 0] = 1e200, -1e200
-    with warnings.catch_warnings(), pytest.raises(ValueError, match="overflow"):
-        warnings.simplefilter("error")
-        killing_metric(f, 2)
+    # the adjoint products of 1e200 constants overflow, and the antisymmetry test's
+    # f + f of symmetric 1e308 ones: a ValueError, no NumPy warning
+    for f01, f10, match in ((1e200, -1e200, "overflow"), (1e308, 1e308, "antisymmetric")):
+        f = np.zeros((2, 2, 2))
+        f[1, 0, 1], f[1, 1, 0] = f01, f10
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=match):
+            warnings.simplefilter("error")
+            killing_metric(f, 2)
 
 
 def test_killing_rejects_jacobi_violation():
@@ -763,8 +768,10 @@ def test_leibniz_witness_needs_two_parameters():
 # stencil evaluator
 
 def test_chart_rejects_bad_steps_and_radii():
+    # a step whose square underflows or overflows: the second differences divide by it
     for kw in ({"fd_step": 0.0}, {"fd_step": -1e-4}, {"fd_step2": 0.0},
-               {"fd_step": math.inf}, {"fd_step2": math.nan}):
+               {"fd_step": math.inf}, {"fd_step2": math.nan}, {"fd_step2": 1e-200},
+               {"fd_step": 1e200}):
         with pytest.raises(ValueError):
             sphere(**kw)
     for make in (lambda: sphere(r=math.inf), lambda: torus(big_r=math.inf),
@@ -1008,13 +1015,22 @@ def test_a_large_stack_solves_with_the_lone_bits():
     [[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.nan], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1.0]],
     [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]],
     np.diag([1.0, math.inf, 1.0]), np.diag([1.0, 1.0, math.nan]),
-], ids=["inf", "nan", "huge", "stack", "svd-inf", "svd-nan"])
+    1e150 * np.eye(3), [np.eye(3), 1e150 * np.eye(3)],
+], ids=["inf", "nan", "huge", "stack", "svd-inf", "svd-nan", "svd-det", "svd-stack-det"])
 def test_solve_rejects_a_matrix_whose_rank_cannot_be_tested(m):
-    # a non-finite entry, or squares beyond the float range, is an input error, not
-    # "singular", raised with no NumPy warning on the way
+    # a non-finite entry, or squares or a determinant beyond the float range, is an
+    # input error, not "singular", raised with no NumPy warning on the way
     with warnings.catch_warnings(), pytest.raises(ValueError):
         warnings.simplefilter("error")
         _solve_gram(np.array(m), SingularMetricError("singular"))
+
+
+def test_solve_condition_number_overflows_to_inf_with_no_warning():
+    # s_max / s_min = 1e354: a rank-deficient matrix, whose condition number is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, det, cond, full = _solve_gram(np.diag([1e154, 1e-200, 1.0]))
+    assert cond == math.inf and not full and math.isfinite(det)
 
 
 def test_solve_returns_on_an_infinite_entry():

@@ -141,6 +141,9 @@ HUGE_SET = [AlgebraElement(np.diag([1e200, 1.0])), AlgebraElement(np.eye(2))]
 def test_gram_overflow_is_an_error():
     with pytest.raises(ValueError, match="not finite"):
         gram(TRACE, CFG, HUGE_SET)
+    # entries near 1e300 are finite, their 3x3 determinant is not
+    with pytest.raises(ValueError, match="determinant is not finite"):
+        gram(TRACE, CFG, [AlgebraElement(1e150 * np.diag(e)) for e in np.eye(3)])
 
 
 def test_gram_schmidt_overflow_is_an_error():
@@ -190,6 +193,20 @@ def test_cauchy_schwarz_det_ratio_agreement(rng):
         assert residual >= -1e-10 and ratio >= -1e-10
         scale = max(abs(residual), abs(ratio), 1e-12)
         assert abs(residual - ratio) / scale < 1e-9 or abs(residual - ratio) < 1e-12
+
+
+def test_cauchy_schwarz_bits_are_pinned():
+    # (residual, ratio) at p = 1, a 2x2 D, and p = 3, a 4x4 one, as pinned when
+    # det D came from a full guarded solve of D
+    pins = {1: ("0x1.15b78da4dbed7p+3", "0x1.15b78da4dbed7p+3"),
+            3: ("0x1.2874c959a72cap+1", "0x1.2874c959a72d0p+1")}
+    for p, pin in pins.items():
+        rng = np.random.default_rng(p)
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        phi = State.density(m @ m.conj().T / np.trace(m @ m.conj().T).real)
+        a, bs = rand_element(rng, 3), [rand_element(rng, 3) for _ in range(p)]
+        residual, ratio = cauchy_schwarz_check(phi, CFG, a, bs)
+        assert (residual.hex(), ratio.hex()) == pin
 
 
 def test_cauchy_schwarz_unit_vector_quadratic_form():
@@ -421,6 +438,18 @@ def test_power_dependence_two_level():
     alpha, residual = power_dependence(embed_diag([1.0, 2.0]), 2)
     assert np.allclose(alpha, [-1.5, 0.5], atol=1e-12)
     assert residual < 1e-12
+
+
+def test_power_dependence_forms_only_the_powers_it_uses(monkeypatch):
+    # a^1..a^m take m - 1 products
+    products = []
+    matmul = AlgebraElement.__matmul__
+    monkeypatch.setattr(AlgebraElement, "__matmul__",
+                        lambda x, y: products.append(1) or matmul(x, y))
+    for m in (1, 2, 3):
+        products.clear()
+        power_dependence(embed_diag([1.0, 2.0, 3.0]), m)
+        assert len(products) == m - 1
 
 
 def test_power_dependence_identity():

@@ -401,6 +401,16 @@ def test_overflowing_product_integral_raises_without_warnings():
             product_integral(path)
 
 
+def test_overflowing_factor_raises_without_warnings():
+    # every sample is finite; A ds of a 4.5 step is not
+    y = np.array([[1.7e308j, 0.0], [0.0, 0.0]])
+    path = ConnectionPath(A=lambda s: y, s_range=(0.0, 4.5), n_steps=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="needs finite entries"):
+            product_integral(path)
+
+
 def test_overflowing_block_product_raises_without_warnings():
     # every factor exp(diag(700, 1) / 4) is finite; their product overflows
     a = np.diag([700.0, 1.0]).astype(complex)
@@ -439,11 +449,15 @@ def test_expm_scaling_past_double_precision_is_an_error():
 
 
 def test_overflowing_stokes_loop_raises_without_warnings():
-    loop = LoopSpec(base=(1e200, 0.3), dirs=LOOP_DIRS, epsilon=0.025)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="exponential overflows"):
-            stokes_residual(stored_su2_field, loop)
+    # the exponential, then the field strength's [A1, A2], then the corners overflow
+    for base, eps, match in (((1e200, 0.3), 0.025, "exponential overflows"),
+                             ((1e77, 1e154), 0.1, "needs finite entries"),
+                             ((1e308, -1.5), 1e308, "corners overflow")):
+        loop = LoopSpec(base=base, dirs=LOOP_DIRS, epsilon=eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                stokes_residual(stored_su2_field, loop)
 
 
 def test_import_loads_no_scipy():

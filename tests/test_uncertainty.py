@@ -283,6 +283,15 @@ def test_overflowing_variance_and_bound_are_errors():
     sigma_x = AlgebraElement(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="energy bound hamiltonian.*not finite"):
         energy_bound(CONSTS, TRACE, big, [sigma_x])
+    # the cross Gram phi(b' h) overflows as well, and a reference element's b' b
+    with pytest.raises(ValueError, match="energy bound hamiltonian.*not finite"):
+        energy_bound(CONSTS, TRACE, big, [embed_diag([1e200, 2.0])])
+    off = AlgebraElement(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    with pytest.raises(ValueError, match="not finite"):
+        energy_bound(CONSTS, TRACE, embed_diag([1.0, 2.0]), [off])
+    # the state value 1.7e308 is finite; the fluctuation -1.7e308 - 1.7e308 is not
+    with pytest.raises(ValueError, match="not finite"):
+        variance(State.vector([1.0, 0.0]), embed_diag([1.7e308, -1.7e308]))
 
 
 def test_overflowing_pair_product_bound_is_an_error():
