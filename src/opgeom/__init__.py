@@ -15,9 +15,8 @@ from .uncertainty import *  # noqa: F403
 from .hypersurface import *  # noqa: F403
 from .transport import *  # noqa: F403
 
-# each name once, in module order (transport re-exports hypersurface's bianchi_residual)
-__all__ = list(dict.fromkeys(
-    name for mod in (algebra, errors, projection, uncertainty, hypersurface, transport)
-    for name in mod.__all__))
+# in module order; each public name is declared in one module's __all__
+__all__ = [name for mod in (algebra, errors, projection, uncertainty, hypersurface, transport)
+           for name in mod.__all__]
 
 __version__ = "0.1.0"

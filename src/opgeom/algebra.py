@@ -6,10 +6,12 @@ that the identity evaluates to 1 (the plain matrix trace is also provided as
 an unnormalized variant).  Every state induces a family of real-valued dot
 products on the algebra,
 
-    a . b = scale * phi(lam * a'b + conj(lam) * b'a),      a' = star(a)
+    a . b = scale * phi(lam * a'b + conj(lam) * b'a) = 2 scale Re(lam phi(a'b)),
 
-with lam = 1/2 giving the symmetric product used throughout the geometry
-modules.
+a' = star(a), with lam = 1/2 giving the symmetric product used throughout
+the geometry modules.  ``PhysConstants.hbar`` is the one hbar of the
+dynamical operations; the truncated Fock operators are the oscillator's at
+hbar = m = omega = 1.
 
 Every element that arithmetic makes comes from ``_element``, which runs
 the expression under one ``np.errstate``: an overflow is the constructor's
@@ -19,8 +21,10 @@ states).  So do the helpers other modules share: ``stacked``, the one type
 of callable defined over a stack of points (public, so a user chart or
 connection can be one), with ``_lifted``, which makes any other callable
 one, ``_first_false``, the one rule for the answers of a domain or patch
-test, ``_step_count``, the one step-count rule, ``_asymmetric``, the one
-relative symmetry test, and ``_finite_value``, the one check of a value.
+test, ``_step_count``, the one step-count rule, ``_central``, the one
+first-difference formula, ``_asymmetric``, the one relative symmetry test,
+``_det``, the one determinant of a lone matrix, and ``_finite_value``, the
+one check of a value.
 """
 
 from __future__ import annotations
@@ -172,6 +176,12 @@ def _step_count(tau: float, step: float) -> int:
         raise ValueError(f"tau and step must be positive and finite, tau / step <= sys.maxsize; "
                          f"got {tau} and {step}")
     return max(1, int(round(tau / step)))
+
+
+def _central(plus: np.ndarray, minus: np.ndarray, h: float) -> np.ndarray:
+    """Central differences (f(x + h e) - f(x - h e)) / 2h of the values plus
+    at x + h e and minus at x - h e: the one first-difference formula."""
+    return (plus - minus) / (2.0 * h)
 
 
 def _count(n, name: str) -> int:
@@ -440,16 +450,14 @@ class DotConfig:
 
 @dataclass(frozen=True)
 class PhysConstants:
-    """Physical constants entering the dynamical operations."""
+    """Physical constants entering the dynamical operations: ``hbar``, the one
+    home of the reduced Planck constant (the Fock operators take hbar = 1)."""
 
     hbar: float = 1.0
-    c: float = 1.0
 
     def __post_init__(self):
         if not (self.hbar > 0 and np.isfinite(self.hbar)):
             raise ValueError("hbar must be a positive real")
-        if not (self.c > 0 and np.isfinite(self.c)):
-            raise ValueError("c must be a positive real")
 
 
 def state_eval(phi: State, a: AlgebraElement) -> complex:
@@ -690,25 +698,25 @@ def fock_lowering(dim: int) -> AlgebraElement:
     return AlgebraElement(m)
 
 
-def fock_position(dim: int, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0) -> AlgebraElement:
-    """Truncated position operator sqrt(hbar/(2 m omega)) (a + a')."""
+def fock_position(dim: int) -> AlgebraElement:
+    """Truncated position operator sqrt(1/2) (a + a'), with hbar = m = omega = 1."""
     a = fock_lowering(dim).m
-    return AlgebraElement(np.sqrt(hbar / (2.0 * mass * omega)) * (a + a.conj().T))
+    return AlgebraElement(np.sqrt(0.5) * (a + a.conj().T))
 
 
-def fock_momentum(dim: int, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0) -> AlgebraElement:
-    """Truncated momentum operator i sqrt(hbar m omega / 2) (a' - a)."""
+def fock_momentum(dim: int) -> AlgebraElement:
+    """Truncated momentum operator i sqrt(1/2) (a' - a), with hbar = m = omega = 1."""
     a = fock_lowering(dim).m
-    return AlgebraElement(1j * np.sqrt(hbar * mass * omega / 2.0) * (a.conj().T - a))
+    return AlgebraElement(1j * np.sqrt(0.5) * (a.conj().T - a))
 
 
-def harmonic_hamiltonian(dim: int, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0) -> AlgebraElement:
-    """Oscillator hamiltonian p^2/(2m) + m omega^2 x^2 / 2 built from the
-    truncated x and p, so commutation identities hold exactly except in the
-    top Fock level."""
-    x = fock_position(dim, hbar, mass, omega).m
-    p = fock_momentum(dim, hbar, mass, omega).m
-    return AlgebraElement(p @ p / (2.0 * mass) + 0.5 * mass * omega**2 * (x @ x))
+def harmonic_hamiltonian(dim: int) -> AlgebraElement:
+    """Oscillator hamiltonian p^2/2 + x^2/2 (hbar = m = omega = 1) built from
+    the truncated x and p, so commutation identities hold exactly except in
+    the top Fock level."""
+    x = fock_position(dim).m
+    p = fock_momentum(dim).m
+    return AlgebraElement(p @ p / 2.0 + 0.5 * (x @ x))
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def _cmd_curvature(args):
     cf = hypersurface.curvature(chart, phi, cfg, u)
     doc = {"riemann": cf.riemann.tolist()}
     if chart.p == 2:
-        doc["gauss_curvature"] = cf.gauss_curvature(cf.metric)
+        doc["gauss_curvature"] = cf.gauss_curvature()
     return doc
 
 

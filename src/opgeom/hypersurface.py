@@ -15,12 +15,15 @@ Index conventions of the component arrays:
           + gamma[a, m, r] gamma[r, n, b] - gamma[a, n, r] gamma[r, m, b]
     frame       frame_conn[a, b, c] = bhat_a . d_c bhat_b, antisymmetric in (a, b)
 
-Finite-difference steps: ``fd_step`` (default 1e-4) for first derivatives of
-the chart map, ``fd_step2`` (default 1e-3) for second derivatives and for
-first derivatives of derived fields; the connection is differenced at
-1e-2 sqrt(fd_step) inside ``curvature``.  Linear charts carry no truncation
-error, so coarser steps there only reduce rounding noise.  Both steps and
-their squares, by which second differences divide, must be positive and finite.
+Finite-difference steps are a chart's fields, with their defaults in
+``Chart``: ``fd_step`` for first derivatives of the chart map, ``fd_step2``
+for second derivatives and for first derivatives of derived fields; the
+connection is differenced at 1e-2 sqrt(fd_step) inside ``curvature``.
+Linear charts carry no truncation error, so coarser steps there only reduce
+rounding noise.  Both steps and their squares, by which second differences
+divide, must be positive and finite.  A chart constructor builds only the
+chart's shape; ``make_chart`` (the JSON path) and ``dataclasses.replace``
+set its ``state_kind``, ``fd_step`` and ``fd_step2``.
 
 Every public function taking a point u checks it first: a shape other than
 (p,) raises ``DimensionError`` and a non-finite entry ``EvaluationError``.
@@ -80,7 +83,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -91,6 +94,8 @@ from .algebra import (
     PhysConstants,
     State,
     _asymmetric,
+    _central,
+    _det,
     _dot_matrix,
     _first_false,
     _heisenberg,
@@ -164,7 +169,9 @@ class Chart:
     :class:`opgeom.stacked` once per stack of points; the chart wraps any
     other callable in a ``stacked`` that calls it once per point.
     ``state_kind`` names the dimension-free default state ("sum" or
-    "trace") used by the CLI.
+    "trace") used by the CLI, and ``fd_step`` and ``fd_step2`` are the
+    finite-difference steps; ``dataclasses.replace`` or ``make_chart`` sets
+    all three on a built-in chart.
     """
 
     id: str
@@ -215,14 +222,14 @@ class ConnectionField:
 @dataclass(frozen=True)
 class CurvatureField:
     """Riemann components riemann[a, b, m, n] at one parameter point, and
-    from ``curvature`` the metric there, built from the same stencils."""
+    the metric there, built from the same stencils (see ``curvature``)."""
 
     riemann: np.ndarray
-    metric: MetricField | None = None
+    metric: MetricField
 
-    def gauss_curvature(self, mf: MetricField) -> float:
-        """K = g_{1r} R^r_{212} / det g, with mf the metric at the same point."""
-        return _gauss(mf.g, self.riemann, mf.det)
+    def gauss_curvature(self) -> float:
+        """K = g_{1r} R^r_{212} / det g, with g the metric at the same point."""
+        return _gauss(self.metric.g, self.riemann, self.metric.det)
 
 
 @dataclass(frozen=True)
@@ -282,8 +289,7 @@ def _columns(*cols) -> np.ndarray:
 _EVERYWHERE = stacked(lambda xs: np.ones(len(xs), dtype=bool))
 
 
-def _diag_chart(id, p, dim, values, inside, box, params, state="sum",
-                fd_step=1e-4, fd_step2=1e-3):
+def _diag_chart(id, p, dim, values, inside, box, params):
     """A chart whose stacked map values (k, p) -> (k, dim) is embedded
     diagonally, with the (k,) domain mask inside (None: defined everywhere)."""
 
@@ -296,23 +302,21 @@ def _diag_chart(id, p, dim, values, inside, box, params, state="sum",
     return Chart(
         id=id, p=p, dim=dim, map_mat=stacked(matrices), map_vec=stacked(values),
         in_domain=None if inside is None else stacked(inside), sample_box=box,
-        state_kind=state, fd_step=fd_step, fd_step2=fd_step2, params=dict(params),
+        params=dict(params),
     )
 
 
-def flat_plane(state: str = "sum", fd_step: float = 1e-4, fd_step2: float = 1e-3) -> Chart:
+def flat_plane() -> Chart:
     """Plane (u1, u2, 0) in R^3; identity metric under the sum state."""
 
     def values(xs):
         return _columns(xs[:, 0], xs[:, 1], 0.0)
 
     box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    return _diag_chart("flat_plane", 2, 3, values, None, box, {},
-                       state, fd_step, fd_step2)
+    return _diag_chart("flat_plane", 2, 3, values, None, box, {})
 
 
-def sphere(r: float = 1.0, state: str = "sum", fd_step: float = 1e-4,
-           fd_step2: float = 1e-3) -> Chart:
+def sphere(r: float = 1.0) -> Chart:
     """Round sphere of radius r in polar angles (theta, phi), poles excluded."""
     if not (math.isfinite(r) and r > 0):
         raise ValueError("sphere radius must be positive and finite")
@@ -326,12 +330,10 @@ def sphere(r: float = 1.0, state: str = "sum", fd_step: float = 1e-4,
         return (0.0 < xs[:, 0]) & (xs[:, 0] < math.pi)
 
     box = (np.array([0.3, 0.0]), np.array([math.pi - 0.3, 2.0 * math.pi]))
-    return _diag_chart("sphere", 2, 3, values, inside, box, {"r": r},
-                       state, fd_step, fd_step2)
+    return _diag_chart("sphere", 2, 3, values, inside, box, {"r": r})
 
 
-def torus(big_r: float = 2.0, r: float = 0.5, state: str = "sum",
-          fd_step: float = 1e-4, fd_step2: float = 1e-3) -> Chart:
+def torus(big_r: float = 2.0, r: float = 0.5) -> Chart:
     """Torus with center-circle radius big_r and tube radius r, angles (theta, phi)."""
     if not (math.isfinite(big_r) and big_r > r > 0):
         raise ValueError("torus radii must be finite with big_r > r > 0")
@@ -342,12 +344,10 @@ def torus(big_r: float = 2.0, r: float = 0.5, state: str = "sum",
         return _columns(w * cos[:, 1], w * sin[:, 1], r * sin[:, 0])
 
     box = (np.array([0.0, 0.0]), np.array([2.0 * math.pi, 2.0 * math.pi]))
-    return _diag_chart("torus", 2, 3, values, None, box,
-                       {"R": big_r, "r": r}, state, fd_step, fd_step2)
+    return _diag_chart("torus", 2, 3, values, None, box, {"R": big_r, "r": r})
 
 
-def paraboloid(a: float = 1.0, state: str = "sum", fd_step: float = 1e-4,
-               fd_step2: float = 1e-3) -> Chart:
+def paraboloid(a: float = 1.0) -> Chart:
     """Paraboloid (u1, u2, a(u1^2 + u2^2)); apex curvature 4 a^2."""
     if not np.isfinite(a):
         raise ValueError("paraboloid coefficient must be finite")
@@ -358,20 +358,19 @@ def paraboloid(a: float = 1.0, state: str = "sum", fd_step: float = 1e-4,
         return _columns(xs[:, 0], xs[:, 1], a * (sq[:, 0] + sq[:, 1]))
 
     box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    return _diag_chart("paraboloid", 2, 3, values, None, box, {"a": a},
-                       state, fd_step, fd_step2)
+    return _diag_chart("paraboloid", 2, 3, values, None, box, {"a": a})
 
 
-def custom_grid(axes, values, state: str = "sum", fd_step: float | None = None,
-                fd_step2: float | None = None) -> Chart:
+def custom_grid(axes, values) -> Chart:
     """Chart from pre-sampled matrix values on a regular grid.
 
     ``axes`` is a list of p strictly increasing 1d arrays and ``values`` an
     array of shape grid_shape + (dim, dim).  Points are evaluated by
     multilinear interpolation of the samples.  Only first derivatives with
     steps no finer than the grid spacing are meaningful on the piecewise
-    linear interpolant; connection and curvature level operations are not
-    supported on grid charts.
+    linear interpolant, so the chart's steps are a quarter of the finest
+    grid spacing (``fd_step``) and that spacing (``fd_step2``); connection
+    and curvature level operations are not supported on grid charts.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     p = len(axes)
@@ -419,9 +418,8 @@ def custom_grid(axes, values, state: str = "sum", fd_step: float | None = None,
 
     return Chart(
         id="custom_grid", p=p, dim=dim, map_mat=stacked(map_mat), map_vec=None,
-        in_domain=stacked(in_domain), sample_box=box, state_kind=state,
-        fd_step=fd_step if fd_step is not None else spacing / 4.0,
-        fd_step2=fd_step2 if fd_step2 is not None else spacing,
+        in_domain=stacked(in_domain), sample_box=box,
+        fd_step=spacing / 4.0, fd_step2=spacing,
         params={"axes": [ax.tolist() for ax in axes],
                 "values_re": vals.real.reshape(-1).tolist(),
                 "values_im": vals.imag.reshape(-1).tolist(),
@@ -430,7 +428,7 @@ def custom_grid(axes, values, state: str = "sum", fd_step: float | None = None,
 
 
 # each chart id's constructor and JSON parameter names, with the keyword each
-# fills (custom_grid decodes its own); the defaults live in the constructors
+# fills (custom_grid decodes its own); the shape defaults live in the constructors
 _CHART_IDS = {
     "flat_plane": (flat_plane, {}),
     "sphere": (sphere, {"r": "r"}),
@@ -442,8 +440,9 @@ _CHART_IDS = {
 
 def make_chart(chart_id: str, params: dict | None = None, state: str = "sum",
                fd_step: float | None = None, fd_step2: float | None = None) -> Chart:
-    """Build a registered chart from its id and parameter dict; an unknown id
-    or parameter name raises ``ValueError``."""
+    """Build a registered chart from its id and parameter dict, with the state
+    kind and the steps given (a step of None keeps the constructor's); an
+    unknown id or parameter name raises ``ValueError``."""
     if not (isinstance(chart_id, str) and chart_id in _CHART_IDS):
         raise ValueError(f"unknown chart id {chart_id!r}")
     build, names = _CHART_IDS[chart_id]
@@ -451,17 +450,18 @@ def make_chart(chart_id: str, params: dict | None = None, state: str = "sum",
     unknown = [name for name in params if name not in names]
     if unknown:
         raise ValueError(f"chart {chart_id!r} takes parameters {list(names)}, not {unknown}")
-    kw = {"state": state, **{name: float(step) for name, step in
-                             (("fd_step", fd_step), ("fd_step2", fd_step2)) if step is not None}}
     if chart_id == "custom_grid":
         axes = params["axes"]
         dim = int(params["dim"])
         shape = tuple(len(ax) for ax in axes) + (dim, dim)
         re = np.asarray(params["values_re"], dtype=float).reshape(shape)
         im = np.asarray(params.get("values_im", np.zeros(re.size)), dtype=float).reshape(shape)
-        return custom_grid(axes, re + 1j * im, **kw)
-    return build(**{key: float(params[name]) for name, key in names.items() if name in params},
-                 **kw)
+        chart = custom_grid(axes, re + 1j * im)
+    else:
+        chart = build(**{key: float(params[name]) for name, key in names.items() if name in params})
+    steps = {name: float(step) for name, step in (("fd_step", fd_step), ("fd_step2", fd_step2))
+             if step is not None}
+    return replace(chart, state_kind=state, **steps)
 
 
 def chart_to_json(chart: Chart) -> dict:
@@ -650,12 +650,6 @@ def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
     return _Fields(t, g, sec, n)
 
 
-def _central(plus: np.ndarray, minus: np.ndarray, h: float) -> np.ndarray:
-    """Central differences (f(x + h e) - f(x - h e)) / 2h of the values plus
-    at x + h e and minus at x - h e: the one first-difference formula."""
-    return (plus - minus) / (2.0 * h)
-
-
 def _along(a2, a1, f0, m1, m2, q: float) -> np.ndarray:
     """Fourth-order second difference along a unit direction d,
     (-f(x + 2q d) + 16 f(x + q d) - 30 f(x) + 16 f(x - q d) - f(x - 2q d)) / 12 q^2,
@@ -791,11 +785,13 @@ def projector_apply(chart: Chart, phi: State, cfg: DotConfig, u, a: AlgebraEleme
 
 
 def _tangent_projection(phi: State, cfg: DotConfig, ts: list, a: AlgebraElement) -> AlgebraElement:
-    """b_a g^{ab} (b_b . a) for wrapped tangents ts; SingularMetricError if g is singular."""
+    """b_a g^{ab} (b_b . a) for wrapped tangents ts; SingularMetricError if g
+    is singular, ``ValueError`` if a dot product or the sum overflows."""
     stack = _stack(ts + [a])
-    d = _dot_matrix(phi, cfg, stack[:-1], stack)  # metric columns, then the b . a column
-    coef = _solve_metric(d[:, :-1])[0] @ d[:, -1]
-    return AlgebraElement(sum(c * t for c, t in zip(coef, stack)))
+    with np.errstate(all="ignore"):  # an overflow shows in the guarded solve's or the element's check
+        d = _dot_matrix(phi, cfg, stack[:-1], stack)  # metric columns, then the b . a column
+        coef = _solve_metric(d[:, :-1])[0] @ d[:, -1]
+        return AlgebraElement(sum(c * t for c, t in zip(coef, stack)))
 
 
 def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "direct") -> ConnectionField:
@@ -949,8 +945,7 @@ def riemann_gauss_curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> floa
     """Gaussian curvature K = g_{1r} R^r_{212} / det g for 2-parameter charts."""
     if chart.p != 2:
         raise DimensionError("Gaussian curvature requires a 2-parameter chart")
-    cf = curvature(chart, phi, cfg, u)
-    return cf.gauss_curvature(cf.metric)
+    return curvature(chart, phi, cfg, u).gauss_curvature()
 
 
 def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
@@ -1169,7 +1164,7 @@ def gauss_curvature_2d(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
         raise DimensionError("gauss_curvature_2d requires a 2-parameter chart")
     geo, f, _, df = _frames(chart, phi, cfg, u)
     d = geo.gram(df[:, 0], df[::-1, 1])  # d[i, j] = d_i bhat_1 . d_(1-j) bhat_2
-    det = float(_solve_gram(f.g[0])[1])
+    det = float(_det(f.g[0]))
     if det <= 0:
         raise SingularMetricError("metric determinant is not positive")
     return float((d[0, 0] - d[1, 1]) / math.sqrt(det))

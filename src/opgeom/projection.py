@@ -341,8 +341,8 @@ def tuple_inner(phi: State, cfg: DotConfig, a_tuple, b_tuple) -> float:
 
     Antisymmetric under swapping two elements within either tuple, and zero
     when either tuple is linearly dependent.  The pairing of a tuple with
-    itself is a Gram determinant, hence nonnegative.  A dot matrix that
-    overflows raises ``ValueError``.
+    itself is a Gram determinant, hence nonnegative.  A dot matrix or a
+    determinant (``algebra._det``) that overflows raises ``ValueError``.
     """
     a_tuple = list(a_tuple)
     b_tuple = list(b_tuple)
@@ -356,4 +356,4 @@ def tuple_inner(phi: State, cfg: DotConfig, a_tuple, b_tuple) -> float:
         d = _dot_matrix(phi, cfg, stack[:k], stack[k:])
     if not np.isfinite(d).all():
         raise ValueError("tuple dot matrix is not finite")
-    return float(_solve_gram(d)[1])
+    return float(_det(d))

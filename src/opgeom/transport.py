@@ -13,7 +13,8 @@ callable into one that calls it per sample, with a float64 argument.
 ``stokes_residual`` lifts its field once and samples it once per side and
 once for the field strength's five points; it lifts its patch test the same
 way and calls it once on the loop's six points, which must get one truth
-value each.
+value each.  The loop's holonomy, the product of its side transports, can
+overflow though each side is finite: the residual is then ``ValueError``.
 
 The matrix size picks one layout per product integral (``_layout``): a 2x2
 stack is held in Fortran order, each entry one contiguous column over the
@@ -28,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _adjugate_2x2, _count, _first_false, _lifted, stacked
+from .algebra import _adjugate_2x2, _central, _count, _first_false, _lifted, stacked
 from .errors import (
     DimensionError,
     OrderTooLargeError,
     PatchDomainError,
     StiffnessError,
 )
-from .hypersurface import _central, bianchi_residual  # bianchi_residual's home is hypersurface
 
 __all__ = [
     "ConnectionPath",
@@ -46,7 +46,6 @@ __all__ = [
     "transport_oracle",
     "reverse_path",
     "stokes_residual",
-    "bianchi_residual",
     "stored_test_path",
     "stored_su2_field",
 ]
@@ -309,22 +308,18 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
     return np.ascontiguousarray(f[0])
 
 
-def transport_oracle(path: ConnectionPath, f0: np.ndarray | None = None) -> np.ndarray:
-    """Dormand-Prince 5(4) solution of dF/ds = A(s) F from F(s0) = f0 (default
-    the identity) to s1, backward if s1 < s0.  A step samples its seven nodes
-    in one call on a ``stacked`` A (else one per node), is kept if its error
-    estimate is at most ``_ORACLE_TOL`` max(1, max |F|), and scales the step by
-    0.9 err^(-1/5) in [0.2, 5]; StiffnessError once it is 1e-14 (|s| + |s1 - s0|).
-    An f0 not of shape (d, d), d the size of A, raises ``DimensionError``, and
-    a non-finite one ``ValueError``.
+def transport_oracle(path: ConnectionPath) -> np.ndarray:
+    """Dormand-Prince 5(4) solution of dF/ds = A(s) F from F(s0) = 1 to s1,
+    backward if s1 < s0.  The transport is linear, so the solution from any
+    other start f0 is ``transport_oracle(path) @ f0``.  A step samples its
+    seven nodes in one call on a ``stacked`` A (else one per node), is kept if
+    its error estimate is at most ``_ORACLE_TOL`` max(1, max |F|), and scales
+    the step by 0.9 err^(-1/5) in [0.2, 5]; StiffnessError once it is
+    1e-14 (|s| + |s1 - s0|).
     """
     s, s1 = float(path.s_range[0]), float(path.s_range[1])
     d = len(_sample(path.A, np.array([s]))[0])
-    f = np.array(np.eye(d) if f0 is None else f0, dtype=complex)
-    if f.shape != (d, d):
-        raise DimensionError(f"f0 must have shape ({d}, {d}), got {f.shape}")
-    if not np.isfinite(f).all():
-        raise ValueError("f0 must be finite")
+    f = np.eye(d, dtype=complex)
     h = span = s1 - s
     while s != s1:
         if abs(h) <= 1e-14 * (abs(s) + abs(span)):
@@ -396,19 +391,22 @@ def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
         bad = _first_false(_lifted(in_patch).stack(pts), pts, "in_patch")
         if bad is not None:
             raise PatchDomainError(f"loop point {bad.tolist()} leaves the patch")
-    holo = None
-    for i in range(4):
-        seg = _segment_path(a_field, corners[i], corners[(i + 1) % 4], n_steps)
-        f = product_integral(seg)
-        holo = f if holo is None else holo @ f
-    comps = _values(a_field, np.array([base, base + h * d1, base - h * d1,
-                                       base + h * d2, base - h * d2]))
-    # each point's components along d1 and along d2
-    a1, a2 = (np.einsum("i,kijl->kjl", d, comps) for d in (d1, d2))
-    with np.errstate(all="ignore"):  # an overflow shows in _expm_stack's check
+    with np.errstate(all="ignore"):  # an overflow shows in _expm_stack's check or the one below
+        holo = None
+        for i in range(4):
+            seg = _segment_path(a_field, corners[i], corners[(i + 1) % 4], n_steps)
+            f = product_integral(seg)
+            holo = f if holo is None else holo @ f
+        comps = _values(a_field, np.array([base, base + h * d1, base - h * d1,
+                                           base + h * d2, base - h * d2]))
+        # each point's components along d1 and along d2
+        a1, a2 = (np.einsum("i,kijl->kjl", d, comps) for d in (d1, d2))
         f12 = _central(a2[1], a2[2], h) - _central(a1[3], a1[4], h) + a1[0] @ a2[0] - a2[0] @ a1[0]
         f12 = f12 * eps * eps
-    return float(np.linalg.norm(holo - _expm_stack(f12[None])[0]))
+        residual = float(np.linalg.norm(holo - _expm_stack(f12[None])[0]))
+    if not np.isfinite(residual):
+        raise ValueError("Stokes residual is not finite: the product of the side transports overflows")
+    return residual
 
 
 # ---------------------------------------------------------------------------

@@ -113,13 +113,11 @@ def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> Boun
     return _report(_variance(phi, stack[0]), float(n[:, 0] @ w[:, 0]))
 
 
-def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
-                       commutator_scale: float | None = None) -> BoundReport:
+def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement) -> BoundReport:
     """Raw second-moment bound phi(a^2) phi(b^2) >= |phi([a, b])|^2 / 4.
 
-    Both elements must be hermitian.  ``commutator_scale`` is informational
-    (the expected magnitude of phi([a, b])) and is reported back together
-    with the observed magnitude.
+    Both elements must be hermitian.  ``extra["commutator_abs"]`` reports the
+    observed magnitude |phi([a, b])|.
     """
     for name, el in (("a", a), ("b", b)):
         _require_hermitian(el.m, f"pair product bound argument {name}")
@@ -127,11 +125,7 @@ def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement,
     with np.errstate(all="ignore"):  # an overflow shows in _report's check
         lhs = phi.eval_matrix(a.m @ a.m).real * phi.eval_matrix(b.m @ b.m).real
         comm = phi.eval_matrix(a.m @ b.m - b.m @ a.m)
-    rhs = abs(comm) ** 2 / 4.0
-    extra = {"commutator_abs": abs(comm)}
-    if commutator_scale is not None:
-        extra["commutator_scale"] = float(commutator_scale)
-    return _report(lhs, rhs, extra)
+    return _report(lhs, abs(comm) ** 2 / 4.0, {"commutator_abs": abs(comm)})
 
 
 def _hermitian_or_anti(el: AlgebraElement, name: str) -> float:

@@ -28,6 +28,7 @@ from opgeom.algebra import (
 from opgeom.cli import run
 from opgeom.hypersurface import (
     Chart,
+    bianchi_residual,
     chart_from_json,
     chart_to_json,
     christoffel,
@@ -54,7 +55,6 @@ from opgeom.projection import (
 from opgeom.transport import (
     ConnectionPath,
     LoopSpec,
-    bianchi_residual,
     ordered_series,
     product_integral,
     reverse_path,

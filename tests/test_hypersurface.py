@@ -3,6 +3,7 @@ geodesics, frames, Gibbs forces, invariant Lie metrics, and the stencil
 evaluator behind them."""
 
 import dataclasses
+import hashlib
 import math
 import subprocess
 import sys
@@ -121,8 +122,8 @@ def test_builder_validation():
 
 
 def test_chart_json_round_trip(tmp_path):
-    for chart in (sphere(r=1.7), torus(big_r=2.5, r=0.8, state="trace"),
-                  flat_plane(fd_step=2e-4), paraboloid(a=0.4)):
+    for chart in (sphere(r=1.7), make_chart("torus", {"R": 2.5, "r": 0.8}, state="trace"),
+                  make_chart("flat_plane", fd_step=2e-4), paraboloid(a=0.4)):
         back = chart_from_json(chart_to_json(chart))
         assert back.id == chart.id
         assert back.params == chart.params
@@ -181,7 +182,7 @@ def test_tangent_error_is_second_order():
     # halving the differencing step shrinks the tangent error about 4x
     errs = []
     for h in (2e-3, 1e-3):
-        chart = sphere(fd_step=h)
+        chart = dataclasses.replace(sphere(), fd_step=h)
         ts = tangent_basis(chart, SUM, CFG, SPHERE_PT)
         a_th, _ = sphere_tangents(1.0, SPHERE_PT)
         errs.append(np.abs(np.diag(ts[0].m).real[:3] - a_th).max())
@@ -210,7 +211,7 @@ def test_metric_flat_identity():
 
 def test_metric_state_normalization_ratio():
     g_sum = metric(sphere(), SUM, CFG, SPHERE_PT).g
-    g_trace = metric(sphere(state="trace"), TRACE, CFG, SPHERE_PT).g
+    g_trace = metric(dataclasses.replace(sphere(), state_kind="trace"), TRACE, CFG, SPHERE_PT).g
     assert np.abs(g_sum - 3.0 * g_trace).max() < 1e-12
 
 
@@ -283,6 +284,15 @@ def test_projector_output_is_tangential(rng):
     assert np.abs(resid.m - rebuilt).max() < 1e-10
 
 
+def test_overflowing_projection_raises_without_warnings():
+    # each tangent's dot with diag(1e307, 1, 1) overflows in the projection's dot matrix
+    big = AlgebraElement(np.diag([1e307, 1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            projector_apply(sphere(r=100.0), SUM, CFG, [1.1, 0.7], big)
+
+
 # ---------------------------------------------------------------------------
 # christoffel
 
@@ -317,7 +327,7 @@ def test_christoffel_torus_analytic():
 
 def test_christoffel_state_invariance():
     g_sum = christoffel(sphere(), SUM, CFG, SPHERE_PT).gamma
-    g_trace = christoffel(sphere(state="trace"), TRACE, CFG, SPHERE_PT).gamma
+    g_trace = christoffel(dataclasses.replace(sphere(), state_kind="trace"), TRACE, CFG, SPHERE_PT).gamma
     g_scaled = christoffel(sphere(), SUM, DotConfig(scale=3.0), SPHERE_PT).gamma
     assert np.abs(g_sum - g_trace).max() < 1e-10
     assert np.abs(g_sum - g_scaled).max() < 1e-10
@@ -343,7 +353,7 @@ def test_christoffel_nonsymmetric_metric_rejected():
     for i in range(3):
         for j in range(3):
             vals[i, j] = axes[0][i] * sx + axes[1][j] * sy + np.eye(2)
-    chart = custom_grid(axes, vals, fd_step2=0.25)
+    chart = dataclasses.replace(custom_grid(axes, vals), fd_step2=0.25)
     phi = State.vector(np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(NonSymmetricMetricError):
         christoffel(chart, phi, DotConfig(lam=0.3 + 0.4j), np.array([0.0, 0.0]))
@@ -399,7 +409,7 @@ def test_curvature_exact_antisymmetry():
 
 def test_curvature_state_invariance():
     r_sum = curvature(sphere(), SUM, CFG, SPHERE_PT).riemann
-    r_trace = curvature(sphere(state="trace"), TRACE, CFG, SPHERE_PT).riemann
+    r_trace = curvature(dataclasses.replace(sphere(), state_kind="trace"), TRACE, CFG, SPHERE_PT).riemann
     assert np.abs(r_sum - r_trace).max() < 1e-9
 
 
@@ -589,6 +599,20 @@ def test_frame_and_riemann_curvatures_agree():
         assert abs(k1 - k2) < 1e-4
 
 
+def test_frame_curvature_keeps_its_bits():
+    # sha256 of 36 values over three charts, two states and two dot products, taken
+    # when gauss_curvature_2d read its determinant from the guarded solve
+    rng = np.random.default_rng(24)
+    vals = []
+    for chart in (sphere(r=1.3), torus(big_r=2.0, r=0.6), paraboloid(a=0.4)):
+        for u in rng.uniform(*chart.sample_box, size=(3, 2)):
+            for phi in (SUM, TRACE):
+                for cfg in (CFG, DotConfig(lam=0.8, scale=1.5)):
+                    vals.append(gauss_curvature_2d(chart, phi, cfg, u))
+    assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == \
+        "f746abc51794dad87386de4160c21b2fdfe5ffa0c2ef6c2f47351f37a3f0d170"
+
+
 def test_frame_stencil_out_of_domain():
     with pytest.raises(StencilOutOfDomainError):
         orthonormal_frame(sphere(), SUM, CFG, np.array([5e-5, 1.0]))
@@ -773,7 +797,7 @@ def test_chart_rejects_bad_steps_and_radii():
                {"fd_step": math.inf}, {"fd_step2": math.nan}, {"fd_step2": 1e-200},
                {"fd_step": 1e200}):
         with pytest.raises(ValueError):
-            sphere(**kw)
+            make_chart("sphere", **kw)
     for make in (lambda: sphere(r=math.inf), lambda: torus(big_r=math.inf),
                  lambda: torus(big_r=math.nan, r=0.5)):
         with pytest.raises(ValueError):
@@ -829,10 +853,10 @@ def test_chart_geometry_needs_positive_real_lam(name, lam):
 
 
 def test_chart_state_must_be_sum_or_trace():
-    assert sphere(state="trace").default_state().kind == "trace"
+    assert make_chart("sphere", state="trace").default_state().kind == "trace"
     for bad in ("bogus", {"kind": "trace"}, None):
         with pytest.raises(ValueError, match="chart state"):
-            sphere(state=bad)
+            make_chart("sphere", state=bad)
 
 
 @pytest.mark.parametrize("chart", [sphere(), graph3_chart()], ids=["sphere", "graph3"])

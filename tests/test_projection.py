@@ -1,5 +1,6 @@
 """Gram machinery: projections, Cauchy-Schwarz, Gram-Schmidt, volumes, powers."""
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -497,6 +498,26 @@ def test_tuple_inner_self_pairing_nonnegative(rng):
         phi = rand_density(rng, 3)
         t = [rand_element(rng, 3) for _ in range(2)]
         assert tuple_inner(phi, CFG, t, t) >= -1e-10
+
+
+def test_tuple_inner_keeps_its_bits():
+    # sha256 of 80 values over four states, two dot products and tuples of 1 to 5,
+    # taken when tuple_inner read its determinant from the guarded solve
+    rng = np.random.default_rng(24)
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho = m @ m.conj().T
+    states = (State.normalized_trace(), State.unnormalized_sum(),
+              State.vector(psi / np.linalg.norm(psi)), State.density(rho / np.trace(rho).real))
+    vals = []
+    for phi in states:
+        for cfg in (DotConfig(), DotConfig(lam=0.3 + 0.4j, scale=2.0)):
+            for k in range(1, 6):
+                els = [rand_element(rng, 3) for _ in range(2 * k)]
+                vals += [tuple_inner(phi, cfg, els[:k], els[k:]),
+                         tuple_inner(phi, cfg, els[:k], els[:k])]
+    assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == \
+        "98a7249964216b86add492177e900186129a95d22104e2e01c5ef0de8fcc66bd"
 
 
 def test_tuple_inner_length_mismatch(rng):

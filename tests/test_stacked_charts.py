@@ -230,7 +230,7 @@ def test_custom_grid_stacked_map_matches_the_per_corner_formula(sizes, dim, seed
 
 
 @pytest.mark.parametrize("chart", [sphere(1.3), torus(2.1, 0.45), paraboloid(0.8), flat_plane(),
-                                   sphere(state="trace")],
+                                   dataclasses.replace(sphere(), state_kind="trace")],
                          ids=["sphere", "torus", "paraboloid", "flat_plane", "sphere-trace"])
 def test_report_on_stacked_and_per_point_maps_agree_bit_for_bit(chart):
     phi = chart.default_state()
@@ -296,7 +296,7 @@ def test_curvature_builds_the_metric_once():
     mf = metric(sphere(), SUM, CFG, u)
     assert cf.metric.g.tobytes() == mf.g.tobytes()
     assert cf.metric.g_inv.tobytes() == mf.g_inv.tobytes()
-    assert gauss == cf.gauss_curvature(mf)
+    assert gauss == cf.gauss_curvature()
 
 
 @pytest.mark.parametrize("chart", [sphere(), torus(), paraboloid(), flat_plane(),

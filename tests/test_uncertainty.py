@@ -157,11 +157,10 @@ def test_pair_bound_scaled_saturation(osc, ground):
     s = np.sqrt(theta)
     a = AlgebraElement(s * osc["x"].m)
     b = AlgebraElement(s * osc["p"].m)
-    rep = pair_product_bound(ground, a, b, commutator_scale=theta)
+    rep = pair_product_bound(ground, a, b)
     assert abs(rep.lhs - theta * theta / 4.0) < 1e-10
     assert abs(rep.rhs - theta * theta / 4.0) < 1e-10
     assert abs(rep.extra["commutator_abs"] - theta) < 1e-10
-    assert abs(rep.extra["commutator_scale"] - theta) < 1e-14
 
 
 def test_pair_bound_random_sweep(rng):
