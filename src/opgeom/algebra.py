@@ -86,8 +86,12 @@ def _as_square_complex(m, what="matrix"):
 def _asymmetric(a: np.ndarray, t: np.ndarray, axes=None):
     """Whether max|a - t| > HERMITICITY_TOL max(1, max|a|), for t a transpose
     of a, conjugated or negated as the symmetry asks: the one relative
-    symmetry test.  Given axes, it tests each member of a stack over them.
-    An overflowing a - t is asymmetric, since the scale stops at the largest float."""
+    symmetry test.  Given trailing axes, it tests each member of a stack over them.
+    An overflowing a - t is asymmetric, since the scale stops at the largest float.
+    Bit-equal a and t are not, by one equality test: there a - t is 0 or, for
+    mirrored infinities, NaN, so the formula gives the same verdict."""
+    if np.array_equal(a, t):
+        return False if axes is None else np.zeros(a.shape[:a.ndim - len(axes)], dtype=bool)
     with np.errstate(all="ignore"):
         scale = np.minimum(np.maximum(1.0, np.abs(a).max(axis=axes)), _FLOAT_MAX)
         return np.abs(a - t).max(axis=axes) > HERMITICITY_TOL * scale
@@ -521,33 +525,35 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     So does a determinant that overflows (past 2x2: at 2x2 it cannot).
     A 2x2 matrix takes s_min, s_max from |det| and its Frobenius norm and its
     inverse in closed form; larger ones use one SVD and an LU determinant.  A
+    lone matrix, or a stack of one, goes straight to ``_solve_lone``.  A
     stack of shape (K, n, n) is solved in one pass of array arithmetic: a
     stack of 2x2 matrices by ``_solve_2x2_stack``, larger ones by one
     factorization call and one stacked product (``_solve_svd_stack``).  It
     warns or raises once if any member is singular and returns the four
     results stacked; every member has the bits of a call on that member alone.
     """
-    st = m if m.ndim == 3 else m[None]
-    two = st.shape[1:] == (2, 2)
-    if not (two or np.isfinite(st).all()):  # the SVD of an infinite entry may not return
-        raise ValueError(_UNTESTABLE)
-    if len(st) == 1:
-        inv, det, cond, full = _solve_lone(st[0], two)
-    elif two:
-        inv, det, cond, full = _solve_2x2_stack(st)
-    else:
-        inv, det, cond, full = _solve_svd_stack(st)
-    if not all(full):
-        if isinstance(on_singular, Warning):
-            warnings.warn(on_singular, stacklevel=_caller_level())
-        elif on_singular is not None:
-            raise on_singular
-        for k, ok in enumerate(full):
-            if not ok:
-                inv[k] = np.linalg.pinv(st[k], rcond=RANK_TOL)
     if m.ndim == 2:
-        return inv[0], det[0], cond[0], full[0]
-    return np.asarray(inv), np.asarray(det), np.asarray(cond), np.asarray(full)
+        return _solve_lone(m, on_singular)
+    if len(m) == 1:
+        return tuple(np.asarray([r]) for r in _solve_lone(m[0], on_singular))
+    two = m.shape[1:] == (2, 2)
+    if not (two or np.isfinite(m).all()):  # the SVD of an infinite entry may not return
+        raise ValueError(_UNTESTABLE)
+    inv, det, cond, full = _solve_2x2_stack(m) if two else _solve_svd_stack(m)
+    if not full.all():
+        _singular(on_singular)
+        for k in np.flatnonzero(~full):
+            inv[k] = np.linalg.pinv(m[k], rcond=RANK_TOL)
+    return inv, det, cond, full
+
+
+def _singular(on_singular):
+    """Warn ``on_singular`` (a Warning), attributed to the first caller outside
+    this package, or raise it (an exception); None does neither."""
+    if isinstance(on_singular, Warning):
+        warnings.warn(on_singular, stacklevel=_caller_level())
+    elif on_singular is not None:
+        raise on_singular
 
 
 _PACKAGE = os.path.dirname(os.path.abspath(__file__)) + os.sep
@@ -562,15 +568,17 @@ def _caller_level() -> int:
     return level
 
 
-def _solve_lone(m: np.ndarray, two: bool):
-    """The four results of ``_solve_gram`` on one matrix, as lists of one,
-    with None for the inverse if it is not of full rank."""
-    if two:
+def _solve_lone(m: np.ndarray, on_singular):
+    """The four results of ``_solve_gram`` on one matrix, the inverse an array:
+    at 2x2 from its entries as Python numbers, above from NumPy's SVD."""
+    if m.shape == (2, 2):
         (a, b), (c, d) = m.tolist()
         adj, dt = _adjugate_2x2(a, b, c, d)
         adet, s_max = _closed_2x2(a, b, c, d, dt, math.sqrt, max)
         s_min = adet / s_max if s_max > 0 else 0.0
     else:
+        if not np.isfinite(m).all():  # the SVD of an infinite entry may not return
+            raise ValueError(_UNTESTABLE)
         u, s, vh = np.linalg.svd(m)
         # Python floats, so that s_max / s_min may overflow to inf with no warning
         dt, s_max, s_min = _det(m), float(s[0]), float(s[-1])
@@ -578,12 +586,13 @@ def _solve_lone(m: np.ndarray, two: bool):
         raise ValueError(_UNTESTABLE)
     ok = bool(s_min > RANK_TOL * max(s_max, RANK_TOL))
     if not ok:
-        inv = None  # the pseudo-inverse, once the singular policy has run
-    elif two:  # entry by entry, as the array / dt rounds
+        _singular(on_singular)
+        inv = np.linalg.pinv(m, rcond=RANK_TOL)
+    elif m.shape == (2, 2):  # entry by entry, as the array / dt rounds
         inv = np.array([[adj[0] / dt, adj[1] / dt], [adj[2] / dt, adj[3] / dt]])
     else:
         inv = (vh.conj().T / s) @ u.conj().T
-    return [inv], [dt], [s_max / s_min if s_min > 0 else math.inf], [ok]
+    return inv, dt, s_max / s_min if s_min > 0 else math.inf, ok
 
 
 def _det(m: np.ndarray):
@@ -641,8 +650,8 @@ def _solve_2x2_stack(st: np.ndarray):
         # the adjugate over det, for the full-rank members; C order like a
         # stack of lone-matrix inverses, since products with it round by layout
         inv = np.zeros(st.shape, dtype=np.result_type(st, 1.0))
-        np.divide(np.stack(adj, axis=1), det[:, None], out=inv.reshape(-1, 4),
-                  where=full[:, None])
+        for col, entry in zip(inv.reshape(-1, 4).T, adj):
+            np.divide(entry, det, out=col, where=full)
     return inv, det, cond, full
 
 

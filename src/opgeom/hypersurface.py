@@ -228,7 +228,7 @@ class CurvatureField:
     metric: MetricField
 
     def gauss_curvature(self) -> float:
-        """K = g_{1r} R^r_{212} / det g, with g the metric at the same point."""
+        """K = g_{1r} R^r_{212} / det g, g the metric there; DimensionError unless p = 2."""
         return _gauss(self.metric.g, self.riemann, self.metric.det)
 
 
@@ -621,7 +621,7 @@ def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
     the per-point formula.  All of it runs in one ``np.errstate``: an
     overflow shows as a non-finite value.
     """
-    if not all(map(math.isfinite, xs.flat)):
+    if not np.isfinite(xs).all():
         bad = xs[~np.isfinite(xs).all(axis=1)][0]
         raise EvaluationError(f"point {bad.tolist()} is not finite")
     k, p = xs.shape
@@ -638,12 +638,12 @@ def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
         g = geo.gram(t)
         sec = n = None
         if second:
-            iu, ju, ni, bi, pair = _pair_index(p)
+            iu, ju, ni, bi, pair, dg = _pair_index(p)
             v0, vp, vm = v[:, 2 * p:2 * p + 1], v[:, 2 * p + 1:3 * p + 1], v[:, 3 * p + 1:4 * p + 1]
             at, m = 4 * p + 1, len(iu)
             vpp, vpm, vmp, vmm = (v[:, at + i * m:at + (i + 1) * m] for i in range(4))
             sec = np.empty((k, p) + vp.shape[1:], dtype=vp.dtype)
-            sec[:, range(p), range(p)] = (vp - 2.0 * v0 + vm) / (h2 * h2)
+            sec[:, dg, dg] = (vp - 2.0 * v0 + vm) / (h2 * h2)
             sec[:, iu, ju] = sec[:, ju, iu] = (vpp - vpm - vmp + vmm) / (4.0 * h2 * h2)
             # one dot per unordered pair keeps N exactly symmetric in (n, b)
             n = np.ascontiguousarray(geo.gram(t, sec[:, ni, bi])[:, :, pair])
@@ -700,13 +700,13 @@ def _stencil(p: int, h: float, h2: float, second: bool, along: bool) -> _Stencil
 
 @functools.lru_cache(maxsize=16)
 def _pair_index(p: int):
-    """(iu, ju) of the pairs i < j, (ni, bi) of the pairs n <= b, and the
-    (p, p) table of each (n, b)'s position among the latter."""
+    """(iu, ju) of the pairs i < j, (ni, bi) of the pairs n <= b, the
+    (p, p) table of each (n, b)'s position among the latter, and 0..p-1."""
     iu, ju = np.triu_indices(p, 1)
     ni, bi = np.triu_indices(p)
     pair = np.empty((p, p), dtype=int)
     pair[ni, bi] = pair[bi, ni] = np.arange(len(ni))
-    out = iu, ju, ni, bi, pair
+    out = iu, ju, ni, bi, pair, np.arange(p)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -717,10 +717,17 @@ def _star(u, h: float) -> np.ndarray:
     stacked on a new first axis as (1 + 2p, ..., p).  As in ``_stencil``,
     the offsets are rows -0.0, h e_c and -h e_c: x + (-0.0) is x and
     x + (-y) is x - y, so each centre has the bits of its expression."""
-    p = u.shape[-1]
-    e = np.diag(np.full(p, float(h)))
+    off = _star_offsets(u.shape[-1], float(h))
+    return u + off.reshape(off.shape[:1] + (1,) * (u.ndim - 1) + off.shape[1:])
+
+
+@functools.lru_cache(maxsize=16)
+def _star_offsets(p: int, h: float) -> np.ndarray:
+    """The (1 + 2p, p) offset rows of ``_star``, read-only."""
+    e = np.diag(np.full(p, h))
     off = np.concatenate([np.full((1, p), -0.0), e, -e])
-    return u + off.reshape((1 + 2 * p,) + (1,) * (u.ndim - 1) + (p,))
+    off.flags.writeable = False
+    return off
 
 
 def _diff(fs, h: float) -> np.ndarray:
@@ -750,9 +757,10 @@ def _gamma(ginv: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _require_symmetric_metric(g: np.ndarray):
-    # a non-finite metric (an overflow) has no symmetry to test: the guarded
-    # solve that follows raises for it
-    if np.isfinite(g).all() and np.any(_asymmetric(g, g.swapaxes(-1, -2), axes=(-2, -1))):
+    """NonSymmetricMetricError for a finite asymmetric metric, or stack of them;
+    a non-finite one (an overflow) is left to the guarded solve.  A bit-symmetric
+    stack takes ``_asymmetric``'s equality test and no finiteness pass."""
+    if np.any(_asymmetric(g, g.swapaxes(-1, -2), axes=(-2, -1))) and np.isfinite(g).all():
         raise NonSymmetricMetricError(
             "connection formulas require a symmetric metric; use a real lam dot product")
 
@@ -862,11 +870,13 @@ class Geometry(NamedTuple):
     bianchi: np.ndarray | None  # (K,) Bianchi residuals; None for p < 2
 
     def gauss_curvature(self) -> np.ndarray:
-        """(K,) Gaussian curvatures K = g_{1r} R^r_{212} / det g (2-parameter charts)."""
+        """(K,) Gaussian curvatures K = g_{1r} R^r_{212} / det g; DimensionError unless p = 2."""
         return np.array([_gauss(g, r, d) for g, r, d in zip(self.g, self.riemann, self.det)])
 
 
 def _gauss(g: np.ndarray, riemann: np.ndarray, det) -> float:
+    if len(g) != 2:
+        raise DimensionError("Gaussian curvature requires a 2-parameter chart")
     return float(g[0, :] @ riemann[:, 1, 0, 1] / det)
 
 
@@ -943,8 +953,6 @@ def curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> CurvatureField:
 
 def riemann_gauss_curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Gaussian curvature K = g_{1r} R^r_{212} / det g for 2-parameter charts."""
-    if chart.p != 2:
-        raise DimensionError("Gaussian curvature requires a 2-parameter chart")
     return curvature(chart, phi, cfg, u).gauss_curvature()
 
 
@@ -1023,10 +1031,10 @@ def _geodesic_slope(geo: _Geo, plan: _Stencil, y: list, form: bool = False):
     The 2p + 5 points of ``plan``, the ``_stencil`` with ``along`` at u and
     the unit direction d = v / |v|, go into one fresh array and one
     ``geo.vals`` call; ``_central`` and ``_along`` difference them in the
-    per-point formulas' operand order, so a has their bits.  On float64 chart
-    values ``_along`` runs per entry on Python floats, which round as the
-    array formula does; complex values keep the array formula, since Python
-    and NumPy divide complex numbers differently.  A zero v evaluates only
+    per-point formulas' operand order, so a has their bits.  On float64
+    vector values ``_along`` runs per entry on Python floats, which round as
+    the array formula does; matrix and complex values keep the array formula,
+    since Python and NumPy divide complex numbers differently.  A zero v evaluates only
     the tangent points and has a = 0.  It runs in its caller's one
     ``np.errstate`` (see ``geodesic``); a state or |v| that is not finite is
     ``EvaluationError``.
@@ -1049,15 +1057,13 @@ def _geodesic_slope(geo: _Geo, plan: _Stencil, y: list, form: bool = False):
     if not speed:
         return y[p:] + [0.0] * p, cond, vgv
     q, vv = chart.fd_step2, speed * speed
-    if vals.dtype == np.float64:  # as Python floats, entry by entry
-        f0, a2, a1, m1, m2 = vals[2 * p:].reshape(5, -1).tolist()
-        dd = np.array([_along(*e, q) * vv for e in zip(a2, a1, f0, m1, m2)])
-        dd = dd.reshape((1,) + vals.shape[1:])
+    if vals.ndim == 2 and vals.dtype == np.float64:  # as Python floats, entry by entry
+        f0, a2, a1, m1, m2 = vals[2 * p:].tolist()
+        dd = np.array([[_along(*e, q) * vv for e in zip(a2, a1, f0, m1, m2)]])
     else:
         c = 2 * p
         dd = (_along(vals[c + 1], vals[c + 2], vals[c], vals[c + 3], vals[c + 4], q) * vv)[None]
-    a = -(ginv @ geo.gram(t, dd)[:, 0])
-    return y[p:] + a.tolist(), cond, vgv
+    return y[p:] + [-a for a in (ginv @ geo.gram(t, dd)[:, 0]).tolist()], cond, vgv
 
 
 # States a geodesic's arrays hold at the start.  They double as they fill,

@@ -124,8 +124,9 @@ def pair_product_bound(phi: State, a: AlgebraElement, b: AlgebraElement) -> Boun
     a._check_dim(b)
     with np.errstate(all="ignore"):  # an overflow shows in _report's check
         lhs = phi.eval_matrix(a.m @ a.m).real * phi.eval_matrix(b.m @ b.m).real
-        comm = phi.eval_matrix(a.m @ b.m - b.m @ a.m)
-    return _report(lhs, abs(comm) ** 2 / 4.0, {"commutator_abs": abs(comm)})
+        comm = abs(phi.eval_matrix(a.m @ b.m - b.m @ a.m))
+        # a NumPy square, which rounds as a Python one but overflows to inf
+        return _report(lhs, np.float64(comm) ** 2 / 4.0, {"commutator_abs": comm})
 
 
 def _hermitian_or_anti(el: AlgebraElement, name: str) -> float:

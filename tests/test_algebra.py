@@ -14,7 +14,9 @@ from opgeom.algebra import (
     AlgebraElement,
     DotConfig,
     PhysConstants,
+    HERMITICITY_TOL,
     State,
+    _asymmetric,
     _require_hermitian,
     anticommutator,
     commutator,
@@ -32,6 +34,7 @@ from opgeom.algebra import (
     state_to_json,
 )
 from opgeom.errors import DimensionError, HermiticityError
+from opgeom.uncertainty import _hermitian_or_anti
 
 from .conftest import rand_density, rand_hermitian
 
@@ -311,6 +314,61 @@ def test_symmetry_test_overflow_is_asymmetric_with_no_warning(m):
     with warnings.catch_warnings(), pytest.raises(HermiticityError):
         warnings.simplefilter("error")
         _require_hermitian(np.array(m, dtype=complex))
+
+
+def asymmetric_formula(a, t, axes=None):
+    """The relative symmetry test without its equality head: the reference."""
+    with np.errstate(all="ignore"):
+        scale = np.minimum(np.maximum(1.0, np.abs(a).max(axis=axes)), np.finfo(float).max)
+        return np.abs(a - t).max(axis=axes) > HERMITICITY_TOL * scale
+
+
+def _symmetry_cases():
+    rng = np.random.default_rng(31)
+    r, c = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    sym, herm = r + r.T, c + c.conj().T
+    inf = np.array([[1.0, math.inf, 0.0], [math.inf, 1.0, -math.inf], [0.0, -math.inf, 2.0]])
+    nan = np.array([[1.0, math.nan], [math.nan, 1.0]])
+    near = [np.array([[1.0, 1.0 + d], [1.0, 1.0]]) for d in (0.5e-10, 2e-10)]
+    overflow = np.array([[1.7e308 + 1.7e308j, 0.0], [0.0, 0.0]])
+    return [  # (a, t, bit-equal, asymmetric)
+        (sym, sym.T, True, False), (herm, herm.conj().T, True, False), (inf, inf.T, True, False),
+        (inf.astype(complex), inf.astype(complex).conj().T, True, False),
+        (nan, nan.T, False, False), (near[0], near[0].T, False, False),
+        (near[1], near[1].T, False, True), (overflow, overflow.conj().T, False, True),
+        (r, r.T, False, True), (c, c.conj().T, False, True),
+    ]
+
+
+@pytest.mark.parametrize("a, t, exact, verdict", _symmetry_cases(), ids=[
+    "symmetric", "hermitian", "mirrored-inf", "mirrored-inf-complex", "nan",
+    "just-inside", "just-beyond", "modulus-overflow", "asymmetric", "non-hermitian"])
+def test_symmetry_test_takes_the_verdict_of_its_formula(a, t, exact, verdict):
+    # bit-equal inputs take the equality head (a Python False); every verdict
+    # is the formula's, alone and for a stack tested per member over its axes
+    want = asymmetric_formula(a, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _asymmetric(a, t)
+        assert (got is False) == exact
+        assert bool(got) == bool(want) == verdict
+        other = np.arange(a.size, dtype=a.dtype).reshape(a.shape)  # not symmetric
+        stack_a, stack_t = np.stack([a, other, a]), np.stack([t, other.T, t])
+        for sa, st_ in ((stack_a, stack_t), (stack_a[[0, 2]], stack_t[[0, 2]])):
+            got, want = _asymmetric(sa, st_, axes=(-2, -1)), asymmetric_formula(sa, st_, axes=(-2, -1))
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tolist() == want.tolist()
+
+
+def test_an_antihermitian_element_is_told_by_the_exact_test():
+    rng = np.random.default_rng(32)
+    c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    anti = AlgebraElement(1j * (c + c.conj().T))
+    adj = anti.m.conj().T
+    assert np.array_equal(anti.m, -adj) and _asymmetric(anti.m, -adj) is False
+    assert bool(_asymmetric(anti.m, adj)) == bool(asymmetric_formula(anti.m, adj))
+    assert _hermitian_or_anti(anti, "x") == -1.0
+    assert _hermitian_or_anti(AlgebraElement(c + c.conj().T), "x") == 1.0
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])

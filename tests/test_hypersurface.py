@@ -1019,6 +1019,48 @@ def test_stacked_solve_matches_per_matrix_calls(n, k, spd, seed):
     assert inv[bad].tobytes() == np.linalg.pinv(m[bad], rcond=1e-10).tobytes()
 
 
+def _recorded_solve(m, on_singular):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = _solve_gram(m, on_singular)
+    return out, [str(w.message) for w in seen]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_a_lone_solve_and_a_stack_of_one_agree(n, kind):
+    # _solve_gram(m) and _solve_gram(m[None]): the same bits and dtypes, one
+    # warning or one raise of the policy, the pseudo-inverse when singular, and
+    # the same ValueError for what cannot be tested
+    rng = np.random.default_rng(40 + n)
+    a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if kind is complex else 0.0)
+    for m, full in ((a @ a.conj().T + 0.1 * np.eye(n), True), (np.outer(a[0], a[0].conj()), False)):
+        lone, lone_seen = _recorded_solve(m, UserWarning("singular"))
+        stack, stack_seen = _recorded_solve(m[None], UserWarning("singular"))
+        assert isinstance(lone[0], np.ndarray) and isinstance(lone[1], kind)
+        assert type(lone[2]) is float and lone[3] is full
+        for one, many in zip(lone, stack):
+            one = np.asarray(one)
+            assert (many.shape, many.dtype) == ((1,) + one.shape, one.dtype)
+            assert many[0].tobytes() == one.tobytes()
+        assert lone_seen == stack_seen == ([] if full else ["singular"])
+        if not full:
+            assert lone[0].tobytes() == np.linalg.pinv(m, rcond=1e-10).tobytes()
+            for arg in (m, m[None]):
+                with pytest.raises(SingularMetricError, match="singular"):
+                    _solve_gram(arg, SingularMetricError("singular"))
+    bad = [np.diag([math.inf] + [1.0] * (n - 1)), np.diag([math.nan] + [1.0] * (n - 1)),
+           1e200 * np.eye(2) if n == 2 else 1e150 * np.eye(3)]  # squares or det overflow
+    for m in bad:
+        errors = []
+        for arg in (m.astype(kind), m.astype(kind)[None]):
+            with warnings.catch_warnings(), pytest.raises(ValueError) as exc:
+                warnings.simplefilter("error")
+                _solve_gram(arg, SingularMetricError("singular"))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+
 def test_a_large_stack_solves_with_the_lone_bits():
     # one SVD and one stacked product for the whole stack; one member of rank 2
     # takes the pseudo-inverse, as a lone call on it does

@@ -299,6 +299,22 @@ def test_curvature_builds_the_metric_once():
     assert gauss == cf.gauss_curvature()
 
 
+@pytest.mark.parametrize("p", [3, 1])
+def test_gauss_curvature_needs_two_parameters(p):
+    # K = g_{1r} R^r_{212} / det g means nothing off a 2-parameter chart: on the
+    # stacked graph3 it read -0.00388, and on a 1-parameter grid R^r_{212} does
+    # not exist (an IndexError)
+    if p == 3:
+        chart, u = stacked_graph3(), np.array([0.1, 0.2, 0.3])
+    else:
+        axis = np.linspace(-1.0, 1.0, 5)
+        chart, u = custom_grid([axis], np.stack([np.diag([x, 0.0]) for x in axis])), np.zeros(1)
+    with pytest.raises(DimensionError):
+        curvature(chart, SUM, CFG, u).gauss_curvature()
+    with pytest.raises(DimensionError):
+        geometry_at(chart, SUM, CFG, u[None]).gauss_curvature()
+
+
 @pytest.mark.parametrize("chart", [sphere(), torus(), paraboloid(), flat_plane(),
                                    graph3_chart()], ids=lambda c: c.id)
 def test_metric_det_is_stored_from_the_one_solve(chart, monkeypatch):

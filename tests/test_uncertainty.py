@@ -303,6 +303,13 @@ def test_overflowing_pair_product_bound_is_an_error():
     with warnings.catch_warnings(), pytest.raises(ValueError, match="not finite"):
         warnings.simplefilter("error")
         pair_product_bound(TRACE, AlgebraElement(np.diag([1e300, 1.0])), off)
+    # |phi([a, b])| = 1e160 under a non-trace state: its square, taken as a
+    # Python float's **, raised OverflowError instead of the bound's ValueError
+    sigma_y = AlgebraElement(np.array([[0.0, -1j], [1j, 0.0]]))
+    for phi in (State.density(np.diag([0.75, 0.25])), State.vector([1.0, 0.0])):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="not finite"):
+            warnings.simplefilter("error")
+            pair_product_bound(phi, AlgebraElement(np.array([[0.0, 1e160], [1e160, 0.0]])), sigma_y)
 
 
 def test_overflowing_state_value_is_an_error():
