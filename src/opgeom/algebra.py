@@ -23,8 +23,9 @@ connection can be one), with ``_lifted``, which makes any other callable
 one, ``_first_false``, the one rule for the answers of a domain or patch
 test, ``_step_count``, the one step-count rule, ``_central``, the one
 first-difference formula, ``_asymmetric``, the one relative symmetry test,
-``_det``, the one determinant of a lone matrix, and ``_finite_value``, the
-one check of a value.
+``_solve_gram``, the one guarded solve of a Gram or metric matrix or a
+stack of them, ``_det``, the determinant of a lone matrix whose inverse is
+not needed, and ``_finite_value``, the one check of a value.
 """
 
 from __future__ import annotations
@@ -514,36 +515,78 @@ RANK_TOL = 1e-10
 
 
 def _solve_gram(m: np.ndarray, on_singular=None):
-    """Guarded inverse of a Gram or metric matrix: (inverse, det, cond, full).
+    """Guarded inverse of a Gram or metric matrix, or of a (K, n, n) stack of
+    them: (inverse, det, cond, full), the one solve.
 
     Full rank means s_min > RANK_TOL * max(s_max, RANK_TOL) for the singular
-    values.  Otherwise ``on_singular`` is warned (a Warning, attributed to
-    the first caller outside this package) or raised (an exception) and the
-    inverse is the pseudo-inverse cut at RANK_TOL * s_max.
-    A non-finite entry, or an s_max that overflows, raises ``ValueError``:
-    the rank cannot be told (entries go to an SVD only once found finite).
-    So does a determinant that overflows (past 2x2: at 2x2 it cannot).
-    A 2x2 matrix takes s_min, s_max from |det| and its Frobenius norm and its
-    inverse in closed form; larger ones use one SVD and an LU determinant.  A
-    lone matrix, or a stack of one, goes straight to ``_solve_lone``.  A
-    stack of shape (K, n, n) is solved in one pass of array arithmetic: a
-    stack of 2x2 matrices by ``_solve_2x2_stack``, larger ones by one
-    factorization call and one stacked product (``_solve_svd_stack``).  It
-    warns or raises once if any member is singular and returns the four
-    results stacked; every member has the bits of a call on that member alone.
+    values (numerical rank: Golub & Van Loan, Matrix Computations, 4th ed.,
+    5.4.1), and cond is s_max / s_min, inf at s_min = 0 or past the float
+    range.  A matrix not of full rank has ``on_singular`` warned (a Warning,
+    attributed to the first caller outside this package) or raised (an
+    exception), once per call, and the pseudo-inverse cut at RANK_TOL * s_max
+    as its inverse.  A non-finite entry or s_max raises ``ValueError``: the
+    rank cannot be told (entries go to an SVD only once found finite).  So
+    does a determinant that overflows (past 2x2: at 2x2 it cannot).
+
+    A 2x2 matrix takes s_min and s_max from |det| and its Frobenius norm
+    (``_closed_2x2``) and its inverse from its adjugate: from the entries as
+    Python numbers outside any ``np.errstate`` if lone, from the entry
+    columns if stacked.  Larger matrices, lone or stacked, take one SVD, one
+    LU determinant and one inverse product over ``...`` axes.  The rules then
+    run once on Python numbers for a lone matrix and once on arrays for a
+    stack, so a lone matrix returns det, cond and full as scalars.  A stack
+    of one is solved as its lone member; every member of a real stack, and of
+    a complex one past 2x2, has the bits of a call on that member alone.
     """
-    if m.ndim == 2:
-        return _solve_lone(m, on_singular)
-    if len(m) == 1:
-        return tuple(np.asarray([r]) for r in _solve_lone(m[0], on_singular))
-    two = m.shape[1:] == (2, 2)
-    if not (two or np.isfinite(m).all()):  # the SVD of an infinite entry may not return
-        raise ValueError(_UNTESTABLE)
-    inv, det, cond, full = _solve_2x2_stack(m) if two else _solve_svd_stack(m)
+    if m.ndim == 3 and len(m) == 1:
+        return tuple(np.asarray([r]) for r in _solve_gram(m[0], on_singular))
+    two = m.shape[-2:] == (2, 2)
+    if m.ndim == 2 and two:  # no np.errstate: arrays would cost several times as long
+        (a, b), (c, d) = m.tolist()
+        adj, det = _adjugate_2x2(a, b, c, d)
+        adet, s_max = _closed_2x2(a, b, c, d, det, math.sqrt, max)
+        s_min = adet / s_max if s_max > 0 else 0.0
+    else:
+        with np.errstate(all="ignore"):
+            if two:
+                cols = m.reshape(-1, 4).T
+                adj, det = _adjugate_2x2(*cols)
+                adet, s_max = _closed_2x2(*cols, det, np.sqrt, np.maximum)
+                s_min = np.divide(adet, s_max, out=np.zeros_like(s_max), where=s_max > 0)
+            elif np.isfinite(m).all():  # the SVD of an infinite entry may not return
+                u, s, vh = np.linalg.svd(m)
+                s_max, s_min, det = s[..., 0], s[..., -1], np.linalg.det(m)
+                inv = (vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ u.conj().swapaxes(-1, -2)
+            else:
+                s_max = math.inf  # its rank cannot be told
+            if m.ndim == 3:  # the rules on arrays
+                if not np.isfinite(s_max).all():
+                    raise ValueError(_UNTESTABLE)
+                if not (two or np.isfinite(det).all()):
+                    raise ValueError(_NONFINITE_DET)
+                full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
+                cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
+                if two:  # adj / det where full, in C order as a lone inverse: products round by layout
+                    inv = np.zeros(m.shape, dtype=np.result_type(m, 1.0))
+                    for col, entry in zip(inv.reshape(-1, 4).T, adj):
+                        np.divide(entry, det, out=col, where=full)
+    if m.ndim == 2:  # the rules on Python numbers
+        if not math.isfinite(s_max):
+            raise ValueError(_UNTESTABLE)
+        if not (two or cmath.isfinite(det)):
+            raise ValueError(_NONFINITE_DET)
+        s_max, s_min = float(s_max), float(s_min)  # s_max / s_min overflows to inf with no warning
+        full = s_min > RANK_TOL * max(s_max, RANK_TOL)
+        cond = s_max / s_min if s_min > 0 else math.inf
+        if not full:
+            _singular(on_singular)
+            inv = np.linalg.pinv(m, rcond=RANK_TOL)
+        elif two:  # entry by entry, as the array / det rounds
+            inv = np.array([[adj[0] / det, adj[1] / det], [adj[2] / det, adj[3] / det]])
+        return inv, det, cond, full
     if not full.all():
         _singular(on_singular)
-        for k in np.flatnonzero(~full):
-            inv[k] = np.linalg.pinv(m[k], rcond=RANK_TOL)
+        inv[~full] = np.linalg.pinv(m[~full], rcond=RANK_TOL)
     return inv, det, cond, full
 
 
@@ -568,36 +611,10 @@ def _caller_level() -> int:
     return level
 
 
-def _solve_lone(m: np.ndarray, on_singular):
-    """The four results of ``_solve_gram`` on one matrix, the inverse an array:
-    at 2x2 from its entries as Python numbers, above from NumPy's SVD."""
-    if m.shape == (2, 2):
-        (a, b), (c, d) = m.tolist()
-        adj, dt = _adjugate_2x2(a, b, c, d)
-        adet, s_max = _closed_2x2(a, b, c, d, dt, math.sqrt, max)
-        s_min = adet / s_max if s_max > 0 else 0.0
-    else:
-        if not np.isfinite(m).all():  # the SVD of an infinite entry may not return
-            raise ValueError(_UNTESTABLE)
-        u, s, vh = np.linalg.svd(m)
-        # Python floats, so that s_max / s_min may overflow to inf with no warning
-        dt, s_max, s_min = _det(m), float(s[0]), float(s[-1])
-    if not math.isfinite(s_max):
-        raise ValueError(_UNTESTABLE)
-    ok = bool(s_min > RANK_TOL * max(s_max, RANK_TOL))
-    if not ok:
-        _singular(on_singular)
-        inv = np.linalg.pinv(m, rcond=RANK_TOL)
-    elif m.shape == (2, 2):  # entry by entry, as the array / dt rounds
-        inv = np.array([[adj[0] / dt, adj[1] / dt], [adj[2] / dt, adj[3] / dt]])
-    else:
-        inv = (vh.conj().T / s) @ u.conj().T
-    return inv, dt, s_max / s_min if s_min > 0 else math.inf, ok
-
-
 def _det(m: np.ndarray):
-    """det m, the one rule for a lone matrix: ad - bc (``_adjugate_2x2``) at
-    2x2, an LU determinant above; ``ValueError`` if it is not finite."""
+    """det m of a lone matrix whose inverse is not needed, as ``_solve_gram``
+    forms it: ad - bc (``_adjugate_2x2``) at 2x2, an LU determinant above;
+    ``ValueError`` if it is not finite."""
     if m.shape == (2, 2):
         (a, b), (c, d) = m.tolist()
         dt = _adjugate_2x2(a, b, c, d)[1]
@@ -630,50 +647,6 @@ def _closed_2x2(a, b, c, d, det, sqrt, maximum):
     return adet, sqrt(0.5 * (fro2 + sqrt(maximum((fro2 - gap) * (fro2 + gap), 0.0))))
 
 
-def _solve_2x2_stack(st: np.ndarray):
-    """The four results of ``_solve_gram`` on a stack of K > 1 2x2 matrices,
-    as arrays from array arithmetic (``_adjugate_2x2``, ``_closed_2x2``), with
-    zeros for the inverse of a member that is not of full rank.  Real stacks
-    get the lone-matrix bits exactly (complex products may round differently).
-    A member out of the float range shows only as a non-finite s_max, which
-    raises ``ValueError`` with no NumPy warning.
-    """
-    cols = st.reshape(-1, 4).T
-    with np.errstate(all="ignore"):
-        adj, det = _adjugate_2x2(*cols)
-        adet, s_max = _closed_2x2(*cols, det, np.sqrt, np.maximum)
-        if not np.isfinite(s_max).all():
-            raise ValueError(_UNTESTABLE)
-        s_min = np.divide(adet, s_max, out=np.zeros_like(s_max), where=s_max > 0)
-        full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
-        cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
-        # the adjugate over det, for the full-rank members; C order like a
-        # stack of lone-matrix inverses, since products with it round by layout
-        inv = np.zeros(st.shape, dtype=np.result_type(st, 1.0))
-        for col, entry in zip(inv.reshape(-1, 4).T, adj):
-            np.divide(entry, det, out=col, where=full)
-    return inv, det, cond, full
-
-
-def _solve_svd_stack(st: np.ndarray):
-    """The four results of ``_solve_gram`` on a stack of K > 1 n x n matrices,
-    n > 2, as arrays from one SVD, one LU determinant and one stacked
-    product, which gives each member the bits of the lone-matrix inverse.
-    The inverse of a member that is not of full rank is not finite."""
-    u, s, vh = np.linalg.svd(st)
-    s_max, s_min = s[:, 0], s[:, -1]
-    if not np.isfinite(s_max).all():
-        raise ValueError(_UNTESTABLE)
-    full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
-    with np.errstate(all="ignore"):
-        cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
-        inv = (vh.conj().swapaxes(-1, -2) / s[:, None, :]) @ u.conj().swapaxes(-1, -2)
-        det = np.linalg.det(st)
-    if not np.isfinite(det).all():
-        raise ValueError(_NONFINITE_DET)
-    return inv, det, cond, full
-
-
 _UNTESTABLE = "Gram or metric matrix is not finite, or too large to test its rank"
 _NONFINITE_DET = "Gram or metric determinant is not finite"
 
@@ -699,6 +672,7 @@ def heisenberg_dot(consts: PhysConstants, h: AlgebraElement, b: AlgebraElement,
 
 def fock_lowering(dim: int) -> AlgebraElement:
     """Truncated lowering operator a with a|n> = sqrt(n)|n-1>."""
+    dim = _count(dim, "dim")
     if dim < 2:
         raise DimensionError("Fock truncation needs dim >= 2")
     m = np.zeros((dim, dim), dtype=complex)

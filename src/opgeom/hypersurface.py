@@ -95,6 +95,7 @@ from .algebra import (
     State,
     _asymmetric,
     _central,
+    _count,
     _det,
     _dot_matrix,
     _first_false,
@@ -621,8 +622,8 @@ def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
     the per-point formula.  All of it runs in one ``np.errstate``: an
     overflow shows as a non-finite value.
     """
-    if not np.isfinite(xs).all():
-        bad = xs[~np.isfinite(xs).all(axis=1)][0]
+    bad = _nonfinite_row(xs, xs)
+    if bad is not None:
         raise EvaluationError(f"point {bad.tolist()} is not finite")
     k, p = xs.shape
     h, h2 = geo.chart.fd_step, geo.chart.fd_step2 if h2 is None else h2
@@ -967,10 +968,11 @@ def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
 
     On 2-parameter charts the identity is vacuous: every index triple
     repeats an index, and the cyclic sum of any field antisymmetric in the
-    last index pair cancels exactly, in floating point as well as in
-    exact arithmetic.  The returned value is then pure rounding noise,
-    which certifies the identity at machine precision but carries no
-    step-size dependence.
+    last index pair cancels in exact arithmetic.  The covariant derivative
+    is not grouped to be exactly antisymmetric in floating point, so the
+    returned value is rounding noise (4.5e-17 on ``sphere()`` at
+    (1.1, 0.7)) with no step-size dependence; grouping it as ``_riemann``
+    groups its terms would make it exactly 0.
     """
     x = _point(chart, u)
     if chart.p < 2:
@@ -1052,6 +1054,8 @@ def _geodesic_slope(geo: _Geo, plan: _Stencil, y: list, form: bool = False):
     vals = geo.vals(pts if speed else pts[:2 * p])
     t = _central(vals[:p], vals[p:2 * p], chart.fd_step)
     g = geo.gram(t)
+    if geo.weights is None:  # the diagonal evaluator builds g symmetric bit for bit
+        _require_symmetric_metric(g)
     ginv, _, cond, _ = _solve_metric(g)
     vgv = float(v.dot(g).dot(v)) if form else None
     if not speed:
@@ -1090,8 +1094,9 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     health numbers.
     Raises ``DimensionError`` unless u0 and v0 have shape (p,), ``ValueError``
     for a non-finite u0 or v0, a zero v0 or one whose squared norm
-    overflows, or a tau_max and step ``_step_count`` rejects, and
-    ``EvaluationError`` for a u0 outside the chart domain.
+    overflows, or a tau_max and step ``_step_count`` rejects,
+    ``EvaluationError`` for a u0 outside the chart domain, and
+    ``NonSymmetricMetricError`` for an asymmetric metric at a stage.
     """
     u, v = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
     if u.shape != (chart.p,) or v.shape != (chart.p,):
@@ -1143,9 +1148,11 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
 
 def _frames(chart: Chart, phi: State, cfg: DotConfig, u):
     """The evaluator, the fields at the centres of ``_star(u, fd_step)``, the
-    frame at u and its central differences: all frames come from one call."""
+    frame at u and its central differences: all frames come from one call.
+    ``NonSymmetricMetricError`` if a metric there is asymmetric."""
     geo, s = _geo(chart, phi, cfg), chart.fd_step
     f = _fields(geo, _star(_point(chart, u), s))
+    _require_symmetric_metric(f.g)
     frames = _orthonormalize(f.t, geo.gram, "tangent {} is numerically dependent")[0]
     return geo, f, frames[0], _diff(frames, s)
 
@@ -1202,6 +1209,7 @@ def killing_metric(structure_constants, d: int) -> np.ndarray:
     [J_a, J_b] = f[r, a, b] J_r, antisymmetric in (a, b) and satisfying the
     Jacobi identity within 1e-10 (checked through the adjoint matrices).
     """
+    d = _count(d, "d")
     f = np.asarray(structure_constants, dtype=float)
     if f.shape != (d, d, d):
         raise DimensionError(f"structure constants must have shape ({d},{d},{d})")

@@ -29,6 +29,7 @@ from .algebra import (
     AlgebraElement,
     DotConfig,
     State,
+    _count,
     _det,
     _dot_matrix,
     _finite_value,
@@ -320,7 +321,10 @@ def power_dependence(a: AlgebraElement, m: int) -> tuple[np.ndarray, float]:
     (normalized) characteristic coefficients.  Emits ``SingularGramWarning``
     for degenerate power sets.
     """
-    _require_power_input(a, m)
+    m = _count(m, "m")
+    if m < 1:
+        raise DomainError(f"power order must be >= 1, got {m}")
+    _require_hermitian(a.m, "power dependence element")
     phi = State.normalized_trace()
     cfg = DotConfig()
     powers = [a]
@@ -328,12 +332,6 @@ def power_dependence(a: AlgebraElement, m: int) -> tuple[np.ndarray, float]:
         powers.append(powers[-1] @ a)
     res = project(phi, cfg, AlgebraElement.identity(a.dim), powers)
     return res.coefficients, res.residual
-
-
-def _require_power_input(a: AlgebraElement, m: int):
-    if m < 1:
-        raise DomainError(f"power order must be >= 1, got {m}")
-    _require_hermitian(a.m, "power dependence element")
 
 
 def tuple_inner(phi: State, cfg: DotConfig, a_tuple, b_tuple) -> float:

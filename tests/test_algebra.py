@@ -22,6 +22,7 @@ from opgeom.algebra import (
     commutator,
     dot,
     embed_diag,
+    fock_lowering,
     fock_momentum,
     fock_position,
     harmonic_hamiltonian,
@@ -34,6 +35,8 @@ from opgeom.algebra import (
     state_to_json,
 )
 from opgeom.errors import DimensionError, HermiticityError
+from opgeom.hypersurface import killing_metric
+from opgeom.projection import power_dependence
 from opgeom.uncertainty import _hermitian_or_anti
 
 from .conftest import rand_density, rand_hermitian
@@ -422,6 +425,22 @@ def test_fock_operators_keep_their_bytes():
         for dim in (2, 16, 64):
             got = hashlib.sha256(fn(dim).m.tobytes()).hexdigest()
             assert got == FOCK_SHA256[fn.__name__, dim], (fn.__name__, dim)
+
+
+@pytest.mark.parametrize("call, name", [
+    (fock_lowering, "dim"), (fock_position, "dim"), (fock_momentum, "dim"),
+    (harmonic_hamiltonian, "dim"),
+    (lambda n: power_dependence(AlgebraElement(np.diag([1.0, 2.0])), n), "m"),
+    (lambda n: killing_metric(np.zeros((2, 2, 2)), n), "d"),
+], ids=["fock_lowering", "fock_position", "fock_momentum", "harmonic_hamiltonian",
+        "power_dependence", "killing_metric"])
+def test_every_count_is_an_integer(call, name):
+    # one rule (algebra._count): a float count is a ValueError, even a whole one,
+    # and an integer type passes as the int it holds
+    for bad in (2.5, 2.0):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad}"):
+            call(bad)
+    call(np.int64(2))
 
 
 def test_heisenberg_pauli(pauli):

@@ -20,6 +20,7 @@ from opgeom.cli import report
 from opgeom.errors import (
     DimensionError,
     EvaluationError,
+    NonSymmetricMetricError,
     PatchDomainError,
     StencilOutOfDomainError,
 )
@@ -35,9 +36,11 @@ from opgeom.hypersurface import (
     curvature,
     custom_grid,
     flat_plane,
+    gauss_curvature_2d,
     geodesic,
     geometry_at,
     metric,
+    orthonormal_frame,
     paraboloid,
     riemann_gauss_curvature,
     sphere,
@@ -407,6 +410,22 @@ class NonDiagonal:
         box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         return Chart(id="nondiag", p=2, dim=3, map_mat=self.map_mat, map_vec=None,
                      in_domain=lambda u: True, sample_box=box)
+
+
+@pytest.mark.parametrize("route", [
+    christoffel, riemann_gauss_curvature, lambda *a: geodesic(*a, [0.3, 0.4], 0.1, 0.025),
+    gauss_curvature_2d, orthonormal_frame,
+], ids=["christoffel", "riemann_gauss_curvature", "geodesic", "gauss_curvature_2d",
+        "orthonormal_frame"])
+def test_every_connection_route_rejects_an_asymmetric_metric(route):
+    # a complex lam on non-commuting chart values makes g asymmetric; every
+    # route that forms a connection from g refuses it, as christoffel does
+    chart, u = NonDiagonal().chart(), np.array([0.3, -0.2])
+    phi, cfg = State.density(np.diag([0.5, 0.3, 0.2])), DotConfig(lam=0.5 + 0.5j)
+    g = metric(chart, phi, cfg, u).g
+    assert np.abs(g - g.T).max() > 0.1
+    with pytest.raises(NonSymmetricMetricError):
+        route(chart, phi, cfg, u)
 
 
 @pytest.mark.parametrize("chart", [sphere(1.3), torus(2.1, 0.45), paraboloid(0.8), flat_plane()],
