@@ -349,10 +349,8 @@ def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
     from one ``geometry_at`` call over all of them."""
     rng = XorShift64Star(seed)
     lo, hi = chart.sample_box
-    points = []
-    for _ in range(sample_count):
-        points.append(np.array([rng.uniform(float(lo[k]), float(hi[k]))
-                                for k in range(chart.p)]))
+    box = [(float(lo[k]), float(hi[k])) for k in range(chart.p)]
+    points = np.array([[rng.uniform(a, b) for a, b in box] for _ in range(sample_count)])
     if chart.p < 2:
         raise DimensionError("Bianchi residual needs at least two parameters")
     geom = hypersurface.geometry_at(chart, phi, cfg, points)
@@ -370,7 +368,7 @@ def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
         "state": phi.kind,
         "seed": int(seed),
         "count": int(sample_count),
-        "points": [u.tolist() for u in points],
+        "points": points.tolist(),
         "stats": {
             "metric_det": stats(geom.det),
             "christoffel_max_abs": stats(max_abs(geom.gamma)),

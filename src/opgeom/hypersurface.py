@@ -72,8 +72,8 @@ or vector-field value raises ``EvaluationError``.
 ``geometry_at`` gives the metric, Christoffel, Riemann and Bianchi fields of
 a stack of points in blocks sized by bytes (``_block_points``): at most
 ``_BLOCK_BYTES`` of stencil rows, each counted as its point and its value.
-A 20-point report on a built-in two-parameter chart is one block of 33
-points at most; a chart takes 8 points per block at two parameters and
+A block holds 201 points of a built-in two-parameter chart, so a 20-point
+report is one block; a chart takes 50 points per block at two parameters and
 3 x 3 values, and 6 at three parameters and dim 4.  ``curvature``,
 ``riemann_gauss_curvature`` and ``bianchi_residual`` run the same stacked
 code on one point.
@@ -230,7 +230,7 @@ class CurvatureField:
 
     def gauss_curvature(self) -> float:
         """K = g_{1r} R^r_{212} / det g, g the metric there; DimensionError unless p = 2."""
-        return _gauss(self.metric.g, self.riemann, self.metric.det)
+        return float(_gauss(self.metric.g, self.riemann, self.metric.det))
 
 
 @dataclass(frozen=True)
@@ -753,8 +753,9 @@ def _solve_metric(g: np.ndarray):
 def _gamma(ginv: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Direct Christoffel components gamma[..., a, n, b] = ginv[..., a, :] @ N[..., :, n, b]."""
     # batched over (n, b) so that each column rounds as a lone matrix-vector product
-    cols = ginv[..., None, None, :, :] @ np.moveaxis(n, -3, -1)[..., None]
-    return np.moveaxis(cols[..., 0], -1, -3)
+    lead = range(n.ndim - 3)
+    cols = ginv[..., None, None, :, :] @ n.transpose(*lead, -2, -1, -3)[..., None]
+    return cols[..., 0].transpose(*lead, -1, -3, -2)
 
 
 def _require_symmetric_metric(g: np.ndarray):
@@ -846,16 +847,17 @@ def _riemann(ginv: np.ndarray, n: np.ndarray, s3: float) -> np.ndarray:
     [m, n] and [n, m] subtract the same two floats in opposite order.
     """
     g0, n0 = ginv[0], n[0]
+    lead = range(g0.ndim - 2)  # the batch axes of a field at one star centre
     gamma0 = np.einsum("...ar,...rnb->...anb", g0, n0)
     dg, dn = _diff(ginv, s3), _diff(n, s3)
     dgam = np.einsum("m...ar,...rnb->m...anb", dg, n0) + np.einsum("...ar,m...rnb->m...anb", g0, dn)
     # d[..., a, b, m, n] = d_m gamma[a, n, b]
-    d = np.moveaxis(dgam, (0, -2), (-2, -1))
+    d = dgam.transpose(*range(1, g0.ndim), -1, 0, -2)
     # prod[..., m, n, a, b] = (gamma[:, m, :] @ gamma[:, n, :])[a, b], one matrix product each
-    gm = np.moveaxis(gamma0, -2, -3)
+    gm = gamma0.transpose(*lead, -2, -3, -1)
     prod = gm[..., :, None, :, :] @ gm[..., None, :, :, :]
     # grouped so the [m, n] and [n, m] entries are exact negations
-    riem = (d - d.swapaxes(-1, -2)) + np.moveaxis(prod - prod.swapaxes(-3, -4), (-4, -3), (-2, -1))
+    riem = (d - d.swapaxes(-1, -2)) + (prod - prod.swapaxes(-3, -4)).transpose(*lead, -2, -1, -4, -3)
     # C order, as a per-point array has it: products with it round by layout
     return np.ascontiguousarray(riem)
 
@@ -872,13 +874,14 @@ class Geometry(NamedTuple):
 
     def gauss_curvature(self) -> np.ndarray:
         """(K,) Gaussian curvatures K = g_{1r} R^r_{212} / det g; DimensionError unless p = 2."""
-        return np.array([_gauss(g, r, d) for g, r, d in zip(self.g, self.riemann, self.det)])
+        return _gauss(self.g, self.riemann, self.det)
 
 
-def _gauss(g: np.ndarray, riemann: np.ndarray, det) -> float:
-    if len(g) != 2:
+def _gauss(g: np.ndarray, riemann: np.ndarray, det) -> np.ndarray:
+    """g_{1r} R^r_{212} / det g over any batch axes, one matrix product each."""
+    if g.shape[-1] != 2:
         raise DimensionError("Gaussian curvature requires a 2-parameter chart")
-    return float(g[0, :] @ riemann[:, 1, 0, 1] / det)
+    return (g[..., 0, None, :] @ riemann[..., :, 1, 0, 1, None])[..., 0, 0] / det
 
 
 # Bytes of stencil-row values held per block of geometry_at; bounds its
@@ -893,7 +896,8 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
     Every entry has the bits that ``metric``, ``christoffel``, ``curvature``
     and ``bianchi_residual`` give at that point alone.  The points go in
     blocks of ``_block_points`` points, each making one fields batch for its
-    curvature stencils and one for its Bianchi stencils.
+    curvature stencils and, for p >= 3 only, one for its Bianchi stencils; at
+    p = 2 the residual is exactly 0 and its stencils are not evaluated.
     """
     xs = np.asarray(points, dtype=float)
     p = chart.p
@@ -905,7 +909,8 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
     parts = []
     for lo in range(0, len(xs), per):
         block = xs[lo:lo + per]
-        parts.append(_curvature_at(geo, block) + (_bianchi_at(geo, block) if p >= 2 else None,))
+        bianchi = None if p < 2 else np.zeros(len(block)) if p == 2 else _bianchi_at(geo, block)
+        parts.append(_curvature_at(geo, block) + (bianchi,))
     return Geometry(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
 
 
@@ -921,7 +926,7 @@ def _block_points(geo: _Geo) -> int:
 def _stencil_rows(p: int) -> int:
     """Chart points geometry_at evaluates per point, repeats included."""
     second = 1 + 4 * p + 2 * p * (p - 1)  # rows of one second-derivative stencil
-    stars = (1 + 2 * p) * ((2 + 2 * p) if p >= 2 else 1)  # curvature and Bianchi centres
+    stars = (1 + 2 * p) * ((2 + 2 * p) if p >= 3 else 1)  # curvature and Bianchi centres
     return stars * second
 
 
@@ -968,11 +973,10 @@ def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
 
     On 2-parameter charts the identity is vacuous: every index triple
     repeats an index, and the cyclic sum of any field antisymmetric in the
-    last index pair cancels in exact arithmetic.  The covariant derivative
-    is not grouped to be exactly antisymmetric in floating point, so the
-    returned value is rounding noise (4.5e-17 on ``sphere()`` at
-    (1.1, 0.7)) with no step-size dependence; grouping it as ``_riemann``
-    groups its terms would make it exactly 0.
+    last index pair cancels.  The covariant derivative is grouped, as
+    ``_riemann`` groups its terms, to be exactly antisymmetric in floating
+    point, so the returned value is exactly 0, not rounding noise; its
+    stencils are still evaluated, and one leaving the domain still raises.
     """
     x = _point(chart, u)
     if chart.p < 2:
@@ -990,12 +994,13 @@ def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
     # the curvature stars around the outer star's centres, outer centre major
     gamma, riem = _curvature_at(geo, _star(xs, s4), s3, 10.0 * base)[3:]  # (1 + 2p, K, ...)
     gam0, r0 = gamma[0], riem[0]
-    # cov[l, k] = D_l R at point k, with gl[a, r] = gam0[k, a, l, r]
-    cov = (_diff(riem, s4)
-           + np.einsum("...alr,...rbmn->l...abmn", gam0, r0)
-           - np.einsum("...rlb,...armn->l...abmn", gam0, r0)
-           - np.einsum("...rlm,...abrn->l...abmn", gam0, r0)
-           - np.einsum("...rln,...abmr->l...abmn", gam0, r0))
+    # cov[l, k] = D_l R at point k, with gl[a, r] = gam0[k, a, l, r]; the last
+    # two terms are grouped so that [m, n] and [n, m] are exact negations
+    cov = ((_diff(riem, s4)
+            + np.einsum("...alr,...rbmn->l...abmn", gam0, r0)
+            - np.einsum("...rlb,...armn->l...abmn", gam0, r0))
+           - (np.einsum("...rlm,...abrn->l...abmn", gam0, r0)
+              + np.einsum("...rln,...abmr->l...abmn", gam0, r0)))
     # cyc[k, l, m, n] = cov[l, k][..., m, n] + cov[m, k][..., n, l] + cov[n, k][..., l, m]
     c = cov.swapaxes(0, 1)
     cyc = c.transpose(0, 1, 4, 5, 2, 3) + c.transpose(0, 5, 1, 4, 2, 3) + c.transpose(0, 4, 5, 1, 2, 3)

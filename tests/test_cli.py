@@ -20,7 +20,7 @@ from opgeom.algebra import (
     matrix_to_json,
     state_to_json,
 )
-from opgeom.cli import REPORT_SAMPLE_COUNT, XorShift64Star, _fmt_float, run
+from opgeom.cli import REPORT_SAMPLE_COUNT, XorShift64Star, _fmt_float, report, run
 from opgeom.hypersurface import GeodesicResult, chart_to_json, sphere
 from opgeom.projection import parallelepiped_volume
 from opgeom.transport import product_integral, stored_test_path
@@ -543,6 +543,16 @@ def test_report_seeded_determinism(sphere_file, tmp_path, capsys):
                 "--out", str(out1)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() != out2.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_report_points_are_the_generators_uniform_draws(seed):
+    # coordinate-minor: each point draws its coordinates in order
+    chart = sphere()
+    doc = report(chart, chart.default_state(), DotConfig(), 5, seed)
+    rng, (lo, hi) = XorShift64Star(seed), chart.sample_box
+    want = [[rng.uniform(float(lo[k]), float(hi[k])) for k in range(2)] for _ in range(5)]
+    assert doc["points"] == want
 
 
 def test_console_script_matches_in_process(sphere_file, capsys):

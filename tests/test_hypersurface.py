@@ -880,7 +880,7 @@ def counting(chart):
 
 
 @pytest.mark.parametrize("chart, rows, distinct", [
-    (sphere(), 1170, 1119), (graph3_chart(), 4200, 4107),
+    (sphere(), 195, 159), (graph3_chart(), 4200, 4107),
 ], ids=["sphere", "graph3"])
 def test_report_calls_a_per_point_map_once_per_stencil_row(chart, rows, distinct):
     # nothing is cached: repeated stencil rows are evaluated again, and few repeat

@@ -172,8 +172,9 @@ def test_substituted_domain_test_is_called_per_point_beside_the_stacked_map():
     pts = np.array([[0.9, 0.5], [1.7, 2.2], [2.3, -0.6]])
     got, want = geometry_at(changed, SUM, CFG, pts), geometry_at(chart, SUM, CFG, pts)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    # one block: one map call per fields batch, one domain call per stencil row
-    assert len(calls) == 2 and sum(calls) == len(asked) == len(pts) * _stencil_rows(2)
+    # one block: one map call for its curvature batch (p = 2 runs no Bianchi
+    # batch), one domain call per stencil row
+    assert len(calls) == 1 and sum(calls) == len(asked) == len(pts) * _stencil_rows(2)
     with pytest.raises(StencilOutOfDomainError, match="outside domain"):
         metric(changed, SUM, CFG, [5e-5, 0.4])
 
@@ -354,6 +355,17 @@ def test_stencil_out_of_domain_is_an_evaluation_error():
             fn(sphere(), SUM, CFG, [5e-5, 0.4])
 
 
+def test_a_point_whose_bianchi_stars_leave_the_domain_has_a_two_parameter_geometry():
+    # at theta = 0.05 the Bianchi stars (outer step 0.07) cross the pole and
+    # the curvature stencils (steps 1e-4 and 1e-3) do not; p = 2 needs no stars
+    chart, u = sphere(), [0.05, 1.0]
+    geom = geometry_at(chart, SUM, CFG, [u])
+    assert geom.bianchi.tolist() == [0.0]
+    assert geom.riemann[0].tobytes() == curvature(chart, SUM, CFG, u).riemann.tobytes()
+    with pytest.raises(StencilOutOfDomainError, match="outside domain"):
+        bianchi_residual(chart, SUM, CFG, u)
+
+
 # ---------------------------------------------------------------------------
 # a user chart stacked with the public type, and the block rule of geometry_at
 
@@ -412,6 +424,18 @@ class NonDiagonal:
                      in_domain=lambda u: True, sample_box=box)
 
 
+@pytest.mark.parametrize("chart, phi", [
+    (sphere(), SUM), (torus(), SUM), (paraboloid(), SUM), (flat_plane(), SUM),
+    (NonDiagonal(5).chart(), State.density(np.diag([0.5, 0.3, 0.2]))),
+], ids=["sphere", "torus", "paraboloid", "flat_plane", "nondiag-density"])
+def test_the_two_parameter_bianchi_residual_is_exactly_zero(chart, phi):
+    # every p = 2 index triple repeats an index, and the covariant derivative
+    # is exactly antisymmetric in its last pair, so the cyclic sum is 0.0
+    pts = report(chart, phi, CFG, 6, seed=3)["points"]
+    assert [bianchi_residual(chart, phi, CFG, u) for u in pts] == [0.0] * 6
+    assert geometry_at(chart, phi, CFG, pts).bianchi.tolist() == [0.0] * 6
+
+
 @pytest.mark.parametrize("route", [
     christoffel, riemann_gauss_curvature, lambda *a: geodesic(*a, [0.3, 0.4], 0.1, 0.025),
     gauss_curvature_2d, orthonormal_frame,
@@ -440,30 +464,33 @@ def test_a_builtin_report_is_one_block_of_two_stacked_map_calls(chart):
     counted = dataclasses.replace(chart, map_vec=stacked(values))
     got, want = report(counted, SUM, CFG, 20, seed=7), report(chart, SUM, CFG, 20, seed=7)
     assert got == want
-    # one curvature fields batch and one Bianchi fields batch over all 20 points
-    assert len(calls) == 2 and sum(calls) == 20 * _stencil_rows(2)
+    # one curvature fields batch over all 20 points; p = 2 runs no Bianchi batch
+    assert len(calls) == 1 and sum(calls) == 20 * _stencil_rows(2)
 
 
-@pytest.mark.parametrize("chart, per", [(graph3_chart(), 6), (NonDiagonal().chart(), 8),
-                                        (stacked_graph3(), 6), (sphere(), 33)],
+@pytest.mark.parametrize("chart, per", [(graph3_chart(), 6), (NonDiagonal().chart(), 50),
+                                        (stacked_graph3(), 6), (sphere(), 201)],
                          ids=["graph3", "nondiag", "graph3-stacked", "sphere"])
 def test_blocks_are_sized_by_the_bytes_of_a_row(chart, per, monkeypatch):
     blocks = []
 
-    def bianchi_at(geo, xs):  # called once per block, on its points
-        blocks.append(len(xs))
-        return bianchi(geo, xs)
+    def curvature_at(geo, xs, *steps):  # called once per block on its (K, p) points;
+        if xs.ndim == 2:                # a Bianchi batch passes (1 + 2p, K, p) centres
+            blocks.append(len(xs))
+        return batch(geo, xs, *steps)
 
-    bianchi = hypersurface._bianchi_at
-    monkeypatch.setattr(hypersurface, "_bianchi_at", bianchi_at)
+    batch = hypersurface._curvature_at
+    monkeypatch.setattr(hypersurface, "_curvature_at", curvature_at)
     assert _block_points(_Geo(chart, SUM, CFG)) == per
-    report(chart, SUM, CFG, 20, seed=7)
-    assert blocks == [per] * (20 // per) + [20 % per] * (20 % per > 0)
+    n = max(20, 2 * per + 3)  # at least two full blocks and a partial one
+    report(chart, SUM, CFG, n, seed=7)
+    assert blocks == [per] * (n // per) + [n % per] * (n % per > 0)
 
 
 def test_a_per_point_report_keeps_its_memory_peak():
-    # 20 points of this chart in 5-point blocks peak at 825,964 bytes under
-    # tracemalloc (Python 3.11, NumPy 2.4); one block of 20 takes about 3.2 MB
+    # 20 points of this chart, one block of 20 (50 fit), peak at 405,708 bytes
+    # under tracemalloc (Python 3.11, NumPy 2.4); the bound stays at the
+    # 825,964 they peaked at while each 8-point block ran a Bianchi batch too
     chart = NonDiagonal().chart()
     report(chart, SUM, CFG, 20, seed=7)
     tracemalloc.start()
