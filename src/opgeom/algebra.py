@@ -566,10 +566,10 @@ def _solve_gram(m: np.ndarray, on_singular=None):
                     raise ValueError(_NONFINITE_DET)
                 full = s_min > RANK_TOL * np.maximum(s_max, RANK_TOL)
                 cond = np.divide(s_max, s_min, out=np.full_like(s_max, math.inf), where=s_min > 0)
-                if two:  # adj / det where full, in C order as a lone inverse: products round by layout
-                    inv = np.zeros(m.shape, dtype=np.result_type(m, 1.0))
-                    for col, entry in zip(inv.reshape(-1, 4).T, adj):
-                        np.divide(entry, det, out=col, where=full)
+                if two:  # adj / det in C order, as a lone inverse: products round by layout;
+                    # a member not of full rank takes its pseudo-inverse below
+                    inv = np.empty(m.shape, dtype=np.result_type(m, 1.0))
+                    np.divide(adj, det, out=inv.reshape(-1, 4).T)
     if m.ndim == 2:  # the rules on Python numbers
         if not math.isfinite(s_max):
             raise ValueError(_UNTESTABLE)

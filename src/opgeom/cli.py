@@ -46,20 +46,32 @@ class XorShift64Star:
         if self.x == 0:
             self.x = _DEFAULT_SEED_STATE
 
-    def next_u64(self) -> int:
-        x = self.x
-        x ^= (x >> 12)
-        x ^= (x << 25) & _MASK
-        x ^= (x >> 27)
+    def _draws(self, n: int) -> np.ndarray:
+        """The next n outputs, in order, as uint64: the one home of the recurrence."""
+        x, states = self.x, []
+        for _ in range(n):
+            x ^= (x >> 12)
+            x ^= (x << 25) & _MASK
+            x ^= (x >> 27)
+            states.append(x)
         self.x = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK
+        return np.array(states, dtype=np.uint64) * np.uint64(0x2545F4914F6CDD1D)
+
+    def next_u64(self) -> int:
+        return int(self._draws(1)[0])
 
     def random(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) / float(1 << 53)
+        return self.uniform(0.0, 1.0)  # 0.0 + 1.0 * r is r
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+        return float(self._rows([lo], [hi], 1)[0, 0])
+
+    def _rows(self, lo, hi, count: int) -> np.ndarray:
+        """(count, p) points lo + (hi - lo) r, r from the top 53 bits of one output each."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        r = (self._draws(lo.size * count) >> np.uint64(11)).reshape(count, -1) / float(1 << 53)
+        return lo + (hi - lo) * r
 
 
 class _InputError(Exception):
@@ -345,40 +357,30 @@ def _cmd_killing(args):
 
 def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
            sample_count: int, seed: int = 0) -> dict:
-    """Batch min/max/mean statistics over seeded sample points of a chart,
-    from one ``geometry_at`` call over all of them."""
-    rng = XorShift64Star(seed)
-    lo, hi = chart.sample_box
-    box = [(float(lo[k]), float(hi[k])) for k in range(chart.p)]
-    points = np.array([[rng.uniform(a, b) for a, b in box] for _ in range(sample_count)])
+    """Batch min/max/mean statistics over sample_count >= 1 points of a chart,
+    drawn from an integer seed, from one ``geometry_at`` call over all of them."""
+    count, seed = algebra._count(sample_count, "sample_count"), algebra._count(seed, "seed")
+    if count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {count}")
     if chart.p < 2:
         raise DimensionError("Bianchi residual needs at least two parameters")
+    points = XorShift64Star(seed)._rows(*(end[:chart.p] for end in chart.sample_box), count)
     geom = hypersurface.geometry_at(chart, phi, cfg, points)
-
-    def stats(vals):
-        arr = np.asarray(vals, dtype=float)
-        return {"min": float(arr.min()), "max": float(arr.max()),
-                "mean": float(arr.mean())}
-
-    def max_abs(field):
-        return np.abs(field).reshape(sample_count, -1).max(axis=1)
-
-    doc = {
+    names = ["metric_det", "christoffel_max_abs", "riemann_max_abs", "bianchi_residual"]
+    rows = [geom.det, *(np.abs(f).reshape(count, -1).max(axis=1)
+                        for f in (geom.gamma, geom.riemann)), geom.bianchi]
+    if chart.p == 2:
+        names, rows = names + ["gauss_curvature"], rows + [geom.gauss_curvature()]
+    rows = np.array(rows, dtype=float)  # each statistic along the rows of one array
+    stats = zip(names, *(f(rows, axis=1).tolist() for f in (np.min, np.max, np.mean)))
+    return {
         "chart": hypersurface.chart_to_json(chart),
         "state": phi.kind,
-        "seed": int(seed),
-        "count": int(sample_count),
+        "seed": seed,
+        "count": count,
         "points": points.tolist(),
-        "stats": {
-            "metric_det": stats(geom.det),
-            "christoffel_max_abs": stats(max_abs(geom.gamma)),
-            "riemann_max_abs": stats(max_abs(geom.riemann)),
-            "bianchi_residual": stats(geom.bianchi),
-        },
+        "stats": {name: {"min": a, "max": b, "mean": c} for name, a, b, c in stats},
     }
-    if chart.p == 2:
-        doc["stats"]["gauss_curvature"] = stats(geom.gauss_curvature())
-    return doc
 
 
 def _cmd_report(args):

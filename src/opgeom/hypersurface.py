@@ -603,7 +603,7 @@ class _Fields(NamedTuple):
 
     t: np.ndarray            # (K, p, *v) tangents b_c
     g: np.ndarray            # (K, p, p) metric
-    sec: np.ndarray | None   # (K, p, p, *v) second partials d_n d_b b
+    sec: np.ndarray | None   # (K, P, *v) second partials d_n d_b b of the pairs n <= b, row order
     n: np.ndarray | None     # (K, p, p, p) second field N[r, n, b] = b_r . d_n d_b b
 
 
@@ -618,9 +618,10 @@ def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
     d_i d_j b = (b(x + h2 e_i + h2 e_j) - b(x + h2 e_i - h2 e_j) -
     b(x - h2 e_i + h2 e_j) + b(x - h2 e_i - h2 e_j)) / 4 h2^2 at h2
     (default fd_step2), and the field N.  Points and differences are formed
-    in the same order as for a single point, so every entry has the bits of
-    the per-point formula.  All of it runs in one ``np.errstate``: an
-    overflow shows as a non-finite value.
+    in the same order as for a single point, with the centres on the last
+    axis so that each sum runs along them (the map takes its rows in centre
+    order), so every entry has the bits of the per-point formula.  All of it
+    runs in one ``np.errstate``: an overflow shows as a non-finite value.
     """
     bad = _nonfinite_row(xs, xs)
     if bad is not None:
@@ -628,26 +629,29 @@ def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
     k, p = xs.shape
     h, h2 = geo.chart.fd_step, geo.chart.fd_step2 if h2 is None else h2
     st = _stencil(p, h, h2, second, False)
-    first = xs[:, None] + st.offsets
-    pts = [first]
+    s1 = len(st.offsets)
+    pts = np.empty((s1 + second * len(st.base), p, k))
+    np.add(xs.T, st.offsets[:, :, None], out=pts[:s1])
     if second:
-        pts.append(first[:, st.base] + st.offsets2)
+        np.add(pts[st.base], st.offsets2[:, :, None], out=pts[s1:])
     with np.errstate(all="ignore"):
-        flat = geo.vals(np.concatenate(pts, axis=1).reshape(-1, p))
-        v = flat.reshape((k, -1) + flat.shape[1:])
-        t = _central(v[:, :p], v[:, p:2 * p], h)
+        v = geo.vals(pts.transpose(2, 0, 1).reshape(-1, p))
+        v = np.ascontiguousarray(v.reshape(k, -1, *v.shape[1:]).transpose(*range(1, v.ndim + 1), 0))
+        first = (v.ndim - 1, *range(v.ndim - 1))  # the centres first again, for the dots
+        t = np.ascontiguousarray(_central(v[:p], v[p:2 * p], h).transpose(first))
         g = geo.gram(t)
         sec = n = None
         if second:
-            iu, ju, ni, bi, pair, dg = _pair_index(p)
-            v0, vp, vm = v[:, 2 * p:2 * p + 1], v[:, 2 * p + 1:3 * p + 1], v[:, 3 * p + 1:4 * p + 1]
+            iu, ju, pair, on, off = _pair_index(p)
+            v0, vp, vm = v[2 * p:2 * p + 1], v[2 * p + 1:3 * p + 1], v[3 * p + 1:4 * p + 1]
             at, m = 4 * p + 1, len(iu)
-            vpp, vpm, vmp, vmm = (v[:, at + i * m:at + (i + 1) * m] for i in range(4))
-            sec = np.empty((k, p) + vp.shape[1:], dtype=vp.dtype)
-            sec[:, dg, dg] = (vp - 2.0 * v0 + vm) / (h2 * h2)
-            sec[:, iu, ju] = sec[:, ju, iu] = (vpp - vpm - vmp + vmm) / (4.0 * h2 * h2)
+            vpp, vpm, vmp, vmm = (v[at + i * m:at + (i + 1) * m] for i in range(4))
+            sec = np.empty((p + m,) + vp.shape[1:], dtype=vp.dtype)
+            sec[on] = (vp - 2.0 * v0 + vm) / (h2 * h2)
+            sec[off] = (vpp - vpm - vmp + vmm) / (4.0 * h2 * h2)
+            sec = np.ascontiguousarray(sec.transpose(first))
             # one dot per unordered pair keeps N exactly symmetric in (n, b)
-            n = np.ascontiguousarray(geo.gram(t, sec[:, ni, bi])[:, :, pair])
+            n = np.ascontiguousarray(geo.gram(t, sec)[:, :, pair])
     return _Fields(t, g, sec, n)
 
 
@@ -701,13 +705,13 @@ def _stencil(p: int, h: float, h2: float, second: bool, along: bool) -> _Stencil
 
 @functools.lru_cache(maxsize=16)
 def _pair_index(p: int):
-    """(iu, ju) of the pairs i < j, (ni, bi) of the pairs n <= b, the
-    (p, p) table of each (n, b)'s position among the latter, and 0..p-1."""
+    """(iu, ju) of the pairs i < j, the (p, p) table of each (n, b)'s position
+    among the pairs n <= b in row order, and the positions of (i, i) and (iu, ju)."""
     iu, ju = np.triu_indices(p, 1)
     ni, bi = np.triu_indices(p)
     pair = np.empty((p, p), dtype=int)
     pair[ni, bi] = pair[bi, ni] = np.arange(len(ni))
-    out = iu, ju, ni, bi, pair, np.arange(p)
+    out = iu, ju, pair, np.diagonal(pair).copy(), pair[iu, ju]
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -758,11 +762,13 @@ def _gamma(ginv: np.ndarray, n: np.ndarray) -> np.ndarray:
     return cols[..., 0].transpose(*lead, -1, -3, -2)
 
 
-def _require_symmetric_metric(g: np.ndarray):
+def _require_symmetric_metric(g: np.ndarray, geo: _Geo | None = None):
     """NonSymmetricMetricError for a finite asymmetric metric, or stack of them;
     a non-finite one (an overflow) is left to the guarded solve.  A bit-symmetric
-    stack takes ``_asymmetric``'s equality test and no finiteness pass."""
-    if np.any(_asymmetric(g, g.swapaxes(-1, -2), axes=(-2, -1))) and np.isfinite(g).all():
+    stack takes ``_asymmetric``'s equality test and no finiteness pass, and one
+    of ``geo``'s diagonal route, which builds g symmetric bit for bit, no test."""
+    if (geo is None or geo.weights is None) and np.any(
+            _asymmetric(g, g.swapaxes(-1, -2), axes=(-2, -1))) and np.isfinite(g).all():
         raise NonSymmetricMetricError(
             "connection formulas require a symmetric metric; use a real lam dot product")
 
@@ -847,19 +853,22 @@ def _riemann(ginv: np.ndarray, n: np.ndarray, s3: float) -> np.ndarray:
     [m, n] and [n, m] subtract the same two floats in opposite order.
     """
     g0, n0 = ginv[0], n[0]
-    lead = range(g0.ndim - 2)  # the batch axes of a field at one star centre
-    gamma0 = np.einsum("...ar,...rnb->...anb", g0, n0)
-    dg, dn = _diff(ginv, s3), _diff(n, s3)
-    dgam = np.einsum("m...ar,...rnb->m...anb", dg, n0) + np.einsum("...ar,m...rnb->m...anb", g0, dn)
+    at, p = g0.ndim - 2, g0.shape[-1]  # the batch axes of a field at one star centre
+
+    def contract(x, y):  # sum_r x[..., a, r] y[..., r, n, b], summed as einsum sums it
+        return sum((x[..., :, r, None, None] * y[..., None, r, :, :] for r in range(p)), 0.0)
+    # gamma at the centre, and the first term of its derivative, which shares n0
+    both = contract(np.concatenate([g0[None], _diff(ginv, s3)]), n0)
     # d[..., a, b, m, n] = d_m gamma[a, n, b]
-    d = dgam.transpose(*range(1, g0.ndim), -1, 0, -2)
-    # prod[..., m, n, a, b] = (gamma[:, m, :] @ gamma[:, n, :])[a, b], one matrix product each
-    gm = gamma0.transpose(*lead, -2, -3, -1)
-    prod = gm[..., :, None, :, :] @ gm[..., None, :, :, :]
-    # grouped so the [m, n] and [n, m] entries are exact negations
-    riem = (d - d.swapaxes(-1, -2)) + (prod - prod.swapaxes(-3, -4)).transpose(*lead, -2, -1, -4, -3)
-    # C order, as a per-point array has it: products with it round by layout
-    return np.ascontiguousarray(riem)
+    d = (both[1:] + contract(g0, _diff(n, s3))).transpose(*range(1, at + 2), -1, 0, -2)
+    # prod[..., m, a, n, b] = (gamma[:, m, :] @ gamma[:, n, :])[a, b], from one
+    # (p^2, p) @ (p, p^2) product a point, each entry rounded as in its own 2-D one
+    prod = (both[0].transpose(*range(at), -2, -3, -1).reshape(-1, p * p, p)
+            @ both[0].reshape(-1, p, p * p)).reshape(d.shape)
+    # grouped so the [m, n] and [n, m] entries are exact negations; C order, as
+    # a per-point array has it: products with it round by layout
+    return np.add(d - d.swapaxes(-1, -2), (prod - prod.swapaxes(-2, -4)).transpose(
+        *range(at), at + 1, at + 3, at, at + 2), out=np.empty(d.shape))
 
 
 class Geometry(NamedTuple):
@@ -911,7 +920,8 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
         block = xs[lo:lo + per]
         bianchi = None if p < 2 else np.zeros(len(block)) if p == 2 else _bianchi_at(geo, block)
         parts.append(_curvature_at(geo, block) + (bianchi,))
-    return Geometry(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
+    return Geometry(*(f[0] if len(f) == 1 or f[0] is None else np.concatenate(f)
+                      for f in zip(*parts)))  # one block's fields as they are
 
 
 def _block_points(geo: _Geo) -> int:
@@ -936,12 +946,14 @@ def _curvature_at(geo: _Geo, xs: np.ndarray, s: float | None = None,
     each stacked over K or (M, K), from one fields batch over the centres of
     their Riemann stencils at step s (default 1e-2 sqrt(fd_step)), with
     second differences at step h2 (default fd_step2).  The centres go to the
-    batch as (1 + 2p, K, p) or (M, 1 + 2p, K, p)."""
+    batch as (1 + 2p, K, p) or (M, 1 + 2p, K, p).  ``geometry_at`` returns the
+    arrays of one block as they are.  Only the generic Gram route tests g for
+    symmetry: the diagonal one builds it symmetric bit for bit."""
     p, lead = xs.shape[-1], xs.ndim - 2
     s = 1e-2 * math.sqrt(geo.chart.fd_step) if s is None else s
     centres = _star(xs, s).swapaxes(0, lead)
     f = _fields(geo, centres.reshape(-1, p), second=True, h2=h2)
-    _require_symmetric_metric(f.g)
+    _require_symmetric_metric(f.g, geo)
     ginv, det = _solve_metric(f.g)[:2]
     shape = centres.shape[:-1]
     # each field with its star axis first, as _riemann takes it
@@ -1059,8 +1071,7 @@ def _geodesic_slope(geo: _Geo, plan: _Stencil, y: list, form: bool = False):
     vals = geo.vals(pts if speed else pts[:2 * p])
     t = _central(vals[:p], vals[p:2 * p], chart.fd_step)
     g = geo.gram(t)
-    if geo.weights is None:  # the diagonal evaluator builds g symmetric bit for bit
-        _require_symmetric_metric(g)
+    _require_symmetric_metric(g, geo)
     ginv, _, cond, _ = _solve_metric(g)
     vgv = float(v.dot(g).dot(v)) if form else None
     if not speed:
@@ -1157,7 +1168,7 @@ def _frames(chart: Chart, phi: State, cfg: DotConfig, u):
     ``NonSymmetricMetricError`` if a metric there is asymmetric."""
     geo, s = _geo(chart, phi, cfg), chart.fd_step
     f = _fields(geo, _star(_point(chart, u), s))
-    _require_symmetric_metric(f.g)
+    _require_symmetric_metric(f.g, geo)
     frames = _orthonormalize(f.t, geo.gram, "tangent {} is numerically dependent")[0]
     return geo, f, frames[0], _diff(frames, s)
 

@@ -416,9 +416,9 @@ def stokes_residual(a_field, loop: LoopSpec, in_patch=None) -> float:
 _STORED_X = np.array([[0.0, 0.6], [-0.6, 0.0]], dtype=complex)
 _STORED_Y = np.array([[0.35j, 0.25], [-0.25, -0.35j]], dtype=complex)
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)[..., None]  # an axis for the points
+_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)[..., None]
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)[..., None]
 
 
 def _affine_connection(x: np.ndarray, y: np.ndarray) -> stacked:
@@ -437,10 +437,12 @@ def stored_test_path(n_steps: int = 2000) -> ConnectionPath:
 def _su2_field(us: np.ndarray) -> np.ndarray:
     """su(2)-valued reference 1-form on the plane with nonzero [A1, A2]: its
     two components (k, 2, 2, 2) at a stack of points (k, 2)."""
-    u0, u1 = us[:, 0, None, None], us[:, 1, None, None]
-    a1 = 1.0j * (0.4 * _SIGMA_Z + 0.7 * u1 * _SIGMA_X)
-    a2 = 1.0j * (0.5 * _SIGMA_X + 0.6 * u0 * _SIGMA_Y + 0.2 * u1 * u1 * _SIGMA_Z)
-    return np.stack([a1, a2], axis=1)
+    u0, u1 = us.T
+    out = np.empty((len(us), 2, 2, 2), dtype=complex)
+    a1, a2 = out.transpose(1, 2, 3, 0)  # points last, so each product runs along them
+    np.multiply(1.0j, 0.4 * _SIGMA_Z + 0.7 * u1 * _SIGMA_X, out=a1)
+    np.multiply(1.0j, 0.5 * _SIGMA_X + 0.6 * u0 * _SIGMA_Y + 0.2 * u1 * u1 * _SIGMA_Z, out=a2)
+    return out
 
 
 # called on one point u (2,), the components (2, 2, 2) there

@@ -555,6 +555,23 @@ def test_report_points_are_the_generators_uniform_draws(seed):
     assert doc["points"] == want
 
 
+@pytest.mark.parametrize("count, seed, match", [
+    (2.5, 0, "sample_count must be an integer, got 2.5"),
+    (0, 0, "sample_count must be at least 1, got 0"),
+    (3, 2.7, "seed must be an integer, got 2.7"),
+], ids=["fractional-count", "zero-count", "fractional-seed"])
+def test_report_takes_an_integer_count_of_at_least_one_and_an_integer_seed(count, seed, match):
+    # these were a bare TypeError, a DimensionError about the points' shape
+    # and a seed truncated to 2
+    chart = sphere()
+    with pytest.raises(ValueError, match=match):
+        report(chart, chart.default_state(), DotConfig(), count, seed)
+    # NumPy integers are integers
+    doc = report(chart, chart.default_state(), DotConfig(), np.int64(2), np.uint8(7))
+    assert (doc["count"], doc["seed"]) == (2, 7) and type(doc["seed"]) is int
+    assert doc == report(chart, chart.default_state(), DotConfig(), 2, 7)
+
+
 def test_console_script_matches_in_process(sphere_file, capsys):
     expected = run_ok(capsys, ["metric", "--chart", sphere_file,
                                "--point", "0.9,0.5"])

@@ -102,8 +102,7 @@ def test_geo_gram_diagonal_path_matches_generic(chart_id, kind, lam, seed):
     u = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=chart.p)
     f_fast, f_slow = _fields(fast, u[None], second=True), _fields(slow, u[None], second=True)
     ts_fast, ts_slow = f_fast.t[0], f_slow.t[0]
-    sec_fast = np.stack([f_fast.sec[0, 0, 1], f_fast.sec[0, 1, 1]])
-    sec_slow = np.stack([f_slow.sec[0, 0, 1], f_slow.sec[0, 1, 1]])
+    sec_fast, sec_slow = f_fast.sec[0, 1:], f_slow.sec[0, 1:]  # the pairs (0, 1) and (1, 1)
     assert rel_gap(fast.gram(ts_fast), slow.gram(ts_slow)) <= 1e-12
     assert rel_gap(fast.gram(ts_fast, sec_fast), slow.gram(ts_slow, sec_slow)) <= 1e-12
 

@@ -4,9 +4,11 @@ the one evaluation rule: a ``stacked`` map or domain test takes one call per
 stack, and any other callable is lifted into one that calls it per point."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,14 +261,17 @@ def single_point_stats(chart, points):
             for k, v in cols.items() if v}
 
 
-@pytest.mark.parametrize("chart", [
-    sphere(), counting(sphere())[0], generic_per_point(sphere()), graph3_chart(),
+# block bytes that make a block of 3 points: the boundary is the same at a
+# fraction of the default's 201, 50 and 6 points
+@pytest.mark.parametrize("chart, block_bytes", [
+    (sphere(), 1 << 13), (counting(sphere())[0], 1 << 13),
+    (generic_per_point(sphere()), 1 << 15), (graph3_chart(), 1 << 18),
 ], ids=["sphere-stacked", "sphere-per-point", "sphere-generic", "graph3"])
-def test_report_blocks_match_the_single_point_routes(chart):
+def test_report_blocks_match_the_single_point_routes(chart, block_bytes, monkeypatch):
+    monkeypatch.setattr(hypersurface, "_BLOCK_BYTES", block_bytes)
     block = _block_points(_Geo(chart, SUM, CFG))
+    assert block == 3
     for count in (block - 1, block, block + 1):
-        if count < 1:
-            continue
         doc = report(chart, SUM, CFG, count, seed=9)
         want = single_point_stats(chart, doc["points"])
         assert {k: hexes(list(doc["stats"][k].values())) for k in want} == \
@@ -466,6 +471,49 @@ def test_a_builtin_report_is_one_block_of_two_stacked_map_calls(chart):
     assert got == want
     # one curvature fields batch over all 20 points; p = 2 runs no Bianchi batch
     assert len(calls) == 1 and sum(calls) == 20 * _stencil_rows(2)
+
+
+# SHA-256 of the float.hex text of report statistics on routes that the CLI
+# snapshot does not run, in `sha256sum` format: the state's Gram kernel on a
+# non-diagonal chart, and the Bianchi batch of a three-parameter chart over
+# two blocks.  Regenerate with
+#   PYTHONPATH=src python3 -c "from tests.test_stacked_charts import write_report_bits; write_report_bits()"
+# only after a change that is meant to move report bits
+REPORT_BITS = Path(__file__).resolve().parent / "data" / "report_bits.sha256"
+
+
+def seeded_density(seed, n):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = m @ m.conj().T + 0.1 * np.eye(n)
+    return State.density(rho / np.trace(rho).real)
+
+
+REPORTS = {
+    "nondiag-density": lambda: report(NonDiagonal(5).chart(), seeded_density(6, 3), CFG, 9, seed=3),
+    "nondiag-trace": lambda: report(NonDiagonal(8).chart(), State.normalized_trace(),
+                                    DotConfig(lam=0.8, scale=0.5), 4, seed=11),
+    "graph3-stacked": lambda: report(stacked_graph3(), SUM, CFG, 7, seed=5),
+    "graph3-per-point": lambda: report(graph3_chart(), SUM, CFG, 2, seed=12),
+}
+
+
+def report_digest(doc) -> str:
+    text = "\n".join(f"{k}.{s} {float(v).hex()}" for k, stats in doc["stats"].items()
+                     for s, v in stats.items())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_report_bits():
+    lines = [f"{report_digest(REPORTS[name]())}  {name}" for name in REPORTS]
+    REPORT_BITS.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_report_bits_match_the_pinned_digests(name):
+    want = dict(reversed(line.split()) for line in
+                REPORT_BITS.read_text(encoding="utf-8").splitlines())
+    assert report_digest(REPORTS[name]()) == want[name]
 
 
 @pytest.mark.parametrize("chart, per", [(graph3_chart(), 6), (NonDiagonal().chart(), 50),
