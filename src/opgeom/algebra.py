@@ -6,7 +6,7 @@ that the identity evaluates to 1 (the plain matrix trace is also provided as
 an unnormalized variant).  Every state induces a family of real-valued dot
 products on the algebra,
 
-    a . b = scale * phi(lam * a'b + conj(lam) * b'a) = 2 scale Re(lam phi(a'b)),
+    a . b = phi(lam * a'b + conj(lam) * b'a) = 2 Re(lam phi(a'b)),
 
 a' = star(a), with lam = 1/2 giving the symmetric product used throughout
 the geometry modules.  ``PhysConstants.hbar`` is the one hbar of the
@@ -31,6 +31,7 @@ not needed, and ``_finite_value``, the one check of a value.
 from __future__ import annotations
 
 import cmath
+import inspect
 import json
 import math
 import operator
@@ -292,7 +293,8 @@ def anticommutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 class State:
     """Positive linear functional phi on the matrix algebra.
 
-    Variants (constructed through the classmethods):
+    A state comes only from the five classmethods below, each of which
+    checks its input; ``State(...)`` itself raises ``TypeError``.  Variants:
 
     - ``normalized_trace``: phi(a) = Tr(a)/n, defined for every dimension.
     - ``unnormalized_sum``: phi(a) = Tr(a); the only variant with phi(1) = n.
@@ -304,25 +306,25 @@ class State:
       never overflow; beta = 0 reduces to the normalized trace.
     """
 
-    _KINDS = ("trace", "sum", "vector", "density", "gibbs")
+    __signature__ = inspect.Signature()  # State() takes nothing: it has no public constructor
 
-    def __init__(self, kind, dim=None, psi=None, rho=None, hmat=None, beta=None):
-        if kind not in self._KINDS:
-            raise ValueError(f"unknown state kind {kind!r}")
-        self.kind = kind
-        self.dim = dim
-        self._psi = psi
-        self._rho = rho
-        self._hmat = hmat
-        self.beta = beta
+    def __init__(self, *args, **kwargs):
+        raise TypeError("State has no public constructor; use State.normalized_trace, "
+                        "State.unnormalized_sum, State.vector, State.density or State.gibbs")
+
+    @classmethod
+    def _new(cls, kind, dim=None, psi=None, rho=None, hmat=None, beta=None) -> "State":
+        phi = object.__new__(cls)  # the one builder: each classmethod checks its values first
+        phi.kind, phi.dim, phi._psi, phi._rho, phi._hmat, phi.beta = kind, dim, psi, rho, hmat, beta
+        return phi
 
     @classmethod
     def normalized_trace(cls) -> "State":
-        return cls("trace")
+        return cls._new("trace")
 
     @classmethod
     def unnormalized_sum(cls) -> "State":
-        return cls("sum")
+        return cls._new("sum")
 
     @classmethod
     def vector(cls, psi) -> "State":
@@ -335,7 +337,7 @@ class State:
             nrm = np.linalg.norm(v)
         if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"state vector must be normalized, |psi| = {nrm}")
-        return cls("vector", dim=v.size, psi=v)
+        return cls._new("vector", dim=v.size, psi=v)
 
     @classmethod
     def density(cls, rho) -> "State":
@@ -350,7 +352,7 @@ class State:
             tr = arr.trace().real
         if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"density matrix trace must be 1, got {tr}")
-        return cls("density", dim=arr.shape[0], rho=arr)
+        return cls._new("density", dim=arr.shape[0], rho=arr)
 
     @classmethod
     def gibbs(cls, hamiltonian, beta: float) -> "State":
@@ -371,7 +373,7 @@ class State:
             raise ValueError(f"Gibbs weights are not finite: beta {beta} times an energy overflows")
         w = w / w.sum()
         rho = (vecs * w) @ vecs.conj().T
-        return cls("gibbs", dim=hmat.shape[0], rho=rho, hmat=np.array(hmat), beta=beta)
+        return cls._new("gibbs", dim=hmat.shape[0], rho=rho, hmat=np.array(hmat), beta=beta)
 
     def _check_dim(self, n: int):
         if self.dim is not None and self.dim != n:
@@ -436,21 +438,18 @@ class State:
 
 @dataclass(frozen=True)
 class DotConfig:
-    """Parameters of the state-induced dot product.
+    """The one parameter of the state-induced dot product.
 
     ``lam`` is the complex weight of the a'b term (the b'a term gets its
-    conjugate); ``scale`` is an overall positive factor.  The defaults give
-    the symmetric product (a'b + b'a)/2.
+    conjugate), checked finite and stored as a Python complex.  An overall
+    real factor s goes into it: s phi(lam a'b + conj(lam) b'a) is the product
+    of weight s lam.  The default gives the symmetric product (a'b + b'a)/2.
     """
 
     lam: complex = 0.5
-    scale: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(complex(self.lam)):
-            raise ValueError("lam must be finite")
-        if not (self.scale > 0 and np.isfinite(self.scale)):
-            raise ValueError("scale must be a positive real")
+        object.__setattr__(self, "lam", _finite_value(complex(self.lam), "lam"))
 
 
 @dataclass(frozen=True)
@@ -472,7 +471,7 @@ def state_eval(phi: State, a: AlgebraElement) -> complex:
 
 
 def dot(phi: State, cfg: DotConfig, a: AlgebraElement, b: AlgebraElement) -> complex:
-    """State-induced dot product scale * phi(lam a'b + conj(lam) b'a).
+    """State-induced dot product phi(lam a'b + conj(lam) b'a), lam = cfg.lam.
 
     The combination lam a'b + conj(lam) b'a is hermitian for every lam, so
     the value is real up to rounding; it is returned as a complex number.
@@ -480,10 +479,9 @@ def dot(phi: State, cfg: DotConfig, a: AlgebraElement, b: AlgebraElement) -> com
     overflows raises ``ValueError``.
     """
     a._check_dim(b)
-    lam = complex(cfg.lam)
     with np.errstate(all="ignore"):  # an overflow shows in the check below
-        mat = lam * (a.m.conj().T @ b.m) + np.conj(lam) * (b.m.conj().T @ a.m)
-        return _finite_value(cfg.scale * phi.eval_matrix(mat), "dot product")
+        mat = cfg.lam * (a.m.conj().T @ b.m) + np.conj(cfg.lam) * (b.m.conj().T @ a.m)
+        return _finite_value(phi.eval_matrix(mat), "dot product")
 
 
 def _finite_value(val: complex, what: str) -> complex:
@@ -505,9 +503,9 @@ def _dot_matrix(phi: State, cfg: DotConfig, xs, ys=None) -> np.ndarray:
     """Real dot matrix D[i, j] = x_i . y_j of stacked raw arrays.
 
     Because phi is hermitian, phi(y' x) = conj(phi(x' y)) and the dot
-    collapses to 2 scale Re(lam P) with P the kernel :meth:`State.gram`.
+    collapses to 2 Re(lam P) with P the kernel :meth:`State.gram`.
     """
-    return 2.0 * cfg.scale * (complex(cfg.lam) * phi.gram(xs, ys)).real
+    return 2.0 * (cfg.lam * phi.gram(xs, ys)).real
 
 
 # rank tolerance of every Gram and metric solve and of Gram-Schmidt's squared norms
@@ -713,7 +711,7 @@ def matrix_to_json(a: AlgebraElement) -> dict:
 
 def matrix_from_json(obj: dict) -> AlgebraElement:
     try:
-        dim = int(obj["dim"])
+        dim = _count(obj["dim"], "dim")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as exc:

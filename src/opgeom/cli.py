@@ -42,7 +42,7 @@ class XorShift64Star:
     """Deterministic 64-bit xorshift* generator (see module docstring)."""
 
     def __init__(self, seed: int):
-        self.x = (int(seed) ^ _DEFAULT_SEED_STATE) & _MASK
+        self.x = (algebra._count(seed, "seed") ^ _DEFAULT_SEED_STATE) & _MASK
         if self.x == 0:
             self.x = _DEFAULT_SEED_STATE
 
@@ -128,12 +128,9 @@ def _emit_json(obj, indent: int = 0) -> str:
 
 def _parse_csv_floats(text: str, name: str) -> np.ndarray:
     try:
-        vals = np.array([float(tok) for tok in text.split(",")], dtype=float)
+        return np.array([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError as exc:
         raise _InputError(f"--{name} must be comma-separated reals: {exc}") from exc
-    if vals.size == 0:
-        raise _InputError(f"--{name} is empty")
-    return vals
 
 
 def _load(path, what: str, from_json):
@@ -167,7 +164,7 @@ def _load_matrices(paths) -> list:
 
 
 def _state_or_default(args, default: State) -> State:
-    return _load(args.state, "state", algebra.state_from_json) if args.state else default
+    return _load(args.state, "state", algebra.state_from_json) if args.state is not None else default
 
 
 def _need(args, flag: str):
@@ -312,7 +309,7 @@ def _cmd_holonomy(args):
 
 
 def _cmd_stokes(args):
-    base = _parse_csv_floats(args.point, "point") if args.point else np.array([0.2, 0.3])
+    base = _parse_csv_floats(args.point, "point") if args.point is not None else np.array([0.2, 0.3])
     eps = float(args.step) if args.step is not None else 0.05
     r_full, r_half = (transport.stokes_residual(transport.stored_su2_field, transport.LoopSpec(
         base=tuple(base), dirs=((1.0, 0.0), (0.0, 1.0)), epsilon=e)) for e in (eps, eps / 2.0))
@@ -338,7 +335,7 @@ def _cmd_volume(args):
         if np.abs(off).max() > 1e-12 or np.abs(diag.imag).max() > 1e-12:
             raise _InputError("volume expects diagonally embedded real vectors")
         vecs.append(diag.real)
-    kind = _load(args.state, "state", algebra.state_from_json).kind if args.state else "trace"
+    kind = _state_or_default(args, State.normalized_trace()).kind
     if kind not in ("trace", "sum"):
         raise _InputError("volume supports only the trace and sum states")
     vol = projection.parallelepiped_volume(vecs, normalized=kind == "trace")
@@ -349,7 +346,7 @@ def _cmd_killing(args):
     if len(args.matrix) != 1:
         raise _InputError("killing needs one structure-constants file")
     d, f = _load(args.matrix[0], "structure constants",
-                 lambda obj: (int(obj["d"]), np.asarray(obj["f"], dtype=float)))
+                 lambda obj: (algebra._count(obj["d"], "d"), np.asarray(obj["f"], dtype=float)))
     if f.size == d ** 3:
         f = f.reshape(d, d, d)
     return {"g": hypersurface.killing_metric(f, d).tolist()}

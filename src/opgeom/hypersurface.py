@@ -350,7 +350,7 @@ def torus(big_r: float = 2.0, r: float = 0.5) -> Chart:
 
 def paraboloid(a: float = 1.0) -> Chart:
     """Paraboloid (u1, u2, a(u1^2 + u2^2)); apex curvature 4 a^2."""
-    if not np.isfinite(a):
+    if not math.isfinite(a):
         raise ValueError("paraboloid coefficient must be finite")
 
     def values(xs):
@@ -453,7 +453,7 @@ def make_chart(chart_id: str, params: dict | None = None, state: str = "sum",
         raise ValueError(f"chart {chart_id!r} takes parameters {list(names)}, not {unknown}")
     if chart_id == "custom_grid":
         axes = params["axes"]
-        dim = int(params["dim"])
+        dim = _count(params["dim"], "dim")
         shape = tuple(len(ax) for ax in axes) + (dim, dim)
         re = np.asarray(params["values_re"], dtype=float).reshape(shape)
         im = np.asarray(params.get("values_im", np.zeros(re.size)), dtype=float).reshape(shape)
@@ -525,7 +525,7 @@ class _Geo:
             self.map = chart.map_vec
             w = phi.diagonal_weights(chart.dim)
             # real diagonals commute: the lam-dot collapses to 2 Re(lam) phi(xy)
-            self.weights = w * (cfg.scale * 2.0 * complex(cfg.lam).real)
+            self.weights = w * (2.0 * cfg.lam.real)
 
     @property
     def p(self) -> int:
@@ -581,9 +581,8 @@ def _nonfinite_row(vals: np.ndarray, pts: np.ndarray):
 
 def _geo(chart: Chart, phi: State, cfg: DotConfig) -> _Geo:
     """The evaluator of a public geometry call; DomainError unless Re(lam) > 0."""
-    lam = complex(cfg.lam)
-    if not lam.real > 0:
-        raise DomainError(f"chart geometry needs Re(lam) > 0, got lam={lam}")
+    if not cfg.lam.real > 0:
+        raise DomainError(f"chart geometry needs Re(lam) > 0, got lam={cfg.lam}")
     return _Geo(chart, phi, cfg)
 
 
@@ -1226,6 +1225,8 @@ def killing_metric(structure_constants, d: int) -> np.ndarray:
     Jacobi identity within 1e-10 (checked through the adjoint matrices).
     """
     d = _count(d, "d")
+    if d < 1:
+        raise DimensionError(f"a Lie algebra needs d >= 1 generators, got {d}")
     f = np.asarray(structure_constants, dtype=float)
     if f.shape != (d, d, d):
         raise DimensionError(f"structure constants must have shape ({d},{d},{d})")

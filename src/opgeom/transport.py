@@ -24,6 +24,7 @@ BLAS and LAPACK, where ``transport_oracle``, the independent reference, stays.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -71,7 +72,7 @@ class ConnectionPath:
         object.__setattr__(self, "A", _lifted(self.A))
         object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps"))
         s0, s1 = self.s_range
-        if not (np.isfinite(s0) and np.isfinite(s1)):
+        if not (math.isfinite(s0) and math.isfinite(s1)):
             raise ValueError("s_range must be finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")

@@ -1,5 +1,6 @@
 """Algebra layer: star, states, the state-induced dot product, dynamics helpers."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,12 +22,16 @@ from opgeom.algebra import (
     anticommutator,
     commutator,
     dot,
+    dump_matrix,
+    dump_state,
     embed_diag,
     fock_lowering,
     fock_momentum,
     fock_position,
     harmonic_hamiltonian,
     heisenberg_dot,
+    load_matrix,
+    load_state,
     matrix_from_json,
     matrix_to_json,
     star,
@@ -35,7 +40,7 @@ from opgeom.algebra import (
     state_to_json,
 )
 from opgeom.errors import DimensionError, HermiticityError
-from opgeom.hypersurface import killing_metric
+from opgeom.hypersurface import killing_metric, make_chart
 from opgeom.projection import power_dependence
 from opgeom.uncertainty import _hermitian_or_anti
 
@@ -163,6 +168,24 @@ def test_state_eval_dimension_mismatch():
         state_eval(phi, AlgebraElement.identity(3))
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    (("vector",), {"psi": [2.0]}), (("density",), {}), ((), {}),
+], ids=["unnormalized-vector", "density-without-rho", "no-arguments"])
+def test_state_has_no_public_constructor(args, kwargs):
+    # State("vector", psi=[2.0]) gave phi(1) = 4 and State("density") an
+    # AttributeError at first use: every state comes from a checking classmethod
+    with pytest.raises(TypeError, match="normalized_trace, .*unnormalized_sum, .*vector, "
+                                        ".*density or .*gibbs"):
+        State(*args, **kwargs)
+    assert "eval_matrix" in State.__dict__  # where the bench's tracer patches it
+
+
+def test_empty_inputs_are_dimension_errors():
+    for call in (lambda: State.vector([]), lambda: embed_diag([]), lambda: fock_lowering(1)):
+        with pytest.raises(DimensionError):
+            call()
+
+
 def test_density_validation():
     with pytest.raises(HermiticityError):
         State.density(np.array([[0.5, 0.4], [0.1, 0.5]]))  # not hermitian
@@ -186,8 +209,19 @@ def test_dot_identity_normalization(rng):
     i3 = AlgebraElement.identity(3)
     for phi in (State.normalized_trace(), rand_density(rng, 3)):
         assert abs(dot(phi, cfg, i3, i3) - 1.0) < 1e-12
-    cfg2 = DotConfig(scale=2.5)
+    cfg2 = DotConfig(lam=1.25)
     assert abs(dot(State.normalized_trace(), cfg2, i3, i3) - 2.5) < 1e-12
+
+
+def test_dot_config_is_one_finite_complex_weight():
+    # an overall factor s of the dot product is the weight s lam
+    assert [field.name for field in dataclasses.fields(DotConfig)] == ["lam"]
+    for cfg in (DotConfig(), DotConfig(lam=np.float64(0.5)), DotConfig(lam=1)):
+        assert type(cfg.lam) is complex
+    assert DotConfig().lam == 0.5
+    for bad in (complex("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam is not finite"):
+            DotConfig(lam=bad)
 
 
 def test_dot_symmetric_real_positive(rng):
@@ -432,8 +466,12 @@ def test_fock_operators_keep_their_bytes():
     (harmonic_hamiltonian, "dim"),
     (lambda n: power_dependence(AlgebraElement(np.diag([1.0, 2.0])), n), "m"),
     (lambda n: killing_metric(np.zeros((2, 2, 2)), n), "d"),
+    # counts read from JSON, which int() truncated: a "dim" of 2.7 read four entries as 2x2
+    (lambda n: matrix_from_json({"dim": n, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}), "dim"),
+    (lambda n: make_chart("custom_grid", {"axes": [[0.0, 1.0]], "dim": n, "values_re": [0.0] * 8}),
+     "dim"),
 ], ids=["fock_lowering", "fock_position", "fock_momentum", "harmonic_hamiltonian",
-        "power_dependence", "killing_metric"])
+        "power_dependence", "killing_metric", "matrix_from_json", "custom_grid"])
 def test_every_count_is_an_integer(call, name):
     # one rule (algebra._count): a float count is a ValueError, even a whole one,
     # and an integer type passes as the int it holds
@@ -479,6 +517,32 @@ def test_matrix_json_round_trip(rng):
 def test_matrix_json_bad_shape():
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 2, "re": [1.0, 2.0], "im": [0.0, 0.0]})
+
+
+def test_json_objects_without_their_fields_are_value_errors():
+    for obj, match in (({}, "must carry a 'kind' field"), ({"kind": "pure"}, "unknown state kind"),
+                       ([1.0], "must carry a 'kind' field")):
+        with pytest.raises(ValueError, match=match):
+            state_from_json(obj)
+    with pytest.raises(ValueError, match="malformed matrix object: 're'"):
+        matrix_from_json({"dim": 1, "im": [0.0]})
+
+
+def test_files_round_trip_a_matrix_and_every_state_kind(rng, tmp_path):
+    a = rand_element(rng, 3)
+    dump_matrix(a, tmp_path / "m.json")
+    assert np.array_equal(load_matrix(tmp_path / "m.json").m, a.m)
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    states = [State.normalized_trace(), State.unnormalized_sum(),
+              State.vector(psi / np.linalg.norm(psi)), rand_density(rng, 3),
+              State.gibbs(rand_hermitian(rng, 3), 0.7)]
+    for phi in states:
+        path = tmp_path / f"{phi.kind}.json"
+        dump_state(phi, path)
+        assert path.read_text().endswith("}\n")
+        back = load_state(path)
+        assert back.kind == phi.kind and state_to_json(back) == state_to_json(phi)
+        assert state_eval(back, a) == state_eval(phi, a)
 
 
 def test_state_json_round_trip(rng):

@@ -72,6 +72,27 @@ def test_xorshift_is_deterministic_and_uniform():
     assert lo == hi and 2.0 <= lo < 3.0
 
 
+def test_xorshift_outputs_follow_the_published_recurrence():
+    # xorshift64* (Vigna, ACM TOMS 42, 2016): shifts 12, 25, 27 and the
+    # multiplier 0x2545F4914F6CDD1D, all modulo 2^64, from state seed ^ 0x9E3779B97F4A7C15
+    mask = (1 << 64) - 1
+    for seed in (0, 1, 7, 2**63 + 5):
+        x, rng = seed ^ 0x9E3779B97F4A7C15, XorShift64Star(seed)
+        for _ in range(50):
+            x ^= x >> 12
+            x ^= (x << 25) & mask
+            x ^= x >> 27
+            assert rng.next_u64() == (x * 0x2545F4914F6CDD1D) & mask
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.7"):
+        XorShift64Star(2.7)  # int() truncated it to seed 2
+
+
+def test_the_seed_whose_state_would_be_zero_draws_as_seed_zero():
+    # a zero state would stay zero; the generator starts it where seed 0 does
+    a, b = XorShift64Star(0x9E3779B97F4A7C15), XorShift64Star(0)
+    assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
+
+
 # ---------------------------------------------------------------------------
 # algebraic subcommands
 
@@ -200,6 +221,26 @@ def test_killing_jacobi_violation_is_numeric_error(tmp_path, capsys):
         f[r, b, a] = -1.0
     path = write_json(tmp_path / "bad.json", {"d": 3, "f": f.reshape(-1).tolist()})
     run_err(capsys, ["killing", "--matrix", path], 2, "E_NUMERIC")
+
+
+def test_killing_without_a_generator_is_one_input_error(tmp_path, capsys):
+    # it was NumPy's "zero-size array to reduction operation maximum" ValueError
+    path = write_json(tmp_path / "empty.json", {"d": 0, "f": []})
+    err = run_err(capsys, ["killing", "--matrix", path], 1, "E_INPUT")
+    assert err == "E_INPUT a Lie algebra needs d >= 1 generators, got 0\n"
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["gram", "--matrix"], {"dim": 2.7, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}),
+    (["killing", "--matrix"], {"d": 2.9, "f": [0.0] * 8}),
+    (["metric", "--point", "0.5", "--chart"],
+     {"id": "custom_grid", "params": {"axes": [[0.0, 1.0]], "dim": 1.5, "values_re": [1.0, 2.0]}}),
+], ids=["matrix-dim", "killing-d", "custom-grid-dim"])
+def test_a_fractional_count_in_a_file_is_one_input_error(tmp_path, capsys, argv, obj):
+    # each was truncated by int() and the run exited 0
+    path = write_json(tmp_path / "input.json", obj)
+    err = run_err(capsys, argv + [path], 1, "E_INPUT")
+    assert err.count("\n") == 1 and "must be an integer, got " in err
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +550,39 @@ def test_bad_file_content_is_one_input_error(tmp_path, capsys, kind, obj):
             "state": ["gram", "--state", path, "--matrix", one]}[kind]
     err = run_err(capsys, argv, 1, "E_INPUT")
     assert err.count("\n") == 1
+
+
+def test_an_empty_flag_value_is_one_input_error(tmp_path, sphere_file, capsys):
+    # stokes and --state took an empty value as no flag at all
+    m = write_matrix(tmp_path / "m.json", np.eye(2))
+    for argv, message in (
+        (["metric", "--chart", sphere_file, "--point="], "--point must be comma-separated reals"),
+        (["stokes", "--point="], "--point must be comma-separated reals"),
+        (["gram", "--state=", "--matrix", m], "cannot read "),
+        (["volume", "--state=", "--matrix", m], "cannot read "),
+    ):
+        err = run_err(capsys, argv, 1, "E_INPUT")
+        assert err.count("\n") == 1 and err.startswith(f"E_INPUT {message}"), argv
+
+
+@pytest.mark.parametrize("content, argv, message", [
+    ("{bad", ["metric", "--point", "0.5,0.4", "--chart", "{path}"], "invalid JSON in {path}: "),
+    ("[1, 2]", ["metric", "--point", "0.5,0.4", "--chart", "{path}"],
+     "chart file {path} must hold a JSON object"),
+    ("", ["gram"], "at least one --matrix file is required"),
+    ('{"kind": "vector", "re": [1.0, 0.0], "im": [0.0, 0.0]}',
+     ["volume", "--matrix", "{m}", "--state", "{path}"],
+     "volume supports only the trace and sum states"),
+    ("", ["killing", "--matrix", "{m}", "--matrix", "{m}"],
+     "killing needs one structure-constants file"),
+], ids=["chart-invalid-json", "chart-json-list", "gram-no-matrix", "volume-vector-state",
+        "killing-two-files"])
+def test_each_input_rule_is_one_input_error(tmp_path, capsys, content, argv, message):
+    path = tmp_path / "input.json"
+    path.write_text(content, encoding="utf-8")
+    files = {"path": str(path), "m": write_matrix(tmp_path / "m.json", np.eye(2))}
+    err = run_err(capsys, [arg.format(**files) for arg in argv], 1, "E_INPUT")
+    assert err.count("\n") == 1 and err.startswith("E_INPUT " + message.format(**files))
 
 
 def test_stokes_output(capsys):

@@ -73,7 +73,7 @@ def rel_gap(got, want):
 def test_kernel_matches_dot_loop(kind, lam, scale, n, p, q, same, seed):
     rng = np.random.default_rng(seed)
     phi = make_state(kind, rng, n)
-    cfg = DotConfig(lam=lam, scale=scale)
+    cfg = DotConfig(lam=complex(lam) * scale)
     xs = [AlgebraElement(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
           for _ in range(p)]
     ys = xs if same else [AlgebraElement(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -179,7 +179,7 @@ def test_one_gram_forms_match_element_definitions(kind, lam, family):
     rng = np.random.default_rng([KINDS.index(kind), FIXED_LAMS.index(lam),
                                  sorted(FAMILY_KINDS).index(family)])
     n, p = int(rng.choice([4, 7, 16])), int(rng.integers(3, 7))
-    phi, cfg = make_state(kind, rng, n), DotConfig(lam=lam, scale=float(rng.uniform(0.5, 2.0)))
+    phi, cfg = make_state(kind, rng, n), DotConfig(lam=complex(lam) * float(rng.uniform(0.5, 2.0)))
     bs = [rand_el(rng, n, t) for t in FAMILY_KINDS[family][:p]]
     a, h = rand_el(rng, n, "g"), rand_el(rng, n, "h")
 

@@ -218,7 +218,7 @@ def test_metric_state_normalization_ratio():
 
 def test_metric_dot_scale_covariance():
     g1 = metric(sphere(), SUM, CFG, SPHERE_PT).g
-    g2 = metric(sphere(), SUM, DotConfig(scale=2.0), SPHERE_PT).g
+    g2 = metric(sphere(), SUM, DotConfig(lam=1.0), SPHERE_PT).g
     assert np.abs(g2 - 2.0 * g1).max() < 1e-12
 
 
@@ -329,7 +329,7 @@ def test_christoffel_torus_analytic():
 def test_christoffel_state_invariance():
     g_sum = christoffel(sphere(), SUM, CFG, SPHERE_PT).gamma
     g_trace = christoffel(dataclasses.replace(sphere(), state_kind="trace"), TRACE, CFG, SPHERE_PT).gamma
-    g_scaled = christoffel(sphere(), SUM, DotConfig(scale=3.0), SPHERE_PT).gamma
+    g_scaled = christoffel(sphere(), SUM, DotConfig(lam=1.5), SPHERE_PT).gamma
     assert np.abs(g_sum - g_trace).max() < 1e-10
     assert np.abs(g_sum - g_scaled).max() < 1e-10
 
@@ -431,6 +431,23 @@ def test_riemann_gauss_requires_two_parameters():
 
 # ---------------------------------------------------------------------------
 # covariant derivative and the curvature commutator
+
+def test_complex_shape_parameters_are_rejected_at_construction():
+    # a complex paraboloid coefficient built a chart whose every geometry call
+    # warned ComplexWarning and dropped the imaginary part
+    for build in (lambda: sphere(r=1j), lambda: paraboloid(a=1j)):
+        with pytest.raises(TypeError, match="not complex"):
+            build()
+
+
+def test_geometry_calls_reject_points_fields_and_charts_of_the_wrong_kind():
+    with pytest.raises(EvaluationError, match=r"point \[nan, 0.3\] is not finite"):
+        geometry_at(sphere(), SUM, CFG, [[0.9, 0.5], [math.nan, 0.3]])
+    with pytest.raises(DimensionError, match=r"vector field must return shape \(2,\)"):
+        covariant_derivative(sphere(), SUM, CFG, SPHERE_PT, lambda u: np.ones(3))
+    with pytest.raises(DimensionError, match="requires a 2-parameter chart"):
+        gauss_curvature_2d(graph3_chart(), SUM, CFG, np.array([0.1, 0.2, 0.3]))
+
 
 def test_covariant_derivative_flat_matches_partial():
     chart = flat_plane()
@@ -608,7 +625,7 @@ def test_frame_curvature_keeps_its_bits():
     for chart in (sphere(r=1.3), torus(big_r=2.0, r=0.6), paraboloid(a=0.4)):
         for u in rng.uniform(*chart.sample_box, size=(3, 2)):
             for phi in (SUM, TRACE):
-                for cfg in (CFG, DotConfig(lam=0.8, scale=1.5)):
+                for cfg in (CFG, DotConfig(lam=0.8 * 1.5)):
                     vals.append(gauss_curvature_2d(chart, phi, cfg, u))
     assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == \
         "f746abc51794dad87386de4160c21b2fdfe5ffa0c2ef6c2f47351f37a3f0d170"
@@ -756,6 +773,12 @@ def test_killing_rejects_jacobi_violation():
 def test_killing_shape_check():
     with pytest.raises(DimensionError):
         killing_metric(np.zeros((2, 2, 2)), 3)
+
+
+def test_killing_needs_a_generator():
+    # d = 0 with a (0, 0, 0) array reached NumPy's empty-reduction ValueError
+    with pytest.raises(DimensionError, match="needs d >= 1 generators, got 0"):
+        killing_metric(np.zeros((0, 0, 0)), 0)
 
 
 # ---------------------------------------------------------------------------

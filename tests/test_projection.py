@@ -390,6 +390,14 @@ def test_volume_too_many_vectors_rejected():
         parallelepiped_volume([np.eye(2)[0], np.eye(2)[1], np.ones(2)])
 
 
+def test_volume_needs_vectors_of_one_supported_dimension():
+    for vectors, match in (([], "at least one vector"), ([np.ones(2), np.ones(3)], "share a dimension")):
+        with pytest.raises(DimensionError, match=match):
+            parallelepiped_volume(vectors)
+    with pytest.raises(DimensionError, match="dimension <= 6"):
+        levi_civita_volume([np.eye(7)[0]])
+
+
 # ---------------------------------------------------------------------------
 # tetrahedral membership
 
@@ -453,6 +461,11 @@ def test_power_dependence_forms_only_the_powers_it_uses(monkeypatch):
         assert len(products) == m - 1
 
 
+def test_power_dependence_needs_an_order_of_at_least_one():
+    with pytest.raises(DomainError, match="power order must be >= 1, got 0"):
+        power_dependence(AlgebraElement(np.diag([1.0, 2.0])), 0)
+
+
 def test_power_dependence_identity():
     alpha, residual = power_dependence(AlgebraElement.identity(3), 1)
     assert np.allclose(alpha, [-1.0], atol=1e-12)
@@ -511,13 +524,18 @@ def test_tuple_inner_keeps_its_bits():
               State.vector(psi / np.linalg.norm(psi)), State.density(rho / np.trace(rho).real))
     vals = []
     for phi in states:
-        for cfg in (DotConfig(), DotConfig(lam=0.3 + 0.4j, scale=2.0)):
+        for cfg in (DotConfig(), DotConfig(lam=(0.3 + 0.4j) * 2.0)):
             for k in range(1, 6):
                 els = [rand_element(rng, 3) for _ in range(2 * k)]
                 vals += [tuple_inner(phi, cfg, els[:k], els[k:]),
                          tuple_inner(phi, cfg, els[:k], els[:k])]
     assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == \
         "98a7249964216b86add492177e900186129a95d22104e2e01c5ef0de8fcc66bd"
+
+
+def test_tuple_inner_of_empty_tuples():
+    with pytest.raises(DimensionError, match="tuples are empty"):
+        tuple_inner(TRACE, CFG, [], [])
 
 
 def test_tuple_inner_length_mismatch(rng):

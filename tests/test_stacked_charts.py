@@ -492,7 +492,7 @@ def seeded_density(seed, n):
 REPORTS = {
     "nondiag-density": lambda: report(NonDiagonal(5).chart(), seeded_density(6, 3), CFG, 9, seed=3),
     "nondiag-trace": lambda: report(NonDiagonal(8).chart(), State.normalized_trace(),
-                                    DotConfig(lam=0.8, scale=0.5), 4, seed=11),
+                                    DotConfig(lam=0.8 * 0.5), 4, seed=11),
     "graph3-stacked": lambda: report(stacked_graph3(), SUM, CFG, 7, seed=5),
     "graph3-per-point": lambda: report(graph3_chart(), SUM, CFG, 2, seed=12),
 }

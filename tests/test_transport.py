@@ -81,6 +81,19 @@ def test_path_validation():
         LoopSpec(base=(0.0, 0.0), dirs=((1, 0), (0, 1)), epsilon=0.0)
 
 
+def test_a_complex_range_is_rejected_at_construction():
+    # it was accepted, and product_integral failed later with a bare TypeError
+    with pytest.raises(TypeError, match="not complex"):
+        ConnectionPath(A=lambda s: X_REF, s_range=(0.0, 1j), n_steps=4)
+
+
+def test_an_overflowing_exponential_factor_is_a_value_error():
+    path = ConnectionPath(A=lambda s: np.array([[800.0]]), s_range=(0.0, 1.0), n_steps=1)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="matrix exponential overflows"):
+        warnings.simplefilter("error")
+        product_integral(path)
+
+
 def test_step_counts_and_orders_must_be_integers():
     with pytest.raises(ValueError, match="n_steps must be an integer, got 2.5"):
         ConnectionPath(A=lambda s: X_REF, s_range=(0.0, 1.0), n_steps=2.5)
