@@ -24,8 +24,8 @@ from opgeom import (
     Chart,
     DotConfig,
     bianchi_residual,
+    chart_from_json,
     gauss_curvature_2d,
-    make_chart,
     metric,
     metric_compat_residual,
     riemann_gauss_curvature,
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     if args.a is not None:
         params["a"] = args.a
     try:
-        chart = make_chart(args.chart, params)
+        chart = chart_from_json({"id": args.chart, "params": params})
     except ValueError as exc:  # a parameter the chart does not take, say
         parser.error(str(exc))
     cfg = SweepConfig(chart=chart, count=args.count, seed=args.seed, csv_path=args.csv)

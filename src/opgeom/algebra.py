@@ -15,9 +15,9 @@ hbar = m = omega = 1.
 
 Every element that arithmetic makes comes from ``_element``, which runs
 the expression under one ``np.errstate``: an overflow is the constructor's
-``ValueError``, never a NumPy warning first.  All file I/O lives here
-(``_read_json``, ``_write_json``, a small JSON schema for matrices and
-states).  So do the helpers other modules share: ``stacked``, the one type
+``ValueError``, never a NumPy warning first.  The JSON codecs of matrices
+and states live here (``*_to_json``, ``*_from_json``; only the CLI opens a
+file).  So do the helpers other modules share: ``stacked``, the one type
 of callable defined over a stack of points (public, so a user chart or
 connection can be one), with ``_lifted``, which makes any other callable
 one, ``_first_false``, the one rule for the answers of a domain or patch
@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import cmath
 import inspect
-import json
 import math
+import numbers
 import operator
 import os
 import sys
@@ -64,10 +64,6 @@ __all__ = [
     "matrix_from_json",
     "state_to_json",
     "state_from_json",
-    "load_matrix",
-    "dump_matrix",
-    "load_state",
-    "dump_state",
     "stacked",
 ]
 
@@ -441,7 +437,8 @@ class DotConfig:
     """The one parameter of the state-induced dot product.
 
     ``lam`` is the complex weight of the a'b term (the b'a term gets its
-    conjugate), checked finite and stored as a Python complex.  An overall
+    conjugate): a number (``TypeError`` for anything else, a string
+    included), checked finite and stored as a Python complex.  An overall
     real factor s goes into it: s phi(lam a'b + conj(lam) b'a) is the product
     of weight s lam.  The default gives the symmetric product (a'b + b'a)/2.
     """
@@ -449,6 +446,8 @@ class DotConfig:
     lam: complex = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.lam, numbers.Number):
+            raise TypeError(f"lam must be a number, got {self.lam!r}")
         object.__setattr__(self, "lam", _finite_value(complex(self.lam), "lam"))
 
 
@@ -716,6 +715,8 @@ def matrix_from_json(obj: dict) -> AlgebraElement:
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
+    if dim < 1:
+        raise DimensionError(f"matrix dim must be at least 1, got {dim}")
     if re.size != dim * dim or im.size != dim * dim:
         raise ValueError(f"matrix entry count does not match dim={dim}")
     return AlgebraElement((re + 1j * im).reshape(dim, dim))
@@ -740,42 +741,15 @@ def state_from_json(obj: dict) -> State:
         return State.normalized_trace()
     if kind == "sum":
         return State.unnormalized_sum()
-    if kind == "vector":
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        return State.vector(re + 1j * im)
-    if kind == "density":
-        return State.density(matrix_from_json(obj["rho"]))
-    if kind == "gibbs":
-        return State.gibbs(matrix_from_json(obj["h"]), float(obj["beta"]))
+    try:
+        if kind == "vector":
+            re = np.asarray(obj["re"], dtype=float)
+            return State.vector(re + 1j * np.asarray(obj["im"], dtype=float))
+        if kind == "density":
+            return State.density(matrix_from_json(obj["rho"]))
+        if kind == "gibbs":
+            return State.gibbs(matrix_from_json(obj["h"]), float(obj["beta"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} state object: {exc}") from exc
     raise ValueError(f"unknown state kind {kind!r}")
 
-
-def _read_json(path):
-    """The JSON value in the file at path: the one file reader."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _write_json(obj, path) -> None:
-    """obj as JSON indented by 2, with a final newline, in the file at path:
-    the one file writer."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def load_matrix(path) -> AlgebraElement:
-    return matrix_from_json(_read_json(path))
-
-
-def dump_matrix(a: AlgebraElement, path) -> None:
-    _write_json(matrix_to_json(a), path)
-
-
-def load_state(path) -> State:
-    return state_from_json(_read_json(path))
-
-
-def dump_state(phi: State, path) -> None:
-    _write_json(state_to_json(phi), path)

@@ -138,14 +138,15 @@ def _load(path, what: str, from_json):
     failure is an ``_InputError``: an unreadable file, invalid JSON, and
     content from_json rejects (OverflowError: an int too large for a float)."""
     try:
-        obj = algebra._read_json(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"invalid JSON in {path}: {exc}") from exc
     try:
         return from_json(obj)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, DimensionError, HermiticityError) as exc:
         raise _InputError(f"bad {what} file {path}: {exc}") from exc
 
 

@@ -22,8 +22,8 @@ connection is differenced at 1e-2 sqrt(fd_step) inside ``curvature``.
 Linear charts carry no truncation error, so coarser steps there only reduce
 rounding noise.  Both steps and their squares, by which second differences
 divide, must be positive and finite.  A chart constructor builds only the
-chart's shape; ``make_chart`` (the JSON path) and ``dataclasses.replace``
-set its ``state_kind``, ``fd_step`` and ``fd_step2``.
+chart's shape; ``dataclasses.replace`` sets its ``state_kind``, ``fd_step``
+and ``fd_step2``, and ``chart_from_json`` reads all three with the chart.
 
 Every public function taking a point u checks it first: a shape other than
 (p,) raises ``DimensionError`` and a non-finite entry ``EvaluationError``.
@@ -101,11 +101,9 @@ from .algebra import (
     _first_false,
     _heisenberg,
     _lifted,
-    _read_json,
     _solve_gram,
     _stack,
     _step_count,
-    _write_json,
     embed_diag,
     stacked,
 )
@@ -134,11 +132,8 @@ __all__ = [
     "torus",
     "paraboloid",
     "custom_grid",
-    "make_chart",
     "chart_to_json",
     "chart_from_json",
-    "load_chart",
-    "dump_chart",
     "tangent_basis",
     "metric",
     "projector_apply",
@@ -171,8 +166,8 @@ class Chart:
     other callable in a ``stacked`` that calls it once per point.
     ``state_kind`` names the dimension-free default state ("sum" or
     "trace") used by the CLI, and ``fd_step`` and ``fd_step2`` are the
-    finite-difference steps; ``dataclasses.replace`` or ``make_chart`` sets
-    all three on a built-in chart.
+    finite-difference steps; ``dataclasses.replace`` sets all three on a
+    built-in chart, and ``chart_from_json`` reads them from JSON.
     """
 
     id: str
@@ -439,38 +434,17 @@ _CHART_IDS = {
 }
 
 
-def make_chart(chart_id: str, params: dict | None = None, state: str = "sum",
-               fd_step: float | None = None, fd_step2: float | None = None) -> Chart:
-    """Build a registered chart from its id and parameter dict, with the state
-    kind and the steps given (a step of None keeps the constructor's); an
-    unknown id or parameter name raises ``ValueError``."""
-    if not (isinstance(chart_id, str) and chart_id in _CHART_IDS):
-        raise ValueError(f"unknown chart id {chart_id!r}")
-    build, names = _CHART_IDS[chart_id]
-    params = dict(params or {})
-    unknown = [name for name in params if name not in names]
-    if unknown:
-        raise ValueError(f"chart {chart_id!r} takes parameters {list(names)}, not {unknown}")
-    if chart_id == "custom_grid":
-        axes = params["axes"]
-        dim = _count(params["dim"], "dim")
-        shape = tuple(len(ax) for ax in axes) + (dim, dim)
-        re = np.asarray(params["values_re"], dtype=float).reshape(shape)
-        im = np.asarray(params.get("values_im", np.zeros(re.size)), dtype=float).reshape(shape)
-        chart = custom_grid(axes, re + 1j * im)
-    else:
-        chart = build(**{key: float(params[name]) for name, key in names.items() if name in params})
-    steps = {name: float(step) for name, step in (("fd_step", fd_step), ("fd_step2", fd_step2))
-             if step is not None}
-    return replace(chart, state_kind=state, **steps)
-
-
 def chart_to_json(chart: Chart) -> dict:
     return {"id": chart.id, "params": chart.params, "state": chart.state_kind,
             "fd_step": chart.fd_step, "fd_step2": chart.fd_step2}
 
 
 def chart_from_json(obj: dict) -> Chart:
+    """The registered chart of a JSON object: its ``id``, the constructor's
+    ``params`` by their JSON names, the ``state`` kind ("sum" when absent)
+    and the steps ``fd_step`` and ``fd_step2`` (the constructor's when absent
+    or null).  An unknown id, field or parameter name, or a missing or
+    malformed field, raises ``ValueError``."""
     try:
         chart_id = obj["id"]
     except (KeyError, TypeError) as exc:
@@ -478,21 +452,29 @@ def chart_from_json(obj: dict) -> Chart:
     unknown = [name for name in obj if name not in ("id", "params", "state", "fd_step", "fd_step2")]
     if unknown:
         raise ValueError(f"unknown chart field(s) {unknown}")
-    return make_chart(
-        chart_id,
-        params=obj.get("params"),
-        state=obj.get("state", "sum"),
-        fd_step=obj.get("fd_step"),
-        fd_step2=obj.get("fd_step2"),
-    )
-
-
-def load_chart(path) -> Chart:
-    return chart_from_json(_read_json(path))
-
-
-def dump_chart(chart: Chart, path) -> None:
-    _write_json(chart_to_json(chart), path)
+    if not (isinstance(chart_id, str) and chart_id in _CHART_IDS):
+        raise ValueError(f"unknown chart id {chart_id!r}")
+    build, names = _CHART_IDS[chart_id]
+    params = obj.get("params") or {}
+    if not isinstance(params, dict):
+        raise ValueError(f"chart 'params' must be an object, got {params!r}")
+    unknown = [name for name in params if name not in names]
+    if unknown:
+        raise ValueError(f"chart {chart_id!r} takes parameters {list(names)}, not {unknown}")
+    try:
+        if chart_id == "custom_grid":
+            axes = params["axes"]
+            dim = _count(params["dim"], "dim")
+            shape = tuple(len(ax) for ax in axes) + (dim, dim)
+            re = np.asarray(params["values_re"], dtype=float).reshape(shape)
+            im = np.asarray(params.get("values_im", np.zeros(re.size)), dtype=float).reshape(shape)
+            chart = custom_grid(axes, re + 1j * im)
+        else:
+            chart = build(**{key: float(params[name]) for name, key in names.items() if name in params})
+        steps = {name: float(obj[name]) for name in ("fd_step", "fd_step2") if obj.get(name) is not None}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {chart_id} chart object: {exc}") from exc
+    return replace(chart, state_kind=obj.get("state", "sum"), **steps)
 
 
 # ---------------------------------------------------------------------------

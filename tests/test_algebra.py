@@ -22,16 +22,12 @@ from opgeom.algebra import (
     anticommutator,
     commutator,
     dot,
-    dump_matrix,
-    dump_state,
     embed_diag,
     fock_lowering,
     fock_momentum,
     fock_position,
     harmonic_hamiltonian,
     heisenberg_dot,
-    load_matrix,
-    load_state,
     matrix_from_json,
     matrix_to_json,
     star,
@@ -40,7 +36,7 @@ from opgeom.algebra import (
     state_to_json,
 )
 from opgeom.errors import DimensionError, HermiticityError
-from opgeom.hypersurface import killing_metric, make_chart
+from opgeom.hypersurface import chart_from_json, killing_metric
 from opgeom.projection import power_dependence
 from opgeom.uncertainty import _hermitian_or_anti
 
@@ -221,6 +217,13 @@ def test_dot_config_is_one_finite_complex_weight():
     assert DotConfig().lam == 0.5
     for bad in (complex("nan"), float("inf")):
         with pytest.raises(ValueError, match="lam is not finite"):
+            DotConfig(lam=bad)
+
+
+def test_dot_config_weight_is_a_number():
+    # complex() would read "1+2j" as 1+2j; a weight is a number, as a chart radius is
+    for bad in ("1+2j", "0.5", None, [0.5]):
+        with pytest.raises(TypeError, match="lam must be a number"):
             DotConfig(lam=bad)
 
 
@@ -468,7 +471,8 @@ def test_fock_operators_keep_their_bytes():
     (lambda n: killing_metric(np.zeros((2, 2, 2)), n), "d"),
     # counts read from JSON, which int() truncated: a "dim" of 2.7 read four entries as 2x2
     (lambda n: matrix_from_json({"dim": n, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}), "dim"),
-    (lambda n: make_chart("custom_grid", {"axes": [[0.0, 1.0]], "dim": n, "values_re": [0.0] * 8}),
+    (lambda n: chart_from_json({"id": "custom_grid",
+                                "params": {"axes": [[0.0, 1.0]], "dim": n, "values_re": [0.0] * 8}}),
      "dim"),
 ], ids=["fock_lowering", "fock_position", "fock_momentum", "harmonic_hamiltonian",
         "power_dependence", "killing_metric", "matrix_from_json", "custom_grid"])
@@ -520,29 +524,32 @@ def test_matrix_json_bad_shape():
 
 
 def test_json_objects_without_their_fields_are_value_errors():
+    h = {"dim": 1, "re": [0.0], "im": [0.0]}
     for obj, match in (({}, "must carry a 'kind' field"), ({"kind": "pure"}, "unknown state kind"),
-                       ([1.0], "must carry a 'kind' field")):
+                       ([1.0], "must carry a 'kind' field"),
+                       ({"kind": "vector"}, "malformed vector state object: 're'"),
+                       ({"kind": "vector", "re": [1.0]}, "malformed vector state object: 'im'"),
+                       ({"kind": "density"}, "malformed density state object: 'rho'"),
+                       ({"kind": "gibbs", "h": h}, "malformed gibbs state object: 'beta'"),
+                       ({"kind": "gibbs", "beta": 1.0}, "malformed gibbs state object: 'h'")):
         with pytest.raises(ValueError, match=match):
             state_from_json(obj)
     with pytest.raises(ValueError, match="malformed matrix object: 're'"):
         matrix_from_json({"dim": 1, "im": [0.0]})
+    for obj, match in (({"id": "custom_grid", "params": {"axes": [[0, 1]]}},
+                        "malformed custom_grid chart object: 'dim'"),
+                       ({"id": "custom_grid", "params": {"dim": 1}},
+                        "malformed custom_grid chart object: 'axes'"),
+                       ({"id": "sphere", "params": [1]}, "chart 'params' must be an object")):
+        with pytest.raises(ValueError, match=match):
+            chart_from_json(obj)
 
 
-def test_files_round_trip_a_matrix_and_every_state_kind(rng, tmp_path):
-    a = rand_element(rng, 3)
-    dump_matrix(a, tmp_path / "m.json")
-    assert np.array_equal(load_matrix(tmp_path / "m.json").m, a.m)
-    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    states = [State.normalized_trace(), State.unnormalized_sum(),
-              State.vector(psi / np.linalg.norm(psi)), rand_density(rng, 3),
-              State.gibbs(rand_hermitian(rng, 3), 0.7)]
-    for phi in states:
-        path = tmp_path / f"{phi.kind}.json"
-        dump_state(phi, path)
-        assert path.read_text().endswith("}\n")
-        back = load_state(path)
-        assert back.kind == phi.kind and state_to_json(back) == state_to_json(phi)
-        assert state_eval(back, a) == state_eval(phi, a)
+def test_matrix_dim_below_one_is_a_dimension_error():
+    # checked before the reshape, whose error names no dimension
+    for dim, n in ((-1, 1), (0, 0), (-2, 4)):
+        with pytest.raises(DimensionError, match=f"matrix dim must be at least 1, got {dim}"):
+            matrix_from_json({"dim": dim, "re": [1.0] * n, "im": [0.0] * n})
 
 
 def test_state_json_round_trip(rng):
@@ -558,7 +565,7 @@ def test_state_json_round_trip(rng):
     probe = rand_element(rng, 3)
     for phi in states:
         back = state_from_json(json.loads(json.dumps(state_to_json(phi))))
-        assert back.kind == phi.kind
+        assert back.kind == phi.kind and state_to_json(back) == state_to_json(phi)
         assert abs(state_eval(back, probe) - state_eval(phi, probe)) < 1e-12
 
 

@@ -243,6 +243,14 @@ def test_a_fractional_count_in_a_file_is_one_input_error(tmp_path, capsys, argv,
     assert err.count("\n") == 1 and "must be an integer, got " in err
 
 
+def test_a_matrix_dim_below_one_is_one_input_error(tmp_path, capsys):
+    # checked before NumPy's reshape, whose error ("can only specify one unknown
+    # dimension") names no dimension
+    path = write_json(tmp_path / "m.json", {"dim": -1, "re": [1.0], "im": [0.0]})
+    err = run_err(capsys, ["gram", "--matrix", path], 1, "E_INPUT")
+    assert err == f"E_INPUT bad matrix file {path}: matrix dim must be at least 1, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # geometry subcommands
 

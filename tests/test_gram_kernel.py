@@ -32,9 +32,9 @@ from opgeom.errors import (
 from opgeom.hypersurface import (
     _fields,
     _Geo,
+    chart_from_json,
     custom_grid,
     gibbs_force,
-    make_chart,
     orthonormal_frame,
     projector_apply,
     tangent_basis,
@@ -92,7 +92,7 @@ def test_kernel_matches_dot_loop(kind, lam, scale, n, p, q, same, seed):
 def test_geo_gram_diagonal_path_matches_generic(chart_id, kind, lam, seed):
     # the same chart without map_vec goes through the state kernel on matrices
     rng = np.random.default_rng(seed)
-    chart = make_chart(chart_id)
+    chart = chart_from_json({"id": chart_id})
     phi = make_state(kind, rng, chart.dim)
     cfg = DotConfig(lam=lam)
     fast = _Geo(chart, phi, cfg)

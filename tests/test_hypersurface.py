@@ -56,7 +56,6 @@ from opgeom.hypersurface import (
     covariant_derivative,
     curvature,
     custom_grid,
-    dump_chart,
     flat_plane,
     gauss_curvature_2d,
     geodesic,
@@ -64,8 +63,6 @@ from opgeom.hypersurface import (
     gibbs_force,
     killing_metric,
     leibniz_violation_witness,
-    load_chart,
-    make_chart,
     metric,
     metric_compat_residual,
     orthonormal_frame,
@@ -122,9 +119,10 @@ def test_builder_validation():
         custom_grid([[-1.7e308, 1.7e308]], np.zeros((2, 1, 1)))
 
 
-def test_chart_json_round_trip(tmp_path):
-    for chart in (sphere(r=1.7), make_chart("torus", {"R": 2.5, "r": 0.8}, state="trace"),
-                  make_chart("flat_plane", fd_step=2e-4), paraboloid(a=0.4)):
+def test_chart_json_round_trip():
+    for chart in (sphere(r=1.7),
+                  chart_from_json({"id": "torus", "params": {"R": 2.5, "r": 0.8}, "state": "trace"}),
+                  chart_from_json({"id": "flat_plane", "fd_step": 2e-4}), paraboloid(a=0.4)):
         back = chart_from_json(chart_to_json(chart))
         assert back.id == chart.id
         assert back.params == chart.params
@@ -132,9 +130,6 @@ def test_chart_json_round_trip(tmp_path):
         assert back.fd_step == chart.fd_step
         u = 0.5 * (chart.sample_box[0] + chart.sample_box[1])
         assert np.allclose(back.map_vec(u), chart.map_vec(u), atol=1e-14)
-    path = tmp_path / "chart.json"
-    dump_chart(sphere(r=2.0), path)
-    assert load_chart(path).params["r"] == 2.0
 
 
 def test_grid_chart_json_round_trip():
@@ -149,9 +144,9 @@ def test_grid_chart_json_round_trip():
     assert np.abs(back.map_mat(u) - chart.map_mat(u)).max() < 1e-14
 
 
-def test_make_chart_unknown_id():
-    with pytest.raises(ValueError):
-        make_chart("klein_bottle")
+def test_unknown_chart_id_is_rejected():
+    with pytest.raises(ValueError, match="unknown chart id 'klein_bottle'"):
+        chart_from_json({"id": "klein_bottle"})
     with pytest.raises(ValueError):
         chart_from_json({"params": {}})
 
@@ -159,12 +154,12 @@ def test_make_chart_unknown_id():
 def test_unknown_chart_parameter_or_field_is_rejected():
     # torus parameters are named R and r in JSON; big_r would leave R = 2 silently
     with pytest.raises(ValueError, match="big_r"):
-        make_chart("torus", {"big_r": 3})
+        chart_from_json({"id": "torus", "params": {"big_r": 3}})
     with pytest.raises(ValueError, match="'a'"):
-        make_chart("sphere", {"r": 1.0, "a": 2.0})
+        chart_from_json({"id": "sphere", "params": {"r": 1.0, "a": 2.0}})
     with pytest.raises(ValueError, match="fd_stpe"):
         chart_from_json({"id": "sphere", "fd_stpe": 0.05})
-    chart = make_chart("torus", {"R": 3.0})
+    chart = chart_from_json({"id": "torus", "params": {"R": 3.0}})
     assert chart.params == {"R": 3.0, "r": 0.5} and chart.fd_step == 1e-4
 
 
@@ -821,7 +816,7 @@ def test_chart_rejects_bad_steps_and_radii():
                {"fd_step": math.inf}, {"fd_step2": math.nan}, {"fd_step2": 1e-200},
                {"fd_step": 1e200}):
         with pytest.raises(ValueError):
-            make_chart("sphere", **kw)
+            chart_from_json({"id": "sphere", **kw})
     for make in (lambda: sphere(r=math.inf), lambda: torus(big_r=math.inf),
                  lambda: torus(big_r=math.nan, r=0.5)):
         with pytest.raises(ValueError):
@@ -877,10 +872,10 @@ def test_chart_geometry_needs_positive_real_lam(name, lam):
 
 
 def test_chart_state_must_be_sum_or_trace():
-    assert make_chart("sphere", state="trace").default_state().kind == "trace"
+    assert chart_from_json({"id": "sphere", "state": "trace"}).default_state().kind == "trace"
     for bad in ("bogus", {"kind": "trace"}, None):
         with pytest.raises(ValueError, match="chart state"):
-            make_chart("sphere", state=bad)
+            chart_from_json({"id": "sphere", "state": bad})
 
 
 @pytest.mark.parametrize("chart", [sphere(), graph3_chart()], ids=["sphere", "graph3"])
@@ -969,7 +964,7 @@ def bit_charts():
     from .test_stacked_charts import stacked_graph3  # that module imports from this one
 
     ids = ["flat_plane", "sphere", "torus", "paraboloid"]
-    return {**{i: make_chart(i) for i in ids}, "graph3": stacked_graph3(),
+    return {**{i: chart_from_json({"id": i}) for i in ids}, "graph3": stacked_graph3(),
             "hermitian3": hermitian3(), "symmetric3": hermitian3(real=True)}
 
 
