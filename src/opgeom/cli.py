@@ -360,8 +360,7 @@ def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
     count, seed = algebra._count(sample_count, "sample_count"), algebra._count(seed, "seed")
     if count < 1:
         raise ValueError(f"sample_count must be at least 1, got {count}")
-    if chart.p < 2:
-        raise DimensionError("Bianchi residual needs at least two parameters")
+    hypersurface._require_bianchi(chart)
     points = XorShift64Star(seed)._rows(*(end[:chart.p] for end in chart.sample_box), count)
     geom = hypersurface.geometry_at(chart, phi, cfg, points)
     names = ["metric_det", "christoffel_max_abs", "riemann_max_abs", "bianchi_residual"]

@@ -21,7 +21,9 @@ for second derivatives and for first derivatives of derived fields; the
 connection is differenced at 1e-2 sqrt(fd_step) inside ``curvature``.
 Linear charts carry no truncation error, so coarser steps there only reduce
 rounding noise.  Both steps and their squares, by which second differences
-divide, must be positive and finite.  A chart constructor builds only the
+divide, must be positive and finite.  A chart with no ``fd_step2`` (None,
+as ``custom_grid`` builds it) refuses every call that needs a second
+derivative with ``DomainError``.  A chart constructor builds only the
 chart's shape; ``dataclasses.replace`` sets its ``state_kind``, ``fd_step``
 and ``fd_step2``, and ``chart_from_json`` reads all three with the chart.
 
@@ -74,9 +76,9 @@ a stack of points in blocks sized by bytes (``_block_points``): at most
 ``_BLOCK_BYTES`` of stencil rows, each counted as its point and its value.
 A block holds 201 points of a built-in two-parameter chart, so a 20-point
 report is one block; a chart takes 50 points per block at two parameters and
-3 x 3 values, and 6 at three parameters and dim 4.  ``curvature``,
-``riemann_gauss_curvature`` and ``bianchi_residual`` run the same stacked
-code on one point.
+3 x 3 values, and 6 at three parameters and dim 4.  ``curvature`` and
+``riemann_gauss_curvature`` run its curvature code on one point, and
+``bianchi_residual`` is its Bianchi residual at one point.
 """
 
 from __future__ import annotations
@@ -167,7 +169,9 @@ class Chart:
     ``state_kind`` names the dimension-free default state ("sum" or
     "trace") used by the CLI, and ``fd_step`` and ``fd_step2`` are the
     finite-difference steps; ``dataclasses.replace`` sets all three on a
-    built-in chart, and ``chart_from_json`` reads them from JSON.
+    built-in chart, and ``chart_from_json`` reads them from JSON.  A chart
+    with ``fd_step2`` None has no second derivatives: every call that needs
+    one raises ``DomainError``.
     """
 
     id: str
@@ -179,7 +183,7 @@ class Chart:
     sample_box: tuple
     state_kind: str = "sum"
     fd_step: float = 1e-4
-    fd_step2: float = 1e-3
+    fd_step2: float | None = 1e-3
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -190,6 +194,8 @@ class Chart:
             raise ValueError(f"chart state must be 'sum' or 'trace', got {self.state_kind!r}")
         for name in ("fd_step", "fd_step2"):
             step = getattr(self, name)
+            if step is None and name == "fd_step2":
+                continue
             if not (step > 0 and 0 < step * step < math.inf):
                 raise ValueError(f"{name} must be positive and finite, its square too, got {step}")
 
@@ -362,11 +368,16 @@ def custom_grid(axes, values) -> Chart:
 
     ``axes`` is a list of p strictly increasing 1d arrays and ``values`` an
     array of shape grid_shape + (dim, dim).  Points are evaluated by
-    multilinear interpolation of the samples.  Only first derivatives with
-    steps no finer than the grid spacing are meaningful on the piecewise
-    linear interpolant, so the chart's steps are a quarter of the finest
-    grid spacing (``fd_step``) and that spacing (``fd_step2``); connection
-    and curvature level operations are not supported on grid charts.
+    multilinear interpolation of the samples.  Only first derivatives are
+    meaningful on the piecewise linear interpolant, so ``fd_step`` is a
+    quarter of the finest grid spacing and ``fd_step2`` is None:
+    ``tangent_basis``, ``metric``, ``projector_apply`` and
+    ``leibniz_violation_witness`` work on a grid chart, and every call that
+    takes a second derivative raises ``DomainError`` (``christoffel``,
+    ``metric_compat_residual``, ``covariant_derivative``, ``curvature``,
+    ``riemann_gauss_curvature``, ``bianchi_residual``, ``geometry_at``,
+    ``geodesic``, ``orthonormal_frame``, ``gauss_curvature_2d``), unless
+    ``dataclasses.replace`` gives the chart a second step.
     """
     axes = [np.asarray(ax, dtype=float) for ax in axes]
     p = len(axes)
@@ -414,8 +425,7 @@ def custom_grid(axes, values) -> Chart:
 
     return Chart(
         id="custom_grid", p=p, dim=dim, map_mat=stacked(map_mat), map_vec=None,
-        in_domain=stacked(in_domain), sample_box=box,
-        fd_step=spacing / 4.0, fd_step2=spacing,
+        in_domain=stacked(in_domain), sample_box=box, fd_step=spacing / 4.0, fd_step2=None,
         params={"axes": [ax.tolist() for ax in axes],
                 "values_re": vals.real.reshape(-1).tolist(),
                 "values_im": vals.imag.reshape(-1).tolist(),
@@ -443,8 +453,9 @@ def chart_from_json(obj: dict) -> Chart:
     """The registered chart of a JSON object: its ``id``, the constructor's
     ``params`` by their JSON names, the ``state`` kind ("sum" when absent)
     and the steps ``fd_step`` and ``fd_step2`` (the constructor's when absent
-    or null).  An unknown id, field or parameter name, or a missing or
-    malformed field, raises ``ValueError``."""
+    or null, so a grid chart's null ``fd_step2`` stays None).  An unknown id,
+    field or parameter name, or a missing or malformed field, raises
+    ``ValueError``."""
     try:
         chart_id = obj["id"]
     except (KeyError, TypeError) as exc:
@@ -579,6 +590,13 @@ def _point(chart: Chart, u) -> np.ndarray:
     return x
 
 
+def _step2(chart: Chart) -> float:
+    """The chart's second step ``fd_step2``; ``DomainError`` if it has none."""
+    if chart.fd_step2 is None:
+        raise DomainError(f"chart '{chart.id}' has no fd_step2: it supports first derivatives only")
+    return chart.fd_step2
+
+
 class _Fields(NamedTuple):
     """Chart geometry stacked over K centres (see :func:`_fields`)."""
 
@@ -608,8 +626,10 @@ def _fields(geo: _Geo, xs: np.ndarray, second: bool = False,
     if bad is not None:
         raise EvaluationError(f"point {bad.tolist()} is not finite")
     k, p = xs.shape
-    h, h2 = geo.chart.fd_step, geo.chart.fd_step2 if h2 is None else h2
-    st = _stencil(p, h, h2, second, False)
+    h = geo.chart.fd_step
+    if second and h2 is None:
+        h2 = _step2(geo.chart)
+    st = _stencil(p, h, h2 if second else h, second, False)
     s1 = len(st.offsets)
     pts = np.empty((s1 + second * len(st.base), p, k))
     np.add(xs.T, st.offsets[:, :, None], out=pts[:s1])
@@ -799,9 +819,10 @@ def christoffel(chart: Chart, phi: State, cfg: DotConfig, u, method: str = "dire
         f = _fields(geo, u[None], second=True)
         return ConnectionField(gamma=_gamma(_metric_inverse(f.g[0]), f.n[0]))
     if method == "metric":
-        g = _fields(geo, _star(u, chart.fd_step2)).g
+        s = _step2(chart)
+        g = _fields(geo, _star(u, s)).g
         ginv = _metric_inverse(g[0])  # first: it rejects a metric that overflowed
-        dg = _diff(g, chart.fd_step2)
+        dg = _diff(g, s)
         # gamma^a_{rs} = 1/2 g^{ab} (d_r g_{bs} - d_b g_{rs} + d_s g_{rb})
         term = dg.transpose(1, 0, 2) - dg + dg.transpose(2, 1, 0)
         return ConnectionField(gamma=0.5 * np.einsum("ab,brs->ars", ginv, term))
@@ -815,7 +836,8 @@ def metric_compat_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float
     f = _fields(geo, u[None], second=True)
     g = f.g[0]
     gamma = _gamma(_metric_inverse(g), f.n[0])
-    dg = _diff(_fields(geo, _star(u, chart.fd_step2)).g, chart.fd_step2)
+    s = _step2(chart)
+    dg = _diff(_fields(geo, _star(u, s)).g, s)
     resid = dg - np.einsum("rci,rj->cij", gamma, g) - np.einsum("rcj,ir->cij", gamma, g)
     return float(np.abs(resid).max())
 
@@ -883,11 +905,11 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
     """Metric, direct Christoffel, Riemann and (p >= 2) Bianchi fields at
     each row of points (K, p), stacked.
 
-    Every entry has the bits that ``metric``, ``christoffel``, ``curvature``
-    and ``bianchi_residual`` give at that point alone.  The points go in
-    blocks of ``_block_points`` points, each making one fields batch for its
-    curvature stencils and, for p >= 3 only, one for its Bianchi stencils; at
-    p = 2 the residual is exactly 0 and its stencils are not evaluated.
+    Every entry has the bits that ``metric``, ``christoffel`` and ``curvature``
+    give at that point alone.  The points go in blocks of ``_block_points``,
+    each one fields batch for its curvature stencils and, for p >= 3 only, one
+    for its Bianchi stencils; at p = 2 every index triple repeats an index, so
+    the identity is vacuous and the residual is 0 with no stencil evaluated.
     """
     xs = np.asarray(points, dtype=float)
     p = chart.p
@@ -915,10 +937,10 @@ def _block_points(geo: _Geo) -> int:
 
 
 def _stencil_rows(p: int) -> int:
-    """Chart points geometry_at evaluates per point, repeats included."""
-    second = 1 + 4 * p + 2 * p * (p - 1)  # rows of one second-derivative stencil
-    stars = (1 + 2 * p) * ((2 + 2 * p) if p >= 3 else 1)  # curvature and Bianchi centres
-    return stars * second
+    """Chart points geometry_at evaluates per point, repeats included: a ``_stencil``
+    at each centre of a curvature ``_star``, for p >= 3 also of a Bianchi star's."""
+    st, star = _stencil(p, 1.0, 1.0, True, False), len(_star_offsets(p, 1.0))
+    return (len(st.offsets) + len(st.base)) * star * (1 + star if p >= 3 else 1)
 
 
 def _curvature_at(geo: _Geo, xs: np.ndarray, s: float | None = None,
@@ -956,32 +978,31 @@ def riemann_gauss_curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> floa
 
 
 def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
-    """Max-norm cyclic sum D_l R^a_{bmn} + D_m R^a_{bnl} + D_n R^a_{blm}.
+    """Max-norm cyclic sum D_l R^a_{bmn} + D_m R^a_{bnl} + D_n R^a_{blm}:
+    the Bianchi entry of ``geometry_at`` at u alone.
 
     Three stacked difference layers; the steps scale with chart.fd_step2
     (connection factors at 10x, curvature at 3x, outer derivative at 70x
     capped at 0.1) so that on charts with three or more parameters the
     residual is truncation dominated and halving the chart steps shrinks
     it by about 4x.
-
-    On 2-parameter charts the identity is vacuous: every index triple
-    repeats an index, and the cyclic sum of any field antisymmetric in the
-    last index pair cancels.  The covariant derivative is grouped, as
-    ``_riemann`` groups its terms, to be exactly antisymmetric in floating
-    point, so the returned value is exactly 0, not rounding noise; its
-    stencils are still evaluated, and one leaving the domain still raises.
     """
     x = _point(chart, u)
+    _require_bianchi(chart)
+    return float(geometry_at(chart, phi, cfg, x[None]).bianchi[0])
+
+
+def _require_bianchi(chart: Chart):
+    """``DimensionError`` below the two parameters a Bianchi residual needs."""
     if chart.p < 2:
         raise DimensionError("Bianchi residual needs at least two parameters")
-    return float(_bianchi_at(_geo(chart, phi, cfg), x[None])[0])
 
 
 def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
-    """Bianchi residuals (K,) at the points xs (K, p) of a chart with p >= 2,
+    """Bianchi residuals (K,) at the points xs (K, p) of a chart with p >= 3,
     from one fields batch."""
     k = len(xs)
-    base = float(geo.chart.fd_step2)
+    base = float(_step2(geo.chart))
     s3 = 3.0 * base
     s4 = min(70.0 * base, 0.1)
     # the curvature stars around the outer star's centres, outer centre major
@@ -1009,7 +1030,8 @@ def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -
     first star point whose value is not finite (an overflow in V included).
     """
     gamma = christoffel(chart, phi, cfg, u).gamma
-    star = _star(_point(chart, u), chart.fd_step2)
+    s = _step2(chart)
+    star = _star(_point(chart, u), s)
     vs = np.asarray(_lifted(v_field).stack(star))
     if vs.shape[1:] != (chart.p,):
         raise DimensionError(f"vector field must return shape ({chart.p},)")
@@ -1019,7 +1041,7 @@ def covariant_derivative(chart: Chart, phi: State, cfg: DotConfig, u, v_field) -
     bad = _nonfinite_row(vs, star)
     if bad is not None:
         raise EvaluationError(f"vector field has a non-finite value at point {bad.tolist()}")
-    return _diff(vs, chart.fd_step2) + np.einsum("bad,d->ab", gamma, vs[0])
+    return _diff(vs, s) + np.einsum("bad,d->ab", gamma, vs[0])
 
 
 def _geodesic_slope(geo: _Geo, plan: _Stencil, y: list, form: bool = False):
@@ -1057,7 +1079,7 @@ def _geodesic_slope(geo: _Geo, plan: _Stencil, y: list, form: bool = False):
     vgv = float(v.dot(g).dot(v)) if form else None
     if not speed:
         return y[p:] + [0.0] * p, cond, vgv
-    q, vv = chart.fd_step2, speed * speed
+    q, vv = _step2(chart), speed * speed
     if vals.ndim == 2 and vals.dtype == np.float64:  # as Python floats, entry by entry
         f0, a2, a1, m1, m2 = vals[2 * p:].tolist()
         dd = np.array([[_along(*e, q) * vv for e in zip(a2, a1, f0, m1, m2)]])
@@ -1108,7 +1130,7 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
     geo = _geo(chart, phi, cfg)
     p = chart.p
     ys = np.empty((min(n_steps + 1, _GROW_ROWS), 2 * p))  # the states (u, v), one per row
-    plan = _stencil(p, chart.fd_step, chart.fd_step2, False, True)
+    plan = _stencil(p, chart.fd_step, _step2(chart), False, True)
     half, sixth = 0.5 * step, step / 6.0
     y = ys[0] = u.tolist() + v.tolist()  # the state, stepped in Python floats
     # g(v, v) at state 0 and its extremes, and the largest cond, over the completed steps
@@ -1146,8 +1168,10 @@ def geodesic(chart: Chart, phi: State, cfg: DotConfig, u0, v0, tau_max: float,
 def _frames(chart: Chart, phi: State, cfg: DotConfig, u):
     """The evaluator, the fields at the centres of ``_star(u, fd_step)``, the
     frame at u and its central differences: all frames come from one call.
-    ``NonSymmetricMetricError`` if a metric there is asymmetric."""
+    ``NonSymmetricMetricError`` if a metric there is asymmetric, and
+    ``DomainError`` on a chart with no second step."""
     geo, s = _geo(chart, phi, cfg), chart.fd_step
+    _step2(chart)  # the frame's derivative is a second derivative of the chart
     f = _fields(geo, _star(_point(chart, u), s))
     _require_symmetric_metric(f.g, geo)
     frames = _orthonormalize(f.t, geo.gram, "tangent {} is numerically dependent")[0]

@@ -1,5 +1,8 @@
 """Shared fixtures: Pauli matrices, truncated oscillator operators, RNG helpers."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,11 @@ from opgeom.algebra import (
 )
 
 FOCK_DIM = 64
+
+# pyproject.toml puts src on this process's import path; the interpreters that
+# tests start (the CLI, import checks) find the package through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
 
 
 @pytest.fixture(scope="session")

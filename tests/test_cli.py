@@ -25,6 +25,8 @@ from opgeom.hypersurface import GeodesicResult, chart_to_json, sphere
 from opgeom.projection import parallelepiped_volume
 from opgeom.transport import product_integral, stored_test_path
 
+from .test_hypersurface import paraboloid_grid
+
 SIN09 = math.sin(0.9)
 
 
@@ -311,6 +313,22 @@ def test_bianchi_output(sphere_file, capsys):
     doc = run_json(capsys, ["bianchi", "--chart", sphere_file,
                             "--point", "0.9,0.5"])
     assert doc["residual"] < 1e-12
+
+
+def test_bianchi_on_two_parameters_runs_where_curvature_does(tmp_path, capsys):
+    # at theta = 0.05 a star of Bianchi stars would cross the pole; the
+    # curvature stencils, all a two-parameter residual needs, do not
+    path = write_json(tmp_path / "sphere.json", {"id": "sphere"})
+    run_ok(capsys, ["curvature", "--chart", path, "--point", "0.05,1.0"])
+    out = run_ok(capsys, ["bianchi", "--chart", path, "--point", "0.05,1.0"])
+    assert '"residual": 0\n' in out
+
+
+def test_a_grid_chart_refuses_curvature_with_one_input_error(tmp_path, capsys):
+    path = write_json(tmp_path / "grid.json", chart_to_json(paraboloid_grid()))
+    err = run_err(capsys, ["curvature", "--chart", path, "--point", "0.1,0.2"], 1, "E_INPUT")
+    assert "has no fd_step2" in err and err.count("\n") == 1
+    run_ok(capsys, ["metric", "--chart", path, "--point", "0.1,0.2"])
 
 
 def test_geodesic_csv(flat_file, capsys):

@@ -136,8 +136,10 @@ def _energy_bound_warns():
 
 
 def _frame_raises():
+    # a frame needs a second step, which a grid chart has only when given one
+    chart = dataclasses.replace(collapsed_chart(), fd_step2=0.5)
     with pytest.raises(LinearDependenceError):
-        orthonormal_frame(collapsed_chart(), State.unnormalized_sum(), DotConfig(), [0.1, 0.1])
+        orthonormal_frame(chart, State.unnormalized_sum(), DotConfig(), [0.1, 0.1])
 
 
 @pytest.mark.parametrize("case", [_tangent_basis_warns, _projector_raises, _energy_bound_warns,

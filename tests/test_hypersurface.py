@@ -419,7 +419,7 @@ def test_riemann_gauss_requires_two_parameters():
     vals = np.zeros((5, 2, 2), dtype=complex)
     for i in range(5):
         vals[i] = np.diag([axes[0][i], 0.0])
-    chart = custom_grid(axes, vals)
+    chart = dataclasses.replace(custom_grid(axes, vals), fd_step2=0.5)  # a grid's second step
     with pytest.raises(DimensionError):
         riemann_gauss_curvature(chart, SUM, CFG, np.array([0.0]))
 
@@ -869,6 +869,43 @@ def test_chart_geometry_needs_positive_real_lam(name, lam):
     # Re(lam) <= 0 makes the metric of commuting chart values negative or zero
     with pytest.raises(DomainError, match=r"Re\(lam\) > 0"):
         GEOMETRY_FUNCTIONS[name](sphere(), SUM, DotConfig(lam=lam), SPHERE_PT)
+
+
+def paraboloid_grid():
+    """diag(x, y, x^2 + y^2) sampled on a 9 x 9 grid over [-1, 1]^2."""
+    axis = np.linspace(-1.0, 1.0, 9)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    vals = np.zeros((9, 9, 3, 3), dtype=complex)
+    vals[..., 0, 0], vals[..., 1, 1], vals[..., 2, 2] = x, y, x * x + y * y
+    return custom_grid([axis, axis], vals)
+
+
+FIRST_DERIVATIVE_CALLS = ("tangent_basis", "metric", "projector_apply", "leibniz_violation_witness")
+
+
+@pytest.mark.parametrize("name", [*GEOMETRY_FUNCTIONS, "report"])
+def test_a_grid_chart_refuses_every_call_that_needs_a_second_derivative(name):
+    # on the piecewise linear interpolant these read silent numbers: K 0.188 by
+    # Riemann and 1.344 by frames where the paraboloid's is 2.78, and both
+    # Christoffel routes 0.434 where the exact value is 0.333
+    chart, u = paraboloid_grid(), np.array([0.1, 0.2])
+    assert chart.fd_step2 is None and chart_to_json(chart)["fd_step2"] is None
+    if name in FIRST_DERIVATIVE_CALLS:
+        assert GEOMETRY_FUNCTIONS[name](chart, SUM, CFG, u) is not None
+        return
+    call = GEOMETRY_FUNCTIONS.get(name, lambda c, phi, cfg, u: report(c, phi, cfg, 3))
+    with pytest.raises(DomainError, match="'custom_grid' has no fd_step2"):
+        call(chart, SUM, CFG, u)
+    if name != "report":  # a report's sample points reach the grid's edge
+        # given a second step, as through replace or JSON, the call runs again
+        call(dataclasses.replace(chart, fd_step2=0.25), SUM, CFG, u)
+
+
+def test_a_two_parameter_bianchi_residual_evaluates_only_the_curvature_stencils():
+    counted, seen = counting(sphere())
+    assert bianchi_residual(counted, SUM, CFG, SPHERE_PT) == 0.0
+    assert len(seen) == _stencil_rows(2) == 65  # a star of curvature stars was 325
+    assert _stencil_rows(3) == 1400
 
 
 def test_chart_state_must_be_sum_or_trace():

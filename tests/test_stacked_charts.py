@@ -21,6 +21,7 @@ from opgeom.algebra import DotConfig, State, _lifted, _solve_gram, stacked
 from opgeom.cli import report
 from opgeom.errors import (
     DimensionError,
+    DomainError,
     EvaluationError,
     NonSymmetricMetricError,
     PatchDomainError,
@@ -317,7 +318,8 @@ def test_gauss_curvature_needs_two_parameters(p):
         chart, u = stacked_graph3(), np.array([0.1, 0.2, 0.3])
     else:
         axis = np.linspace(-1.0, 1.0, 5)
-        chart, u = custom_grid([axis], np.stack([np.diag([x, 0.0]) for x in axis])), np.zeros(1)
+        chart = custom_grid([axis], np.stack([np.diag([x, 0.0]) for x in axis]))
+        chart, u = dataclasses.replace(chart, fd_step2=0.5), np.zeros(1)  # a grid's second step
     with pytest.raises(DimensionError):
         curvature(chart, SUM, CFG, u).gauss_curvature()
     with pytest.raises(DimensionError):
@@ -361,14 +363,13 @@ def test_stencil_out_of_domain_is_an_evaluation_error():
 
 
 def test_a_point_whose_bianchi_stars_leave_the_domain_has_a_two_parameter_geometry():
-    # at theta = 0.05 the Bianchi stars (outer step 0.07) cross the pole and
-    # the curvature stencils (steps 1e-4 and 1e-3) do not; p = 2 needs no stars
+    # at theta = 0.05 a star of Bianchi stars (outer step 0.07) would cross the
+    # pole and the curvature stencils (steps 1e-4 and 1e-3) do not; p = 2 needs no stars
     chart, u = sphere(), [0.05, 1.0]
     geom = geometry_at(chart, SUM, CFG, [u])
     assert geom.bianchi.tolist() == [0.0]
     assert geom.riemann[0].tobytes() == curvature(chart, SUM, CFG, u).riemann.tobytes()
-    with pytest.raises(StencilOutOfDomainError, match="outside domain"):
-        bianchi_residual(chart, SUM, CFG, u)
+    assert bianchi_residual(chart, SUM, CFG, u) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +440,34 @@ def test_the_two_parameter_bianchi_residual_is_exactly_zero(chart, phi):
     pts = report(chart, phi, CFG, 6, seed=3)["points"]
     assert [bianchi_residual(chart, phi, CFG, u) for u in pts] == [0.0] * 6
     assert geometry_at(chart, phi, CFG, pts).bianchi.tolist() == [0.0] * 6
+
+
+@pytest.mark.parametrize("chart, phi", [
+    (sphere(), SUM), (torus(), SUM), (paraboloid(), SUM), (flat_plane(), SUM),
+    (NonDiagonal(5).chart(), State.density(np.diag([0.5, 0.3, 0.2]))),
+    (graph3_chart(), SUM), (stacked_graph3(), SUM),
+], ids=["sphere", "torus", "paraboloid", "flat_plane", "nondiag-density", "graph3-per-point",
+        "graph3-stacked"])
+def test_bianchi_residual_is_the_geometry_at_entry_at_one_point(chart, phi):
+    for u in report(chart, phi, CFG, 2, seed=4)["points"]:
+        want = geometry_at(chart, phi, CFG, [u]).bianchi[0]
+        assert bianchi_residual(chart, phi, CFG, u).hex() == float(want).hex()
+
+
+def test_bianchi_residual_raises_where_geometry_at_raises():
+    axis = np.linspace(-1.0, 1.0, 5)
+    grid = custom_grid([axis, axis], np.zeros((5, 5, 1, 1)))
+    for chart, u, error in ((sphere(), [5e-5, 0.4], StencilOutOfDomainError),
+                            (grid, [0.1, 0.2], DomainError),
+                            (paraboloid(), [1e200, 0.0], EvaluationError)):
+        for call in (bianchi_residual, lambda *a: geometry_at(*a[:3], [a[3]])):
+            with pytest.raises(error):
+                call(chart, SUM, CFG, u)
+    # below two parameters the residual has one refusal, which report shares
+    curve = custom_grid([axis], np.zeros((5, 1, 1)))
+    for call in (lambda: bianchi_residual(curve, SUM, CFG, [0.1]), lambda: report(curve, SUM, CFG, 3)):
+        with pytest.raises(DimensionError, match="^Bianchi residual needs at least two parameters$"):
+            call()
 
 
 @pytest.mark.parametrize("route", [
