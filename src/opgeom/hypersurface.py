@@ -76,7 +76,7 @@ a stack of points in blocks sized by bytes (``_block_points``): at most
 ``_BLOCK_BYTES`` of stencil rows, each counted as its point and its value.
 A block holds 201 points of a built-in two-parameter chart, so a 20-point
 report is one block; a chart takes 50 points per block at two parameters and
-3 x 3 values, and 6 at three parameters and dim 4.  ``curvature`` and
+3 x 3 values, and 26 at three parameters and dim 4.  ``curvature`` and
 ``riemann_gauss_curvature`` run its curvature code on one point, and
 ``bianchi_residual`` is its Bianchi residual at one point.
 """
@@ -842,36 +842,52 @@ def metric_compat_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float
     return float(np.abs(resid).max())
 
 
-def _riemann(ginv: np.ndarray, n: np.ndarray, s3: float) -> np.ndarray:
+def _riemann(ginv: np.ndarray, n: np.ndarray, s: float) -> np.ndarray:
     """Riemann components with the connection derivative taken by product
     rule on the factors of the direct Christoffel formula.
 
     Gamma^a_{nb} = G^{ar} N_{r,nb} with G the inverse metric field and
-    N_{r,nb} = b_r . d2b/(du_n du_b); ginv (m, ..., p, p) and n
-    (m, ..., p, p, p) are the two factor fields stacked on their first axis
-    over the centres of ``_star(u, s3)`` and are central differenced at step
-    s3; the axes between are batch axes, and the result has shape
-    (..., p, p, p, p).  The assembled components are exactly antisymmetric
-    in the last index pair whatever the per-entry error, because entries
-    [m, n] and [n, m] subtract the same two floats in opposite order.
+    N_{r,nb} = b_r . d2b/(du_n du_b); ginv (1 + 2p, K, p, p) and n
+    (1 + 2p, K, p, p, p) are the two factor fields over the centres of
+    ``_star(u, s)``, central differenced at step s, and the result has
+    shape (K, p, p, p, p).  Entries [m, n] and [n, m] subtract the same two
+    floats in opposite order, so they are exact negations.
     """
     g0, n0 = ginv[0], n[0]
-    at, p = g0.ndim - 2, g0.shape[-1]  # the batch axes of a field at one star centre
+    p = g0.shape[-1]
 
     def contract(x, y):  # sum_r x[..., a, r] y[..., r, n, b], summed as einsum sums it
         return sum((x[..., :, r, None, None] * y[..., None, r, :, :] for r in range(p)), 0.0)
     # gamma at the centre, and the first term of its derivative, which shares n0
-    both = contract(np.concatenate([g0[None], _diff(ginv, s3)]), n0)
-    # d[..., a, b, m, n] = d_m gamma[a, n, b]
-    d = (both[1:] + contract(g0, _diff(n, s3))).transpose(*range(1, at + 2), -1, 0, -2)
-    # prod[..., m, a, n, b] = (gamma[:, m, :] @ gamma[:, n, :])[a, b], from one
+    both = contract(np.concatenate([g0[None], _diff(ginv, s)]), n0)
+    # d[k, a, b, m, n] = d_m gamma[k, a, n, b]
+    d = (both[1:] + contract(g0, _diff(n, s))).transpose(1, 2, 4, 0, 3)
+    # prod[k, m, a, n, b] = (gamma[:, m, :] @ gamma[:, n, :])[a, b], from one
     # (p^2, p) @ (p, p^2) product a point, each entry rounded as in its own 2-D one
-    prod = (both[0].transpose(*range(at), -2, -3, -1).reshape(-1, p * p, p)
+    prod = (both[0].transpose(0, 2, 1, 3).reshape(-1, p * p, p)
             @ both[0].reshape(-1, p, p * p)).reshape(d.shape)
     # grouped so the [m, n] and [n, m] entries are exact negations; C order, as
     # a per-point array has it: products with it round by layout
     return np.add(d - d.swapaxes(-1, -2), (prod - prod.swapaxes(-2, -4)).transpose(
-        *range(at), at + 1, at + 3, at, at + 2), out=np.empty(d.shape))
+        0, 2, 4, 1, 3), out=np.empty(d.shape))
+
+
+def _gauss_riemann(geo: _Geo, f: _Fields, ginv: np.ndarray) -> np.ndarray:
+    """Riemann components R^a_bmn (K, p, p, p, p) of the fields f (K, ...),
+    taken with ``second``, and their inverse metrics ginv, by the Gauss equation
+    R_abmn = <P f_am, P f_bn> - <P f_an, P f_bm>, with f_am the second partials
+    and <P x, P y> = <x, y> - <x, b_r> g^rs <b_s, y> their dots normal to the
+    tangents.  No derivative of the connection is taken.  The chart is read as
+    a submanifold of the algebra, flat under a dot product that is symmetric
+    on its span: the premise under which the direct and metric Christoffel
+    routes agree.  Entries [m, n] and [n, m] are exact negations: the last
+    step is one difference of two index orders."""
+    k, p = f.g.shape[:2]
+    pair = _pair_index(p)[2].reshape(-1)
+    nn = f.n.reshape(k, p, p * p)  # N[r, (a, m)]
+    q = geo.gram(f.sec)[:, pair][:, :, pair] - nn.swapaxes(1, 2) @ (ginv @ nn)
+    q = (ginv @ q.reshape(k, p, -1)).reshape((k,) + (p,) * 4)  # g^aq Q[qm, bn] as [a, m, b, n]
+    return q.transpose(0, 1, 3, 2, 4) - q.transpose(0, 1, 3, 4, 2)
 
 
 class Geometry(NamedTuple):
@@ -938,30 +954,24 @@ def _block_points(geo: _Geo) -> int:
 
 def _stencil_rows(p: int) -> int:
     """Chart points geometry_at evaluates per point, repeats included: a ``_stencil``
-    at each centre of a curvature ``_star``, for p >= 3 also of a Bianchi star's."""
+    at each centre of a curvature ``_star``, for p >= 3 also of a Bianchi one."""
     st, star = _stencil(p, 1.0, 1.0, True, False), len(_star_offsets(p, 1.0))
-    return (len(st.offsets) + len(st.base)) * star * (1 + star if p >= 3 else 1)
+    return (len(st.offsets) + len(st.base)) * star * (2 if p >= 3 else 1)
 
 
-def _curvature_at(geo: _Geo, xs: np.ndarray, s: float | None = None,
-                  h2: float | None = None) -> tuple:
-    """(g, g_inv, det, gamma, riemann) at the points xs, (K, p) or (M, K, p),
-    each stacked over K or (M, K), from one fields batch over the centres of
-    their Riemann stencils at step s (default 1e-2 sqrt(fd_step)), with
-    second differences at step h2 (default fd_step2).  The centres go to the
-    batch as (1 + 2p, K, p) or (M, 1 + 2p, K, p).  ``geometry_at`` returns the
-    arrays of one block as they are.  Only the generic Gram route tests g for
-    symmetry: the diagonal one builds it symmetric bit for bit."""
-    p, lead = xs.shape[-1], xs.ndim - 2
-    s = 1e-2 * math.sqrt(geo.chart.fd_step) if s is None else s
-    centres = _star(xs, s).swapaxes(0, lead)
-    f = _fields(geo, centres.reshape(-1, p), second=True, h2=h2)
+def _curvature_at(geo: _Geo, xs: np.ndarray) -> tuple:
+    """(g, g_inv, det, gamma, riemann) at the points xs (K, p), each stacked
+    over K, from one fields batch over the centres (1 + 2p, K, p) of their
+    Riemann stars at step s = 1e-2 sqrt(fd_step).  ``geometry_at`` returns
+    the arrays of one block as they are.  Only the generic Gram route tests g
+    for symmetry: the diagonal one builds it symmetric bit for bit."""
+    s = 1e-2 * math.sqrt(geo.chart.fd_step)
+    centres = _star(xs, s)
+    f = _fields(geo, centres.reshape(-1, xs.shape[1]), second=True)
     _require_symmetric_metric(f.g, geo)
     ginv, det = _solve_metric(f.g)[:2]
-    shape = centres.shape[:-1]
     # each field with its star axis first, as _riemann takes it
-    g, ginv, det, n = (a.reshape(shape + a.shape[1:]).swapaxes(0, lead)
-                       for a in (f.g, ginv, det, f.n))
+    g, ginv, det, n = (a.reshape(centres.shape[:-1] + a.shape[1:]) for a in (f.g, ginv, det, f.n))
     return g[0], ginv[0], det[0], _gamma(ginv[0], n[0]), _riemann(ginv, n, s)
 
 
@@ -981,11 +991,10 @@ def bianchi_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float:
     """Max-norm cyclic sum D_l R^a_{bmn} + D_m R^a_{bnl} + D_n R^a_{blm}:
     the Bianchi entry of ``geometry_at`` at u alone.
 
-    Three stacked difference layers; the steps scale with chart.fd_step2
-    (connection factors at 10x, curvature at 3x, outer derivative at 70x
-    capped at 0.1) so that on charts with three or more parameters the
-    residual is truncation dominated and halving the chart steps shrinks
-    it by about 4x.
+    Two stacked difference layers; the steps scale with chart.fd_step2
+    (connection factors at 10x, outer derivative at 70x capped at 0.1) so
+    that on charts with three or more parameters the residual is truncation
+    dominated and halving the chart steps shrinks it by about 4x.
     """
     x = _point(chart, u)
     _require_bianchi(chart)
@@ -1000,14 +1009,17 @@ def _require_bianchi(chart: Chart):
 
 def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
     """Bianchi residuals (K,) at the points xs (K, p) of a chart with p >= 3,
-    from one fields batch."""
-    k = len(xs)
+    from one fields batch over their outer star, with Riemann by the Gauss
+    equation (``_gauss_riemann``)."""
+    k, p = xs.shape
     base = float(_step2(geo.chart))
-    s3 = 3.0 * base
     s4 = min(70.0 * base, 0.1)
-    # the curvature stars around the outer star's centres, outer centre major
-    gamma, riem = _curvature_at(geo, _star(xs, s4), s3, 10.0 * base)[3:]  # (1 + 2p, K, ...)
-    gam0, r0 = gamma[0], riem[0]
+    centres = _star(xs, s4)  # (1 + 2p, K, p)
+    f = _fields(geo, centres.reshape(-1, p), second=True, h2=10.0 * base)
+    _require_symmetric_metric(f.g, geo)
+    ginv = _solve_metric(f.g)[0]
+    riem = _gauss_riemann(geo, f, ginv).reshape(centres.shape[:-1] + (p,) * 4)
+    gam0, r0 = _gamma(ginv[:k], f.n[:k]), riem[0]
     # cov[l, k] = D_l R at point k, with gl[a, r] = gam0[k, a, l, r]; the last
     # two terms are grouped so that [m, n] and [n, m] are exact negations
     cov = ((_diff(riem, s4)

@@ -30,7 +30,12 @@ from opgeom.errors import (
 from opgeom.hypersurface import (
     _EVERYWHERE,
     _block_points,
+    _curvature_at,
+    _fields,
+    _gauss,
+    _gauss_riemann,
     _Geo,
+    _solve_metric,
     _stencil_rows,
     Chart,
     bianchi_residual,
@@ -263,10 +268,10 @@ def single_point_stats(chart, points):
 
 
 # block bytes that make a block of 3 points: the boundary is the same at a
-# fraction of the default's 201, 50 and 6 points
+# fraction of the default's 201, 50 and 26 points
 @pytest.mark.parametrize("chart, block_bytes", [
     (sphere(), 1 << 13), (counting(sphere())[0], 1 << 13),
-    (generic_per_point(sphere()), 1 << 15), (graph3_chart(), 1 << 18),
+    (generic_per_point(sphere()), 1 << 15), (graph3_chart(), 1 << 16),
 ], ids=["sphere-stacked", "sphere-per-point", "sphere-generic", "graph3"])
 def test_report_blocks_match_the_single_point_routes(chart, block_bytes, monkeypatch):
     monkeypatch.setattr(hypersurface, "_BLOCK_BYTES", block_bytes)
@@ -454,6 +459,68 @@ def test_bianchi_residual_is_the_geometry_at_entry_at_one_point(chart, phi):
         assert bianchi_residual(chart, phi, CFG, u).hex() == float(want).hex()
 
 
+class Matrix3:
+    """Per-point hermitian 3x3 three-parameter chart whose values do not
+    commute: b(u) = u0 H1 + u1 H2 + u2 H3 + |u|^2 H4 + u0 u1 H5 + sin(u1 u2) H6."""
+
+    def __init__(self, seed=13):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        self.hs = 0.5 * (m + m.conj().swapaxes(1, 2))
+
+    def map_mat(self, u):
+        h = self.hs
+        return (u[0] * h[0] + u[1] * h[1] + u[2] * h[2] + (u @ u) * h[3]
+                + u[0] * u[1] * h[4] + np.sin(u[1] * u[2]) * h[5])
+
+    def chart(self):
+        box = (np.array([-1.0] * 3), np.array([1.0] * 3))
+        return Chart(id="matrix3", p=3, dim=3, map_mat=self.map_mat, map_vec=None,
+                     in_domain=lambda u: True, sample_box=box)
+
+
+def gauss_route(chart, phi, xs):
+    """(g, det, Riemann) at the points xs by the Gauss equation."""
+    geo = _Geo(chart, phi, CFG)
+    f = _fields(geo, xs, second=True)
+    ginv, det = _solve_metric(f.g)[:2]
+    return f.g, det, _gauss_riemann(geo, f, ginv)
+
+
+# the largest |gap| over 20 points at each of seeds 1, 2 and 3 (20 points
+# drawn in the inner 80% of the sample box) was 1.5e-6 on the sphere, 5.9e-6
+# on the torus, 6.8e-7 on the paraboloid, 1.6e-6 on graph3, 1.5e-6 on
+# nondiag-density and 2.1e-6 on matrix3-density: both routes carry O(h^2)
+# truncation, so the bound keeps a margin of about three
+ROUTE_GAP = 2e-5
+
+
+@pytest.mark.parametrize("chart, phi", [
+    (sphere(), SUM), (torus(), SUM), (paraboloid(), SUM), (graph3_chart(), SUM),
+    (NonDiagonal(5).chart(), "density"), (Matrix3().chart(), "density"),
+], ids=["sphere", "torus", "paraboloid", "graph3", "nondiag-density", "matrix3-density"])
+def test_the_gauss_and_connection_riemann_routes_agree(chart, phi):
+    phi = seeded_density(6, 3) if phi == "density" else phi
+    lo, hi = (np.asarray(b, dtype=float) for b in chart.sample_box)
+    xs = (lo + hi) / 2 + 0.4 * (hi - lo) * np.random.default_rng(1).uniform(-1.0, 1.0, (6, chart.p))
+    g, det, riem = gauss_route(chart, phi, xs)
+    want = _curvature_at(_Geo(chart, phi, CFG), xs)[4]
+    assert np.abs(riem - want).max() < ROUTE_GAP
+    assert np.array_equal(riem, -riem.swapaxes(-1, -2))  # exactly antisymmetric in (m, n)
+    if chart.id == "sphere":  # the Gauss route read |K - 1| = 1.6e-7, the connection one 2.1e-6
+        assert np.abs(_gauss(g, riem, det) - 1.0).max() < 1e-6
+
+
+def test_a_complex_lam_on_non_commuting_values_stops_the_three_parameter_bianchi_pass():
+    # the Gauss equation needs a symmetric dot product on the chart's span
+    chart, u = Matrix3().chart(), np.array([0.3, -0.2, 0.1])
+    phi, cfg = seeded_density(6, 3), DotConfig(lam=0.5 + 0.5j)
+    g = metric(chart, phi, cfg, u).g
+    assert np.abs(g - g.T).max() > 0.1
+    with pytest.raises(NonSymmetricMetricError):
+        bianchi_residual(chart, phi, cfg, u)
+
+
 def test_bianchi_residual_raises_where_geometry_at_raises():
     axis = np.linspace(-1.0, 1.0, 5)
     grid = custom_grid([axis, axis], np.zeros((5, 5, 1, 1)))
@@ -545,16 +612,15 @@ def test_report_bits_match_the_pinned_digests(name):
     assert report_digest(REPORTS[name]()) == want[name]
 
 
-@pytest.mark.parametrize("chart, per", [(graph3_chart(), 6), (NonDiagonal().chart(), 50),
-                                        (stacked_graph3(), 6), (sphere(), 201)],
+@pytest.mark.parametrize("chart, per", [(graph3_chart(), 26), (NonDiagonal().chart(), 50),
+                                        (stacked_graph3(), 26), (sphere(), 201)],
                          ids=["graph3", "nondiag", "graph3-stacked", "sphere"])
 def test_blocks_are_sized_by_the_bytes_of_a_row(chart, per, monkeypatch):
     blocks = []
 
-    def curvature_at(geo, xs, *steps):  # called once per block on its (K, p) points;
-        if xs.ndim == 2:                # a Bianchi batch passes (1 + 2p, K, p) centres
-            blocks.append(len(xs))
-        return batch(geo, xs, *steps)
+    def curvature_at(geo, xs):  # called once per block on its (K, p) points
+        blocks.append(len(xs))
+        return batch(geo, xs)
 
     batch = hypersurface._curvature_at
     monkeypatch.setattr(hypersurface, "_curvature_at", curvature_at)
@@ -580,9 +646,12 @@ def test_a_per_point_report_keeps_its_memory_peak():
 
 
 def test_a_per_point_graph3_report_peaks_no_higher_than_its_stacked_twin():
-    # both take 6 points per block; the lifted rows are written into one
-    # array, so per-point rows hold no more than stacked ones
-    # (968,236 against 1,064,044 bytes under tracemalloc, Python 3.11, NumPy 2.4)
+    # both take 26 points per block; the lifted rows are written into one
+    # array, so per-point rows hold no more than stacked ones: both peak in the
+    # curvature batch's map call (466,080 against 482,672 bytes under
+    # tracemalloc, Python 3.11, NumPy 2.4).  Outside a map call the per-point
+    # route holds about 80 bytes more: NumPy's cache of freed shape-and-strides
+    # blocks, which its one-row values fill
     peaks = []
     for chart in (graph3_chart(), stacked_graph3()):
         report(chart, SUM, CFG, 20, seed=7)
