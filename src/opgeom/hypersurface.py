@@ -13,12 +13,16 @@ Index conventions of the component arrays:
     curvature   riemann[a, b, m, n]
         = d_m gamma[a, n, b] - d_n gamma[a, m, b]
           + gamma[a, m, r] gamma[r, n, b] - gamma[a, n, r] gamma[r, m, b]
+        = g^aq (<P b_qm, P b_bn> - <P b_qn, P b_bm>), the form evaluated
+          (Gauss equation, ``_gauss_riemann``): b_qm = d_q d_m b, and P the
+          projection normal to the tangents
     frame       frame_conn[a, b, c] = bhat_a . d_c bhat_b, antisymmetric in (a, b)
 
 Finite-difference steps are a chart's fields, with their defaults in
 ``Chart``: ``fd_step`` for first derivatives of the chart map, ``fd_step2``
-for second derivatives and for first derivatives of derived fields; the
-connection is differenced at 1e-2 sqrt(fd_step) inside ``curvature``.
+for second derivatives and for first derivatives of derived fields.
+``curvature`` differences no connection: the Gauss equation takes Riemann
+from the second partials at the point itself.
 Linear charts carry no truncation error, so coarser steps there only reduce
 rounding noise.  Both steps and their squares, by which second differences
 divide, must be positive and finite.  A chart with no ``fd_step2`` (None,
@@ -74,9 +78,9 @@ or vector-field value raises ``EvaluationError``.
 ``geometry_at`` gives the metric, Christoffel, Riemann and Bianchi fields of
 a stack of points in blocks sized by bytes (``_block_points``): at most
 ``_BLOCK_BYTES`` of stencil rows, each counted as its point and its value.
-A block holds 201 points of a built-in two-parameter chart, so a 20-point
-report is one block; a chart takes 50 points per block at two parameters and
-3 x 3 values, and 26 at three parameters and dim 4.  ``curvature`` and
+A block holds 1008 points of a built-in two-parameter chart, so a 20-point
+report is one block; a chart takes 252 points per block at two parameters and
+3 x 3 values, and 46 at three parameters and dim 4.  ``curvature`` and
 ``riemann_gauss_curvature`` run its curvature code on one point, and
 ``bianchi_residual`` is its Bianchi residual at one point.
 """
@@ -224,7 +228,7 @@ class ConnectionField:
 @dataclass(frozen=True)
 class CurvatureField:
     """Riemann components riemann[a, b, m, n] at one parameter point, and
-    the metric there, built from the same stencils (see ``curvature``)."""
+    the metric there, built from the same stencil (see ``curvature``)."""
 
     riemann: np.ndarray
     metric: MetricField
@@ -842,36 +846,6 @@ def metric_compat_residual(chart: Chart, phi: State, cfg: DotConfig, u) -> float
     return float(np.abs(resid).max())
 
 
-def _riemann(ginv: np.ndarray, n: np.ndarray, s: float) -> np.ndarray:
-    """Riemann components with the connection derivative taken by product
-    rule on the factors of the direct Christoffel formula.
-
-    Gamma^a_{nb} = G^{ar} N_{r,nb} with G the inverse metric field and
-    N_{r,nb} = b_r . d2b/(du_n du_b); ginv (1 + 2p, K, p, p) and n
-    (1 + 2p, K, p, p, p) are the two factor fields over the centres of
-    ``_star(u, s)``, central differenced at step s, and the result has
-    shape (K, p, p, p, p).  Entries [m, n] and [n, m] subtract the same two
-    floats in opposite order, so they are exact negations.
-    """
-    g0, n0 = ginv[0], n[0]
-    p = g0.shape[-1]
-
-    def contract(x, y):  # sum_r x[..., a, r] y[..., r, n, b], summed as einsum sums it
-        return sum((x[..., :, r, None, None] * y[..., None, r, :, :] for r in range(p)), 0.0)
-    # gamma at the centre, and the first term of its derivative, which shares n0
-    both = contract(np.concatenate([g0[None], _diff(ginv, s)]), n0)
-    # d[k, a, b, m, n] = d_m gamma[k, a, n, b]
-    d = (both[1:] + contract(g0, _diff(n, s))).transpose(1, 2, 4, 0, 3)
-    # prod[k, m, a, n, b] = (gamma[:, m, :] @ gamma[:, n, :])[a, b], from one
-    # (p^2, p) @ (p, p^2) product a point, each entry rounded as in its own 2-D one
-    prod = (both[0].transpose(0, 2, 1, 3).reshape(-1, p * p, p)
-            @ both[0].reshape(-1, p, p * p)).reshape(d.shape)
-    # grouped so the [m, n] and [n, m] entries are exact negations; C order, as
-    # a per-point array has it: products with it round by layout
-    return np.add(d - d.swapaxes(-1, -2), (prod - prod.swapaxes(-2, -4)).transpose(
-        0, 2, 4, 1, 3), out=np.empty(d.shape))
-
-
 def _gauss_riemann(geo: _Geo, f: _Fields, ginv: np.ndarray) -> np.ndarray:
     """Riemann components R^a_bmn (K, p, p, p, p) of the fields f (K, ...),
     taken with ``second``, and their inverse metrics ginv, by the Gauss equation
@@ -881,13 +855,26 @@ def _gauss_riemann(geo: _Geo, f: _Fields, ginv: np.ndarray) -> np.ndarray:
     a submanifold of the algebra, flat under a dot product that is symmetric
     on its span: the premise under which the direct and metric Christoffel
     routes agree.  Entries [m, n] and [n, m] are exact negations: the last
-    step is one difference of two index orders."""
+    step is one difference of two index orders.
+
+    Only the generic Gram route with a non-real lam can make that dot
+    asymmetric, so only there the Gram of the tangents and second partials
+    together must pass the metric's symmetry test (``NonSymmetricMetricError``).
+    The arithmetic runs in one ``np.errstate``: an overflow shows as a
+    non-finite R, which raises ``EvaluationError``."""
     k, p = f.g.shape[:2]
     pair = _pair_index(p)[2].reshape(-1)
     nn = f.n.reshape(k, p, p * p)  # N[r, (a, m)]
-    q = geo.gram(f.sec)[:, pair][:, :, pair] - nn.swapaxes(1, 2) @ (ginv @ nn)
-    q = (ginv @ q.reshape(k, p, -1)).reshape((k,) + (p,) * 4)  # g^aq Q[qm, bn] as [a, m, b, n]
-    return q.transpose(0, 1, 3, 2, 4) - q.transpose(0, 1, 3, 4, 2)
+    with np.errstate(all="ignore"):
+        if geo.weights is None and geo.cfg.lam.imag:
+            _require_symmetric_metric(geo.gram(np.concatenate([f.t, f.sec], axis=1)))
+        q = geo.gram(f.sec)[:, pair][:, :, pair] - nn.swapaxes(1, 2) @ (ginv @ nn)
+        q = (ginv @ q.reshape(k, p, -1)).reshape((k,) + (p,) * 4)  # g^aq Q[qm, bn] as [a, m, b, n]
+        r = q.transpose(0, 1, 3, 2, 4) - q.transpose(0, 1, 3, 4, 2)
+    if not np.isfinite(r).all():
+        raise EvaluationError(f"Riemann tensor of chart '{geo.chart.id}' is not finite: "
+                              "its second partials overflow the dot product")
+    return r
 
 
 class Geometry(NamedTuple):
@@ -923,8 +910,9 @@ def geometry_at(chart: Chart, phi: State, cfg: DotConfig, points) -> Geometry:
 
     Every entry has the bits that ``metric``, ``christoffel`` and ``curvature``
     give at that point alone.  The points go in blocks of ``_block_points``,
-    each one fields batch for its curvature stencils and, for p >= 3 only, one
-    for its Bianchi stencils; at p = 2 every index triple repeats an index, so
+    each one fields batch at its points, from which the metric, connection and
+    Gauss-equation Riemann fields all come, and, for p >= 3 only, one for its
+    Bianchi stencils; at p = 2 every index triple repeats an index, so
     the identity is vacuous and the residual is 0 with no stencil evaluated.
     """
     xs = np.asarray(points, dtype=float)
@@ -953,31 +941,27 @@ def _block_points(geo: _Geo) -> int:
 
 
 def _stencil_rows(p: int) -> int:
-    """Chart points geometry_at evaluates per point, repeats included: a ``_stencil``
-    at each centre of a curvature ``_star``, for p >= 3 also of a Bianchi one."""
-    st, star = _stencil(p, 1.0, 1.0, True, False), len(_star_offsets(p, 1.0))
-    return (len(st.offsets) + len(st.base)) * star * (2 if p >= 3 else 1)
+    """Chart points geometry_at evaluates per point, repeats included: its
+    ``_stencil``, for p >= 3 also one at each centre of a Bianchi ``_star``."""
+    st = _stencil(p, 1.0, 1.0, True, False)
+    return (len(st.offsets) + len(st.base)) * (1 + (len(_star_offsets(p, 1.0)) if p >= 3 else 0))
 
 
 def _curvature_at(geo: _Geo, xs: np.ndarray) -> tuple:
     """(g, g_inv, det, gamma, riemann) at the points xs (K, p), each stacked
-    over K, from one fields batch over the centres (1 + 2p, K, p) of their
-    Riemann stars at step s = 1e-2 sqrt(fd_step).  ``geometry_at`` returns
-    the arrays of one block as they are.  Only the generic Gram route tests g
+    over K, from one fields batch at the points themselves, with Riemann by
+    the Gauss equation (``_gauss_riemann``).  ``geometry_at`` returns the
+    arrays of one block as they are.  Only the generic Gram route tests g
     for symmetry: the diagonal one builds it symmetric bit for bit."""
-    s = 1e-2 * math.sqrt(geo.chart.fd_step)
-    centres = _star(xs, s)
-    f = _fields(geo, centres.reshape(-1, xs.shape[1]), second=True)
+    f = _fields(geo, xs, second=True)
     _require_symmetric_metric(f.g, geo)
     ginv, det = _solve_metric(f.g)[:2]
-    # each field with its star axis first, as _riemann takes it
-    g, ginv, det, n = (a.reshape(centres.shape[:-1] + a.shape[1:]) for a in (f.g, ginv, det, f.n))
-    return g[0], ginv[0], det[0], _gamma(ginv[0], n[0]), _riemann(ginv, n, s)
+    return f.g, ginv, det, _gamma(ginv, f.n), _gauss_riemann(geo, f, ginv)
 
 
 def curvature(chart: Chart, phi: State, cfg: DotConfig, u) -> CurvatureField:
-    """Riemann components from central differences of the connection factors,
-    with the metric at u from the same stencils."""
+    """Riemann components by the Gauss equation from one second-derivative
+    stencil at u, with the metric at u from the same stencil."""
     g, ginv, det, _, riem = _curvature_at(_geo(chart, phi, cfg), _point(chart, u)[None])
     return CurvatureField(riemann=riem[0], metric=MetricField(g=g[0], g_inv=ginv[0], det=float(det[0])))
 

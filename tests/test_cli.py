@@ -547,6 +547,20 @@ def test_nonfinite_chart_value_is_one_input_error(tmp_path, capsys):
     assert "non-finite value" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd", ["curvature", "report", "bianchi"])
+def test_second_partials_overflowing_the_dot_are_one_input_error(tmp_path, capsys, cmd):
+    # at u = 0 this paraboloid's tangents and metric are finite, while its
+    # second partials, 2e200, overflow in their dot products
+    path = write_json(tmp_path / "para.json",
+                      {"id": "paraboloid", "params": {"a": 1e200}, "fd_step": 1.0})
+    argv = [cmd, "--chart", path] + (["--point=0.0,0.0"] if cmd != "report" else [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = run_err(capsys, argv, 1, "E_INPUT")
+    assert err.count("\n") == 1 and "not finite" in err and "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("cmd", ["metric", "christoffel", "curvature", "bianchi"])
 def test_stencil_leaving_the_chart_is_one_input_error_for_each_chart_command(sphere_file, capsys,
                                                                             cmd):

@@ -904,8 +904,8 @@ def test_a_grid_chart_refuses_every_call_that_needs_a_second_derivative(name):
 def test_a_two_parameter_bianchi_residual_evaluates_only_the_curvature_stencils():
     counted, seen = counting(sphere())
     assert bianchi_residual(counted, SUM, CFG, SPHERE_PT) == 0.0
-    assert len(seen) == _stencil_rows(2) == 65  # a star of curvature stars was 325
-    assert _stencil_rows(3) == 350  # with a star of curvature stars it was 1400
+    assert len(seen) == _stencil_rows(2) == 13  # one stencil at the point
+    assert _stencil_rows(3) == 200  # 25 at the point and the Bianchi star's 175
 
 
 def test_chart_state_must_be_sum_or_trace():
@@ -936,7 +936,7 @@ def counting(chart):
 
 
 @pytest.mark.parametrize("chart, rows, distinct", [
-    (sphere(), 195, 159), (graph3_chart(), 1050, 957),
+    (sphere(), 39, 39), (graph3_chart(), 600, 579),
 ], ids=["sphere", "graph3"])
 def test_report_calls_a_per_point_map_once_per_stencil_row(chart, rows, distinct):
     # nothing is cached: repeated stencil rows are evaluated again, and few repeat

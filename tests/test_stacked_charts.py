@@ -30,12 +30,13 @@ from opgeom.errors import (
 from opgeom.hypersurface import (
     _EVERYWHERE,
     _block_points,
-    _curvature_at,
+    _diff,
     _fields,
     _gauss,
     _gauss_riemann,
     _Geo,
     _solve_metric,
+    _star,
     _stencil_rows,
     Chart,
     bianchi_residual,
@@ -268,10 +269,10 @@ def single_point_stats(chart, points):
 
 
 # block bytes that make a block of 3 points: the boundary is the same at a
-# fraction of the default's 201, 50 and 26 points
+# fraction of the default's 1008, 252 and 46 points
 @pytest.mark.parametrize("chart, block_bytes", [
-    (sphere(), 1 << 13), (counting(sphere())[0], 1 << 13),
-    (generic_per_point(sphere()), 1 << 15), (graph3_chart(), 1 << 16),
+    (sphere(), 1 << 11), (counting(sphere())[0], 1 << 11),
+    (generic_per_point(sphere()), 1 << 13), (graph3_chart(), 40_000),
 ], ids=["sphere-stacked", "sphere-per-point", "sphere-generic", "graph3"])
 def test_report_blocks_match_the_single_point_routes(chart, block_bytes, monkeypatch):
     monkeypatch.setattr(hypersurface, "_BLOCK_BYTES", block_bytes)
@@ -306,7 +307,7 @@ def test_curvature_builds_the_metric_once():
     counted, seen = counting(sphere())
     u = np.array([0.9, 0.5])
     gauss = riemann_gauss_curvature(counted, SUM, CFG, u)
-    assert len(seen) == 65 and len(set(seen)) == 53  # 5 star centres x 13 rows, no metric stencil
+    assert len(seen) == len(set(seen)) == 13  # one stencil at u, no separate metric stencil
     cf = curvature(sphere(), SUM, CFG, u)
     mf = metric(sphere(), SUM, CFG, u)
     assert cf.metric.g.tobytes() == mf.g.tobytes()
@@ -487,6 +488,25 @@ def gauss_route(chart, phi, xs):
     return f.g, det, _gauss_riemann(geo, f, ginv)
 
 
+def connection_route(chart, phi, xs):
+    """Riemann at the points xs by differencing the connection: the factors
+    G = g^-1 and N of the direct Christoffel symbols gamma^a_nb = G^ar N_r,nb
+    at the centres of a star at s = 1e-2 sqrt(fd_step), central differenced
+    by the product rule, then
+    R^a_bmn = d_m gamma^a_nb - d_n gamma^a_mb + gamma^a_mr gamma^r_nb - gamma^a_nr gamma^r_mb.
+    The reference against which the Gauss route is checked."""
+    geo, s = _Geo(chart, phi, CFG), 1e-2 * math.sqrt(chart.fd_step)
+    centres = _star(xs, s)  # (1 + 2p, K, p)
+    f = _fields(geo, centres.reshape(-1, chart.p), second=True)
+    ginv, n = (a.reshape(centres.shape[:-1] + a.shape[1:]) for a in (_solve_metric(f.g)[0], f.n))
+    gamma = np.einsum("kar,krnb->kanb", ginv[0], n[0])
+    # d[k, a, b, m, n] = d_m gamma[k, a, n, b]
+    d = (np.einsum("mkar,krnb->kabmn", _diff(ginv, s), n[0])
+         + np.einsum("kar,mkrnb->kabmn", ginv[0], _diff(n, s)))
+    prod = np.einsum("kamr,krnb->kabmn", gamma, gamma)
+    return d - d.swapaxes(-1, -2) + prod - prod.swapaxes(-1, -2)
+
+
 # the largest |gap| over 20 points at each of seeds 1, 2 and 3 (20 points
 # drawn in the inner 80% of the sample box) was 1.5e-6 on the sphere, 5.9e-6
 # on the torus, 6.8e-7 on the paraboloid, 1.6e-6 on graph3, 1.5e-6 on
@@ -504,11 +524,47 @@ def test_the_gauss_and_connection_riemann_routes_agree(chart, phi):
     lo, hi = (np.asarray(b, dtype=float) for b in chart.sample_box)
     xs = (lo + hi) / 2 + 0.4 * (hi - lo) * np.random.default_rng(1).uniform(-1.0, 1.0, (6, chart.p))
     g, det, riem = gauss_route(chart, phi, xs)
-    want = _curvature_at(_Geo(chart, phi, CFG), xs)[4]
-    assert np.abs(riem - want).max() < ROUTE_GAP
+    assert np.abs(riem - connection_route(chart, phi, xs)).max() < ROUTE_GAP
     assert np.array_equal(riem, -riem.swapaxes(-1, -2))  # exactly antisymmetric in (m, n)
     if chart.id == "sphere":  # the Gauss route read |K - 1| = 1.6e-7, the connection one 2.1e-6
         assert np.abs(_gauss(g, riem, det) - 1.0).max() < 1e-6
+
+
+def test_curvature_on_the_unit_sphere_is_one_within_1e_6():
+    # the Gauss route reads max |K - 1| = 1.6e-7 at these points; differencing
+    # the connection over a star at 1e-2 sqrt(fd_step) read 6.5e-6
+    rng = np.random.default_rng(20)
+    us = np.column_stack([rng.uniform(0.3, math.pi - 0.3, 20), rng.uniform(0.0, 2.0 * math.pi, 20)])
+    assert max(abs(riemann_gauss_curvature(sphere(), SUM, CFG, u) - 1.0) for u in us) < 1e-6
+
+
+def diagonal_tangent_chart(seed=17):
+    """b(u) = u0 D1 + u1 D2 + u0^2 H1 + u1^2 H2 with D1, D2 real diagonal and
+    H1, H2 hermitian: the tangents at u = 0 commute, the second partials do not."""
+    rng = np.random.default_rng(seed)
+    d1, d2 = np.diag(rng.normal(size=3)), np.diag(rng.normal(size=3))
+    m = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    h1, h2 = 0.5 * (m + m.conj().swapaxes(1, 2))
+    box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    return Chart(id="diag-tangents", p=2, dim=3, in_domain=None, sample_box=box, map_vec=None,
+                 map_mat=lambda u: u[0] * d1 + u[1] * d2 + u[0] ** 2 * h1 + u[1] ** 2 * h2)
+
+
+@pytest.mark.parametrize("route", [
+    curvature, riemann_gauss_curvature, lambda *a: geometry_at(*a[:3], [a[3]]),
+    lambda chart, phi, cfg, u: report(chart, phi, cfg, 3),
+], ids=["curvature", "riemann_gauss_curvature", "geometry_at", "report"])
+def test_a_complex_lam_asymmetric_on_the_second_partials_stops_the_curvature(route):
+    # g at u = 0 is symmetric, but the Gauss equation also dots the second
+    # partials, on which this lam is not symmetric: the routes refuse the chart
+    # (with the check skipped, K read -4.48 at u = 0 where the real-lam K is -5.31)
+    chart, u = diagonal_tangent_chart(), np.zeros(2)
+    phi, cfg = seeded_density(6, 3), DotConfig(lam=0.5 + 0.5j)
+    g = metric(chart, phi, cfg, u).g
+    assert np.array_equal(g, g.T)
+    assert math.isfinite(riemann_gauss_curvature(chart, phi, DotConfig(lam=0.5), u))
+    with pytest.raises(NonSymmetricMetricError):
+        route(chart, phi, cfg, u)
 
 
 def test_a_complex_lam_on_non_commuting_values_stops_the_three_parameter_bianchi_pass():
@@ -612,8 +668,8 @@ def test_report_bits_match_the_pinned_digests(name):
     assert report_digest(REPORTS[name]()) == want[name]
 
 
-@pytest.mark.parametrize("chart, per", [(graph3_chart(), 26), (NonDiagonal().chart(), 50),
-                                        (stacked_graph3(), 26), (sphere(), 201)],
+@pytest.mark.parametrize("chart, per", [(graph3_chart(), 46), (NonDiagonal().chart(), 252),
+                                        (stacked_graph3(), 46), (sphere(), 1008)],
                          ids=["graph3", "nondiag", "graph3-stacked", "sphere"])
 def test_blocks_are_sized_by_the_bytes_of_a_row(chart, per, monkeypatch):
     blocks = []
@@ -631,7 +687,7 @@ def test_blocks_are_sized_by_the_bytes_of_a_row(chart, per, monkeypatch):
 
 
 def test_a_per_point_report_keeps_its_memory_peak():
-    # 20 points of this chart, one block of 20 (50 fit), peak at 405,708 bytes
+    # 20 points of this chart, one block of 20 (252 fit), peak at 95,768 bytes
     # under tracemalloc (Python 3.11, NumPy 2.4); the bound stays at the
     # 825,964 they peaked at while each 8-point block ran a Bianchi batch too
     chart = NonDiagonal().chart()
@@ -646,9 +702,9 @@ def test_a_per_point_report_keeps_its_memory_peak():
 
 
 def test_a_per_point_graph3_report_peaks_no_higher_than_its_stacked_twin():
-    # both take 26 points per block; the lifted rows are written into one
+    # both take 46 points per block; the lifted rows are written into one
     # array, so per-point rows hold no more than stacked ones: both peak in the
-    # curvature batch's map call (466,080 against 482,672 bytes under
+    # Bianchi batch's map call (465,576 against 482,184 bytes under
     # tracemalloc, Python 3.11, NumPy 2.4).  Outside a map call the per-point
     # route holds about 80 bytes more: NumPy's cache of freed shape-and-strides
     # blocks, which its one-row values fill
