@@ -25,7 +25,11 @@ test, ``_step_count``, the one step-count rule, ``_central``, the one
 first-difference formula, ``_asymmetric``, the one relative symmetry test,
 ``_solve_gram``, the one guarded solve of a Gram or metric matrix or a
 stack of them, ``_det``, the determinant of a lone matrix whose inverse is
-not needed, and ``_finite_value``, the one check of a value.
+not needed, and ``_finite_value``, the one check of a value.  Both take a
+2x2 from its adjugate (``_adjugate_2x2``), and a real 3x3 from its cofactors
+(``_adjugate_3x3``) when its Frobenius condition bound
+kappa_F = |M|_F |adj M|_F / |det M| is at most COFACTOR_COND = 20; every
+other matrix takes an SVD and an LU determinant.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-12
-_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX = sys.float_info.max
 
 
 def _as_square_complex(m, what="matrix"):
@@ -509,6 +513,13 @@ def _dot_matrix(phi: State, cfg: DotConfig, xs, ys=None) -> np.ndarray:
 
 # rank tolerance of every Gram and metric solve and of Gram-Schmidt's squared norms
 RANK_TOL = 1e-10
+# the largest Frobenius condition bound at which a real 3x3 takes its inverse and
+# determinant from its cofactors.  Against exact rational results on generated
+# matrices, the cofactor determinant's largest error first exceeds the LU
+# determinant's at kappa_F of about 35, and the cofactor inverse's the SVD
+# inverse's at about 65; at 20 both stay at or under half of theirs.
+COFACTOR_COND = 20.0
+_FLOAT_TINY = sys.float_info.min  # the smallest normal float
 
 
 def _solve_gram(m: np.ndarray, on_singular=None):
@@ -528,8 +539,13 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     A 2x2 matrix takes s_min and s_max from |det| and its Frobenius norm
     (``_closed_2x2``) and its inverse from its adjugate: from the entries as
     Python numbers outside any ``np.errstate`` if lone, from the entry
-    columns if stacked.  Larger matrices, lone or stacked, take one SVD, one
-    LU determinant and one inverse product over ``...`` axes.  The rules then
+    columns if stacked.  A real 3x3 whose Frobenius condition bound
+    kappa_F = |M|_F |adj M|_F / |det M| is at most COFACTOR_COND, with
+    |adj M|_F^2 normal and det M finite, takes its inverse adj / det and its
+    determinant from its cofactors (``_adjugate_3x3``, on Python numbers or
+    entry columns alike) and its singular values from one SVD without
+    vectors.  Every other matrix, lone or stacked, takes one SVD, one LU
+    determinant and one inverse product over ``...`` axes.  The rules then
     run once on Python numbers for a lone matrix and once on arrays for a
     stack, so a lone matrix returns det, cond and full as scalars.  A stack
     of one is solved as its lone member; every member of a real stack, and of
@@ -538,11 +554,21 @@ def _solve_gram(m: np.ndarray, on_singular=None):
     if m.ndim == 3 and len(m) == 1:
         return tuple(np.asarray([r]) for r in _solve_gram(m[0], on_singular))
     two = m.shape[-2:] == (2, 2)
+    cof = False  # a lone real 3x3 within COFACTOR_COND, or such members of a stack
+    if m.shape[-2:] == (3, 3) and m.dtype == float:
+        if m.ndim == 2:
+            adj, det, cof = _adjugate_3x3(m.ravel().tolist(), math.sqrt, _sumsq)
+        else:
+            with np.errstate(all="ignore"):
+                adj, det, cof = _adjugate_3x3(m.reshape(-1, 9).T, np.sqrt, _sumsq_columns)
     if m.ndim == 2 and two:  # no np.errstate: arrays would cost several times as long
         (a, b), (c, d) = m.tolist()
         adj, det = _adjugate_2x2(a, b, c, d)
         adet, s_max = _closed_2x2(a, b, c, d, det, math.sqrt, max)
         s_min = adet / s_max if s_max > 0 else 0.0
+    elif m.ndim == 2 and cof:
+        s = np.linalg.svd(m, compute_uv=False)
+        s_max, s_min = s[0], s[2]
     else:
         with np.errstate(all="ignore"):
             if two:
@@ -550,12 +576,17 @@ def _solve_gram(m: np.ndarray, on_singular=None):
                 adj, det = _adjugate_2x2(*cols)
                 adet, s_max = _closed_2x2(*cols, det, np.sqrt, np.maximum)
                 s_min = np.divide(adet, s_max, out=np.zeros_like(s_max), where=s_max > 0)
-            elif np.isfinite(m).all():  # the SVD of an infinite entry may not return
-                u, s, vh = np.linalg.svd(m)
-                s_max, s_min, det = s[..., 0], s[..., -1], np.linalg.det(m)
-                inv = (vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ u.conj().swapaxes(-1, -2)
-            else:
+            elif not np.isfinite(m).all():  # the SVD of an infinite entry may not return
                 s_max = math.inf  # its rank cannot be told
+            elif m.ndim == 2 or not np.any(cof):
+                s_max, s_min, det, inv = _svd_solve(m)
+            else:  # a real 3x3 stack: cofactors, then the SVD route for the rest
+                s = np.linalg.svd(m, compute_uv=False)
+                s_max, s_min, inv = s[:, 0], s[:, 2], np.empty(m.shape)
+                np.divide(adj, det, out=inv.reshape(-1, 9).T)
+                if not cof.all():
+                    rest = ~cof
+                    s_max[rest], s_min[rest], det[rest], inv[rest] = _svd_solve(m[rest])
             if m.ndim == 3:  # the rules on arrays
                 if not np.isfinite(s_max).all():
                     raise ValueError(_UNTESTABLE)
@@ -580,11 +611,22 @@ def _solve_gram(m: np.ndarray, on_singular=None):
             inv = np.linalg.pinv(m, rcond=RANK_TOL)
         elif two:  # entry by entry, as the array / det rounds
             inv = np.array([[adj[0] / det, adj[1] / det], [adj[2] / det, adj[3] / det]])
+        elif cof:  # each entry rounded once, as in a stack
+            inv = np.array(adj).reshape(3, 3) / det
         return inv, det, cond, full
     if not full.all():
         _singular(on_singular)
         inv[~full] = np.linalg.pinv(m[~full], rcond=RANK_TOL)
     return inv, det, cond, full
+
+
+def _svd_solve(m: np.ndarray):
+    """s_max, s_min, the LU determinant and the inverse V S^-1 U' of a finite
+    matrix or stack, from one SVD: the route of every matrix that takes no
+    closed form."""
+    u, s, vh = np.linalg.svd(m)
+    inv = (vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return s[..., 0], s[..., -1], np.linalg.det(m), inv
 
 
 def _singular(on_singular):
@@ -610,17 +652,57 @@ def _caller_level() -> int:
 
 def _det(m: np.ndarray):
     """det m of a lone matrix whose inverse is not needed, as ``_solve_gram``
-    forms it: ad - bc (``_adjugate_2x2``) at 2x2, an LU determinant above;
-    ``ValueError`` if it is not finite."""
+    forms it: ad - bc (``_adjugate_2x2``) at 2x2, the first row's cofactors
+    (``_adjugate_3x3``) for a real 3x3 within COFACTOR_COND, an LU
+    determinant otherwise; ``ValueError`` if it is not finite."""
+    closed = False
     if m.shape == (2, 2):
         (a, b), (c, d) = m.tolist()
-        dt = _adjugate_2x2(a, b, c, d)[1]
-    else:
+        dt, closed = _adjugate_2x2(a, b, c, d)[1], True
+    elif m.shape == (3, 3) and m.dtype == float:
+        _, dt, closed = _adjugate_3x3(m.ravel().tolist(), math.sqrt, _sumsq)
+    if not closed:
         with np.errstate(all="ignore"):  # an overflow shows in the check below
             dt = np.linalg.det(m)
     if not cmath.isfinite(dt):
         raise ValueError(_NONFINITE_DET)
     return dt
+
+
+def _adjugate_3x3(x, sqrt, sumsq):
+    """The adjugate entries of the 3x3 matrix of entries x (C order) in C
+    order, its determinant by the first row's cofactors, and whether the
+    cofactor route may serve it: kappa_F = |M|_F |adj M|_F / |det M| at most
+    COFACTOR_COND, with |adj M|_F^2 normal and det M finite, so that no
+    overflow or underflow hides an ill-conditioned matrix (the bound then
+    keeps |det M| above 1e-233, and no division by it is made here); a NaN
+    answers false.  The one home of all three: x is a list of Python numbers, with
+    (``math.sqrt``, ``_sumsq``), or the (9, K) entry columns of a stack, with
+    (``np.sqrt``, ``_sumsq_columns``).  Both run the same operations in the
+    same order, so both round alike."""
+    a, b, c, d, e, f, g, h, i = x
+    adj = (e * i - f * h, c * h - b * i, b * f - c * e,
+           f * g - d * i, a * i - c * g, c * d - a * f,
+           d * h - e * g, b * g - a * h, a * e - b * d)
+    det = a * adj[0] + b * adj[3] + c * adj[6]
+    adet, adj2 = abs(det), sumsq(adj)
+    ok = ((sqrt(sumsq(x)) * sqrt(adj2) / COFACTOR_COND <= adet) & (adet <= _FLOAT_MAX)
+          & (adj2 >= _FLOAT_TINY))
+    return adj, det, ok
+
+
+def _sumsq(xs) -> float:
+    """x_0^2 + x_1^2 + ... of Python numbers, left to right (``sum`` may
+    compensate)."""
+    s = 0.0
+    for x in xs:
+        s = s + x * x
+    return s
+
+
+def _sumsq_columns(xs) -> np.ndarray:
+    """``_sumsq`` of columns, member by member: a running sum is left to right."""
+    return np.add.accumulate(np.square(xs), axis=0)[-1]
 
 
 def _adjugate_2x2(a, b, c, d):

@@ -356,12 +356,14 @@ def _cmd_killing(args):
 def report(chart: hypersurface.Chart, phi: State, cfg: DotConfig,
            sample_count: int, seed: int = 0) -> dict:
     """Batch min/max/mean statistics over sample_count >= 1 points of a chart,
-    drawn from an integer seed, from one ``geometry_at`` call over all of them."""
+    drawn from an integer seed, from one ``geometry_at`` call over all of them.
+    The points lie in the chart's ``sample_box``, inset by the stencils' reach
+    where they could leave the domain (``hypersurface._drawn_box``)."""
     count, seed = algebra._count(sample_count, "sample_count"), algebra._count(seed, "seed")
     if count < 1:
         raise ValueError(f"sample_count must be at least 1, got {count}")
     hypersurface._require_bianchi(chart)
-    points = XorShift64Star(seed)._rows(*(end[:chart.p] for end in chart.sample_box), count)
+    points = XorShift64Star(seed)._rows(*hypersurface._drawn_box(chart), count)
     geom = hypersurface.geometry_at(chart, phi, cfg, points)
     names = ["metric_det", "christoffel_max_abs", "riemann_max_abs", "bianchi_residual"]
     rows = [geom.det, *(np.abs(f).reshape(count, -1).max(axis=1)

@@ -991,15 +991,51 @@ def _require_bianchi(chart: Chart):
         raise DimensionError("Bianchi residual needs at least two parameters")
 
 
+def _bianchi_steps(chart: Chart) -> tuple:
+    """(s4, h2) of the Bianchi pass: its outer star's step, 70 fd_step2 capped
+    at 0.1, and its fields' second step, 10 fd_step2."""
+    base = float(_step2(chart))
+    return min(70.0 * base, 0.1), 10.0 * base
+
+
+def _drawn_box(chart: Chart) -> tuple:
+    """(lo, hi) from which ``report`` draws: the first p entries of the
+    chart's ``sample_box``, inset by the reach of ``geometry_at``'s stencils
+    where they can leave the domain.  The reach is the largest coordinate
+    offset of a stencil point from its point: max(fd_step, fd_step2), and at
+    p >= 3 the Bianchi star's step plus max(fd_step, its second step).  The
+    box is inset when the domain test refuses one of the 2^p corners of the
+    box grown by the reach; on a convex domain, corners it accepts hold every
+    stencil point between them.  An inset past half the box takes its middle."""
+    lo, hi = (end[:chart.p] for end in chart.sample_box)
+    if chart.in_domain is _EVERYWHERE:
+        return lo, hi
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    s4, h2 = _bianchi_steps(chart) if chart.p >= 3 else (0.0, _step2(chart))
+    reach = s4 + max(chart.fd_step, h2)
+    corners = (lo + hi) / 2.0 + _corner_signs(chart.p) * ((hi - lo) / 2.0 + reach)
+    if _first_false(chart.in_domain.stack(corners), corners, "in_domain") is None:
+        return lo, hi
+    inset = np.minimum(reach, (hi - lo) / 2.0)
+    return lo + inset, hi - inset
+
+
+@functools.lru_cache(maxsize=16)
+def _corner_signs(p: int) -> np.ndarray:
+    """The (2^p, p) sign rows +-1 of the corners of a p-box, read-only."""
+    signs = 1.0 - 2.0 * ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1)
+    signs.flags.writeable = False
+    return signs
+
+
 def _bianchi_at(geo: _Geo, xs: np.ndarray) -> np.ndarray:
     """Bianchi residuals (K,) at the points xs (K, p) of a chart with p >= 3,
     from one fields batch over their outer star, with Riemann by the Gauss
     equation (``_gauss_riemann``)."""
     k, p = xs.shape
-    base = float(_step2(geo.chart))
-    s4 = min(70.0 * base, 0.1)
+    s4, h2 = _bianchi_steps(geo.chart)
     centres = _star(xs, s4)  # (1 + 2p, K, p)
-    f = _fields(geo, centres.reshape(-1, p), second=True, h2=10.0 * base)
+    f = _fields(geo, centres.reshape(-1, p), second=True, h2=h2)
     _require_symmetric_metric(f.g, geo)
     ginv = _solve_metric(f.g)[0]
     riem = _gauss_riemann(geo, f, ginv).reshape(centres.shape[:-1] + (p,) * 4)

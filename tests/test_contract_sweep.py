@@ -5,7 +5,9 @@ Chart calls (``metric``, ``christoffel``, ``geometry_at``) run on stacked
 graph charts whose values are scaled by 10^k, and operator calls (stacked
 ``_solve_gram``, ``pair_product_bound``, ``energy_bound``,
 ``State.density``) on hermitian matrices scaled by 10^k, k from -300 to
-300, all under ``warnings.simplefilter("error")``.  A typed error is an
+300; lone and stacked 3x3 ``_solve_gram`` and ``_det`` also run on real
+matrices whose entries each have their own sign and exponent, all under
+``warnings.simplefilter("error")``.  A typed error is an
 ``OpgeomError`` or a ``ValueError`` other than NumPy's ``LinAlgError``;
 ``SingularGramWarning``, the package's report of a rank-deficient Gram
 matrix, is raised by the filter and counts as one.  Any other exception,
@@ -25,6 +27,7 @@ from opgeom.algebra import (
     DotConfig,
     PhysConstants,
     State,
+    _det,
     _solve_gram,
     stacked,
 )
@@ -110,6 +113,8 @@ def test_stacked_solves_keep_the_contract(k, n, count, real, seed):
     m = m @ m.conj().swapaxes(-1, -2) if seed % 2 else m  # a Gram matrix, or any hermitian one
     m = 10.0 ** k * m
     keeps_contract(lambda: _solve_gram(m, SingularMetricError("singular")))
+    keeps_contract(lambda: _solve_gram(m[0], SingularMetricError("singular")))  # lone
+    keeps_contract(lambda: _det(m[0]))
 
 
 @SWEEP
@@ -126,3 +131,18 @@ def test_operator_calls_keep_the_contract(ka, kb, n, seed):
     # a density matrix perturbed by a scaled hermitian part, and the part alone
     for m in (rho + b, b):
         keeps_contract(lambda: State.density(m).eval_matrix(a))
+
+
+@SWEEP
+@given(ks=st.lists(exponents, min_size=9, max_size=9), signs=st.lists(st.booleans(), min_size=9, max_size=9),
+       gram=st.booleans())
+def test_3x3_solves_and_determinants_keep_the_contract(ks, signs, gram):
+    # each entry +-10^k, or the Gram matrix M M' of such entries: the cofactor
+    # route's Python-number arithmetic and its bound, and the SVD route past it
+    m = np.array([(-1.0 if neg else 1.0) * 10.0 ** k for neg, k in zip(signs, ks)]).reshape(3, 3)
+    if gram:
+        with np.errstate(all="ignore"):  # an overflow is the guarded solve's to report
+            m = m @ m.T
+    for arg in (m, np.stack([m, m.T, np.eye(3)])):
+        keeps_contract(lambda: _solve_gram(arg, SingularMetricError("singular")))
+    keeps_contract(lambda: _det(m))

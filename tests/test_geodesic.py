@@ -152,6 +152,15 @@ def test_speed_drift_matches_the_metric_at_each_state_a_step_started_from():
     assert res.left_at is None
 
 
+def test_metric_cond_max_bounds_every_state_of_a_three_parameter_run():
+    # graph3's 3x3 metrics solve by their cofactors, with cond from singular values
+    make, u0, v0, tau_max, step = TRAJECTORIES["graph3"]
+    chart = make()
+    res = run("graph3")
+    conds = [np.linalg.cond(metric(chart, SUM, CFG, s.u).g) for s in res[:-1]]
+    assert max(conds) * (1 - 1e-9) <= res.metric_cond_max
+
+
 def test_an_equator_run_drifts_below_criterion_10s_bound():
     res = geodesic(sphere(), SUM, CFG, np.array([math.pi / 2.0, 0.0]), np.array([0.0, 1.0]),
                    tau_max=2.0 * math.pi, step=1e-2)

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opgeom.algebra import (
+    COFACTOR_COND,
+    RANK_TOL,
     AlgebraElement,
     DotConfig,
     PhysConstants,
     State,
+    _det,
     _solve_gram,
     dot,
     fock_momentum,
@@ -240,6 +244,38 @@ def test_grid_chart_linear_metric_exact():
     chart = custom_grid(axes, vals)
     mf = metric(chart, SUM, CFG, np.array([0.25, 0.4]))
     assert np.abs(mf.g - np.array([[2.0, 2.0], [2.0, 5.0]])).max() < 1e-9
+
+
+def test_a_grid_report_given_a_second_step_draws_where_its_stencils_stay():
+    # diag(x, y, x^2 + y^2) on a 9 x 9 grid over [-1, 1]^2: given fd_step2 = 0.25,
+    # the stencils reach 0.25 past a point, so the report draws from [-0.75, 0.75]^2
+    # (drawn from the whole box, one stencil left the grid at [-1.14, -0.34])
+    axes = [np.linspace(-1.0, 1.0, 9)] * 2
+    x, y = np.meshgrid(*axes, indexing="ij")
+    vals = np.zeros((9, 9, 3, 3), dtype=complex)
+    vals[..., 0, 0], vals[..., 1, 1], vals[..., 2, 2] = x, y, x * x + y * y
+    grid = custom_grid(axes, vals)
+    doc = report(dataclasses.replace(grid, fd_step2=0.25), SUM, CFG, 3)
+    assert np.abs(doc["points"]).max() <= 0.75
+    assert all(math.isfinite(v) for stats in doc["stats"].values() for v in stats.values())
+    with pytest.raises(DomainError):  # no second step: no second derivatives
+        report(grid, SUM, CFG, 3)
+
+
+def test_a_report_on_a_domain_refusing_only_a_corner_draws_where_its_stencils_stay():
+    # the paraboloid over [-1, 1]^2 with the quadrant x > 1, y > 1 refused: every
+    # face centre of the box grown by the reach 0.25 is inside, its corner
+    # (1.25, 1.25) is not, and a mixed second partial at a point near (1, 1)
+    # reaches into the refused quadrant, so the report draws from [-0.75, 0.75]^2
+    def inside(u):
+        return not (u[0] > 1.0 and u[1] > 1.0)
+
+    chart = dataclasses.replace(paraboloid(), in_domain=inside, fd_step2=0.25)
+    doc = report(chart, SUM, CFG, 40)
+    assert np.abs(doc["points"]).max() <= 0.75
+    assert all(math.isfinite(v) for stats in doc["stats"].values() for v in stats.values())
+    whole = dataclasses.replace(chart, in_domain=None)  # nothing refused: the whole box
+    assert np.abs(report(whole, SUM, CFG, 40)["points"]).max() > 0.75
 
 
 @settings(max_examples=25, deadline=None)
@@ -1173,3 +1209,110 @@ def test_solve_returns_on_an_infinite_entry():
             "    else:\n"
             "        raise AssertionError('no ValueError')\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=20)
+
+
+def _orthogonal(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diagonal(r))
+
+
+def generated_3x3() -> list:
+    """Real 3x3 matrices at kappa_2 from 1 to 1e3: U diag(s) V' with seeded
+    orthogonal U, V, scaled by 10^[-3, 3], for a spread, a double top and a
+    double bottom singular value; exact double and triple singular values
+    (signed permutations of diag(s) with integer s); and graph3's metrics
+    I + v v', whose two singular values of 1 are double but for rounding."""
+    rng = np.random.default_rng(36)
+    out = []
+    for kappa in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0):
+        for s in ([kappa, math.sqrt(kappa), 1.0], [kappa, kappa, 1.0], [kappa, 1.0, 1.0]):
+            out += [_orthogonal(rng) @ np.diag(s) @ _orthogonal(rng).T * 10.0 ** rng.uniform(-3, 3)
+                    for _ in range(8)]
+            signs = rng.choice([-1.0, 1.0], size=3)
+            out.append(np.diag(s)[rng.permutation(3)] * signs)
+    v = rng.normal(size=(16, 3))
+    return out + list(np.eye(3) + v[:, :, None] * v[:, None, :])
+
+
+def _kappa_f(m) -> float:
+    """|M|_F |adj M|_F / |det M| in exact arithmetic, rounded once."""
+    q = [Fraction(x) for x in m.ravel().tolist()]
+    inv, det = _exact_inverse(m)
+    fro2 = sum(x * x for x in q)
+    inv2 = sum(x * x for x in inv)
+    return math.sqrt(float(fro2 * inv2))  # |adj|_F / |det| = |M^-1|_F
+
+
+def _exact_inverse(m):
+    """The 9 entries of M^-1 in C order and det M, as Fractions."""
+    a, b, c, d, e, f, g, h, i = (Fraction(x) for x in m.ravel().tolist())
+    adj = (e * i - f * h, c * h - b * i, b * f - c * e, f * g - d * i, a * i - c * g,
+           c * d - a * f, d * h - e * g, b * g - a * h, a * e - b * d)
+    det = a * adj[0] + b * adj[3] + c * adj[6]
+    return [x / det for x in adj], det
+
+
+def _errors(inv, det, exact_inv, exact_det) -> tuple:
+    """Relative Frobenius error of inv and relative error of det, exactly."""
+    gap = sum((Fraction(x) - y) ** 2 for x, y in zip(np.ravel(inv).tolist(), exact_inv))
+    size = sum(y * y for y in exact_inv)
+    return math.sqrt(float(gap / size)), float(abs((Fraction(float(det)) - exact_det) / exact_det))
+
+
+def svd_route(m):
+    """(inverse, det, cond) of a matrix or stack by one SVD, one LU determinant
+    and one inverse product: the route of every matrix the cofactors do not serve."""
+    u, s, vh = np.linalg.svd(m)
+    inv = (vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return inv, np.linalg.det(m), s[..., 0] / s[..., -1]
+
+
+def test_a_3x3_solve_by_cofactors_keeps_the_rank_rule_cond_and_the_stack_bits():
+    ms = generated_3x3()
+    kappas = [_kappa_f(m) for m in ms]
+    assert min(kappas) < COFACTOR_COND < max(kappas)
+    inv, det, cond, full = _solve_gram(np.stack(ms))
+    cof_errors, svd_errors = [], []
+    for k, (m, kappa) in enumerate(zip(ms, kappas)):
+        one = _solve_gram(m)
+        assert inv[k].tobytes() == one[0].tobytes()
+        assert (det[k].hex(), cond[k].hex(), full[k]) == (float(one[1]).hex(), one[2].hex(), one[3])
+        s = np.linalg.svd(m, compute_uv=False)
+        assert full[k] == (s[-1] > RANK_TOL * max(s[0], RANK_TOL))
+        assert abs(cond[k] - np.linalg.cond(m)) <= 1e-12 * np.linalg.cond(m)
+        assert float(_det(m)).hex() == det[k].hex()
+        if kappa < COFACTOR_COND * (1 - 1e-9):
+            exact = _exact_inverse(m)
+            svd_inv, lu_det, _ = svd_route(m)
+            cof_errors.append(_errors(one[0], one[1], *exact))
+            svd_errors.append(_errors(svd_inv, lu_det, *exact))
+    # below the bound the cofactors are at least as accurate as the SVD and LU
+    # route, in the inverse and in the determinant
+    assert len(cof_errors) > 100
+    assert np.all(np.max(cof_errors, axis=0) <= np.max(svd_errors, axis=0))
+
+
+def test_past_the_cofactor_bound_and_past_3x3_the_solve_keeps_the_svd_bits():
+    # a real 3x3 with kappa_F > COFACTOR_COND, a complex 3x3 and n = 4, 5: one SVD,
+    # one LU determinant and one inverse product, lone and stacked
+    rng = np.random.default_rng(37)
+    cases = [np.stack([m for m in generated_3x3() if _kappa_f(m) > COFACTOR_COND * 1.001][:12])]
+    a = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    cases.append(a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(3))
+    for n in (4, 5):
+        a = rng.normal(size=(6, n, n))
+        cases.append(a @ a.swapaxes(-1, -2) + 0.1 * np.eye(n))
+    # scaled by 1e-90, an ill-conditioned 3x3's squared cofactors underflow, which
+    # must not hide its condition: its determinant stays the LU one
+    tiny = cases[0] * 1e-90
+    assert _solve_gram(tiny)[1].tobytes() == np.linalg.det(tiny).tobytes()
+    assert [_det(m) for m in tiny] == list(np.linalg.det(tiny))
+    for stack in cases:
+        want_inv, want_det, want_cond = svd_route(stack)
+        inv, det, cond, _ = _solve_gram(stack)
+        assert inv.tobytes() == want_inv.tobytes()
+        assert (det.tobytes(), cond.tobytes()) == (want_det.tobytes(), want_cond.tobytes())
+        for k, m in enumerate(stack):
+            one = _solve_gram(m)
+            assert one[0].tobytes() == want_inv[k].tobytes()
+            assert complex(one[1]) == complex(want_det[k]) == complex(_det(m))

@@ -198,9 +198,10 @@ def test_cauchy_schwarz_det_ratio_agreement(rng):
 
 def test_cauchy_schwarz_bits_are_pinned():
     # (residual, ratio) at p = 1, a 2x2 D, and p = 3, a 4x4 one, as pinned when
-    # det D came from a full guarded solve of D
+    # det D came from a full guarded solve of D; p = 3 re-pinned when its 3x3
+    # block's inverse and determinant came from its cofactors
     pins = {1: ("0x1.15b78da4dbed7p+3", "0x1.15b78da4dbed7p+3"),
-            3: ("0x1.2874c959a72cap+1", "0x1.2874c959a72d0p+1")}
+            3: ("0x1.2874c959a72c7p+1", "0x1.2874c959a72cbp+1")}
     for p, pin in pins.items():
         rng = np.random.default_rng(p)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -515,7 +516,8 @@ def test_tuple_inner_self_pairing_nonnegative(rng):
 
 def test_tuple_inner_keeps_its_bits():
     # sha256 of 80 values over four states, two dot products and tuples of 1 to 5,
-    # taken when tuple_inner read its determinant from the guarded solve
+    # taken when tuple_inner read its determinant from the guarded solve, and
+    # re-taken when a 3x3 Gram determinant came from its cofactors
     rng = np.random.default_rng(24)
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -530,7 +532,7 @@ def test_tuple_inner_keeps_its_bits():
                 vals += [tuple_inner(phi, cfg, els[:k], els[k:]),
                          tuple_inner(phi, cfg, els[:k], els[:k])]
     assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == \
-        "98a7249964216b86add492177e900186129a95d22104e2e01c5ef0de8fcc66bd"
+        "51036010130330ccafa68cf57d689d930e757ffa06b810fed2dbd0b7ac0ad074"
 
 
 def test_tuple_inner_of_empty_tuples():
