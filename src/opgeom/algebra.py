@@ -400,6 +400,11 @@ class State:
         ``ys`` the pairs run over xs twice and P, hermitian in exact
         arithmetic, is returned exactly hermitian.  A density or Gibbs state
         forms y rho for the whole stack as one (q n, n) @ (n, n) product.
+
+        Allocation: besides the small (p, n) and (p, q) results, one fresh
+        array the size of ``ys``: y rho, conjugated in place, or conj(y) for
+        the trace and sum states; none for a vector state.  Neither operand
+        is written, and xs is not copied.
         """
         n = xs.shape[-1]
         self._check_dim(n)
@@ -410,10 +415,16 @@ class State:
             xv = xs @ self._psi
             pm = xv.conj() @ (xv if same else ys @ self._psi).swapaxes(-1, -2)
         else:
-            # phi(x' y) = sum_mk conj(x)_mk (y rho)_mk; rho = 1/n or 1 for traces
-            right = ys if self.kind in ("trace", "sum") else ys.reshape(-1, n) @ self._rho
-            pm = (xs.reshape(xs.shape[:-2] + (-1,)).conj()
+            # phi(x' y) = sum_mk conj(x)_mk (y rho)_mk = conj(sum_mk x_mk conj(y rho)_mk),
+            # with rho = 1/n or 1 for traces; the one conjugated copy is the fresh right factor
+            if self.kind in ("trace", "sum"):
+                right = ys.conj()
+            else:
+                right = ys.reshape(-1, n) @ self._rho
+                np.conjugate(right, out=right)
+            pm = (xs.reshape(xs.shape[:-2] + (-1,))
                   @ right.reshape(ys.shape[:-2] + (-1,)).swapaxes(-1, -2))
+            np.conjugate(pm, out=pm)
             if self.kind == "trace":
                 pm = pm / n
         return 0.5 * (pm + pm.conj().swapaxes(-1, -2)) if same else pm
@@ -494,12 +505,13 @@ def _finite_value(val: complex, what: str) -> complex:
     return val
 
 
-def _stack(els) -> np.ndarray:
-    """Raw arrays of equal-dimension algebra elements as one (p, n, n) stack."""
+def _stack(els, out=None) -> np.ndarray:
+    """Raw arrays of equal-dimension algebra elements as one (p, n, n) stack,
+    written into ``out`` if one is given."""
     els = list(els)
     for e in els[1:]:
         els[0]._check_dim(e)
-    return np.stack([e.m for e in els])
+    return np.stack([e.m for e in els], out=out)
 
 
 def _dot_matrix(phi: State, cfg: DotConfig, xs, ys=None) -> np.ndarray:
@@ -730,11 +742,17 @@ _UNTESTABLE = "Gram or metric matrix is not finite, or too large to test its ran
 _NONFINITE_DET = "Gram or metric determinant is not finite"
 
 
-def _heisenberg(consts: PhysConstants, h: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _heisenberg(consts: PhysConstants, h: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """(i/hbar) (h b - b h) of a raw array b, or of each member of a (p, n, n)
     stack with b h as one 2-D product: the one home of the Heisenberg
-    commutator.  It checks nothing; callers check h once."""
-    return (1j / consts.hbar) * (h @ b - (b.reshape(-1, h.shape[0]) @ h).reshape(b.shape))
+    commutator.  It checks nothing; callers check h once.
+
+    Allocation: h b goes into ``out`` (a fresh array of b's shape if None,
+    else one that must not overlap b), which then takes the difference and
+    the scale in place; b h is the one temporary.  b is not written."""
+    c = np.matmul(h, b, out=out)
+    c -= (b.reshape(-1, h.shape[0]) @ h).reshape(b.shape)
+    return np.multiply(1j / consts.hbar, c, out=c)
 
 
 def heisenberg_dot(consts: PhysConstants, h: AlgebraElement, b: AlgebraElement,

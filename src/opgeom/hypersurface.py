@@ -1248,10 +1248,13 @@ def gibbs_force(consts: PhysConstants, chart_ops, h: AlgebraElement, beta: float
     if not ops:
         raise DimensionError("chart_ops is empty")
     omega = State.gibbs(h, beta)
-    stack = _stack(ops)
+    p, n = len(ops), ops[0].dim
+    # one (2p, n, n) array: the velocities, written by the commutator, then the ops
+    targets_then_ops = np.empty((2 * p, n, n), dtype=complex)
+    stack = _stack(ops, out=targets_then_ops[p:])
     h._check_dim(ops[0])
-    targets_then_ops = np.concatenate([_heisenberg(consts, h.m, stack), stack])
-    return -_project_on(omega, DotConfig(), targets_then_ops, len(ops), SingularGramError(
+    _heisenberg(consts, h.m, stack, out=targets_then_ops[:p])
+    return -_project_on(omega, DotConfig(), targets_then_ops, p, SingularGramError(
         "tangent Gram matrix is singular in the Gibbs state"))[1]
 
 

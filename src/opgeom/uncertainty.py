@@ -72,14 +72,22 @@ def _report(lhs: float, rhs: float, extra: dict | None = None) -> BoundReport:
                        satisfied=bool(margin >= -MARGIN_TOL), extra=extra or {})
 
 
-def _centred(phi: State, stack: np.ndarray) -> np.ndarray:
+def _centred(phi: State, stack: np.ndarray, own: bool = False) -> np.ndarray:
     """Fluctuations x - phi(x) 1 of a raw (p, n, n) stack: the one centring rule.
-    An overflowing state value raises ``ValueError``; a fluctuation shows as inf."""
+    An overflowing state value raises ``ValueError``; a fluctuation shows as inf.
+
+    Allocation: one copy of the stack, from which phi(x) is subtracted on the
+    diagonal only, so every off-diagonal entry keeps its bits (the sign of a
+    zero included); the stack is not written.  With ``own`` the caller gives
+    up a C-ordered stack it made (``_stack``), which is centred in place."""
     with np.errstate(all="ignore"):
         means = [phi.eval_matrix(x) for x in stack]
         if not all(map(cmath.isfinite, means)):
             raise ValueError(f"state value is not finite: {means}")
-        return stack - np.array(means)[:, None, None] * np.eye(stack.shape[-1])
+        out = stack if own else stack.copy()  # C order, so the reshape below is a view
+        p, n = out.shape[0], out.shape[-1]
+        out.reshape(p, -1)[:, ::n + 1] -= np.array(means)[:, None]
+        return out
 
 
 def fluctuation(phi: State, a: AlgebraElement) -> AlgebraElement:
@@ -107,7 +115,7 @@ def fluctuation_bound(phi: State, cfg: DotConfig, a: AlgebraElement, bs) -> Boun
     [da] + [db_i].  With the default symmetric configuration the margin is
     nonnegative for every state (up to rounding).
     """
-    stack = _centred(phi, _stack([a] + list(bs)))
+    stack = _centred(phi, _stack([a] + list(bs)), own=True)
     n, w = _project_on(phi, cfg, stack, 1, SingularGramWarning(
         "rank-deficient Gram matrix; using pseudo-inverse"))
     return _report(_variance(phi, stack[0]), float(n[:, 0] @ w[:, 0]))
@@ -188,5 +196,5 @@ def energy_bound(consts: PhysConstants, phi: State, h: AlgebraElement, bs,
         h2 = _finite_value(phi.eval_matrix(h.m @ h.m).real, "energy bound hamiltonian: phi(h^2)")
         rhs, full = quad_form(stack, warning)
         raw = _report(h2, rhs)
-        rhs, _ = quad_form(_centred(phi, stack), warning if full else None)
+        rhs, _ = quad_form(_centred(phi, stack, own=True), warning if full else None)
     return raw, _report(variance(phi, h), rhs)

@@ -40,6 +40,17 @@ def test_sweep_reports_a_parameter_the_chart_does_not_take_as_a_usage_error(caps
     assert err[-1].endswith("error: chart 'sphere' takes parameters ['r'], not ['a']")
 
 
+def test_page_faults_prints_every_kind_of_the_tiny_cycle(capsys):
+    argv = ["operator_bounds", "--size", "tiny", "--cycles", "2"]
+    assert load_script("page_faults").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["kind", "calls", "median_ms", "faults/call", "sys_ms/call"]
+    rows = [line.split() for line in lines[1:-1]]
+    # 8 operations on 3 families, two of which share the kind label n4
+    assert len(rows) == 16 and sum(int(row[1]) for row in rows) == 2 * 24
+    assert lines[-1].startswith("per cycle over 2 cycles: call ms ")
+
+
 def test_cli_snapshot_writes_every_run(tmp_path):
     module = load_script("cli_snapshot")
     assert module.main([str(tmp_path)]) == 0
