@@ -20,6 +20,9 @@ The matrix size picks one layout per product integral (``_layout``): a 2x2
 stack is held in Fortran order, each entry one contiguous column over the
 stack, for array products and the adjugate solve; larger ones in C order for
 BLAS and LAPACK, where ``transport_oracle``, the independent reference, stays.
+The layout's chunk, a power of two, is how many factors are exponentiated and
+multiplied at a time: the whole block at 2x2, fewer for larger matrices, so
+that the Pade temporaries stay small; the chunks keep the bits of whole blocks.
 """
 
 from __future__ import annotations
@@ -171,9 +174,16 @@ _THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
                    9.504178996162932e-1, 2.097847961257068e0])
 _THETA13 = 5.371920351148152
 
-# Factors exponentiated and multiplied per pass of product_integral; bounds
-# its working set at O(_BLOCK d^2) for any number of steps.
+# Steps sampled per pass of product_integral; bounds its working set at
+# O(_BLOCK d^2) for any number of steps.
 _BLOCK = 1024
+# Bytes of the largest (m, d, d) complex stack a block is scaled, exponentiated
+# and multiplied in (``_layout``'s chunk m), so that a chunk's Pade temporaries
+# fit in the free memory of the allocator's heap.  A whole d = 4 block's, about
+# eight (1024, 4, 4) stacks, were returned to the system and faulted in again on
+# every call (~450 minor faults); 128 KiB chunks still faulted 160-500 times a
+# call, 64 KiB ones none (numpy 2.4, glibc, 2-core x86-64 Linux).
+_CHUNK_BYTES = 1 << 16
 
 
 # Dormand-Prince 5(4) pair (J. Comput. Appl. Math. 6, 1980): nodes, stages (the
@@ -189,8 +199,9 @@ _ORACLE_TOL = 3e-14
 
 
 # A layout: ``pack`` gives a (k, d, d) stack its memory order, ``mul`` and ``solve``
-# are x @ y and p^-1 q on two stacks
-_Layout = namedtuple("_Layout", "pack mul solve")
+# are x @ y and p^-1 q on two stacks, ``chunk`` the factors product_integral
+# exponentiates and multiplies at a time
+_Layout = namedtuple("_Layout", "pack mul solve chunk")
 
 
 def _columns_mul(x, y):
@@ -208,10 +219,15 @@ def _columns_solve(p, q):
 
 def _layout(d: int) -> _Layout:
     """The layout of a stack of d x d matrices: Fortran order at d = 2, where a
-    BLAS or LAPACK call per matrix costs several times its arithmetic."""
+    BLAS or LAPACK call per matrix costs several times its arithmetic.  Its
+    chunk is the largest power of two up to ``_BLOCK`` whose (chunk, d, d)
+    complex stack fits in ``_CHUNK_BYTES``, at least 1: the whole block at
+    d = 1 and 2, 256 at d = 3 and 4, 64 at d = 6 to 8."""
+    fit = _CHUNK_BYTES // (16 * d * d)
+    chunk = 1 << max(0, min(_BLOCK, fit).bit_length() - 1)
     if d == 2:
-        return _Layout(np.asfortranarray, _columns_mul, _columns_solve)
-    return _Layout(np.asarray, np.matmul, np.linalg.solve)
+        return _Layout(np.asfortranarray, _columns_mul, _columns_solve, chunk)
+    return _Layout(np.asarray, np.matmul, np.linalg.solve, chunk)
 
 
 def _pade(a, m, lay):
@@ -286,11 +302,16 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
     """Ordered product of midpoint exponentials exp(A(s_mid) ds), later
     factors multiplying from the left.
 
-    The factors are sampled, exponentiated and multiplied in blocks of
-    ``_BLOCK`` steps; each block's product multiplies the running one, a
-    stack of one, all in the ``_layout`` of the first block's size.  A block
-    whose samples have another size raises ``DimensionError``, and a product
-    that overflows ``ValueError``.
+    The factors are sampled in blocks of ``_BLOCK`` steps.  A block is
+    scaled by ds, exponentiated and tree-multiplied in consecutive chunks of
+    the layout's ``chunk`` factors, and the chunk products are tree-multiplied
+    into the block's; each block's product multiplies the running one, a stack of
+    one, all in the ``_layout`` of the first block's size.  The chunks keep
+    the bits of one pass over the block: each factor's exponential depends
+    only on its own matrix, and a chunk starts at a multiple of its length,
+    a power of two, so its tree is one subtree of the block's.  A block
+    whose samples have another size raises ``DimensionError``, and a
+    product that overflows ``ValueError``.
     """
     n, f = path.n_steps, None
     with np.errstate(all="ignore"):  # an overflow shows in a check: _sample's, _expm_stack's, below
@@ -300,10 +321,10 @@ def product_integral(path: ConnectionPath) -> np.ndarray:
             if f is not None and vals.shape[-1] != f.shape[-1]:
                 raise DimensionError(f"connection samples from s = {edges[0]:.17g} have size "
                                      f"{vals.shape[-1]}, the first block's {f.shape[-1]}")
-            # held until the next block's exponential: freed before it, a 2,000-step
-            # 4x4 product integral measured 3-5% slower (numpy 2.4, x86-64 Linux)
-            factors = _expm_stack(vals * np.diff(edges)[:, None, None])
-            block = _tree_product(factors)[None]
+            ds, m = np.diff(edges)[:, None, None], _layout(vals.shape[-1]).chunk
+            parts = [_tree_product(_expm_stack(vals[i:i + m] * ds[i:i + m]))
+                     for i in range(0, len(vals), m)]
+            block = (parts[0] if len(parts) == 1 else _tree_product(np.stack(parts)))[None]
             f = block if f is None else _tree_product(np.concatenate([f, block]))[None]
             if not np.isfinite(f).all():  # a non-finite block product makes f non-finite too
                 raise ValueError("product integral overflows")

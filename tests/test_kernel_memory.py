@@ -1,9 +1,11 @@
-"""What the operator kernels allocate and what they leave alone.
+"""What the operator kernels and the product integral allocate, and what
+the kernels leave alone.
 
 At n = 64, p = 20 every operation holds at most one fresh (p, n, n)-sized
 temporary beyond the stacks it must return or solve on (``tracemalloc``
 peak per call, in units of one such complex stack), and no kernel writes
-its arguments.
+its arguments.  A 4x4 product integral holds its block's scaled samples and
+the Pade temporaries of one chunk, not of a whole block.
 """
 
 import tracemalloc
@@ -14,10 +16,12 @@ import pytest
 from opgeom.algebra import AlgebraElement, DotConfig, PhysConstants, State, _heisenberg
 from opgeom.hypersurface import gibbs_force
 from opgeom.projection import cauchy_schwarz_check, gram, gram_schmidt, project
+from opgeom.transport import _BLOCK, product_integral
 from opgeom.uncertainty import _centred, energy_bound, fluctuation, fluctuation_bound
 
 from .conftest import rand_hermitian
 from .test_gram_kernel import KINDS, make_state
+from .test_transport import affine_path
 
 N, P = 64, 20
 STACK_BYTES = P * N * N * np.dtype(complex).itemsize
@@ -28,8 +32,9 @@ PEAK_STACKS = {"gibbs_force": 3.25, "gram_schmidt": 3.1, "gram": 2.25, "project"
                "cauchy_schwarz_check": 2.25, "fluctuation_bound": 2.25, "energy_bound": 2.25}
 
 
-def peak_stacks(call) -> float:
-    """The traced peak of call() above the memory traced before it, in stacks."""
+def peak_stacks(call, stack_bytes=STACK_BYTES) -> float:
+    """The traced peak of call() above the memory traced before it, in stacks
+    of stack_bytes."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -37,7 +42,7 @@ def peak_stacks(call) -> float:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         call()
-        return (tracemalloc.get_traced_memory()[1] - base) / STACK_BYTES
+        return (tracemalloc.get_traced_memory()[1] - base) / stack_bytes
     finally:
         if started:
             tracemalloc.stop()
@@ -61,6 +66,16 @@ def test_operations_hold_at_most_one_spare_stack_at_n64(kind):
     }
     peaks = {op: round(peak_stacks(call), 2) for op, call in calls.items()}
     assert {op: p for op, p in peaks.items() if p > PEAK_STACKS[op]} == {}, peaks
+
+
+def test_product_integral_holds_one_chunk_of_pade_temporaries_at_d4():
+    # a block's samples are one (_BLOCK, 4, 4) stack, a 256-factor chunk's scaled
+    # samples and Pade temporaries about 2.5 more (3.52 in all; 8.73 with the
+    # temporaries of a whole block)
+    path = affine_path(36, 4, 0.6, 2000)
+    product_integral(path)  # one-time allocations of a first call
+    peak = peak_stacks(lambda: product_integral(path), _BLOCK * 16 * np.dtype(complex).itemsize)
+    assert peak <= 4.0, peak
 
 
 def snapshot(*arrays):

@@ -41,6 +41,7 @@ from opgeom.transport import (
     stacked,
     _affine_connection,
     _expm_stack,
+    _layout,
     _sample,
     _segment_path,
     _tree_product,
@@ -292,8 +293,44 @@ def test_block_edges_are_the_grid(n_steps, s_range):
     assert hexes(got) == hexes(grid_product(path))
 
 
-# SHA-256 of each product below, in `sha256sum` format, pinned from the
-# (k, 2, 2) strided-array route that preceded the entry-column layout; regenerate with
+@pytest.mark.parametrize("d, n_steps", [(3, 1100), (4, 2000), (6, 300), (8, 300)])
+def test_chunked_blocks_keep_the_bits_of_whole_blocks(d, n_steps):
+    # factors of every Pade degree over chunks of 256 (d = 3, 4) or 64 (d = 6, 8), and up to
+    # 2 squarings at 300 steps
+    x, y = seeded_matrices(40 + d, d, 4000.0)
+    path = ConnectionPath(A=_affine_connection(x, y * 1e-5), s_range=(-0.05, 1.0),
+                          n_steps=n_steps)
+    assert _layout(d).chunk < n_steps
+    assert hexes(product_integral(path)) == hexes(grid_product(path))
+
+
+# the invariant behind product_integral's chunks: an aligned power-of-two chunk's
+# tree is one subtree of the whole tree, and an exponential is per matrix
+CHUNK_PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+@CHUNK_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6), n=st.integers(1, 1100),
+       log_m=st.integers(0, 11))
+def test_tree_of_aligned_chunk_trees_is_the_tree_product(seed, d, n, log_m):
+    e, m = _expm_stack(expm_stack_case(seed, True, n, d)), 1 << log_m
+    chunks = np.stack([_tree_product(e[i:i + m]) for i in range(0, n, m)])
+    assert hexes(_tree_product(chunks)) == hexes(_tree_product(e))
+
+
+@CHUNK_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6), n=st.integers(1, 1100),
+       antihermitian=st.booleans(), data=st.data())
+def test_expm_of_a_slice_is_the_slice_of_the_expm(seed, d, n, antihermitian, data):
+    a = expm_stack_case(seed, antihermitian, n, d)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(i + 1, n))
+    assert hexes(_expm_stack(a[i:j])) == hexes(_expm_stack(a)[i:j])
+
+
+# SHA-256 of each product below, in `sha256sum` format, pinned: the 2x2 paths from the
+# (k, 2, 2) strided-array route that preceded the entry-column layout, the 4x4 and 8x8
+# paths from whole-block exponentials that preceded the chunks; regenerate with
 #   PYTHONPATH=src python3 -c "from tests.test_transport import write_digests; write_digests()"
 # only after a change that is meant to move product-integral bits
 PRODUCT_DIGESTS = Path(__file__).resolve().parent / "data" / "product_integral.sha256"
@@ -316,21 +353,26 @@ def affine_path(seed, d, norm, n_steps, s_range=(0.0, 1.0), antihermitian=True):
     return ConnectionPath(A=_affine_connection(x, y), s_range=s_range, n_steps=n_steps)
 
 
-def expm_stack_case(seed, antihermitian):
-    """300 seeded 2x2 matrices with 1-norms from 1e-8 to 50: every Pade degree,
-    and squarings, mixed within one stack."""
+def expm_stack_case(seed, antihermitian, n=300, d=2):
+    """n seeded d x d matrices with 1-norms from 2^-27 (7.5e-9) to 50: every
+    Pade degree, and squarings, mixed within one stack.  The target norms come
+    from ``np.ldexp``, exact on every host (``10.0 ** array`` is NumPy's SIMD
+    ``power``, which rounds differently per CPU level)."""
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=(300, 2, 2)) + 1j * rng.normal(size=(300, 2, 2))
+    m = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     if antihermitian:
         m = 0.5 * (m - m.conj().transpose(0, 2, 1))
     norms = np.abs(m).sum(axis=1).max(axis=1)
-    return m * (10.0 ** rng.uniform(-8.0, math.log10(50.0), 300) / norms)[:, None, None]
+    target = np.minimum(np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-27, 6, n)), 50.0)
+    return m * (target / norms)[:, None, None]
 
 
 # name -> a function giving the product to pin: the stored path about one block,
 # seeded affine u(2) and general paths (degree 13 with squarings in every factor,
-# and one block whose factors take every Pade degree and up to 2 squarings), a 3x3 path, and
-# the exponential and tree product on 2x2 stacks
+# and one block whose factors take every Pade degree and up to 2 squarings), a 3x3 path,
+# the exponential and tree product on 2x2 stacks, and paths longer than one chunk of
+# product_integral: 4x4 over two blocks, the second a partial chunk, and 8x8 whose
+# factors take every Pade degree and up to 2 squarings
 PRODUCTS = {
     **{f"stored@{n}": (lambda n=n: product_integral(stored_test_path(n)))
        for n in (1, 1024, 1025, 10000)},
@@ -350,6 +392,10 @@ PRODUCTS = {
     "expm_stack_general": lambda: _expm_stack(expm_stack_case(29, False)),
     "tree_product@37": lambda: _tree_product(_expm_stack(expm_stack_case(30, True)[:37])),
     "tree_product@64": lambda: _tree_product(_expm_stack(expm_stack_case(31, True)[:64])),
+    "u4_seed32@2000": lambda: product_integral(affine_path(32, 4, 0.6, 2000)),
+    "u8_mixed_levels@300": lambda: product_integral(ConnectionPath(
+        A=_affine_connection(seeded_matrices(33, 8, 4000.0)[0], seeded_matrices(33, 8, 0.01)[1]),
+        s_range=(-0.05, 1.0), n_steps=300)),
 }
 
 
